@@ -42,6 +42,7 @@ class JobConfig:
     out: str = ""
     variant: str = "auto"
     verbose: int = 0
+    inputs: dict = field(default_factory=dict)   # parsed arguments, hashed
     extra: dict = field(default_factory=dict)
 
     def validate(self):
@@ -62,18 +63,22 @@ class JobConfig:
         return make_ring(self.p, self.prec, "unramified_quad", quad=quad)
 
 
-def _provenance(cfg, payload_parts):
-    h = hashlib.sha256()
-    h.update(json.dumps(
-        {
-            "subcommand": cfg.subcommand,
-            "p": cfg.p, "prec": cfg.prec, "deg": cfg.deg,
-            "ring": cfg.ring, "pi_sq": cfg.pi_sq, "seed": cfg.seed,
-            "parts": payload_parts,
-        },
-        sort_keys=True, default=str).encode())
+def _inputs_hash(cfg):
+    """SHA-256 prefix over the parsed arguments, the effective degree cap and
+    the contents of input files; output routing (--out, -v) is left out."""
+    inputs = {k: v for k, v in cfg.inputs.items() if k not in ("out", "verbose")}
+    inputs["cap"] = _cap(cfg)
+    for key in ("series", "matrix", "system"):
+        if inputs.get(key):
+            with open(inputs[key], "rb") as fh:
+                inputs[key] = hashlib.sha256(fh.read()).hexdigest()
+    text = json.dumps(inputs, sort_keys=True, default=str)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _provenance(cfg):
     return {
-        "inputs_hash": h.hexdigest()[:16],
+        "inputs_hash": _inputs_hash(cfg),
         "caps": {"degree": cfg.deg, "precision": cfg.prec},
         "achieved_precision": cfg.extra.get("achieved", cfg.prec),
     }
@@ -92,7 +97,7 @@ def _val_str(x):
 
 
 def _emit(cfg, payload):
-    payload["provenance"] = _provenance(cfg, sorted(payload.keys()))
+    payload["provenance"] = _provenance(cfg)
     text = json.dumps(payload, indent=2, default=str)
     if cfg.out:
         with open(cfg.out, "w") as fh:
@@ -238,6 +243,7 @@ def cmd_measure(cfg, args):
         raise DomainError("need --dirac or --series")
     if args.action == "moment":
         v = MS.moment(mu, args.k)
+        cfg.extra["achieved"] = MS.moment_guarantee(mu, args.k)
         return _emit(cfg, {"k": args.k, "moment": _elem_json(v)})
     if args.action == "coset":
         if mu.group.startswith("okp"):
@@ -252,6 +258,7 @@ def cmd_measure(cfg, args):
                            "mass": _elem_json(v), "mass_n_eff": g})
     if args.action == "tilde":
         t = MS.tilde_series(mu.amice)
+        cfg.extra["achieved"] = t.n_eff - t.shift
         return _emit(cfg, {"tilde": t.to_json()})
     raise DomainError("unknown measure action")
 
@@ -371,7 +378,7 @@ def run(argv):
     cfg = JobConfig(
         subcommand=args.subcommand, p=args.p, prec=args.prec, deg=args.deg,
         ring=args.ring, pi_sq=args.pi_sq, seed=args.seed, out=args.out,
-        variant=args.variant, verbose=args.verbose)
+        variant=args.variant, verbose=args.verbose, inputs=vars(args))
     if cfg.verbose:
         print(f"# ltk {args.subcommand} p={cfg.p} prec={cfg.prec} "
               f"deg={_cap(cfg)} ring={cfg.ring}", file=sys.stderr)

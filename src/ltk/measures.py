@@ -4,9 +4,24 @@ A measure on Z_p is its Mahler/Amice transform sum mu(binom(x,n)) T^n; the
 group element a acts as (1+T)^a.  The O_Kp variant stores the diagonal
 one-variable series together with the fixed trivialization O_Kp = Z_p^2 and
 the coordinate-sum map sigma(a0 + a1 w) = a0 + a1; group elements enter the
-series only through sigma.  Coset masses on delta*(1 + p^n O) are exact
-root-of-unity sums over O_K/p^n computed in cyclotomic quotient rings, with
-the p^{2n} division certified by a valuation check, never assumed.
+series only through sigma.
+
+Coset masses come from one level-n pushforward.  Z_p[[T]] is the inverse
+limit of Z_p[Z/p^n] under T -> gamma - 1, so reducing the Amice series mod
+(1+T)^{p^n} - 1 gives sum_a m_a (1+T)^a with m_a = mu(a + p^n Z_p).  On
+O_Kp, mu(delta U_n) is the sum of the m_a with sigma(delta^-1) a = 1 and
+sigma(delta^-1 w) a = 1 mod p^n.  One reduction per level serves every
+coset; no cyclotomic ring and no division by p^n is involved.
+
+Guarantee.  Only the coefficients below cap are stored.  The integral tail
+t = sum_{j >= cap} c_j T^j contributes p^-n sum_s t(zeta^s - 1) zeta^(-s a)
+to the Q^a coefficient, over the p^n-th roots of unity zeta^s.  The s = 0
+term is t(0) = 0, and v(zeta^s - 1) >= 1/phi(p^n) otherwise, so the
+contribution is an integer of valuation at least cap/phi(p^n) - n.  With
+stored digits mod p^n_eff and the shift divided out, a mass is correct mod
+p^(min(n_eff, ceil(cap/phi(p^n)) - n) - shift); at n = 0 the tail
+contributes nothing and the bound is n_eff - shift.  The mass must be
+divisible by p^shift, or PrecisionExhausted is raised.
 
 The tilde operator restricts a measure to the units: on series,
 h~ = h - (1/p) sum_j h(zeta_p^j (1+T) - 1).  Measures are immutable.
@@ -15,6 +30,7 @@ h~ = h - (1/p) sum_j h(zeta_p^j (1+T) - 1).  Measures are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 
 from .rings import (
     DomainError,
@@ -23,6 +39,7 @@ from .rings import (
     embed,
     make_composite,
     make_ring,
+    ord_int,
 )
 from .series import TruncSeries
 
@@ -36,6 +53,7 @@ __all__ = [
     "coset_mass",
     "partition_check",
     "moment",
+    "moment_guarantee",
     "riemann_moment",
     "unit_residues",
     "gauss_sum",
@@ -248,98 +266,99 @@ def _eval_table(h, ext, n):
     return table, guar
 
 
-def coset_mass(mu, delta, n):
-    """mu(delta * U_n): exact root-of-unity sum with certified p^2n division.
+def _pushforward(h, n):
+    """The stored coefficients of h reduced mod (1+T)^{p^n} - 1.
 
-    delta is a unit of O_K/p^n (any lift; only its class matters).  Returns
-    (value, n_eff): the mass is correct mod p^n_eff.
+    Horner's rule in Z/p^N[Q]/(Q^{p^n} - 1), Q = 1+T, coordinate by
+    coordinate of the value ring.  Returns (m, guarantee): m[a] is the
+    coordinate tuple of the Q^a coefficient, correct mod p^guarantee with
+    guarantee = min(n_eff, ceil(cap / phi(p^n)) - n) (the module docstring
+    derives the bound; at n = 0 the reduction is h(0), exact mod p^n_eff).
+    The shift is not applied.
     """
-    if not mu.group.startswith("okp"):
-        return _coset_mass_zp(mu, delta, n)
-    h = mu.amice
     spec = h.spec
-    p = spec.p
+    p, mod = spec.p, spec.modulus
     pn = p ** n
+    cols = []
+    for i in range(spec.rank):
+        acc = [0] * pn
+        for c in reversed(h.coeffs):
+            # acc <- acc * (Q - 1) + c; acc[-1] is the wrap-around Q^{p^n} = 1
+            acc = [acc[a - 1] - acc[a] for a in range(pn)]
+            acc[0] += c[i]
+        cols.append([x % mod for x in acc])
+    m = list(zip(*cols))
     if n == 0:
-        hs = TruncSeries(spec, h.cap, list(h.coeffs), h.n_eff, 0)
-        v, g = hs.eval(spec.zero())
-        if h.shift:
-            v = v.divide_exact_p(h.shift)
-            g -= h.shift
-        return v, g
+        return m, h.n_eff
+    return m, min(h.n_eff, -(-h.cap // (pn - pn // p)) - n)
+
+
+def _coset_index(mu, delta, n):
+    """The a in Z/p^n with mu(delta U_n) = mu(a + p^n Z_p), or None if empty.
+
+    On O_Kp the group enters the series through sigma only, so the coset
+    collects the a with sigma(delta^-1) a = 1 and sigma(delta^-1 w) a = 1
+    mod p^n: a = sigma(delta^-1)^-1 when the two sigma-values agree.
+    """
+    pn = mu.spec.p ** n
+    if not mu.group.startswith("okp"):
+        return (delta if isinstance(delta, int) else delta.coords[0]) % pn
     okp = mu.okp
     if isinstance(delta, tuple):
         delta = okp.elem(list(delta))
-    dl = delta
-    if not dl.is_unit():
+    if not delta.is_unit():
         raise DomainError("delta must be a unit")
-    dinv = dl.inverse()
+    dinv = delta.inverse()
     u = sigma_map(dinv) % pn
     v = sigma_map(dinv * okp.gen_quad()) % pn
-    ext = _level_ring(spec, n)
-    table, guar = _eval_table(h, ext, n)
-    zeta = ext.zeta()
-    zpows = [ext.one()]
-    for _ in range(pn - 1):
-        zpows.append(zpows[-1] * zeta)
-    counts = {}
-    for j0 in range(pn):
-        for j1 in range(pn):
-            s1 = (j0 * u + j1 * v) % pn
-            s2 = (-(j0 + j1)) % pn
-            key = (s1, s2)
-            counts[key] = counts.get(key, 0) + 1
-    num = ext.zero()
-    for (s1, s2), c in counts.items():
-        num = num + table[s1] * zpows[s2] * c
-    need = 2 * n + h.shift
-    if guar < need + 1:
-        raise PrecisionExhausted(
-            "precision cannot certify the p^%d division" % (2 * n))
-    qmod = p ** guar
-    num = ext.elem([c % qmod for c in num.coords])
-    if any(c % (p ** need) for c in num.coords):
-        raise PrecisionExhausted(
-            "numerator valuation < 2n + shift: series is not admissible")
-    num = ext.elem([(c // p ** need) % (p ** (guar - need)) for c in num.coords])
-    out = _descend_to(num, spec, guar - need)
-    return out, guar - need
+    try:
+        a = pow(u, -1, pn)
+    except ValueError:        # p | u: no a has u a = 1
+        return None
+    return a if (v * a - 1) % pn == 0 else None
 
 
-def _coset_mass_zp(mu, a, n):
-    """mu(a + p^n Z_p) for a Z_p-measure (or its unit restriction)."""
-    h = mu.amice
+def _mass(h, m, guar, a, n):
+    """m[a] / p^shift (zero for a = None), with the admissibility check."""
     spec = h.spec
-    p = spec.p
-    pn = p ** n
-    if n == 0:
-        hs = TruncSeries(spec, h.cap, list(h.coeffs), h.n_eff, 0)
-        v, g = hs.eval(spec.zero())
-        if h.shift:
-            v = v.divide_exact_p(h.shift)
-            g -= h.shift
-        return v, g
-    a = a if isinstance(a, int) else a.coords[0]
-    ext = _level_ring(spec, n)
-    table, guar = _eval_table(h, ext, n)
-    zeta = ext.zeta()
-    zpows = [ext.one()]
-    for _ in range(pn - 1):
-        zpows.append(zpows[-1] * zeta)
-    num = ext.zero()
-    for t in range(pn):
-        num = num + table[t] * zpows[(-t * a) % pn]
-    need = n + h.shift
-    if guar < need + 1:
-        raise PrecisionExhausted("precision cannot certify the p^%d division" % n)
-    qmod = p ** guar
-    num = ext.elem([c % qmod for c in num.coords])
-    if any(c % (p ** need) for c in num.coords):
+    p, shift = spec.p, h.shift
+    if guar < shift + 1:
         raise PrecisionExhausted(
-            "numerator valuation < n + shift: series is not admissible")
-    num = ext.elem([(c // p ** need) % (p ** (guar - need)) for c in num.coords])
-    out = _descend_to(num, spec, guar - need)
-    return out, guar - need
+            f"coset_mass at level {n}: needs {shift + 1} digits (shift {shift} "
+            f"+ 1), {max(guar, 0)} available (N_eff {h.n_eff}, cap {h.cap})")
+    q = p ** guar
+    num = [0] * spec.rank if a is None else [c % q for c in m[a]]
+    if any(c % p ** shift for c in num):
+        raise PrecisionExhausted(
+            f"coset_mass at level {n}: mass is not divisible by p^{shift}, "
+            "series is not admissible")
+    return spec.elem([c // p ** shift for c in num]), guar - shift
+
+
+def coset_mass(mu, delta, n):
+    """mu(delta * U_n) on O_Kp, or mu(delta + p^n Z_p) on Z_p.
+
+    delta is a unit of O_K/p^n (any lift; only its class matters), or an
+    integer for the Z_p tags.  Returns (value, n_eff): the mass is correct
+    mod p^n_eff.
+    """
+    m, guar = _pushforward(mu.amice, n)
+    return _mass(mu.amice, m, guar, _coset_index(mu, delta, n), n)
+
+
+def _cosets(mu, n):
+    """(delta, pushforward index, sigma(delta)) over the level-n cosets a
+    Riemann sum runs over: the units on O_Kp and zp_units, all of Z/p^n on zp."""
+    if mu.group.startswith("okp"):
+        for d in unit_residues(mu.okp, n):
+            dl = mu.okp.elem(d)
+            yield dl, _coset_index(mu, dl, n), sigma_map(dl)
+        return
+    p = mu.spec.p
+    for a in range(p ** n):
+        if mu.group == "zp_units" and a % p == 0:
+            continue
+        yield a, a, a
 
 
 def unit_residues(okp, n):
@@ -363,17 +382,18 @@ def partition_check(mu, n):
     """sum over delta in U_n/U_{n+1} of mu(delta U_{n+1}) == mu(U_n)."""
     okp = mu.okp
     p = okp.p
-    lhs = None
-    guar = None
+    h = mu.amice
+    fine, g_fine = _pushforward(h, n + 1)
+    lhs = h.spec.zero()
     for c0 in range(p):
         for c1 in range(p):
             d = okp.elem((1 + c0 * p ** n, c1 * p ** n))
-            v, g = coset_mass(mu, d, n + 1)
-            lhs = v if lhs is None else lhs + v
-            guar = g if guar is None else min(guar, g)
-    rhs, g2 = coset_mass(mu, okp.one(), n)
-    guar = min(guar, g2)
-    q = mu.spec.p ** guar
+            v, _ = _mass(h, fine, g_fine, _coset_index(mu, d, n + 1), n + 1)
+            lhs = lhs + v
+    coarse, g_coarse = _pushforward(h, n)
+    rhs, _ = _mass(h, coarse, g_coarse, _coset_index(mu, okp.one(), n), n)
+    guar = min(g_fine, g_coarse) - h.shift
+    q = p ** guar
     ok = all((x - y) % q == 0 for x, y in zip(lhs.coords, rhs.coords))
     return ok, guar
 
@@ -386,41 +406,53 @@ def qddq(h):
     return h.derive() * TruncSeries(h.spec, h.cap, [1, 1])
 
 
-def moment(mu, k):
-    """k-th moment: (Qd/dQ)^k amice at T = 0."""
-    h = mu.amice
+def _check_order(k):
+    if k < 0:
+        raise DomainError(f"moment order k must be >= 0, got {k}")
+
+
+def _qddq_power(h, k):
+    """(Qd/dQ)^k h for a moment order k >= 0."""
+    _check_order(k)
     for _ in range(k):
         h = qddq(h)
+    return h
+
+
+def moment(mu, k):
+    """k-th moment: (Qd/dQ)^k amice at T = 0."""
+    h = _qddq_power(mu.amice, k)
     v = h.coeff(0)
     if h.shift:
         return v.divide_exact_p(h.shift)
     return v
 
 
+def moment_guarantee(mu, k):
+    """Digits of moment(mu, k) that are certified.
+
+    The moment is sum_j j! S(k, j) c_j over j <= k (S: Stirling numbers of
+    the second kind), and the truncated series drops exactly the j >= cap,
+    each divisible by p^v_p(cap!).
+    """
+    _check_order(k)
+    h = mu.amice
+    g = h.n_eff
+    if k >= h.cap:
+        g = min(g, ord_int(factorial(h.cap), h.spec.p))
+    return g - h.shift
+
+
 def riemann_moment(mu, k, n):
     """Riemann sum over level-n cosets against sigma(x)^k (or x^k on Z_p)."""
-    if mu.group.startswith("okp"):
-        okp = mu.okp
-        acc = None
-        guar = None
-        for d0, d1 in unit_residues(okp, n):
-            dl = okp.elem((d0, d1))
-            v, g = coset_mass(mu, dl, n)
-            term = v * (sigma_map(dl) ** k if k else 1)
-            acc = term if acc is None else acc + term
-            guar = g if guar is None else min(guar, g)
-        return acc, guar
-    p = mu.spec.p
-    acc = None
-    guar = None
-    for a in range(p ** n):
-        if mu.group == "zp_units" and a % p == 0:
-            continue
-        v, g = _coset_mass_zp(mu, a, n)
-        term = v * (a ** k if k else 1)
-        acc = term if acc is None else acc + term
-        guar = g if guar is None else min(guar, g)
-    return acc, guar
+    _check_order(k)
+    h = mu.amice
+    m, guar = _pushforward(h, n)
+    acc = h.spec.zero()
+    for _, a, x in _cosets(mu, n):
+        v, _ = _mass(h, m, guar, a, n)
+        acc = acc + v * x ** k
+    return acc, guar - h.shift
 
 
 # -- characters and twists ----------------------------------------------------------
@@ -651,30 +683,15 @@ def twist_eval(mu, chi, k):
     n = chi.level
     if n == 0:
         return moment(mu, k)
-    h = mu.amice
-    for _ in range(k):
-        h = qddq(h)
-    hk = Measure(h, mu.group, mu.okp)
+    h = _qddq_power(mu.amice, k)
+    m, guar = _pushforward(h, n)
     vspec = chi.value_spec
     acc = None
-    if mu.group.startswith("okp"):
-        deltas = unit_residues(mu.okp, n)
-        for d in deltas:
-            dl = mu.okp.elem(d)
-            cv = chi.value(dl)
-            if cv.is_zero():
-                continue
-            mass, g = coset_mass(hk, dl, n)
-            term = cv * embed(mass, vspec) if mass.spec != vspec else cv * mass
-            acc = term if acc is None else acc + term
-        return acc
-    for a in range(vspec.p ** n):
-        if a % vspec.p == 0:
-            continue
-        cv = chi.value(a)
+    for delta, a, _ in _cosets(mu, n):
+        cv = chi.value(delta)
         if cv.is_zero():
             continue
-        mass, g = _coset_mass_zp(hk, a, n)
+        mass, _ = _mass(h, m, guar, a, n)
         term = cv * embed(mass, vspec) if mass.spec != vspec else cv * mass
         acc = term if acc is None else acc + term
     return acc
@@ -695,9 +712,7 @@ def twist_factorization_report(mu, chi, k):
     tau = gauss_sum(chi, okp=mu.okp)
     if n == 0:
         return direct, tau, None, None
-    h = mu.amice
-    for _ in range(k):
-        h = qddq(h)
+    h = _qddq_power(mu.amice, k)
     vspec = chi.value_spec
     ext = _level_ring(vspec, n)
     pn = vspec.p ** n

@@ -122,3 +122,67 @@ def test_coleman_mu0_multiplicative(capsys):
                               "coleman", "mu0"])
     assert rc == 0
     assert "amice" in d
+
+
+def test_negative_moment_order_is_usage_error(capsys):
+    rc = run(["--p", "3", "--prec", "8", "--deg", "24",
+              "measure", "moment", "--dirac", "5", "--k", "-1"])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 1
+    assert err["error"] == "usage" and "k must be >= 0" in err["detail"]
+
+
+def test_coset_precision_error_names_stage(capsys):
+    rc = run(["--deg", "24", "measure", "coset", "--dirac", "5", "--level", "3"])
+    err = json.loads(capsys.readouterr().err)
+    assert rc == 2
+    assert err["error"] == "precision-exhausted"
+    assert "coset_mass at level 3" in err["detail"]
+    assert "needs 1 digits" in err["detail"] and "0 available" in err["detail"]
+
+
+def test_inputs_hash_covers_the_inputs(capsys, tmp_path):
+    base = ["--p", "3", "--prec", "8", "--deg", "24", "measure", "moment"]
+    hashes = []
+    for extra in (["--dirac", "5", "--k", "3"], ["--dirac", "7", "--k", "1"],
+                  ["--dirac", "5", "--k", "1"], ["--dirac", "5", "--k", "3"]):
+        rc, d = run_json(capsys, base + extra)
+        assert rc == 0
+        hashes.append(d["provenance"]["inputs_hash"])
+    assert len(set(hashes[:3])) == 3
+    assert hashes[3] == hashes[0]
+    # --out routes the output and is not an input
+    out = tmp_path / "res.json"
+    assert run(["--out", str(out)] + base + ["--dirac", "5", "--k", "3"]) == 0
+    assert json.loads(out.read_text())["provenance"]["inputs_hash"] == hashes[0]
+    # an input file counts by its contents
+    z = make_ring(3, 8, "zp")
+    series = []
+    for coeffs in ([1, 2], [1, 3]):
+        path = tmp_path / f"mu{len(series)}.json"
+        path.write_text(json.dumps({"amice": TruncSeries(z, 24, coeffs).to_json(),
+                                    "group": "zp"}))
+        series.append(str(path))
+    got = []
+    for path in series:
+        rc, d = run_json(capsys, base + ["--series", path, "--k", "1"])
+        assert rc == 0
+        got.append(d["provenance"]["inputs_hash"])
+    assert got[0] != got[1]
+
+
+def test_measure_achieved_precision_is_derived(capsys):
+    rc, d = run_json(capsys, ["--p", "3", "--prec", "8", "--deg", "24",
+                              "measure", "tilde", "--dirac", "5"])
+    assert rc == 0
+    assert d["provenance"]["achieved_precision"] == d["tilde"]["N_eff"] == 7
+    rc, d = run_json(capsys, ["--p", "3", "--prec", "8", "--deg", "24",
+                              "measure", "moment", "--dirac", "5", "--k", "3"])
+    assert rc == 0 and d["provenance"]["achieved_precision"] == 8
+    # k >= cap: the truncated tail costs v_3(6!) = 2 digits, and they are
+    # all the digits there are
+    rc, d = run_json(capsys, ["--p", "3", "--prec", "8", "--deg", "6",
+                              "measure", "moment", "--dirac", "7", "--k", "6"])
+    assert rc == 0 and d["provenance"]["achieved_precision"] == 2
+    diff = d["moment"]["coords"][0] - 7 ** 6
+    assert diff % 9 == 0 and diff % 27 != 0

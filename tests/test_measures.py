@@ -11,6 +11,7 @@ from ltk.measures import (
     dirac,
     gauss_sum,
     moment,
+    moment_guarantee,
     partition_check,
     restrict_to_units,
     riemann_moment,
@@ -262,3 +263,32 @@ def test_measure_json_round_trip():
     assert back.group == "okp"
     assert back.amice.eq_mod(mu.amice)
     assert back.okp == Q3_12
+
+
+def test_negative_moment_order_rejected():
+    from ltk.rings import DomainError
+    mu = dirac(5, "zp", Z12, 20)
+    for fn in (lambda: moment(mu, -1), lambda: riemann_moment(mu, -1, 1)):
+        with pytest.raises(DomainError):
+            fn()
+
+
+def test_moment_guarantee_covers_the_truncated_tail():
+    # below the cap the moment is exact mod p^n_eff; from k = cap on, the
+    # dropped terms j! S(k, j) c_j, j >= cap, cost v_p(cap!) digits
+    z = make_ring(3, 8, "zp")
+    worst_gap = 99
+    for a in (7, 11, 20, 100):
+        for cap, k in ((6, 3), (6, 6), (6, 8), (9, 12), (4, 10)):
+            mu = dirac(a, "zp", z, cap)
+            g = moment_guarantee(mu, k)
+            assert g == (8 if k < cap else {6: 2, 9: 4, 4: 1}[cap])
+            d = (moment(mu, k).coords[0] - a ** k) % 3 ** 8
+            v = 0
+            while d and d % 3 == 0:
+                d //= 3
+                v += 1
+            got = v if d else 8
+            assert got >= g
+            worst_gap = min(worst_gap, got - g)
+    assert worst_gap == 0
