@@ -59,8 +59,18 @@ class JobConfig:
         if self.ring == "ram":
             c = -self.pi_sq if self.pi_sq else self.p
             return make_ring(self.p, self.prec, "ramified_quad", quad=(0, c))
-        quad = self.extra.get("unram_poly", (1, 1))
-        return make_ring(self.p, self.prec, "unramified_quad", quad=quad)
+        return make_ring(self.p, self.prec, "unramified_quad",
+                         quad=_unram_poly(self.p))
+
+
+def _unram_poly(p):
+    """(1, c) for the least c >= 1 with x^2 + x + c irreducible mod p.
+
+    c = 1 serves p = 2.  For odd p the discriminant 1 - 4c runs over every
+    residue as c runs over Z/p, so a non-square always turns up.
+    """
+    return next((1, c) for c in range(1, p + 1)
+                if all((x * x + x + c) % p for x in range(p)))
 
 
 def _inputs_hash(cfg):
@@ -289,6 +299,8 @@ def cmd_elliptic(cfg, args):
         payload = {"theta": [v.real, v.imag]}
     else:
         asub = complex(args.sub)
+        if asub == 0:
+            raise DomainError("--sub must be nonzero")
         Lsub = EL.scale_lattice(L, 1 / asub)
         # psi(z; L, a^{-1} L)
         v = EL.psi_robert(z, L, Lsub)

@@ -64,11 +64,6 @@ class CompatibleSystem:
                     return False
         return True
 
-    def require_norm_compatible(self, n_check=None):
-        if not self.norm_compatible(n_check):
-            raise DomainError("norm compatibility fails in the tower")
-        return self
-
     def to_json(self):
         return {
             "levels": self.tower.M,
@@ -269,18 +264,6 @@ def _first_nondivisible(S, k):
         if any(x % qq for x in s.coeffs[i]):
             return i
     return -1
-
-
-def log_unit_series(G, g):
-    """log g = log(g(0)) + log(g/g(0)) as a shifted series plus scalar data.
-
-    Used by the measure-side comparisons; the unit-part logarithm has
-    denominators bounded by the X-order growth and is returned shifted.
-    """
-    from .series import formal_log
-    c0 = g.constant_term()
-    norm = g.scale(c0.inverse())
-    return formal_log(norm)
 
 
 def partial_dlog(G, lt, k):

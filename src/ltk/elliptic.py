@@ -260,10 +260,6 @@ class Lattice:
         s = self.sigma(z)
         return self.delta() * cmath.exp(-6.0 * self.eta_form(z) * z) * s ** 12
 
-    def klein(self, z):
-        """Klein form e^{-eta(z) z / 2} sigma(z): homogeneous of degree 1."""
-        return cmath.exp(-self.eta_form(z) * z / 2.0) * self.sigma(z)
-
 
 def scale_lattice(L, c):
     return Lattice(c * L.w1, c * L.w2)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rings import DomainError, PrecisionExhausted
-from .series import TruncSeries, weierstrass_prep
+from .rings import DomainError, PrecisionExhausted, laplace_det
+from .series import SeriesRing, TruncSeries, weierstrass_prep
 
 __all__ = [
     "LambdaPresentation",
@@ -53,32 +53,8 @@ class LambdaPresentation:
 
 
 def det_series(matrix, spec, cap):
-    """Determinant by column-subset Laplace expansion with memoization."""
-    n = len(matrix)
-    if n == 0:
-        return TruncSeries.one(spec, cap)
-    memo = {}
-
-    def minor(r, mask):
-        key = (r, mask)
-        if key in memo:
-            return memo[key]
-        acc = TruncSeries.zero(spec, cap)
-        sign = 1
-        for c in range(n):
-            if not (mask >> c) & 1:
-                continue
-            entry = matrix[r][c]
-            if not entry.is_zero():
-                sub = TruncSeries.one(spec, cap) if r == n - 1 \
-                    else minor(r + 1, mask & ~(1 << c))
-                term = entry * sub
-                acc = acc + term if sign > 0 else acc - term
-            sign = -sign
-        memo[key] = acc
-        return acc
-
-    return minor(0, (1 << n) - 1)
+    """Determinant of a square matrix of series, mod X^cap."""
+    return laplace_det(SeriesRing(spec, cap), matrix)
 
 
 def char_ideal(pres):

@@ -6,31 +6,54 @@ with f == pi'*X mod X^2 and f == X^q mod the maximal ideal.  The default
 variant is f = pi'*X + X^q; the multiplicative variant (1+X)^p - 1 over Z_p
 recovers the classical picture.
 
-Internally the group solves its structural series (logarithm, endomorphisms,
-exponential) coefficient by coefficient over exact rationals, so divisions by
-pi^k - pi cost nothing in precision; results are certified integral and
-converted back to residue arithmetic.  The Coleman norm operator is computed
-as a resultant: N_f g (Y) = det g(C) where C is the companion matrix of
-f(Z) - Y, which is exact mod (p^N, Y^D).  The independent check forms the
-product of g over actual torsion translates in the quotient ring
-base[w]/pibar_1(w).
+Every algorithm here runs over a small ring protocol: zero, one, from_base,
+add, sub, mul, is_zero.  The base RingSpec, the series ring SeriesRing, the
+quotient rings base[X]/P and the exact rationals _Rationals all speak it, so
+the truncated product, the Horner composition, the companion-matrix norm and
+the determinant (rings.laplace_det) each exist once.
+
+Structural series.  The logarithm, the exponential, the endomorphisms [a]_f
+and the torsion translates X [+] pt are each pinned down, coefficient by
+coefficient, by the Lubin-Tate uniqueness lemma in one shape:
+
+    D_k c_k = b_k + sum_{j>=2} u_j [C^j]_k - sum_{1<=j<k} c_j [v^j]_k
+
+  log       l(f(X)) = pi l(X)       v = f, D_k = pi^k - pi
+  exp       f(e(Y)) = e(pi Y)       u = f, D_k = pi^k - pi
+  [a]_f     [a] o f = f o [a]       u = v = f, D_k = pi^k - pi
+  translate f(pt + S) = f(X)        u = -d, b = f, D_k = d_1
+
+where f(pt + S) = sum_i d_i S^i.  _solve_structural solves all four.  As
+c_0 = 0, [C^j]_k involves only c_1..c_{k-1}, so the powers of C come from the
+running convolution P_j[k] = sum_{i=1}^{k-1} c_i P_{j-1}[k-i], filled in as
+the coefficients appear.  The first three are solved over exact rationals:
+divisions by pi^k - pi cost no precision, and the results are certified
+p-integral on the way back to residues.  The translates are solved in the
+quotient ring base[w]/pibar_1(w), with certified divisions by d_1 = f'(pt).
+
+The Coleman norm operator is a resultant: N_f g (Y) = det g(C) where C is
+the companion matrix of f(Z) - Y, exact mod (p^N, Y^D).  The same
+companion-matrix norm gives the tower norms O'_m -> O'_{m-1}.  The
+independent check of the norm law is the product of g over the actual
+torsion translates; the two routes share only the protocol arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
+from functools import partial
+from math import comb, inf
 
 from .rings import (
     DomainError,
     PrecisionExhausted,
     RingElem,
-    RingSpec,
     _det_bareiss,
+    laplace_det,
     ord_int,
     valuation,
 )
-from .series import TruncSeries, weierstrass_prep
+from .series import SeriesRing, TruncSeries, weierstrass_prep
 
 __all__ = [
     "FormalGroup",
@@ -41,41 +64,11 @@ __all__ = [
 ]
 
 
-# -- exact rational coordinate arithmetic (rank 1 or 2) ------------------------
-
-
-def _fr_lift(elem):
-    """Balanced-representative lift to exact rationals.
-
-    The balanced lift keeps small negative constants (like pi^2 = -2) exact,
-    so identities such as [pi]^2 = [pi^2] hold on the nose rather than only
-    mod a reduced precision.
-    """
-    m = elem.spec.modulus
-    return tuple(Fraction(c if c <= m // 2 else c - m) for c in elem.coords)
-
-
-def _fr_zero(rank):
-    return (Fraction(0),) * rank
-
-
-def _fr_one(rank):
-    return (Fraction(1),) + (Fraction(0),) * (rank - 1)
-
-
-def _fr_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _fr_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def _fr_smul(s, a):
-    return tuple(s * x for x in a)
+# -- exact rationals on the base ring's basis ------------------------------------
 
 
 def _fr_mul(bc, a, b):
+    """Product in Q (rank 1) or Q[w]/(w^2 + b w + c) with bc = (b, c)."""
     if len(a) == 1:
         return (a[0] * b[0],)
     qb, qc = bc
@@ -85,45 +78,172 @@ def _fr_mul(bc, a, b):
     return (t0 - qc * t2, t1 - qb * t2)
 
 
-def _fr_inv(bc, a):
-    if len(a) == 1:
-        return (1 / a[0],)
-    qb, qc = bc
-    nm = a[0] * a[0] - qb * a[0] * a[1] + qc * a[1] * a[1]
-    return ((a[0] - qb * a[1]) / nm, -a[1] / nm)
+class _Rationals:
+    """The base ring's fraction field, as tuples of Fractions on its basis.
+
+    from_base takes the balanced lift, which keeps small negative constants
+    (like pi^2 = -2) exact, so identities such as [pi]^2 = [pi^2] hold on the
+    nose rather than only mod a reduced precision.
+    """
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.rank = spec.rank
+        self.bc = None if spec.quad is None else tuple(map(Fraction, spec.quad))
+        self.mul = partial(_fr_mul, self.bc)
+
+    def zero(self):
+        return (Fraction(0),) * self.rank
+
+    def one(self):
+        return (Fraction(1),) + (Fraction(0),) * (self.rank - 1)
+
+    def from_base(self, elem):
+        m = elem.spec.modulus
+        return tuple(Fraction(c if c <= m // 2 else c - m) for c in elem.coords)
+
+    def add(self, a, b):
+        return tuple(x + y for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    def is_zero(self, a):
+        return not any(a)
+
+    def scale(self, s, a):
+        return tuple(s * x for x in a)
+
+    def inv(self, a):
+        if self.rank == 1:
+            return (1 / a[0],)
+        qb, qc = self.bc
+        nm = a[0] * a[0] - qb * a[0] * a[1] + qc * a[1] * a[1]
+        return ((a[0] - qb * a[1]) / nm, -a[1] / nm)
+
+    def den_ord(self, coeffs):
+        """The largest p-order of a denominator among the coefficients."""
+        p = self.spec.p
+        return max((ord_int(x.denominator, p) for c in coeffs for x in c),
+                   default=0)
+
+    def to_base(self, a):
+        """Residue coordinates of a; the denominators must be p-units."""
+        m = self.spec.modulus
+        out = []
+        for x in a:
+            if x.denominator % self.spec.p == 0:
+                raise PrecisionExhausted("coefficient is not p-integral")
+            out.append(x.numerator * pow(x.denominator, -1, m))
+        return self.spec.elem(out)
+
+    def series(self, coeffs):
+        """The TruncSeries with these coefficients if p-integral, else None."""
+        try:
+            elems = [self.to_base(c) for c in coeffs]
+        except PrecisionExhausted:
+            return None
+        return TruncSeries(self.spec, len(coeffs), elems)
 
 
-def _fr_is_zero(a):
-    return all(x == 0 for x in a)
+# -- polynomial algorithms over the ring protocol ------------------------------------
 
 
-def _fr_to_elem(spec, a, n_extra=0):
-    """Exact rational coords -> residue coords; denominators must be p-units."""
-    m = spec.p ** (spec.N + n_extra)
-    out = []
-    for x in a:
-        den = x.denominator
-        if den % spec.p == 0:
-            raise PrecisionExhausted("coefficient is not p-integral")
-        out.append((x.numerator * pow(den, -1, m)) % m)
-    if n_extra:
-        return tuple(out)
-    return spec.elem(out)
-
-
-def _fr_poly_mul(bc, a, b, cap):
-    rank = len(a[0]) if a else 1
-    out = [_fr_zero(rank) for _ in range(cap)]
-    for i, ai in enumerate(a):
-        if i >= cap:
-            break
-        if not _fr_is_zero(ai):
-            for j, bj in enumerate(b):
-                if i + j >= cap:
-                    break
-                if not _fr_is_zero(bj):
-                    out[i + j] = _fr_add(out[i + j], _fr_mul(bc, ai, bj))
+def _poly_mul(R, a, b, cap):
+    """Truncated product of coefficient lists over R."""
+    out = [R.zero()] * cap
+    for i, ai in enumerate(a[:cap]):
+        if R.is_zero(ai):
+            continue
+        for j, bj in enumerate(b[:cap - i]):
+            if not R.is_zero(bj):
+                out[i + j] = R.add(out[i + j], R.mul(ai, bj))
     return out
+
+
+def _compose(R, f, g, cap):
+    """f(g) mod X^cap by Horner's rule over R.
+
+    Every coefficient of f is used: g(0) need not vanish, so high terms of f
+    reach the low degrees.
+    """
+    res = [R.zero()] * cap
+    for c in reversed(f):
+        res = _poly_mul(R, res, g, cap)
+        if not R.is_zero(c):
+            res[0] = R.add(res[0], c)
+    return res
+
+
+def _solve_structural(R, cap, head, divide, b=(), u=(), v_pows=()):
+    """Coefficients c_0..c_{cap-1} of a structural series over R.
+
+    head holds the given c_0 = 0, c_1, ...; every later coefficient solves
+    D_k c_k = b_k + sum_{2<=j<len(u)} u_j [C^j]_k - sum_{1<=j<k} c_j [v^j]_k,
+    where divide(k, x) = x / D_k and v_pows[j] lists the coefficients of v^j.
+    """
+    zero = R.zero()
+    c = list(head) + [zero] * (cap - len(head))
+    # pows[j][k] = [C^j]_k by the running convolution: it needs only
+    # c_1..c_{k-1} (c_0 = 0), so it is filled in before c_k is solved
+    pows = [None, c] + [[zero] * cap for _ in range(2, len(u))]
+    for k in range(1, cap):
+        for j in range(2, len(u)):
+            prev, acc = pows[j - 1], zero
+            for i in range(1, k - j + 2):
+                if not R.is_zero(c[i]) and not R.is_zero(prev[k - i]):
+                    acc = R.add(acc, R.mul(c[i], prev[k - i]))
+            pows[j][k] = acc
+        if k < len(head):
+            continue
+        rhs = b[k] if k < len(b) else zero
+        for j in range(2, len(u)):
+            if not R.is_zero(u[j]) and not R.is_zero(pows[j][k]):
+                rhs = R.add(rhs, R.mul(u[j], pows[j][k]))
+        for j in range(1, min(k, len(v_pows))):
+            if not R.is_zero(c[j]) and not R.is_zero(v_pows[j][k]):
+                rhs = R.sub(rhs, R.mul(c[j], v_pows[j][k]))
+        c[k] = divide(k, rhs)
+    return c
+
+
+def _companion_norm(R, last_col, y):
+    """det y(C) over R for a polynomial y with base coefficients.
+
+    C is the companion matrix whose last column writes Z^d in the basis
+    1, Z, ..., Z^{d-1}; its other columns shift the basis.  y(C) is built by
+    Horner's rule M <- M C + y_k, where M C is M's columns shifted left with
+    M @ last_col appended.  No divisions occur.
+    """
+    d = len(last_col)
+    zero = R.zero()
+    M = [[R.from_base(y[-1]) if r == c else zero for c in range(d)]
+         for r in range(d)]
+    for k in range(len(y) - 2, -1, -1):
+        new = []
+        for row in M:
+            acc = zero
+            for m, col in zip(row, last_col):
+                if not R.is_zero(m) and not R.is_zero(col):
+                    acc = R.add(acc, R.mul(m, col))
+            new.append(row[1:] + [acc])
+        if not y[k].is_zero():
+            yk = R.from_base(y[k])
+            for r in range(d):
+                new[r][r] = R.add(new[r][r], yk)
+        M = new
+    return laplace_det(R, M)
+
+
+def _reversion(R, f, cap):
+    """Compositional inverse of f = f_1 X + ... over the rationals."""
+    inv1 = R.inv(f[1])
+    g = [R.zero(), inv1] + [R.zero()] * (cap - 2)
+    for k in range(2, cap):
+        # [X^k] f(g + t X^k) = [X^k] f(g) + f_1 t
+        err = _compose(R, f[: k + 1], g, k + 1)[k]
+        g[k] = R.mul(R.sub(R.zero(), err), inv1)
+    return g
 
 
 # -- the formal group ----------------------------------------------------------
@@ -141,6 +261,9 @@ class FormalGroup:
         self.f = TruncSeries(spec, cap, f_coeffs)
         self.f_poly = [self.f.coeff(i) for i in range(q + 1)]
         self._check_frobenius_shape()
+        self._Q = _Rationals(spec)
+        self._f_rat = [self._Q.from_base(c) for c in self.f_poly]
+        self._f_pows = []
         self._log_cache = {}
         self._exp_cache = {}
         self._endo_cache = {}
@@ -162,143 +285,73 @@ class FormalGroup:
         if not top.is_zero() and valuation(top) <= 0:
             raise DomainError("leading coefficient must be a unit lifting 1")
 
-    # -- rational scratch data -------------------------------------------------
+    # -- structural series over the rationals ------------------------------------
 
-    @property
-    def _bc(self):
-        if self.spec.quad is None:
-            return None
-        return (Fraction(self.spec.quad[0]), Fraction(self.spec.quad[1]))
+    def _f_powers(self, cap):
+        """[None, f, f^2, ...] over the rationals, each known mod X^cap.
 
-    @property
-    def _rank(self):
-        return self.spec.rank
+        Cached for the largest cap asked for: the solver reads only the
+        entries [f^j]_k with j < k < cap, which a longer table holds too.
+        """
+        if len(self._f_pows) < cap:
+            R = self._Q
+            f = (self._f_rat + [R.zero()] * cap)[:cap]
+            pows = [None, f]
+            for _ in range(2, cap):
+                pows.append(_poly_mul(R, f, pows[-1], cap))
+            self._f_pows = pows
+        return self._f_pows
 
-    def _f_frac(self):
-        return [_fr_lift(c) for c in self.f_poly]
-
-    def _pi_frac_pow(self, k):
-        out = _fr_one(self._rank)
-        pf = _fr_lift(self.pi)
-        for _ in range(k):
-            out = _fr_mul(self._bc, out, pf)
-        return out
+    def _pi_divider(self, cap):
+        """k, x -> x / (pi^k - pi) for 2 <= k < cap."""
+        R = self._Q
+        pif = pik = R.from_base(self.pi)
+        inv = [None, None]
+        for _ in range(2, cap):
+            pik = R.mul(pik, pif)
+            inv.append(R.inv(R.sub(pik, pif)))
+        return lambda k, x: R.mul(x, inv[k])
 
     def log_coeffs(self, cap=None):
         """Exact rational coefficients of log_F, solved from log(f) = pi*log."""
         cap = cap or self.cap
-        if cap in self._log_cache:
-            return self._log_cache[cap]
-        bc, rank = self._bc, self._rank
-        fp = self._f_frac()
-        pif = _fr_lift(self.pi)
-        l = [_fr_zero(rank), _fr_one(rank)] + [_fr_zero(rank)] * (cap - 2)
-        # rolling ACC = sum_{j<k} l_j f^j, rolling F = f^{k-1}
-        F = list(fp) + [_fr_zero(rank)] * (cap - len(fp))
-        F = F[:cap]
-        acc = [c for c in F]  # l_1 = 1
-        for k in range(2, cap):
-            # l_k (pi^k - pi) = -acc[k]
-            d = _fr_sub(self._pi_frac_pow(k), pif)
-            lk = _fr_mul(bc, _fr_smul(Fraction(-1), acc[k]), _fr_inv(bc, d))
-            l[k] = lk
-            if k < cap - 1:
-                F = _fr_poly_mul(bc, F, fp, cap)
-                if not _fr_is_zero(lk):
-                    for i in range(cap):
-                        if not _fr_is_zero(F[i]):
-                            acc[i] = _fr_add(acc[i], _fr_mul(bc, lk, F[i]))
-        self._log_cache[cap] = l
-        return l
+        if cap not in self._log_cache:
+            R = self._Q
+            self._log_cache[cap] = _solve_structural(
+                R, cap, [R.zero(), R.one()], self._pi_divider(cap),
+                v_pows=self._f_powers(cap))
+        return self._log_cache[cap]
 
     def exp_coeffs(self, cap=None):
         """Exact rational coefficients of exp_F, from f(exp(Y)) = exp(pi*Y)."""
         cap = cap or self.cap
-        if cap in self._exp_cache:
-            return self._exp_cache[cap]
-        bc, rank, q = self._bc, self._rank, self.q
-        fp = self._f_frac()
-        pif = _fr_lift(self.pi)
-        e = [_fr_zero(rank), _fr_one(rank)] + [_fr_zero(rank)] * (cap - 2)
-        # maintain powers E^j for 2 <= j <= q
-        pows = {1: [c for c in e]}
-        for j in range(2, q + 1):
-            pows[j] = _fr_poly_mul(bc, pows[j - 1], e, cap)
-        for k in range(2, cap):
-            rhs = _fr_zero(rank)
-            for j in range(2, q + 1):
-                cj = fp[j]
-                if not _fr_is_zero(cj):
-                    rhs = _fr_add(rhs, _fr_mul(bc, cj, pows[j][k]))
-            d = _fr_sub(self._pi_frac_pow(k), pif)
-            ek = _fr_mul(bc, rhs, _fr_inv(bc, d))
-            e[k] = ek
-            if _fr_is_zero(ek) or k == cap - 1:
-                pows[1][k] = ek
-                continue
-            # update E^j with (E + ek X^k)^j - E^j
-            old = {j: pows[j] for j in range(1, q + 1)}
-            pows = {1: old[1][:]}
-            pows[1][k] = ek
-            mono = [_fr_zero(rank)] * cap
-            mono[k] = ek
-            for j in range(2, q + 1):
-                new = old[j][:]
-                # sum_{i>=1} C(j,i) (ek X^k)^i E^{j-i}
-                term = mono
-                binom = 1
-                for i in range(1, j + 1):
-                    binom = binom * (j - i + 1) // i
-                    base = old[j - i] if j - i >= 1 else None
-                    if j - i >= 1:
-                        add = _fr_poly_mul(bc, term, base, cap)
-                    else:
-                        add = term
-                    for t in range(cap):
-                        if not _fr_is_zero(add[t]):
-                            new[t] = _fr_add(new[t], _fr_smul(Fraction(binom), add[t]))
-                    if i < j:
-                        term = _fr_poly_mul(bc, term, mono, cap)
-                        if all(_fr_is_zero(c) for c in term):
-                            break
-                pows[j] = new
-        self._exp_cache[cap] = e
-        return e
+        if cap not in self._exp_cache:
+            R = self._Q
+            self._exp_cache[cap] = _solve_structural(
+                R, cap, [R.zero(), R.one()], self._pi_divider(cap),
+                u=self._f_rat)
+        return self._exp_cache[cap]
 
     def log_series(self, cap=None):
-        """log_F as a shifted-integral TruncSeries (log'(0) = 1)."""
-        return self._pack_frac(self.log_coeffs(cap), cap or self.cap)
+        """log_F as a shifted-integral TruncSeries (log'(0) = 1).
 
-    def exp_series(self, cap=None):
-        return self._pack_frac(self.exp_coeffs(cap), cap or self.cap)
-
-    def _pack_frac(self, fr, cap):
-        spec = self.spec
-        p = spec.p
-        S = 0
-        for c in fr:
-            for x in c:
-                v = 0
-                d = x.denominator
-                while d % p == 0:
-                    d //= p
-                    v += 1
-                S = max(S, v)
-        mod = p ** (spec.N + S)
-        coeffs = []
-        for c in fr:
-            row = []
-            for x in c:
-                den = x.denominator
-                v = 0
-                while den % p == 0:
-                    den //= p
-                    v += 1
-                row.append((x.numerator * (p ** (S - v)) * pow(den, -1, mod)) % mod)
-            coeffs.append(tuple(row))
+        The stored coefficients are p^S times the true ones, S the largest
+        p-order of a denominator, at precision N + S.
+        """
+        cap = cap or self.cap
+        fr = self.log_coeffs(cap)
+        spec, p = self.spec, self.spec.p
+        S = self._Q.den_ord(fr)
         big = spec.with_precision(spec.N + S)
-        ts = TruncSeries(big, cap, coeffs, spec.N + S, S)
-        return ts.normalize_shift() if S == 0 else _fold_shifted(ts, spec)
+        mod = big.modulus
+
+        def pack(x):
+            v = ord_int(x.denominator, p)
+            unit = x.denominator // p ** v
+            return x.numerator * p ** (S - v) * pow(unit, -1, mod) % mod
+
+        coeffs = [tuple(pack(x) for x in c) for c in fr]
+        return TruncSeries(big, cap, coeffs, spec.N + S, S)
 
     def group_law_bivariate(self, cap=8):
         """F(X,Y) = exp_F(log X + log Y) as {(i,j): RingElem}, total deg < cap.
@@ -306,60 +359,55 @@ class FormalGroup:
         Solved over exact rationals and certified integral; small caps only
         (the translates machinery never needs the bivariate law).
         """
-        bc, rank = self._bc, self._rank
+        R = self._Q
         l = self.log_coeffs(cap)
         e = self.exp_coeffs(cap)
 
         def bmul(A, B):
             out = {}
             for (i1, j1), a in A.items():
-                if _fr_is_zero(a):
+                if R.is_zero(a):
                     continue
                 for (i2, j2), b in B.items():
                     i, j = i1 + i2, j1 + j2
-                    if i + j >= cap or _fr_is_zero(b):
+                    if i + j >= cap or R.is_zero(b):
                         continue
-                    cur = out.get((i, j), _fr_zero(rank))
-                    out[(i, j)] = _fr_add(cur, _fr_mul(bc, a, b))
+                    out[(i, j)] = R.add(out.get((i, j), R.zero()), R.mul(a, b))
             return out
 
         S = {}
         for k in range(1, cap):
-            if not _fr_is_zero(l[k]):
+            if not R.is_zero(l[k]):
                 S[(k, 0)] = l[k]
                 S[(0, k)] = l[k]
         F = {}
-        P = {(0, 0): _fr_one(rank)}
+        P = {(0, 0): R.one()}
         for k in range(1, cap):
             P = bmul(P, S)
             if not P:
                 break
-            if not _fr_is_zero(e[k]):
+            if not R.is_zero(e[k]):
                 for key, v in P.items():
-                    cur = F.get(key, _fr_zero(rank))
-                    F[key] = _fr_add(cur, _fr_mul(bc, e[k], v))
-        return {key: _fr_to_elem(self.spec, v) for key, v in F.items()
-                if not _fr_is_zero(v)}
+                    F[key] = R.add(F.get(key, R.zero()), R.mul(e[k], v))
+        return {key: R.to_base(v) for key, v in F.items() if not R.is_zero(v)}
 
     def log_derivative_series(self, cap=None):
         """log_F'(X) as an integral unit TruncSeries (certified)."""
         cap = cap or self.cap
+        R = self._Q
         l = self.log_coeffs(cap + 1)
-        fr = [_fr_smul(Fraction(k + 1), l[k + 1]) for k in range(cap)]
-        ser = _fr_series_integral(self.spec, fr)
+        ser = R.series([R.scale(Fraction(k + 1), l[k + 1]) for k in range(cap)])
         if ser is None:
             raise PrecisionExhausted("log_F' is not integral (unexpected)")
         return ser
 
     def log_derivative_is_unit(self, cap=None):
         """log_F'(X) must be an integral unit series (constant term 1)."""
+        R = self._Q
         l = self.log_coeffs(cap)
-        for k in range(1, len(l)):
-            c = _fr_smul(Fraction(k), l[k])
-            for x in c:
-                if x.denominator % self.spec.p == 0:
-                    return False
-        return _fr_sub(l[1], _fr_one(self._rank)) == _fr_zero(self._rank)
+        if R.den_ord(R.scale(k, l[k]) for k in range(1, len(l))):
+            return False
+        return l[1] == R.one()
 
     # -- endomorphisms ----------------------------------------------------------
 
@@ -369,60 +417,14 @@ class FormalGroup:
         if isinstance(a, int):
             a = self.spec.from_int(a)
         key = (a.coords, cap)
-        if key in self._endo_cache:
-            return self._endo_cache[key]
-        bc, rank, q = self._bc, self._rank, self.q
-        fp = self._f_frac()
-        pif = _fr_lift(self.pi)
-        af = _fr_lift(a)
-        c = [_fr_zero(rank), af] + [_fr_zero(rank)] * (cap - 2)
-        F = list(fp) + [_fr_zero(rank)] * (cap - len(fp))
-        F = F[:cap]
-        acc = [_fr_mul(bc, af, t) for t in F]  # c_1 * f^1
-        pows = {1: [t for t in c]}
-        for j in range(2, q + 1):
-            pows[j] = _fr_poly_mul(bc, pows[j - 1], c, cap)
-        for k in range(2, cap):
-            rhs = _fr_zero(rank)
-            for j in range(2, q + 1):
-                if not _fr_is_zero(fp[j]):
-                    rhs = _fr_add(rhs, _fr_mul(bc, fp[j], pows[j][k]))
-            d = _fr_sub(self._pi_frac_pow(k), pif)
-            ck = _fr_mul(bc, _fr_sub(rhs, acc[k]), _fr_inv(bc, d))
-            c[k] = ck
-            if k == cap - 1:
-                break
-            F = _fr_poly_mul(bc, F, fp, cap)
-            if not _fr_is_zero(ck):
-                for i in range(cap):
-                    if not _fr_is_zero(F[i]):
-                        acc[i] = _fr_add(acc[i], _fr_mul(bc, ck, F[i]))
-                old = {j: pows[j] for j in range(1, q + 1)}
-                pows = {1: old[1][:]}
-                pows[1][k] = ck
-                mono = [_fr_zero(rank)] * cap
-                mono[k] = ck
-                for j in range(2, q + 1):
-                    new = old[j][:]
-                    term = mono
-                    binom = 1
-                    for i in range(1, j + 1):
-                        binom = binom * (j - i + 1) // i
-                        if j - i >= 1:
-                            add = _fr_poly_mul(bc, term, old[j - i], cap)
-                        else:
-                            add = term
-                        for t in range(cap):
-                            if not _fr_is_zero(add[t]):
-                                new[t] = _fr_add(new[t], _fr_smul(Fraction(binom), add[t]))
-                        if i < j:
-                            term = _fr_poly_mul(bc, term, mono, cap)
-                            if all(_fr_is_zero(x) for x in term):
-                                break
-                    pows[j] = new
-        out = TruncSeries(self.spec, cap, [_fr_to_elem(self.spec, t) for t in c])
-        self._endo_cache[key] = out
-        return out
+        if key not in self._endo_cache:
+            R = self._Q
+            c = _solve_structural(
+                R, cap, [R.zero(), R.from_base(a)], self._pi_divider(cap),
+                u=self._f_rat, v_pows=self._f_powers(cap))
+            self._endo_cache[key] = TruncSeries(self.spec, cap,
+                                                [R.to_base(t) for t in c])
+        return self._endo_cache[key]
 
     # -- [pi^m] iterates and distinguished quotients ----------------------------
 
@@ -520,7 +522,15 @@ class FormalGroup:
             ok = recon.truncate(window).eq_mod(B.truncate(window), nc)
         return wd.unit, ok
 
+
     # -- Coleman norm operator ---------------------------------------------------
+
+    def _fiber_column(self, R, alpha):
+        """Last companion column of f(Z) - alpha over R:
+        Z^q = (alpha - sum_{1<=i<q} f_i Z^i) / f_q."""
+        top_inv = self.f_poly[self.q].inverse()
+        return [R.mul(R.from_base(top_inv), alpha)] + [
+            R.from_base(-(self.f_poly[i] * top_inv)) for i in range(1, self.q)]
 
     def coleman_norm(self, g):
         """N_f g as det of g at the companion matrix of f(Z) - Y (exact).
@@ -530,35 +540,10 @@ class FormalGroup:
         precision loss are involved.
         """
         g = g.require_integral()
-        spec, q, cap = self.spec, self.q, min(g.cap, self.cap)
-        zero = TruncSeries.zero(spec, cap)
-        one = TruncSeries.one(spec, cap)
-        y = TruncSeries.x(spec, cap)
-        # last companion column: Z * Z^{q-1} = Z^q = (Y - sum_{1<=i<q} f_i Z^i)/f_q
-        top_inv = self.f_poly[q].inverse()
-        last_col = [y.scale(top_inv)]
-        for i in range(1, q):
-            last_col.append(zero - one.scale(self.f_poly[i] * top_inv))
-        gtop = g.coeff(cap - 1)
-        M = [[one.scale(gtop) if r == c else zero for c in range(q)]
-             for r in range(q)]
-        for k in range(cap - 2, -1, -1):
-            new = [[None] * q for _ in range(q)]
-            for r in range(q):
-                # M*C: columns 0..q-2 are M's columns shifted; last is M @ last_col
-                for c in range(q - 1):
-                    new[r][c] = M[r][c + 1]
-                acc = zero
-                for i in range(q):
-                    if not M[r][i].is_zero() and not last_col[i].is_zero():
-                        acc = acc + M[r][i] * last_col[i]
-                new[r][q - 1] = acc
-            gk = g.coeff(k)
-            if not gk.is_zero():
-                for r in range(q):
-                    new[r][r] = new[r][r] + one.scale(gk)
-            M = new
-        return _det_series_matrix(M, spec, cap)
+        cap = min(g.cap, self.cap)
+        R = SeriesRing(self.spec, cap)
+        col = self._fiber_column(R, TruncSeries.x(self.spec, cap))
+        return _companion_norm(R, col, [g.coeff(k) for k in range(cap)])
 
     def torsion_quotient_ring(self):
         """base[w]/pibar_1(w), housing the nonzero f-torsion."""
@@ -598,75 +583,29 @@ class FormalGroup:
     def translate_series(self, pt, E, cap=None):
         """T(X) = X [+]_f pt, solved from f(T) = f(X), T(0) = pt.
 
-        Exact rational solve in E with certified divisions by f'(pt); the
-        result is reduced to working precision.
+        With T = pt + S and f(pt + S) = sum_i d_i S^i, the solve is the
+        structural one with u = -d, b = f and certified divisions by d_1;
+        the result is at working precision.
         """
         cap = cap or self.cap
+        q = self.q
         fE = [E.from_base(c) for c in self.f_poly]
         # d_i = sum_{j>=i} f_j C(j,i) pt^{j-i}
-        q = self.q
         pt_pows = [E.one()]
         for _ in range(q):
             pt_pows.append(E.mul(pt_pows[-1], pt))
-        d = []
+        d = [E.zero()] * (q + 1)
         for i in range(q + 1):
-            acc = E.zero()
             for j in range(i, q + 1):
-                b = 1
-                for t in range(i):
-                    b = b * (j - t) // (t + 1)
-                acc = E.add(acc, E.smul(b, E.mul(fE[j], pt_pows[j - i])))
-            d.append(acc)
+                d[i] = E.add(d[i], E.smul(comb(j, i), E.mul(fE[j], pt_pows[j - i])))
         # f(pt) must vanish to working precision
         if not E.is_zero_mod(d[0], self.spec.N - 1):
             raise PrecisionExhausted("torsion point fails f(pt) = 0 at precision")
-        S = [E.zero() for _ in range(cap)]
-        # powers of S maintained up to q
-        pows = {1: S[:]}
-        for j in range(2, q + 1):
-            pows[j] = [E.zero() for _ in range(cap)]
         if E.is_zero(pt):
-            S[1] = E.one()
-            T = S[:]
-            return T
+            return [E.zero(), E.one()] + [E.zero()] * (cap - 2)
         divide_by_d1 = E.make_divider(d[1])
-        for k in range(1, cap):
-            rhs = E.from_base(self.f_poly[k]) if k <= q else E.zero()
-            for i in range(2, q + 1):
-                if not E.is_zero(d[i]):
-                    rhs = E.sub(rhs, E.mul(d[i], pows[i][k]))
-            sk = divide_by_d1(rhs)
-            S[k] = sk
-            if k == cap - 1:
-                break
-            old = {j: pows[j] for j in range(1, q + 1)}
-            pows = {1: old[1][:]}
-            pows[1][k] = sk
-            if E.is_zero(sk):
-                for j in range(2, q + 1):
-                    pows[j] = old[j]
-                continue
-            mono = [E.zero()] * cap
-            mono[k] = sk
-            for j in range(2, q + 1):
-                new = old[j][:]
-                term = mono
-                binom = 1
-                for i in range(1, j + 1):
-                    binom = binom * (j - i + 1) // i
-                    if j - i >= 1:
-                        add = _e_poly_mul(E, term, old[j - i], cap)
-                    else:
-                        add = term
-                    for t in range(cap):
-                        if not E.is_zero(add[t]):
-                            new[t] = E.add(new[t], E.smul(binom, add[t]))
-                    if i < j:
-                        term = _e_poly_mul(E, term, mono, cap)
-                        if all(E.is_zero(x) for x in term):
-                            break
-                pows[j] = new
-        T = S[:]
+        T = _solve_structural(E, cap, [E.zero()], lambda k, x: divide_by_d1(x),
+                              b=fE, u=[E.sub(E.zero(), di) for di in d])
         T[0] = pt
         return T
 
@@ -674,20 +613,17 @@ class FormalGroup:
         """prod over torsion pt of g(X [+] pt), in the extension, descended.
 
         This is the extension-ring side of the norm-operator law; it shares
-        nothing with coleman_norm's resultant route.
+        nothing with coleman_norm's resultant route but the ring arithmetic.
         """
         g = g.require_integral()
         cap = min(cap or self.cap, g.cap)
         E = self.torsion_quotient_ring()
-        pts = self.torsion_points(E, cap)
+        gE = [E.from_base(g.coeff(k)) for k in range(g.cap)]
         acc = None
-        for pt in pts:
-            T = self.translate_series(pt, E, cap)
-            comp = _e_compose(E, g, T, cap)
-            acc = comp if acc is None else _e_poly_mul(E, acc, comp, cap)
-        out = []
-        for c in acc:
-            out.append(E.descend(c, self.spec.N - 1))
+        for pt in self.torsion_points(E, cap):
+            comp = _compose(E, gE, self.translate_series(pt, E, cap), cap)
+            acc = comp if acc is None else _poly_mul(E, acc, comp, cap)
+        out = [E.descend(c, self.spec.N - 1) for c in acc]
         return TruncSeries(self.spec, cap, out, min(g.n_eff, self.spec.N - 1), 0)
 
     # -- q-coordinate -------------------------------------------------------------
@@ -700,33 +636,29 @@ class FormalGroup:
         congruence report f_q(T) = T^q.
         """
         cap = cap or min(self.cap, 32)
-        bc, rank = self._bc, self._rank
+        R = self._Q
         if isinstance(omega_p, int):
             omega_p = self.spec.from_int(omega_p)
         if not omega_p.is_unit():
             raise DomainError("Omega_p must be a unit")
-        oinv = _fr_inv(bc, _fr_lift(omega_p))
-        l = self.log_coeffs(cap)
-        h = [_fr_mul(bc, oinv, c) for c in l]
+        oinv = R.inv(R.from_base(omega_p))
+        h = [R.mul(oinv, c) for c in self.log_coeffs(cap)]
         # ordinary exp via E' = E h', E(0)=1
-        E = [_fr_one(rank)] + [_fr_zero(rank)] * (cap - 1)
-        hp = [_fr_smul(Fraction(k + 1), h[k + 1]) for k in range(cap - 1)]
+        E = [R.one()] + [R.zero()] * (cap - 1)
+        hp = [R.scale(Fraction(k + 1), h[k + 1]) for k in range(cap - 1)]
         for k in range(1, cap):
-            acc = _fr_zero(rank)
+            acc = R.zero()
             for j in range(k):
-                if not _fr_is_zero(E[j]) and k - 1 - j < len(hp):
-                    acc = _fr_add(acc, _fr_mul(bc, E[j], hp[k - 1 - j]))
-            E[k] = _fr_smul(Fraction(1, k), acc)
+                if not R.is_zero(E[j]):
+                    acc = R.add(acc, R.mul(E[j], hp[k - 1 - j]))
+            E[k] = R.scale(Fraction(1, k), acc)
         theta = E[:]
-        theta[0] = _fr_zero(rank)  # exp(...) - 1
-        # rational compositional inverse
-        theta_inv = _fr_reversion(bc, rank, theta, cap)
-        f_fr = self._f_frac() + [_fr_zero(rank)] * (cap - self.q - 1)
-        f_comp = _fr_compose(bc, rank, f_fr[:cap], theta_inv, cap)
-        f_q = _fr_compose(bc, rank, theta, f_comp, cap)
-        p = self.spec.p
-        s_th = _fr_max_denominator_ord(theta, p)
-        s_fq = _fr_max_denominator_ord(f_q, p)
+        theta[0] = R.zero()  # exp(...) - 1
+        theta_inv = _reversion(R, theta, cap)
+        f_fr = (self._f_rat + [R.zero()] * cap)[:cap]
+        f_q = _compose(R, theta, _compose(R, f_fr, theta_inv, cap), cap)
+        s_th = R.den_ord(theta)
+        s_fq = R.den_ord(f_q)
         report = {
             "omega_p": omega_p,
             "theta_integral": s_th == 0,
@@ -737,104 +669,23 @@ class FormalGroup:
             "theta_slope_matches": theta[1] == oinv,
         }
         if s_th == 0:
-            report["theta"] = _fr_series_integral(self.spec, theta)
+            report["theta"] = R.series(theta)
         if s_fq == 0:
-            ser = _fr_series_integral(self.spec, f_q)
+            ser = R.series(f_q)
             report["f_q"] = ser
             tgt = TruncSeries.monomial(self.spec, cap, self.q)
             report["congruence_mod_p"] = ser.eq_mod(tgt, 1)
         else:
             # congruence checked on the prefix before the first denominator
             report["congruence_mod_p"] = None
-            d = next(i for i in range(cap)
-                     if any(x.denominator % p == 0 for x in f_q[i]))
+            d = next(i for i in range(cap) if R.den_ord(f_q[i:i + 1]))
             report["integral_prefix_degree"] = d
-            pref = _fr_series_integral(self.spec, f_q[:d]) if d else None
+            pref = R.series(f_q[:d]) if d else None
             if pref is not None:
                 tgt = TruncSeries.monomial(self.spec, d, self.q) if self.q < d \
                     else TruncSeries.zero(self.spec, max(d, 1))
                 report["congruence_mod_p_prefix"] = pref.eq_mod(tgt, 1)
         return report
-
-
-def _fold_shifted(ts, spec):
-    """Reduce a big-modulus shifted series to the ring's nominal window."""
-    keep = min(spec.N + ts.shift, ts.n_eff)
-    out = ts.reduce_precision(keep)
-    return out
-
-
-def _fr_reversion(bc, rank, f, cap):
-    inv1 = _fr_inv(bc, f[1])
-    g = [_fr_zero(rank), inv1] + [_fr_zero(rank)] * (cap - 2)
-    for k in range(2, cap):
-        comp = _fr_compose(bc, rank, f[: k + 1], g, k + 1)
-        err = comp[k]
-        g[k] = _fr_mul(bc, _fr_smul(Fraction(-1), err), inv1)
-    return g
-
-
-def _fr_compose(bc, rank, f, g, cap):
-    res = [_fr_zero(rank)] * cap
-    for k in range(len(f) - 1, -1, -1):
-        res = _fr_poly_mul(bc, res, g, cap)
-        if not _fr_is_zero(f[k]):
-            res[0] = _fr_add(res[0], f[k])
-    return res
-
-
-def _fr_series_integral(spec, fr):
-    """Convert exact-rational coords to a TruncSeries if p-integral, else None."""
-    try:
-        coeffs = [_fr_to_elem(spec, c) for c in fr]
-    except PrecisionExhausted:
-        return None
-    return TruncSeries(spec, len(fr), coeffs)
-
-
-def _fr_max_denominator_ord(fr, p):
-    s = 0
-    for c in fr:
-        for x in c:
-            d = x.denominator
-            v = 0
-            while d % p == 0:
-                d //= p
-                v += 1
-            s = max(s, v)
-    return s
-
-
-def _det_series_matrix(M, spec, cap):
-    """Determinant of a small matrix of TruncSeries (subset-memo Laplace)."""
-    q = len(M)
-    if q == 1:
-        return M[0][0]
-    memo = {}
-
-    def minor(rows, cols_mask, depth):
-        key = (rows, cols_mask)
-        if key in memo:
-            return memo[key]
-        r = rows[0]
-        acc = TruncSeries.zero(spec, cap)
-        sign = 1
-        for c in range(q):
-            if not (cols_mask >> c) & 1:
-                continue
-            entry = M[r][c]
-            if not entry.is_zero():
-                if len(rows) == 1:
-                    sub = TruncSeries.one(spec, cap)
-                else:
-                    sub = minor(rows[1:], cols_mask & ~(1 << c), depth + 1)
-                term = entry * sub
-                acc = acc + term if sign > 0 else acc - term
-            sign = -sign
-        memo[key] = acc
-        return acc
-
-    return minor(tuple(range(q)), (1 << q) - 1, 0)
 
 
 def build_group(spec, pi, q, cap, variant="standard"):
@@ -873,31 +724,6 @@ def build_group(spec, pi, q, cap, variant="standard"):
 
 
 # -- quotient rings and the torsion tower -----------------------------------------
-
-
-def _e_poly_mul(E, a, b, cap):
-    out = [E.zero()] * cap
-    for i, ai in enumerate(a):
-        if i >= cap:
-            break
-        if not E.is_zero(ai):
-            for j, bj in enumerate(b):
-                if i + j >= cap:
-                    break
-                if not E.is_zero(bj):
-                    out[i + j] = E.add(out[i + j], E.mul(ai, bj))
-    return out
-
-
-def _e_compose(E, g, T, cap):
-    """g(T) for a base-coefficient series g and extension-coefficient list T."""
-    res = [E.zero()] * cap
-    for k in range(g.cap - 1, -1, -1):
-        res = _e_poly_mul(E, res, T, cap)
-        ck = g.coeff(k)
-        if not ck.is_zero():
-            res[0] = E.add(res[0], E.from_base(ck))
-    return res
 
 
 class QuotientRing:
@@ -1076,9 +902,11 @@ class QuotientRing:
 
 
 class TorsionTower:
-    """Quotient rings O'_m = base[X]/pibar_m with inclusions and norms."""
+    """Quotient rings O'_m = base[X]/pibar_m and the norms between them."""
 
     def __init__(self, group, M):
+        if M < 1:
+            raise DomainError("the torsion tower needs at least one level")
         self.group = group
         self.M = M
         self.rings = {}
@@ -1101,117 +929,18 @@ class TorsionTower:
                 raise PrecisionExhausted(
                     "tower inclusion fails: pibar_%d(f(alpha_%d)) != 0" % (m - 1, m))
 
-    def include(self, y, m):
-        """Map O'_{m-1} -> O'_m via X -> f(X)."""
-        E = self.rings[m]
-        fa = E.eval_series(self.group.f, self.alphas[m])
-        acc = E.zero()
-        for k in range(self.rings[m - 1].deg - 1, -1, -1):
-            acc = E.mul(acc, fa)
-            acc = E.add(acc, E.from_base(y[k]))
-        return acc
-
     def norm(self, m, y):
         """Norm O'_m -> O'_{m-1} (to the base ring for m = 1).
 
-        For m >= 2 the element y (a base-polynomial in alpha_m) is evaluated
-        at the companion matrix of the monic polynomial f(Z) - alpha_{m-1}
+        y, a base polynomial in alpha_m, is evaluated at the companion matrix
+        of the monic pibar_1(Z) over the base (m = 1) or of f(Z) - alpha_{m-1}
         over O'_{m-1}; its determinant is the norm.  No divisions occur.
         """
         g = self.group
         if m == 1:
-            return self._norm_matrix_det(self.rings[1], y)
-        Eprev = self.rings[m - 1]
-        q = g.q
-        top_inv = g.f_poly[q].inverse()  # unit in the base ring
-        A = self.alphas[m - 1]
-        # last companion column: Z^q = (alpha_{m-1} - sum_{1<=i<q} f_i Z^i)/f_q
-        last_col = [Eprev.smul(top_inv, A)]
-        for i in range(1, q):
-            last_col.append(Eprev.smul(g.f_poly[i] * top_inv * (-1), Eprev.one()))
-        deg = len(y)
-        zeroE, oneE = Eprev.zero(), Eprev.one()
-        ytop = y[deg - 1]
-        M = [[Eprev.smul(ytop, oneE) if r == c else zeroE for c in range(q)]
-             for r in range(q)]
-        for k in range(deg - 2, -1, -1):
-            new = [[None] * q for _ in range(q)]
-            for r in range(q):
-                for c in range(q - 1):
-                    new[r][c] = M[r][c + 1]
-                acc = zeroE
-                for i in range(q):
-                    if not Eprev.is_zero(M[r][i]) and not Eprev.is_zero(last_col[i]):
-                        acc = Eprev.add(acc, Eprev.mul(M[r][i], last_col[i]))
-                new[r][q - 1] = acc
-            yk = y[k]
-            if not yk.is_zero():
-                for r in range(q):
-                    new[r][r] = Eprev.add(new[r][r], Eprev.smul(yk, oneE))
-            M = new
-        return _laplace_det_ring(Eprev, M)
-
-    def _norm_matrix_det(self, E, y):
-        """Norm to the base ring: determinant of mult-by-y over the base."""
-        d = E.deg
-        base = E.base
-        cols = []
-        for j in range(d):
-            ej = tuple(base.one() if i == j else base.zero() for i in range(d))
-            cols.append(E.mul(y, ej))
-        rows = [[cols[j][i] for j in range(d)] for i in range(d)]
-        return _laplace_det_elems(base, rows)
-
-
-def _laplace_det_elems(base, rows):
-    q = len(rows)
-    memo = {}
-
-    def minor(r, mask):
-        key = (r, mask)
-        if key in memo:
-            return memo[key]
-        acc = base.zero()
-        sign = 1
-        for c in range(q):
-            if not (mask >> c) & 1:
-                continue
-            entry = rows[r][c]
-            if not entry.is_zero():
-                sub = base.one() if r == q - 1 else minor(r + 1, mask & ~(1 << c))
-                term = entry * sub
-                acc = acc + term if sign > 0 else acc - term
-            sign = -sign
-        memo[key] = acc
-        return acc
-
-    return minor(0, (1 << q) - 1)
-
-
-def _laplace_det_ring(E, rows):
-    """Determinant of a small matrix with QuotientRing entries."""
-    q = len(rows)
-    memo = {}
-
-    def minor(r, mask):
-        key = (r, mask)
-        if key in memo:
-            return memo[key]
-        acc = E.zero()
-        sign = 1
-        for c in range(q):
-            if not (mask >> c) & 1:
-                continue
-            entry = rows[r][c]
-            if not E.is_zero(entry):
-                sub = E.one() if r == q - 1 else minor(r + 1, mask & ~(1 << c))
-                term = E.mul(entry, sub)
-                acc = E.add(acc, term) if sign > 0 else E.sub(acc, term)
-            sign = -sign
-        memo[key] = acc
-        return acc
-
-    return minor(0, (1 << q) - 1)
+            return _companion_norm(g.spec, [-c for c in g.pibar(1)[:-1]], y)
+        R = self.rings[m - 1]
+        return _companion_norm(R, g._fiber_column(R, self.alphas[m - 1]), y)
 
 
 def build_tower(group, M):

@@ -30,12 +30,13 @@ h~ = h - (1/p) sum_j h(zeta_p^j (1+T) - 1).  Measures are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from math import comb, factorial
 
 from .rings import (
     DomainError,
     PrecisionExhausted,
     RingElem,
+    descend,
     embed,
     make_composite,
     make_ring,
@@ -114,7 +115,8 @@ class Measure:
 
 
 def dirac(a, group, value_spec, cap, okp=None):
-    """Dirac measure: amice = (1+T)^a, exponent sigma(a) for the okp tags.
+    """Dirac measure: amice = (1+T)^a = sum binom(a, j) T^j, exponent
+    sigma(a) for the okp tags.
 
     The exponent uses the canonical integer lift; tests feed small exact
     integers where on-the-nose identities are asserted.
@@ -129,9 +131,9 @@ def dirac(a, group, value_spec, cap, okp=None):
         e = a if isinstance(a, int) else a.coords[0]
         if group == "zp_units" and e % value_spec.p == 0:
             raise DomainError("group element is not a unit")
-    one_plus_t = TruncSeries(value_spec, cap, [1, 1])
-    ser = one_plus_t.pow_int(e % value_spec.modulus)
-    return Measure(ser, group, okp)
+    e %= value_spec.modulus
+    return Measure(TruncSeries(value_spec, cap, [comb(e, j) for j in range(cap)]),
+                   group, okp)
 
 
 def _level_ring(value_spec, n):
@@ -152,20 +154,6 @@ def _level_ring(value_spec, n):
     raise DomainError("unsupported value ring")
 
 
-def _descend_to(x, base, n_check):
-    """Project to the base ring; higher components must vanish mod p^n."""
-    if x.spec == base:
-        return x
-    if x.spec.kind == "composite" and base.kind != "zp":
-        keep, rest = x.coords[:2], x.coords[2:]
-    else:
-        keep, rest = x.coords[: base.rank], x.coords[base.rank:]
-    q = x.spec.p ** n_check
-    if any(c % q for c in rest):
-        raise PrecisionExhausted("value does not descend to the base ring")
-    return base.elem(list(keep))
-
-
 # -- tilde ---------------------------------------------------------------------
 
 
@@ -174,14 +162,12 @@ def tilde_series(h, p=None):
     p = p or h.spec.p
     spec = h.spec
     ext = _level_ring(spec, 1)
-    if ext == spec:
-        zeta = spec.from_int(-1)  # p = 2 with trivial cyclotomic part
-        hext = h
-    else:
-        zeta = ext.zeta()
-        hext = TruncSeries(ext, h.cap,
-                           [embed(h.coeff(i), ext) for i in range(h.cap)],
-                           h.n_eff, h.shift)
+    # a primitive p-th root of unity; ext is spec itself when the value ring
+    # is already cyclotomic, of any level
+    zeta = ext.zeta() ** (p ** (ext.level - 1))
+    hext = h if ext == spec else TruncSeries(
+        ext, h.cap, [embed(h.coeff(i), ext) for i in range(h.cap)],
+        h.n_eff, h.shift)
     acc = TruncSeries.zero(hext.spec, h.cap)
     zj = hext.spec.one()
     for j in range(p):
@@ -191,7 +177,7 @@ def tilde_series(h, p=None):
     acc = acc.divide_exact_p(1)
     out = []
     for i in range(h.cap):
-        out.append(_descend_to(acc.coeff(i), spec, acc.n_eff))
+        out.append(descend(acc.coeff(i), spec, acc.n_eff))
     rest = TruncSeries(spec, h.cap, out, acc.n_eff, h.shift)
     return _sub_mixed(h, rest)
 

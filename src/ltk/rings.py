@@ -37,6 +37,8 @@ __all__ = [
     "padic_log",
     "padic_exp",
     "embed",
+    "descend",
+    "laplace_det",
     "PrecisionExhausted",
     "DomainError",
 ]
@@ -162,6 +164,25 @@ class RingSpec:
         coords = [0] * self.rank
         coords[2 if self.quad is not None else 1] = 1
         return RingElem(self, tuple(coords))
+
+    # -- the ring protocol ---------------------------------------------------
+    # zero, one, from_base, add, sub, mul, is_zero: the generic determinant
+    # and the Lubin-Tate solvers run over any ring that speaks these.
+
+    def from_base(self, c):
+        return c
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def is_zero(self, a):
+        return a.is_zero()
 
     # -- internals ---------------------------------------------------------
 
@@ -510,6 +531,38 @@ def _det_bareiss(M):
     return sign * M[n - 1][n - 1]
 
 
+def laplace_det(R, rows):
+    """Determinant of a small square matrix over a protocol ring R.
+
+    Column-subset Laplace expansion with memoized minors: no division, so it
+    works over series rings and quotient rings with zero divisors.
+    """
+    n = len(rows)
+    if n == 0:
+        return R.one()
+    memo = {}
+
+    def minor(r, mask):
+        key = (r, mask)
+        if key in memo:
+            return memo[key]
+        acc = R.zero()
+        sign = 1
+        for c in range(n):
+            if not (mask >> c) & 1:
+                continue
+            entry = rows[r][c]
+            if not R.is_zero(entry):
+                sub = R.one() if r == n - 1 else minor(r + 1, mask & ~(1 << c))
+                term = R.mul(entry, sub)
+                acc = R.add(acc, term) if sign > 0 else R.sub(acc, term)
+            sign = -sign
+        memo[key] = acc
+        return acc
+
+    return minor(0, (1 << n) - 1)
+
+
 def mult_matrix(x):
     """Integer matrix of multiplication by x on the canonical basis."""
     spec = x.spec
@@ -590,24 +643,6 @@ def frobenius(x):
     if spec.kind != "unramified_quad":
         raise DomainError("frobenius is defined on unramified quadratic rings")
     b, _ = spec.quad
-    a0, a1 = x.coords
-    m = spec.modulus
-    return RingElem(spec, ((a0 - b * a1) % m, (-a1) % m))
-
-
-def conjugate_quad(x):
-    """The nontrivial K_p/Q_p-conjugate a0 - b*a1 - a1*w of a quadratic element."""
-    spec = x.spec
-    if spec.quad is None:
-        raise DomainError("element has no quadratic part")
-    b, _ = spec.quad
-    if spec.kind == "composite":
-        m = spec.modulus
-        out = list(x.coords)
-        for j in range(spec.phi):
-            a0, a1 = out[2 * j], out[2 * j + 1]
-            out[2 * j], out[2 * j + 1] = (a0 - b * a1) % m, (-a1) % m
-        return RingElem(spec, tuple(out))
     a0, a1 = x.coords
     m = spec.modulus
     return RingElem(spec, ((a0 - b * a1) % m, (-a1) % m))
@@ -718,6 +753,25 @@ def embed(x, target):
             power = power * gen
         return out
     raise DomainError("unsupported embedding")
+
+
+def descend(x, base, n_check=None):
+    """Project x back to the base ring it was embedded from.
+
+    The coordinates outside the base must vanish mod p^n_check (full
+    precision by default); otherwise x genuinely lives upstairs.
+    """
+    spec = x.spec
+    if spec == base:
+        return x
+    if spec.kind == "composite" and base.kind != "zp":
+        keep, rest = x.coords[:2], x.coords[2:]
+    else:
+        keep, rest = x.coords[: base.rank], x.coords[base.rank:]
+    q = spec.p ** (spec.N if n_check is None else n_check)
+    if any(c % q for c in rest):
+        raise PrecisionExhausted("element does not descend to the base ring")
+    return base.elem(keep)
 
 
 def to_json_str(obj):

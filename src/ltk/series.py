@@ -22,6 +22,7 @@ from .rings import (
     PrecisionExhausted,
     RingElem,
     RingSpec,
+    descend,
     embed,
     make_composite,
     make_ring,
@@ -31,6 +32,7 @@ from .rings import (
 
 __all__ = [
     "TruncSeries",
+    "SeriesRing",
     "WeierstrassData",
     "weierstrass_prep",
     "poly_divmod_monic",
@@ -203,12 +205,6 @@ class TruncSeries:
         if cap2 <= self.cap:
             return self.truncate(cap2)
         return TruncSeries(self.spec, cap2, list(self.coeffs),
-                           self.n_eff, self.shift)
-
-    def lift_precision(self, N2):
-        """Reinterpret canonical residues at a larger modulus; n_eff is kept."""
-        spec2 = self.spec.with_precision(N2)
-        return TruncSeries(spec2, self.cap, [c for c in self.coeffs],
                            self.n_eff, self.shift)
 
     def reduce_precision(self, N2):
@@ -430,6 +426,36 @@ def _mul_lists(spec, a, b, cap):
                 if any(bj):
                     out[i + j] = add(out[i + j], mul(ai, bj))
     return out
+
+
+class SeriesRing:
+    """Series in one variable over a RingSpec mod Y^cap, as a protocol ring
+    (zero, one, from_base, add, sub, mul, is_zero) for determinants."""
+
+    def __init__(self, spec, cap):
+        self.spec = spec
+        self.cap = cap
+
+    def zero(self):
+        return TruncSeries.zero(self.spec, self.cap)
+
+    def one(self):
+        return TruncSeries.one(self.spec, self.cap)
+
+    def from_base(self, c):
+        return TruncSeries(self.spec, self.cap, [c])
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b):
+        return a * b
+
+    def is_zero(self, a):
+        return a.is_zero()
 
 
 # -- formal log / exp ---------------------------------------------------------
@@ -662,25 +688,6 @@ def _cyclo_extension(spec, n):
     raise DomainError("unsupported base for the cyclotomic oracle")
 
 
-def _descend(x, base, n_check=None):
-    """Project an element with vanishing non-base components back to base.
-
-    The non-base coordinates must vanish mod p^n_check (full precision by
-    default); otherwise the element genuinely lives upstairs.
-    """
-    spec = x.spec
-    if spec == base:
-        return x
-    if spec.kind == "composite" and base.kind != "zp":
-        keep, rest = list(x.coords[:2]), x.coords[2:]
-    else:
-        keep, rest = list(x.coords[: base.rank]), x.coords[base.rank:]
-    q = spec.p ** (spec.N if n_check is None else n_check)
-    if any(c % q for c in rest):
-        raise PrecisionExhausted("element does not descend to the base ring")
-    return base.elem(keep)
-
-
 def mu_lambda_by_roots(f, n_values):
     """ord_p of prod over primitive p^n-th roots zeta of f(zeta - 1), per n.
 
@@ -714,7 +721,7 @@ def mu_lambda_by_roots(f, n_values):
         # each factor is correct mod p^min(n_eff, cap * v(zeta-1))
         phi_n = p ** (n - 1) * (p - 1)
         guar = min(s.n_eff, s.cap // phi_n)
-        base_val = _descend(prod, spec, n_check=guar)
+        base_val = descend(prod, spec, n_check=guar)
         v = valuation(base_val)
         if v >= guar:
             raise PrecisionExhausted(

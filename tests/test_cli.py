@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from ltk.cli import run
 from ltk.rings import make_ring
 from ltk.series import TruncSeries
@@ -186,3 +188,23 @@ def test_measure_achieved_precision_is_derived(capsys):
     assert rc == 0 and d["provenance"]["achieved_precision"] == 2
     diff = d["moment"]["coords"][0] - 7 ** 6
     assert diff % 9 == 0 and diff % 27 != 0
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["coleman", "interpolate", "--levels", "0"], 1),
+    (["tower", "--levels", "0"], 1),
+    (["elliptic", "psi", "--sub", "0"], 1),
+] + [
+    # the default unramified polynomial is irreducible for every p
+    (["--p", str(p), "--ring", "unram", "--prec", "4", "--deg", str(p * p + 1),
+      "group"], 0) for p in (2, 3, 5, 7)
+])
+def test_exit_code_and_json_error(capsys, argv, code):
+    rc = run(argv)
+    out, err = capsys.readouterr()
+    assert rc == code
+    if code:
+        assert json.loads(err)["error"] == "usage"
+    else:
+        assert err == ""
+        assert "provenance" in json.loads(out)

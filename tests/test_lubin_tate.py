@@ -243,3 +243,72 @@ def test_q_coordinate_congruence_flagged_both_kinds(q2, u2):
         if rep["congruence_mod_p"] is None:
             assert "integral_prefix_degree" in rep
             assert rep["f_q_max_denominator_ord"] > 0
+
+
+# -- the structural solver's defining equations, on every group kind ----------
+
+
+@pytest.fixture
+def gz3(z3):
+    return build_group(z3, 3, 3, 20)
+
+
+@pytest.fixture
+def gu2(u2):
+    return build_group(u2, 2, 4, 24)
+
+
+SOLVER_GROUPS = ["gz3", "gm3", "g2", "g3", "gu2"]
+
+
+@pytest.mark.parametrize("name", SOLVER_GROUPS)
+def test_endomorphisms_commute_with_f(name, request):
+    G = request.getfixturevalue(name)
+    f = G.f.truncate(G.cap)
+    for a in G._residue_reps():
+        ea = G.endomorphism(a)
+        assert ea.compose(f).eq_mod(G.f_of(ea))
+
+
+@pytest.mark.parametrize("name", SOLVER_GROUPS)
+def test_translates_solve_f_of_t_equals_f(name, request):
+    # f(X [+] pt) = f(X) in base[w]/pibar_1(w), to the precision of f(pt) = 0
+    G = request.getfixturevalue(name)
+    E = G.torsion_quotient_ring()
+    cap, n = G.cap, G.spec.N - 1
+
+    def times(a, b):
+        out = [E.zero()] * cap
+        for i in range(cap):
+            for j in range(cap - i):
+                out[i + j] = E.add(out[i + j], E.mul(a[i], b[j]))
+        return out
+
+    for pt in G.torsion_points(E):
+        T = G.translate_series(pt, E)
+        power = [E.one()] + [E.zero()] * (cap - 1)
+        fT = [E.zero()] * cap
+        for j in range(1, G.q + 1):
+            power = times(power, T)
+            fj = E.from_base(G.f_poly[j])
+            fT = [E.add(s, E.mul(fj, t)) for s, t in zip(fT, power)]
+        for k in range(cap):
+            want = E.from_base(G.f.coeff(k))
+            assert E.is_zero_mod(E.sub(fT[k], want), n)
+
+
+def test_norm_law_routes_are_independent(g3, rng, monkeypatch):
+    from ltk import lubin_tate as LT
+
+    def crossed(*args, **kwargs):
+        raise AssertionError("the two routes of the norm law share a step")
+
+    g = random_series(g3.spec, 24, rng)
+    with monkeypatch.context() as m:
+        m.setattr(LT, "_solve_structural", crossed)
+        lhs = g3.coleman_norm(g).compose(g3.f.truncate(24))
+    with monkeypatch.context() as m:
+        m.setattr(LT, "laplace_det", crossed)
+        m.setattr(LT, "_companion_norm", crossed)
+        rhs = g3.translates_product(g)
+    assert lhs.eq_mod(rhs, 5)

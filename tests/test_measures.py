@@ -39,6 +39,29 @@ def test_dirac_examples():
     assert mu.amice.eq_mod(TruncSeries(z, 20, [1, 1]).pow_int(3))
 
 
+def test_dirac_binomials_match_series_powers():
+    # (1+T)^e from exact binomials against repeated series products
+    cyc = make_ring(3, 6, "cyclotomic", level=1)
+    for spec in (make_ring(3, 10, "zp"), cyc, Q3_12):
+        for e in (0, 1, 5, 80, -7, spec.modulus + 4):
+            got = dirac(e, "zp", spec, 24).amice
+            want = TruncSeries(spec, 24, [1, 1]).pow_int(e % spec.modulus)
+            assert (got.coeffs, got.n_eff, got.shift) == \
+                (want.coeffs, want.n_eff, want.shift)
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_tilde_series_on_cyclotomic_value_ring(level):
+    # the value ring already holds zeta_{3^level}; the root of unity summed
+    # over must still have order p
+    import random
+    spec = make_ring(3, 10, "cyclotomic", level=level)
+    for g in (dirac(5, "zp", spec, 24).amice,
+              random_series(spec, 18, random.Random(level), unit=False)):
+        t = tilde_series(g)
+        assert t.eq_mod(tilde_mahler(g), t.n_eff)
+
+
 def test_tilde_examples():
     z = make_ring(3, 10, "zp")
     for a, fixed in [(7, True), (4, True), (6, False), (12, False)]:

@@ -12,7 +12,7 @@ import pytest
 
 from ltk import measures as MS
 from ltk.measures import Measure, coset_mass, dirac, sigma_map, unit_residues
-from ltk.rings import PrecisionExhausted, make_ring
+from ltk.rings import PrecisionExhausted, descend, make_ring
 from ltk.series import TruncSeries
 
 from conftest import random_series
@@ -62,7 +62,7 @@ def _oracle_masses(mu, n, deltas):
         coords = [c % p ** guar for c in num.coords]
         assert not any(c % p ** need for c in coords)
         val = ext.elem([c // p ** need for c in coords])
-        out[delta] = (MS._descend_to(val, spec, guar - need), guar - need)
+        out[delta] = (descend(val, spec, guar - need), guar - need)
     return out
 
 
