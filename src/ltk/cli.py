@@ -181,8 +181,9 @@ def cmd_norm_op(cfg, args):
             spec.elem([rng.randrange(spec.modulus) for _ in range(spec.rank)])
             for _ in range(min(10, G.cap - 1))])
     ng = G.coleman_norm(g)
-    law = ng.compose(G.f.truncate(g.cap)).eq_mod(
-        G.translates_product(g), min(spec.N - 1, g.n_eff - 1))
+    digits = min(spec.N - 1, g.n_eff - 1)
+    law = ng.compose(G.f.truncate(g.cap)).eq_mod(G.translates_product(g), digits)
+    cfg.extra["achieved"] = digits
     return _emit(cfg, {"norm": ng.to_json(), "product_law_ok": law})
 
 

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 from math import comb, inf
 
 from .rings import (
@@ -53,7 +54,14 @@ from .rings import (
     ord_int,
     valuation,
 )
-from .series import SeriesRing, TruncSeries, weierstrass_prep
+from .series import (
+    SeriesRing,
+    TruncSeries,
+    _series,
+    packed_compose,
+    packed_mul,
+    weierstrass_prep,
+)
 
 __all__ = [
     "FormalGroup",
@@ -150,7 +158,13 @@ class _Rationals:
 
 
 def _poly_mul(R, a, b, cap):
-    """Truncated product of coefficient lists over R."""
+    """Truncated product of coefficient lists over R.
+
+    A QuotientRing multiplies in the packed kernel; the loop below serves
+    the rings with no packed form (_Rationals, SeriesRing).
+    """
+    if isinstance(R, QuotientRing):
+        return R.poly_mul(a, b, cap)
     out = [R.zero()] * cap
     for i, ai in enumerate(a[:cap]):
         if R.is_zero(ai):
@@ -165,8 +179,10 @@ def _compose(R, f, g, cap):
     """f(g) mod X^cap by Horner's rule over R.
 
     Every coefficient of f is used: g(0) need not vanish, so high terms of f
-    reach the low degrees.
+    reach the low degrees.  A QuotientRing runs the Horner steps packed.
     """
+    if isinstance(R, QuotientRing):
+        return R.compose(f, g, cap)
     res = [R.zero()] * cap
     for c in reversed(f):
         res = _poly_mul(R, res, g, cap)
@@ -543,7 +559,10 @@ class FormalGroup:
         cap = min(g.cap, self.cap)
         R = SeriesRing(self.spec, cap)
         col = self._fiber_column(R, TruncSeries.x(self.spec, cap))
-        return _companion_norm(R, col, [g.coeff(k) for k in range(cap)])
+        ng = _companion_norm(R, col, [g.coeff(k) for k in range(cap)])
+        # det g(C) is an integral polynomial in g's coefficients, so it is
+        # known to the digits g is
+        return _series(self.spec, cap, ng.coeffs, min(self.spec.N, g.n_eff))
 
     def torsion_quotient_ring(self):
         """base[w]/pibar_1(w), housing the nonzero f-torsion."""
@@ -733,6 +752,12 @@ class QuotientRing:
     non-units is supported through an exact rational solve with certified
     p-integrality; the division reports nothing on success and raises
     PrecisionExhausted when the quotient does not exist at working precision.
+
+    Products run in the packed kernel (series.packed_mul) on flat
+    coordinates: X^k times the base basis monomials, one more packed
+    variable.  A raw block holds X^0..X^(2d-2), each a base raw block;
+    reduce_block reduces each by the base relations, then folds X^e for
+    e >= d by the monic modulus.
     """
 
     def __init__(self, base, modulus):
@@ -744,6 +769,11 @@ class QuotientRing:
         self.deg = len(self.modulus) - 1
         if self.deg < 1:
             raise DomainError("modulus must have positive degree")
+        r, B0, slots, m = base.packing
+        d = self.deg
+        self.packing = (d * r, (2 * d - 1) * B0,
+                        tuple(z * B0 + s for z in range(d) for s in slots), m)
+        self._fold = [c.coords for c in self.modulus[:d]]
 
     def zero(self):
         return tuple(self.base.zero() for _ in range(self.deg))
@@ -777,30 +807,49 @@ class QuotientRing:
         return all(all(c % q == 0 for c in x.coords) for x in a)
 
     def mul(self, a, b):
-        d = self.deg
-        conv = [self.base.zero() for _ in range(2 * d - 1)]
-        for i, x in enumerate(a):
-            if not x.is_zero():
-                for j, y in enumerate(b):
-                    if not y.is_zero():
-                        conv[i + j] = conv[i + j] + x * y
+        return self._unflat(packed_mul(self, [self._flat(a)], [self._flat(b)], 1)[0])
+
+    def poly_mul(self, a, b, cap):
+        """Truncated product of coefficient lists of elements (packed)."""
+        flat, unflat = self._flat, self._unflat
+        return [unflat(c) for c in packed_mul(self, [flat(x) for x in a],
+                                              [flat(x) for x in b], cap)]
+
+    def compose(self, f, g, cap):
+        """f(g) mod X^cap for coefficient lists of elements (packed Horner)."""
+        flat, unflat = self._flat, self._unflat
+        return [unflat(c) for c in packed_compose(self, [flat(x) for x in f],
+                                                  [flat(x) for x in g], cap)]
+
+    def reduce_block(self, raw, o=0):
+        """Flat canonical coordinates of the raw product block at raw[o]."""
+        base, d = self.base, self.deg
+        B0 = base.packing[1]
+        conv = [base.reduce_block(raw, s)
+                for s in range(o, o + (2 * d - 1) * B0, B0)]
+        mul, sub = base.mul_coords, base.sub_coords
+        # X^d = -sum_{i<d} P_i X^i mod P; fold the highest power first
         for e in range(2 * d - 2, d - 1, -1):
             c = conv[e]
-            if not c.is_zero():
-                conv[e] = self.base.zero()
-                for i in range(d):
-                    conv[e - d + i] = conv[e - d + i] - c * self.modulus[i]
-        return tuple(conv[:d])
+            if any(c):
+                for i, pc in enumerate(self._fold):
+                    if any(pc):
+                        conv[e - d + i] = sub(conv[e - d + i], mul(c, pc))
+        return tuple(chain.from_iterable(conv[:d]))
+
+    def _flat(self, a):
+        return tuple(chain.from_iterable(x.coords for x in a))
+
+    def _unflat(self, flat):
+        base, r = self.base, self.base.rank
+        return tuple(RingElem(base, flat[i:i + r]) for i in range(0, len(flat), r))
 
     def eval_series(self, ts, pt):
-        """Evaluate a base-coefficient TruncSeries at an element (Horner)."""
-        acc = self.zero()
-        for k in range(ts.cap - 1, -1, -1):
-            acc = self.mul(acc, pt)
-            ck = ts.coeff(k)
-            if not ck.is_zero():
-                acc = self.add(acc, self.from_base(ck))
-        return acc
+        """Evaluate a base-coefficient TruncSeries at an element (Horner:
+        the composition with the constant series pt, mod X)."""
+        pad = (0,) * (self.packing[0] - self.base.rank)
+        f = [c + pad for c in ts.coeffs]
+        return self._unflat(packed_compose(self, f, [self._flat(pt)], 1)[0])
 
     def flat_coords(self, a):
         out = []

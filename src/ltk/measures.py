@@ -136,7 +136,15 @@ def dirac(a, group, value_spec, cap, okp=None):
                    group, okp)
 
 
+def _level_zeta(ext, n):
+    """A primitive p^n-th root of unity in ext, whose level may exceed n."""
+    return ext.zeta() ** (ext.p ** (ext.level - n))
+
+
 def _level_ring(value_spec, n):
+    """A ring holding value_spec and the p^n-th roots of unity; its level
+    is n or more (the value ring itself when that is already cyclotomic
+    of level >= n), so take roots of unity through _level_zeta."""
     if n == 0:
         return value_spec
     if value_spec.kind == "zp":
@@ -162,9 +170,7 @@ def tilde_series(h, p=None):
     p = p or h.spec.p
     spec = h.spec
     ext = _level_ring(spec, 1)
-    # a primitive p-th root of unity; ext is spec itself when the value ring
-    # is already cyclotomic, of any level
-    zeta = ext.zeta() ** (p ** (ext.level - 1))
+    zeta = _level_zeta(ext, 1)
     hext = h if ext == spec else TruncSeries(
         ext, h.cap, [embed(h.coeff(i), ext) for i in range(h.cap)],
         h.n_eff, h.shift)
@@ -239,7 +245,7 @@ def _eval_table(h, ext, n):
     p = h.spec.p
     pn = p ** n
     hs = TruncSeries(h.spec, h.cap, list(h.coeffs), h.n_eff, 0)
-    zeta = ext.zeta() if n >= 1 else ext.one()
+    zeta = _level_zeta(ext, n) if n >= 1 else ext.one()
     table = []
     guar = hs.n_eff
     z = ext.one()
@@ -597,7 +603,7 @@ def gauss_sum(chi, okp=None):
         return GaussSum(value_spec.one(), 0, const)
     pn = p ** n
     ext = _level_ring(value_spec, n)
-    zeta = ext.zeta()
+    zeta = _level_zeta(ext, n)
     zpows = [ext.one()]
     for _ in range(pn - 1):
         zpows.append(zpows[-1] * zeta)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from fractions import Fraction
 from math import inf
 
@@ -82,25 +83,25 @@ class RingSpec:
     quad: tuple | None = None  # (b, c): defining polynomial x^2 + b x + c
     level: int = 0             # cyclotomic level n, ring contains zeta_{p^n}
 
+    def __post_init__(self):
+        # Derived once per spec: every coefficient operation reads these.
+        qdeg = 2 if self.kind in ("ramified_quad", "unramified_quad", "composite") else 1
+        phi = 1 if self.level == 0 else self.p ** (self.level - 1) * (self.p - 1)
+        width = 2 * phi - 1
+        put = partial(object.__setattr__, self)
+        put("modulus", self.p ** self.N)
+        put("phi", phi)      # degree of Phi_{p^level}; 1 with no cyclotomic part
+        put("rank", qdeg * phi)
+        # packing = (rank, block, slots, p^N) for series.packed_mul.  A raw
+        # product block of `block` slots holds the unreduced product of two
+        # elements on the monomials w^i x^j, i <= 2 qdeg - 2, j <= 2 phi - 2,
+        # in slot i * width + j; basis coordinate i + qdeg * j sits in
+        # slots[i + qdeg * j].
+        slots = tuple(i * width + j for j in range(phi) for i in range(qdeg))
+        put("packing", (qdeg * phi, (2 * qdeg - 1) * width, slots, self.modulus))
+        put("_cyclo_red", self._cyclo_rows() if phi > 1 else ())
+
     # -- structure ---------------------------------------------------------
-
-    @property
-    def modulus(self):
-        return self.p ** self.N
-
-    @property
-    def phi(self):
-        """Degree of Phi_{p^level}; 1 when there is no cyclotomic part."""
-        if self.level == 0:
-            return 1
-        return self.p ** (self.level - 1) * (self.p - 1)
-
-    @property
-    def rank(self):
-        r = self.phi
-        if self.kind in ("ramified_quad", "unramified_quad", "composite"):
-            r *= 2
-        return r
 
     @property
     def quad_kind(self):
@@ -186,74 +187,79 @@ class RingSpec:
 
     # -- internals ---------------------------------------------------------
 
-    def _cyclo_reduction(self):
-        """Rows red[d - phi] reducing x^d (phi <= d <= 2 phi - 2) to the basis."""
-        if not hasattr(self, "_cyclo_red"):
-            phi, p, n, m = self.phi, self.p, self.level, self.modulus
-            step = p ** (n - 1)
-            rows = []
-            for d in range(phi, 2 * phi - 1):
-                vec = [0] * (2 * phi)
-                vec[d] = 1
-                for e in range(2 * phi - 1, phi - 1, -1):
-                    c = vec[e]
-                    if c:
-                        vec[e] = 0
-                        # x^e = -(x^{e-phi}) * (1 + x^{step} + ... + x^{(p-2)step})
-                        t = e - phi
-                        for k in range(p - 1):
-                            vec[t + k * step] = (vec[t + k * step] - c) % m
-                rows.append(tuple(vec[:phi]))
-            object.__setattr__(self, "_cyclo_red", rows)
-        return self._cyclo_red
+    def _cyclo_rows(self):
+        """Sparse rows reducing x^d (phi <= d <= 2 phi - 2) to the basis:
+        rows[d - phi] lists the (i, c) with x^d = sum c x^i mod Phi_{p^level}."""
+        phi, p, n, m = self.phi, self.p, self.level, self.modulus
+        step = p ** (n - 1)
+        rows = []
+        for d in range(phi, 2 * phi - 1):
+            vec = [0] * (2 * phi)
+            vec[d] = 1
+            for e in range(2 * phi - 1, phi - 1, -1):
+                c = vec[e]
+                if c:
+                    vec[e] = 0
+                    # x^e = -(x^{e-phi}) * (1 + x^{step} + ... + x^{(p-2)step})
+                    t = e - phi
+                    for k in range(p - 1):
+                        vec[t + k * step] = (vec[t + k * step] - c) % m
+            rows.append(tuple((i, c) for i, c in enumerate(vec[:phi]) if c))
+        return tuple(rows)
 
-    def mul_coords(self, a, b):
+    def reduce_block(self, raw, o=0):
+        """Canonical coordinates of the raw product block raw[o:o + block].
+
+        The block's integers sit on the monomials w^i x^j (see __post_init__)
+        and may be any size.  The ring's relations fold them onto the basis
+        once: x^j for j >= phi by the rows of Phi_{p^level}, then
+        w^2 = -b w - c; the result is reduced mod p^N.
+        """
         m = self.modulus
-        if self.kind == "zp":
-            return ((a[0] * b[0]) % m,)
-        if self.kind in ("ramified_quad", "unramified_quad"):
-            qb, qc = self.quad
-            t0 = a[0] * b[0]
-            t2 = a[1] * b[1]
-            t1 = a[0] * b[1] + a[1] * b[0]
-            return ((t0 - qc * t2) % m, (t1 - qb * t2) % m)
-        if self.kind == "cyclotomic":
-            return self._cyclo_mul(a, b)
-        # composite: split on the quadratic generator, 3 cyclotomic products
         phi = self.phi
-        a0, a1 = a[0::2], a[1::2]
-        b0, b1 = b[0::2], b[1::2]
-        t0 = self._cyclo_mul(a0, b0)
-        t2 = self._cyclo_mul(a1, b1)
-        t1 = self._cyclo_mul(
-            tuple((x + y) % m for x, y in zip(a0, a1)),
-            tuple((x + y) % m for x, y in zip(b0, b1)),
-        )
+        if phi == 1:
+            if self.quad is None:
+                return (raw[o] % m,)
+            qb, qc = self.quad
+            t2 = raw[o + 2]
+            return ((raw[o] - qc * t2) % m, (raw[o + 1] - qb * t2) % m)
+        width = 2 * phi - 1
+        red = self._cyclo_red
+        rows = []
+        for s in range(o, o + self.packing[1], width):
+            row = list(raw[s:s + phi])
+            for d in range(phi - 1):
+                c = raw[s + phi + d]
+                if c:
+                    for i, r in red[d]:
+                        row[i] += c * r
+            rows.append(row)
+        if self.quad is None:
+            return tuple(x % m for x in rows[0])
+        t0, t1, t2 = rows
         qb, qc = self.quad
-        c0 = [(t0[j] - qc * t2[j]) % m for j in range(phi)]
-        c1 = [(t1[j] - t0[j] - t2[j] - qb * t2[j]) % m for j in range(phi)]
         out = [0] * (2 * phi)
-        out[0::2] = c0
-        out[1::2] = c1
+        out[0::2] = [(x - qc * z) % m for x, z in zip(t0, t2)]
+        out[1::2] = [(y - qb * z) % m for y, z in zip(t1, t2)]
         return tuple(out)
 
-    def _cyclo_mul(self, a, b):
-        phi, m = self.phi, self.modulus
-        conv = [0] * (2 * phi - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    conv[i + j] += ai * bj
-        out = conv[:phi]
-        red = self._cyclo_reduction()
-        for d in range(phi, 2 * phi - 1):
-            c = conv[d]
-            if c:
-                row = red[d - phi]
-                for i in range(phi):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return tuple(x % m for x in out)
+    def mul_coords(self, a, b):
+        """Product of coordinate vectors: the raw product block, reduced."""
+        if self.rank == 1:
+            return self.reduce_block((a[0] * b[0],))
+        if self.phi == 1:
+            a0, a1 = a
+            b0, b1 = b
+            return self.reduce_block((a0 * b0, a0 * b1 + a1 * b0, a1 * b1))
+        _, block, slots, _ = self.packing
+        raw = [0] * block
+        for i, x in enumerate(a):
+            if x:
+                si = slots[i]
+                for j, y in enumerate(b):
+                    if y:
+                        raw[si + slots[j]] += x * y
+        return self.reduce_block(raw)
 
     def add_coords(self, a, b):
         m = self.modulus
@@ -326,8 +332,8 @@ class RingElem:
     def __eq__(self, other):
         return (
             isinstance(other, RingElem)
-            and self.spec == other.spec
             and self.coords == other.coords
+            and (self.spec is other.spec or self.spec == other.spec)
         )
 
     def __hash__(self):
@@ -369,7 +375,7 @@ class RingElem:
 
     def _c(self, other):
         if isinstance(other, RingElem):
-            if other.spec != self.spec:
+            if other.spec is not self.spec and other.spec != self.spec:
                 raise DomainError("mixed ring specs")
             return other.coords
         if isinstance(other, int):
@@ -759,15 +765,22 @@ def descend(x, base, n_check=None):
     """Project x back to the base ring it was embedded from.
 
     The coordinates outside the base must vanish mod p^n_check (full
-    precision by default); otherwise x genuinely lives upstairs.
+    precision by default); otherwise x genuinely lives upstairs.  embed
+    sends zeta_{p^n} to zeta_{p^m}^{p^(m-n)}, so the base basis element
+    w^i zeta_{p^n}^j sits at w^i x^(j p^(m-n)) upstairs.
     """
     spec = x.spec
     if spec == base:
         return x
-    if spec.kind == "composite" and base.kind != "zp":
-        keep, rest = x.coords[:2], x.coords[2:]
-    else:
-        keep, rest = x.coords[: base.rank], x.coords[base.rank:]
+    if base.level > spec.level:
+        raise DomainError("cannot descend to a higher cyclotomic level")
+    qs = 2 if spec.quad is not None else 1
+    qb = 2 if base.quad is not None else 1
+    stride = spec.p ** (spec.level - base.level)
+    idx = [i + qs * j * stride for j in range(base.phi) for i in range(qb)]
+    keep = [x.coords[k] for k in idx]
+    kept = set(idx)
+    rest = [c for k, c in enumerate(x.coords) if k not in kept]
     q = spec.p ** (spec.N if n_check is None else n_check)
     if any(c % q for c in rest):
         raise PrecisionExhausted("element does not descend to the base ring")

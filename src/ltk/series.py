@@ -10,6 +10,14 @@ The shift is how series with p in denominators (formal logs and exps) are
 carried: a single global exponent, never per-coefficient fractions.  The
 "true" precision of the represented series is n_eff - shift.  Most series
 have shift 0 and the arithmetic fast-paths that case.
+
+Every truncated series product goes through one packed-integer kernel,
+packed_mul (Kronecker substitution; Harvey, arXiv:0712.4046): a coefficient
+list becomes one Python int, the two ints are multiplied once, and each
+product block is reduced once by the ring's relations.  A residue ring
+speaks the kernel through `packing` = (rank, block, slots, p^N) and
+`reduce_block(raw, o)`: RingSpec for the coefficient rings, and
+lubin_tate.QuotientRing, which packs one more variable, for base[X]/P.
 """
 
 from __future__ import annotations
@@ -33,6 +41,8 @@ from .rings import (
 __all__ = [
     "TruncSeries",
     "SeriesRing",
+    "packed_mul",
+    "packed_compose",
     "WeierstrassData",
     "weierstrass_prep",
     "poly_divmod_monic",
@@ -46,7 +56,7 @@ __all__ = [
 
 def _as_coords(spec, c):
     if isinstance(c, RingElem):
-        if c.spec != spec:
+        if c.spec is not spec and c.spec != spec:
             raise DomainError("coefficient from a different ring")
         return c.coords
     if isinstance(c, int):
@@ -143,20 +153,18 @@ class TruncSeries:
         a, b = _align(self, other)
         add = self.spec.add_coords
         cs = [add(x, y) for x, y in zip(a.coeffs, b.coeffs)]
-        return TruncSeries(self.spec, a.cap, cs,
-                           min(a.n_eff, b.n_eff), a.shift)
+        return _series(self.spec, a.cap, cs, min(a.n_eff, b.n_eff), a.shift)
 
     def __sub__(self, other):
         a, b = _align(self, other)
         sub = self.spec.sub_coords
         cs = [sub(x, y) for x, y in zip(a.coeffs, b.coeffs)]
-        return TruncSeries(self.spec, a.cap, cs,
-                           min(a.n_eff, b.n_eff), a.shift)
+        return _series(self.spec, a.cap, cs, min(a.n_eff, b.n_eff), a.shift)
 
     def __neg__(self):
         m = self.spec.modulus
         cs = [tuple((-x) % m for x in c) for c in self.coeffs]
-        return TruncSeries(self.spec, self.cap, cs, self.n_eff, self.shift)
+        return _series(self.spec, self.cap, cs, self.n_eff, self.shift)
 
     def scale(self, c):
         """Multiply by a ring element or integer scalar."""
@@ -167,18 +175,17 @@ class TruncSeries:
             cc = _as_coords(spec, c)
             mul = spec.mul_coords
             cs = [mul(cc, a) for a in self.coeffs]
-        return TruncSeries(spec, self.cap, cs, self.n_eff, self.shift)
+        return _series(spec, self.cap, cs, self.n_eff, self.shift)
 
     def __mul__(self, other):
         if isinstance(other, (int, RingElem)):
             return self.scale(other)
-        if self.spec != other.spec:
+        spec = self.spec
+        if other.spec is not spec and other.spec != spec:
             raise DomainError("mixed ring specs")
         cap = min(self.cap, other.cap)
-        cs = _mul_lists(self.spec, self.coeffs, other.coeffs, cap)
-        return TruncSeries(self.spec, cap, cs,
-                           min(self.n_eff, other.n_eff),
-                           self.shift + other.shift)
+        return _series(spec, cap, packed_mul(spec, self.coeffs, other.coeffs, cap),
+                       min(self.n_eff, other.n_eff), self.shift + other.shift)
 
     __rmul__ = __mul__
 
@@ -197,8 +204,7 @@ class TruncSeries:
     def truncate(self, cap2):
         if cap2 >= self.cap:
             return self
-        return TruncSeries(self.spec, cap2, list(self.coeffs[:cap2]),
-                           self.n_eff, self.shift)
+        return _series(self.spec, cap2, self.coeffs[:cap2], self.n_eff, self.shift)
 
     def extend_cap(self, cap2):
         """Zero-pad to a larger cap (the tail is NOT claimed correct)."""
@@ -211,13 +217,13 @@ class TruncSeries:
         spec2 = self.spec.with_precision(N2)
         q = spec2.modulus
         cs = [tuple(x % q for x in c) for c in self.coeffs]
-        return TruncSeries(spec2, self.cap, cs, min(self.n_eff, N2), self.shift)
+        return _series(spec2, self.cap, cs, min(self.n_eff, N2), self.shift)
 
     def canonical(self):
         """Reduce stored residues mod p^n_eff (junk above n_eff zeroed)."""
         q = self.spec.p ** self.n_eff
         cs = [tuple(x % q for x in c) for c in self.coeffs]
-        return TruncSeries(self.spec, self.cap, cs, self.n_eff, self.shift)
+        return _series(self.spec, self.cap, cs, self.n_eff, self.shift)
 
     def normalize_shift(self):
         """Strip certified p-content from the stored coefficients."""
@@ -237,7 +243,7 @@ class TruncSeries:
             return s
         q = p ** t
         cs = [tuple(x // q for x in c) for c in s.coeffs]
-        return TruncSeries(self.spec, self.cap, cs, self.n_eff - t, self.shift - t)
+        return _series(self.spec, self.cap, cs, self.n_eff - t, self.shift - t)
 
     def require_integral(self):
         """Normalize and fail loudly if a denominator survives."""
@@ -259,7 +265,7 @@ class TruncSeries:
                 raise PrecisionExhausted(
                     "coefficient %d not divisible by p^%d" % (i, k))
             cs.append(tuple(x // q for x in c))
-        return TruncSeries(self.spec, self.cap, cs, self.n_eff - k, self.shift)
+        return _series(self.spec, self.cap, cs, self.n_eff - k, self.shift)
 
     # -- composition and evaluation -------------------------------------------
 
@@ -271,44 +277,23 @@ class TruncSeries:
         if not c0.is_zero() and valuation(c0) <= 0:
             raise DomainError("inner constant term must have positive valuation")
         cap = min(self.cap, inner.cap)
-        spec = self.spec
-        zero = (0,) * spec.rank
-        res = [zero] * cap
-        for k in range(self.cap - 1, -1, -1):
-            res = _mul_lists(spec, res, inner.coeffs, cap)
-            ck = self.coeffs[k]
-            if any(ck):
-                res[0] = spec.add_coords(res[0], ck)
-        return TruncSeries(spec, cap, res,
-                           min(self.n_eff, inner.n_eff), self.shift)
+        return _series(self.spec, cap,
+                       packed_compose(self.spec, self.coeffs, inner.coeffs, cap),
+                       min(self.n_eff, inner.n_eff), self.shift)
 
     def compose_affine(self, a, b):
         """self(a + b*X) for ring elements a (positive valuation) and b."""
         spec = self.spec
-        ac, bc = _as_coords(spec, a), _as_coords(spec, b)
-        cap = self.cap
-        zero = (0,) * spec.rank
-        res = [zero] * cap
-        mul, add = spec.mul_coords, spec.add_coords
-        for k in range(cap - 1, -1, -1):
-            # res <- res*(a + bX) + c_k
-            new = [zero] * cap
-            for i in range(cap):
-                if any(res[i]):
-                    new[i] = add(new[i], mul(res[i], ac))
-                    if i + 1 < cap:
-                        new[i + 1] = add(new[i + 1], mul(res[i], bc))
-            ck = self.coeffs[k]
-            if any(ck):
-                new[0] = add(new[0], ck)
-            res = new
-        return TruncSeries(spec, cap, res, self.n_eff, self.shift)
+        inner = [_as_coords(spec, a), _as_coords(spec, b)]
+        return _series(spec, self.cap,
+                       packed_compose(spec, self.coeffs, inner, self.cap),
+                       self.n_eff, self.shift)
 
     def derive(self):
         spec = self.spec
         cs = [spec.smul_coords(k, self.coeffs[k]) for k in range(1, self.cap)]
         cs.append((0,) * spec.rank)
-        return TruncSeries(spec, self.cap, cs, self.n_eff, self.shift)
+        return _series(spec, self.cap, cs, self.n_eff, self.shift)
 
     def invert(self):
         """Multiplicative inverse; requires a unit constant term."""
@@ -329,7 +314,7 @@ class TruncSeries:
                 if any(cj) and any(out[j]):
                     acc = spec.add_coords(acc, mul(out[j], cj))
             out[k] = mul(inv0, sub(zero, acc))
-        return TruncSeries(spec, s.cap, out, s.n_eff, 0)
+        return _series(spec, s.cap, out, s.n_eff, 0)
 
     def eval(self, x):
         """Evaluate at a positive-valuation point in an extension ring.
@@ -378,7 +363,7 @@ def _align(a, b):
     """Common cap and common shift (scaling stored coefficients up)."""
     if isinstance(b, (int, RingElem)):
         b = TruncSeries(a.spec, a.cap, [b], a.spec.N, 0)
-    if a.spec != b.spec:
+    if a.spec is not b.spec and a.spec != b.spec:
         raise DomainError("mixed ring specs")
     cap = min(a.cap, b.cap)
     s = max(a.shift, b.shift)
@@ -393,39 +378,137 @@ def _shift_up(self, d):
     q = self.spec.p ** d
     m = self.spec.modulus
     cs = [tuple((x * q) % m for x in c) for c in self.coeffs]
-    return TruncSeries(self.spec, self.cap, cs,
-                       min(self.n_eff + d, self.spec.N), self.shift + d)
+    return _series(self.spec, self.cap, cs,
+                   min(self.n_eff + d, self.spec.N), self.shift + d)
 
 
 TruncSeries._shift_up = _shift_up
 
 
-def _mul_lists(spec, a, b, cap):
-    """Truncated product of coefficient lists (coord tuples)."""
-    zero = (0,) * spec.rank
-    out = [zero] * cap
-    if spec.rank == 1:
-        m = spec.modulus
-        raw = [0] * cap
-        for i in range(min(len(a), cap)):
-            ai = a[i][0]
-            if ai:
-                jmax = min(len(b), cap - i)
-                for j in range(jmax):
-                    bj = b[j][0]
-                    if bj:
-                        raw[i + j] += ai * bj
-        return [(v % m,) for v in raw]
-    mul, add = spec.mul_coords, spec.add_coords
-    for i in range(min(len(a), cap)):
-        ai = a[i]
-        if any(ai):
-            jmax = min(len(b), cap - i)
-            for j in range(jmax):
-                bj = b[j]
-                if any(bj):
-                    out[i + j] = add(out[i + j], mul(ai, bj))
+def _series(spec, cap, coeffs, n_eff, shift=0):
+    """A TruncSeries from exactly cap canonical coordinate tuples.
+
+    The internal constructor for kernel and coordinate-arithmetic outputs:
+    they are already residues in [0, p^N), so nothing is re-reduced.
+    """
+    s = object.__new__(TruncSeries)
+    put = object.__setattr__
+    put(s, "spec", spec)
+    put(s, "cap", cap)
+    put(s, "coeffs", tuple(coeffs))
+    put(s, "n_eff", n_eff)
+    put(s, "shift", shift)
+    if n_eff <= shift:
+        raise PrecisionExhausted("series has no significant digits left")
+    return s
+
+
+# -- the packed-integer kernel ----------------------------------------------------
+
+
+def _slot_bytes(count, rank, m):
+    """Bytes per slot for products of coefficient lists at most count long
+    on one side (see packed_mul)."""
+    return ((count * rank * (m - 1) ** 2).bit_length() + 8) // 8
+
+
+def _pack(coeffs, block, slots, nbytes):
+    """One int holding the coefficient tuples, block slots of nbytes each per
+    coefficient, coordinate i of a coefficient in its slot slots[i]."""
+    if block == 1:
+        flat = [c[0] for c in coeffs]
+    else:
+        flat = [0] * (len(coeffs) * block)
+        for i, s in enumerate(slots):
+            flat[s::block] = [c[i] for c in coeffs]
+    return int.from_bytes(b"".join([x.to_bytes(nbytes, "little") for x in flat]),
+                          "little")
+
+
+def _unpack(K, prod, n, nbytes, size):
+    """The first n reduced coefficients of a product packed in size blocks."""
+    block = K.packing[1]
+    buf = prod.to_bytes(size * block * nbytes, "little")
+    raw = [int.from_bytes(buf[i:i + nbytes], "little")
+           for i in range(0, n * block * nbytes, nbytes)]
+    red = K.reduce_block
+    return [red(raw, o) for o in range(0, n * block, block)]
+
+
+def _trim(coeffs, cap):
+    """Length of coeffs[:cap] without its trailing zero coefficients."""
+    n = min(len(coeffs), cap)
+    while n and not any(coeffs[n - 1]):
+        n -= 1
+    return n
+
+
+def packed_mul(K, a, b, cap):
+    """The product mod X^cap of coefficient lists a and b over a packed ring K.
+
+    K is a RingSpec or a lubin_tate.QuotientRing; a and b hold canonical
+    coordinate tuples of length rank, and so does the result (cap of them).
+    Each coefficient fills one block of slots, coordinate i in slot
+    slots[i]; blocks follow the powers of X.  Packed at X -> 2^(8 nbytes
+    block), the two lists multiply as one pair of ints, and the block of
+    X^k in the product is the raw, unreduced product coefficient, which
+    K.reduce_block folds onto the basis once.
+
+    Slot width.  Every input coordinate lies in [0, m - 1], m = p^N.  Slot
+    offsets add like monomial exponents (each variable's degree in a product
+    stays below its stride), so coordinate i of one factor meets coordinate
+    j of the other in slot slots[i] + slots[j] of the block.  Given the slot
+    and i, at most one j fits: at most rank coordinate pairs share a slot
+    per pair of coefficients, and at most min(len a, len b) coefficient
+    pairs reach one power of X.  A product slot is therefore a nonnegative
+    integer of at most min(len a, len b) * rank * (m - 1)^2, and with
+
+        bits >= bit_length(min(len a, len b) * rank * (m - 1)^2) + 1
+
+    no slot carries into the next: the product's slots are exactly the raw
+    coefficients.  nbytes is that bit count rounded up to whole bytes.
+    Trailing zero coefficients are dropped first, which only shrinks the
+    bound.
+    """
+    rank, block, slots, m = K.packing
+    la, lb = _trim(a, cap), _trim(b, cap)
+    if not la or not lb:
+        return [(0,) * rank] * cap
+    n = min(cap, la + lb - 1)
+    nbytes = _slot_bytes(min(la, lb), rank, m)
+    A = _pack(a[:la], block, slots, nbytes)
+    B = A if a is b else _pack(b[:lb], block, slots, nbytes)
+    out = _unpack(K, A * B, n, nbytes, la + lb - 1)
+    out.extend([(0,) * rank] * (cap - n))
     return out
+
+
+def packed_compose(K, f, g, cap):
+    """f(g) mod X^cap over a packed ring K by Horner's rule.
+
+    f and g are coefficient lists of canonical coordinate tuples.  g is
+    packed once; each coefficient of f costs one packed product.  Every
+    coefficient of f is used, so g(0) need not vanish.
+    """
+    rank, block, slots, m = K.packing
+    zero = (0,) * rank
+    lg = _trim(g, cap)
+    if not lg:
+        c = f[0] if f else zero
+        return [c] + [zero] * (cap - 1)
+    nbytes = _slot_bytes(lg, rank, m)
+    G = _pack(g[:lg], block, slots, nbytes)
+    res = []
+    for c in reversed(f):
+        if res:
+            n = min(cap, len(res) + lg - 1)
+            res = _unpack(K, _pack(res, block, slots, nbytes) * G, n, nbytes,
+                          len(res) + lg - 1)
+        if any(c):
+            res = res or [zero]
+            res[0] = tuple((x + y) % m for x, y in zip(res[0], c))
+    res.extend([zero] * (cap - len(res)))
+    return res
 
 
 class SeriesRing:
@@ -557,7 +640,7 @@ def _pack_shifted(acc_big, spec, true_prec, S, allow_nonintegral=True):
         raise PrecisionExhausted("no significant digits survive the shift")
     mod = p ** keep
     cs = [tuple((x // q) % mod for x in c) for c in acc_big.coeffs]
-    return TruncSeries(spec, acc_big.cap, cs, keep, shift)
+    return _series(spec, acc_big.cap, cs, keep, shift)
 
 
 def reversion(f):

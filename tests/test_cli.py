@@ -190,6 +190,15 @@ def test_measure_achieved_precision_is_derived(capsys):
     assert diff % 9 == 0 and diff % 27 != 0
 
 
+def test_norm_op_achieved_precision_is_derived(capsys):
+    # the product law is checked mod p^(N - 1), and that is what is reported
+    rc, d = run_json(capsys, ["--p", "3", "--ring", "ram", "--pi-sq", "-3",
+                              "--prec", "8", "--deg", "16", "norm-op"])
+    assert rc == 0 and d["product_law_ok"] is True
+    assert d["provenance"]["achieved_precision"] == 7
+    assert d["norm"]["N_eff"] == 8
+
+
 @pytest.mark.parametrize("argv, code", [
     (["coleman", "interpolate", "--levels", "0"], 1),
     (["tower", "--levels", "0"], 1),

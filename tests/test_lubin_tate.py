@@ -153,6 +153,21 @@ def test_norm_law_both_methods(g3, rng):
         assert lhs.eq_mod(rhs, 5)
 
 
+def test_coleman_norm_reports_the_input_precision(g3):
+    # det g(C) is an integral polynomial in g's coefficients: g known mod
+    # p^3 gives N_f g mod p^3, as the translates route also reports
+    g = TruncSeries(g3.spec, 24, [1, 2, 5], n_eff=3)
+    ng = g3.coleman_norm(g)
+    assert ng.n_eff == 3 == g3.translates_product(g).n_eff
+    full = TruncSeries(g3.spec, 24, [1, 2, 5])
+    assert g3.coleman_norm(full).n_eff == g3.spec.N
+    assert ng.coeffs == g3.coleman_norm(full).coeffs
+    # changing g above p^3 moves N_f g only above p^3
+    moved = g + TruncSeries.monomial(g3.spec, 24, 4, 27)
+    assert g3.coleman_norm(moved).eq_mod(ng, 3)
+    assert not g3.coleman_norm(moved).eq_mod(ng, 4)
+
+
 def test_norm_congruence_mod_max_ideal(g3, rng):
     # N_f g = g^phi mod the maximal ideal; phi = id at d = 1
     g = random_series(g3.spec, 20, rng)

@@ -12,7 +12,7 @@ import pytest
 
 from ltk import measures as MS
 from ltk.measures import Measure, coset_mass, dirac, sigma_map, unit_residues
-from ltk.rings import PrecisionExhausted, descend, make_ring
+from ltk.rings import PrecisionExhausted, descend, embed, make_ring
 from ltk.series import TruncSeries
 
 from conftest import random_series
@@ -176,3 +176,31 @@ def test_precision_error_names_stage_level_and_digits():
         coset_mass(shifted, 1, 2)
     assert "needs 3 digits" in str(exc.value)
     assert "level 2" in str(exc.value)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_level_two_value_ring_gives_the_level_one_table(p):
+    """At n = 1 the table of a level-2 cyclotomic value ring uses a root of
+    unity of order p, not p^2: it is the level-1 ring's table, embedded."""
+    rng = random.Random(p)
+    c1 = make_ring(p, 9, "cyclotomic", level=1)
+    c2 = make_ring(p, 9, "cyclotomic", level=2)
+    h1 = random_series(c1, 24, rng, unit=False)
+    h2 = TruncSeries(c2, 24, [embed(h1.coeff(i), c2) for i in range(24)])
+    assert MS._level_ring(c2, 1) == c2
+    t1, g1 = MS._eval_table(h1, MS._level_ring(c1, 1), 1)
+    t2, g2 = MS._eval_table(h2, MS._level_ring(c2, 1), 1)
+    assert g1 == g2
+    assert [embed(v, c2) for v in t1] == t2
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_level_one_element_descends_from_level_two(p):
+    rng = random.Random(p)
+    c1 = make_ring(p, 9, "cyclotomic", level=1)
+    c2 = make_ring(p, 9, "cyclotomic", level=2)
+    for _ in range(10):
+        x = c1.elem([rng.randrange(c1.modulus) for _ in range(c1.rank)])
+        assert descend(embed(x, c2), c1) == x
+    with pytest.raises(PrecisionExhausted):
+        descend(c2.zeta(), c1)
