@@ -86,7 +86,9 @@ def interpolate(sys):
 
     Newton-style CRT: g is corrected level by level by multiples of the
     partial products of the pibar_m; the divisions in the quotient rings are
-    exact with certified integrality and cost the reported precision.
+    exact with certified integrality.  Each costs its divider's loss, the
+    largest p-order of a denominator of the inverse multiplication matrix
+    (QuotientRing.make_divider), and info["n_eff"] is N less their sum.
     """
     tw = sys.tower
     G = tw.group
@@ -106,11 +108,9 @@ def interpolate(sys):
         am = tw.alphas[m]
         ga = E.eval_series(g, am)
         target = sys.values[m]
-        diff = E.sub(target, ga)
-        den = E.eval_series(mod_poly, am)
-        h = E.divide(diff, den)
-        # one digit per division is the worst case at desk scale
-        n_eff -= 1
+        divide = E.make_divider(E.eval_series(mod_poly, am))
+        h = divide(E.sub(target, ga))
+        n_eff -= divide.loss
         lift = TruncSeries(spec, cap, list(h) + [spec.zero()] * (cap - E.deg))
         g = g + mod_poly * lift
         mod_poly = mod_poly * TruncSeries(spec, cap, list(G.pibar(m)))

@@ -32,9 +32,10 @@ p-integral on the way back to residues.  The translates are solved in the
 quotient ring base[w]/pibar_1(w), with certified divisions by d_1 = f'(pt).
 
 The Coleman norm operator is a resultant: N_f g (Y) = det g(C) where C is
-the companion matrix of f(Z) - Y, exact mod (p^N, Y^D).  The same
-companion-matrix norm gives the tower norms O'_m -> O'_{m-1}.  The
-independent check of the norm law is the product of g over the actual
+the companion matrix of f(Z) - Y, exact mod (p^N, Y^D).  The entries of g(C)
+are the f-adic digits of Z^j g(Z) (its fiber expansion), so one determinant
+is the only product.  The same norm gives the tower norms O'_m -> O'_{m-1}.
+The independent check of the norm law is the product of g over the actual
 torsion translates; the two routes share only the protocol arithmetic.
 """
 
@@ -223,32 +224,57 @@ def _solve_structural(R, cap, head, divide, b=(), u=(), v_pows=()):
     return c
 
 
-def _companion_norm(R, last_col, y):
-    """det y(C) over R for a polynomial y with base coefficients.
+def _companion_norm(R, rel, y):
+    """det y(C), C the companion matrix of rel(Z) - T over R (exact).
 
-    C is the companion matrix whose last column writes Z^d in the basis
-    1, Z, ..., Z^{d-1}; its other columns shift the basis.  y(C) is built by
-    Horner's rule M <- M C + y_k, where M C is M's columns shifted left with
-    M @ last_col appended.  No divisions occur.
+    y lists base coordinate tuples; rel is a base polynomial of degree d with
+    a unit top coefficient.  R is base[[T]]/(T^cap) (a SeriesRing, T = Y),
+    base[T]/(P) (a QuotientRing, T its generator) or the base ring (T = 0).
+
+    C is multiplication by Z on R[Z]/(rel(Z) - T) in the basis 1, ..., Z^{d-1},
+    so column j of y(C) holds the coordinates of Z^j y(Z).  These are reduced
+    over base[T] first, by Horner's rule with Z^d = sum_i col_i Z^i,
+    col_0 = rel_d^-1 (T - rel_0) and col_i = -rel_d^-1 rel_i: the T^k
+    coefficient of an entry is the Z^i coordinate of the k-th rel-adic digit
+    of Z^j y.  base[T] -> R is a ring map, so the mapped entries are those of
+    y(C) over R, entry by entry.  No products in R occur before the determinant.
     """
-    d = len(last_col)
-    zero = R.zero()
-    M = [[R.from_base(y[-1]) if r == c else zero for c in range(d)]
-         for r in range(d)]
-    for k in range(len(y) - 2, -1, -1):
-        new = []
-        for row in M:
-            acc = zero
-            for m, col in zip(row, last_col):
-                if not R.is_zero(m) and not R.is_zero(col):
-                    acc = R.add(acc, R.mul(m, col))
-            new.append(row[1:] + [acc])
-        if not y[k].is_zero():
-            yk = R.from_base(y[k])
-            for r in range(d):
-                new[r][r] = R.add(new[r][r], yk)
-        M = new
-    return laplace_det(R, M)
+    if isinstance(R, SeriesRing):
+        spec, cap = R.spec, R.cap
+        lift = lambda P: _series(spec, cap, (P + [zero] * cap)[:cap], spec.N)
+    elif isinstance(R, QuotientRing):
+        spec, gen = R.base, R.x_class()
+        lift = lambda P: R.eval_series(_series(spec, len(P) or 1, P or [zero],
+                                               spec.N), gen)
+    else:
+        spec = R
+        lift = lambda P: RingElem(spec, P[0] if P else zero)
+    zero = (0,) * spec.rank
+    mul, add = spec.mul_coords, spec.add_coords
+    top_inv = rel[-1].inverse()
+    col = [[(-(c * top_inv)).coords] for c in rel[:-1]]  # base polynomials in T
+    col[0].append(top_inv.coords)
+
+    def times_z(v):
+        top, out = v[-1], [[]] + v[:-1]
+        for i, c in enumerate(col):
+            for s, cs in enumerate(c):
+                if top and any(cs):
+                    P = out[i] + [zero] * (s + len(top) - len(out[i]))
+                    for k, a in enumerate(top, s):
+                        P[k] = add(P[k], mul(cs, a))
+                    out[i] = P
+        return out
+
+    v = [[] for _ in col]
+    for yk in reversed(y):
+        v = times_z(v)
+        if any(yk):
+            v[0] = [add(v[0][0], yk)] + v[0][1:] if v[0] else [yk]
+    cols = [v]
+    while len(cols) < len(col):
+        cols.append(times_z(cols[-1]))
+    return laplace_det(R, [[lift(c[i]) for c in cols] for i in range(len(col))])
 
 
 def _reversion(R, f, cap):
@@ -284,6 +310,7 @@ class FormalGroup:
         self._exp_cache = {}
         self._endo_cache = {}
         self._pibar_cache = {}
+        self._translate_cache = {}
         self._pi_power_cache = {0: TruncSeries.x(spec, cap)}
 
     def _check_frobenius_shape(self):
@@ -541,25 +568,18 @@ class FormalGroup:
 
     # -- Coleman norm operator ---------------------------------------------------
 
-    def _fiber_column(self, R, alpha):
-        """Last companion column of f(Z) - alpha over R:
-        Z^q = (alpha - sum_{1<=i<q} f_i Z^i) / f_q."""
-        top_inv = self.f_poly[self.q].inverse()
-        return [R.mul(R.from_base(top_inv), alpha)] + [
-            R.from_base(-(self.f_poly[i] * top_inv)) for i in range(1, self.q)]
-
     def coleman_norm(self, g):
         """N_f g as det of g at the companion matrix of f(Z) - Y (exact).
 
         (N_f g)(f(X)) = prod over the f-fiber of g, which is the defining
         product over torsion translates; no compositional inversion and no
-        precision loss are involved.
+        precision loss are involved.  The entries of g(C), the f-adic digits
+        of Z^j g(Z), are read off as Y-coefficients with no product.
         """
         g = g.require_integral()
         cap = min(g.cap, self.cap)
         R = SeriesRing(self.spec, cap)
-        col = self._fiber_column(R, TruncSeries.x(self.spec, cap))
-        ng = _companion_norm(R, col, [g.coeff(k) for k in range(cap)])
+        ng = _companion_norm(R, self.f_poly, g.coeffs[:cap])
         # det g(C) is an integral polynomial in g's coefficients, so it is
         # known to the digits g is
         return _series(self.spec, cap, ng.coeffs, min(self.spec.N, g.n_eff))
@@ -633,14 +653,19 @@ class FormalGroup:
 
         This is the extension-ring side of the norm-operator law; it shares
         nothing with coleman_norm's resultant route but the ring arithmetic.
+        The translate series depend only on the cap and are kept per cap.
         """
         g = g.require_integral()
         cap = min(cap or self.cap, g.cap)
-        E = self.torsion_quotient_ring()
+        if cap not in self._translate_cache:
+            E = self.torsion_quotient_ring()
+            self._translate_cache[cap] = E, [self.translate_series(pt, E, cap)
+                                             for pt in self.torsion_points(E, cap)]
+        E, translates = self._translate_cache[cap]
         gE = [E.from_base(g.coeff(k)) for k in range(g.cap)]
         acc = None
-        for pt in self.torsion_points(E, cap):
-            comp = _compose(E, gE, self.translate_series(pt, E, cap), cap)
+        for T in translates:
+            comp = _compose(E, gE, T, cap)
             acc = comp if acc is None else _poly_mul(E, acc, comp, cap)
         out = [E.descend(c, self.spec.N - 1) for c in acc]
         return TruncSeries(self.spec, cap, out, min(g.n_eff, self.spec.N - 1), 0)
@@ -900,7 +925,9 @@ class QuotientRing:
         """Precompute the rational inverse of mult-by-y; returns b -> b/y.
 
         Division is exact with certified p-integrality; a p in a denominator
-        means the quotient does not exist at working precision.
+        means the quotient does not exist at working precision.  The divider's
+        loss is the largest p-order of a denominator of the inverse matrix:
+        a b known mod p^n gives b/y known mod p^(n - loss).
         """
         R = self.flat_rank()
         M = self._flat_mult_matrix(y)
@@ -933,6 +960,7 @@ class QuotientRing:
                 flat.append((x.numerator * pow(x.denominator, -1, m)) % m)
             return self.from_flat(flat)
 
+        divide.loss = max(ord_int(x.denominator, p) for row in inv for x in row)
         return divide
 
     def divide(self, b, y):
@@ -982,14 +1010,15 @@ class TorsionTower:
         """Norm O'_m -> O'_{m-1} (to the base ring for m = 1).
 
         y, a base polynomial in alpha_m, is evaluated at the companion matrix
-        of the monic pibar_1(Z) over the base (m = 1) or of f(Z) - alpha_{m-1}
-        over O'_{m-1}; its determinant is the norm.  No divisions occur.
+        C of pibar_1(Z) over the base (m = 1) or of f(Z) - alpha_{m-1} over
+        O'_{m-1}, and det y(C) is the norm.  Its entries, the rel-adic digits
+        of Z^j y, are base polynomials in T set to 0 or alpha_{m-1}.
         """
         g = self.group
+        y = [c.coords for c in y]
         if m == 1:
-            return _companion_norm(g.spec, [-c for c in g.pibar(1)[:-1]], y)
-        R = self.rings[m - 1]
-        return _companion_norm(R, g._fiber_column(R, self.alphas[m - 1]), y)
+            return _companion_norm(g.spec, g.pibar(1), y)
+        return _companion_norm(self.rings[m - 1], g.f_poly, y)
 
 
 def build_tower(group, M):

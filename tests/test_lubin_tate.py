@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from ltk.rings import make_ring, valuation
-from ltk.series import TruncSeries, mu_lambda_by_roots
+from ltk import coleman as CO
+from ltk import lubin_tate as LT
+from ltk.rings import laplace_det, make_ring, valuation
+from ltk.series import SeriesRing, TruncSeries, mu_lambda_by_roots
 from ltk.lubin_tate import QuotientRing, build_group, build_tower
 
 from conftest import random_series
@@ -326,4 +328,151 @@ def test_norm_law_routes_are_independent(g3, rng, monkeypatch):
         m.setattr(LT, "laplace_det", crossed)
         m.setattr(LT, "_companion_norm", crossed)
         rhs = g3.translates_product(g)
+        # warm: the second call reads the cached translates
+        assert g3.translates_product(g).coeffs == rhs.coeffs
     assert lhs.eq_mod(rhs, 5)
+
+
+# -- the fiber-expansion norm against the matrix-Horner oracle -----------------
+
+
+def _matrix_horner_norm(R, last_col, y):
+    """det y(C) over R by Horner's rule M <- M C + y_k on a matrix of
+    R-elements, C the companion matrix with this last column (the route the
+    fiber expansion replaced; kept as its oracle)."""
+    d = len(last_col)
+    zero = R.zero()
+    M = [[R.from_base(y[-1]) if r == c else zero for c in range(d)]
+         for r in range(d)]
+    for k in range(len(y) - 2, -1, -1):
+        new = []
+        for row in M:
+            acc = zero
+            for m, col in zip(row, last_col):
+                if not R.is_zero(m) and not R.is_zero(col):
+                    acc = R.add(acc, R.mul(m, col))
+            new.append(row[1:] + [acc])
+        if not y[k].is_zero():
+            yk = R.from_base(y[k])
+            for r in range(d):
+                new[r][r] = R.add(new[r][r], yk)
+        M = new
+    return laplace_det(R, M)
+
+
+def _fiber_column(R, rel, T):
+    """Last companion column of rel(Z) - T over R:
+    Z^d = (T - rel_0 - sum_{0<i<d} rel_i Z^i) / rel_d."""
+    top_inv = rel[-1].inverse()
+    head = R.mul(R.from_base(top_inv), R.sub(T, R.from_base(rel[0])))
+    return [head] + [R.from_base(-(c * top_inv)) for c in rel[1:-1]]
+
+
+def _oracle_coleman_norm(G, g):
+    cap = min(g.cap, G.cap)
+    R = SeriesRing(G.spec, cap)
+    col = _fiber_column(R, G.f_poly, TruncSeries.x(G.spec, cap))
+    return _matrix_horner_norm(R, col, [g.coeff(k) for k in range(cap)]).coeffs
+
+
+def _oracle_tower_norm(tw, m, y):
+    G = tw.group
+    if m == 1:
+        return _matrix_horner_norm(G.spec, [-c for c in G.pibar(1)[:-1]], y)
+    R = tw.rings[m - 1]
+    return _matrix_horner_norm(R, _fiber_column(R, G.f_poly, tw.alphas[m - 1]), y)
+
+
+@pytest.mark.parametrize("name", SOLVER_GROUPS)
+def test_coleman_norm_matches_matrix_horner(name, request, rng):
+    G = request.getfixturevalue(name)
+    spec, cap, N = G.spec, G.cap, G.spec.N
+    cases = [
+        random_series(spec, cap, rng),
+        random_series(spec, cap - 5, rng),                  # cap below G.cap
+        TruncSeries(spec, cap, list(random_series(spec, cap, rng).coeffs),
+                    N - 2),                                  # n_eff < N
+        TruncSeries(spec, cap, [spec.from_int(2)]),          # constant
+        random_series(spec, cap, rng, terms=5),              # trailing zeros
+        random_series(spec, cap + 6, rng),                   # cap above G.cap
+    ]
+    for g in cases:
+        ng = G.coleman_norm(g)
+        assert ng.coeffs == _oracle_coleman_norm(G, g)
+        assert ng.n_eff == min(N, g.n_eff)
+        assert ng.cap == min(g.cap, cap)
+
+
+@pytest.mark.parametrize("name", SOLVER_GROUPS)
+def test_tower_norms_match_matrix_horner(name, request, rng):
+    G = request.getfixturevalue(name)
+    spec = G.spec
+    tw = build_tower(G, 2)
+    for m in (1, 2):
+        E = tw.rings[m]
+        ys = [tw.alphas[m], E.one(),
+              tuple(spec.elem([rng.randrange(spec.modulus) for _ in range(spec.rank)])
+                    for _ in range(E.deg))]
+        for y in ys:
+            assert tw.norm(m, y) == _oracle_tower_norm(tw, m, y)
+
+
+def test_fiber_norm_with_a_non_monic_relation(g3, rng):
+    # rel = u * f or u * pibar_1 with a unit u != 1: the top coefficient
+    # folds into T's coefficient, rel_0 into digit 0
+    spec = g3.spec
+    u = spec.from_int(2) + spec.gen_quad()
+    y = [c for c in random_series(spec, 24, rng).coeffs]
+    S = SeriesRing(spec, 24)
+    rel = [c * u for c in g3.f_poly]
+    want = _matrix_horner_norm(S, _fiber_column(S, rel, TruncSeries.x(spec, 24)),
+                               [spec.elem(c) for c in y])
+    assert LT._companion_norm(S, rel, y).coeffs == want.coeffs
+    rel1 = [c * u for c in g3.pibar(1)]
+    y1 = y[:5]
+    want = _matrix_horner_norm(spec, _fiber_column(spec, rel1, spec.zero()),
+                               [spec.elem(c) for c in y1])
+    assert LT._companion_norm(spec, rel1, y1) == want
+    E = build_tower(g3, 1).rings[1]
+    rel2 = [rel[0] + spec.one()] + rel[1:]
+    want = _matrix_horner_norm(E, _fiber_column(E, rel2, E.x_class()),
+                               [spec.elem(c) for c in y])
+    assert LT._companion_norm(E, rel2, y) == want
+
+
+def test_translates_cache_matches_a_fresh_group(q3, rng):
+    warm = build_group(q3, q3.gen_quad(), 3, 24)
+    g = random_series(q3, 24, rng)
+    for cap in (20, 24, 20):
+        got = warm.translates_product(g, cap=cap)
+        fresh = build_group(q3, q3.gen_quad(), 3, 24).translates_product(g, cap=cap)
+        assert (got.cap, got.coeffs, got.n_eff) == (fresh.cap, fresh.coeffs, fresh.n_eff)
+
+
+# -- the derived per-level loss of interpolation --------------------------------
+
+
+@pytest.mark.parametrize("spec_args, pi, q, cap, M", [
+    ((3, 7, "ramified_quad", (0, 3)), "w", 3, 24, 2),
+    ((3, 7, "ramified_quad", (0, 3)), "w", 3, 28, 3),
+    ((2, 8, "ramified_quad", (0, 2)), "w", 2, 24, 3),
+    ((3, 8, "zp", None), 3, 3, 20, 2),
+    ((5, 6, "zp", None), 5, 5, 28, 2),
+])
+def test_interpolation_loss_is_derived(spec_args, pi, q, cap, M):
+    p, N, kind, quad = spec_args
+    spec = make_ring(p, N, kind, quad=quad)
+    G = build_group(spec, spec.gen_quad() if pi == "w" else pi, q, cap)
+    tw = build_tower(G, M)
+    mod_poly = TruncSeries(spec, cap, list(G.pibar(1)))
+    losses = []
+    for m in range(2, M + 1):
+        E = tw.rings[m]
+        losses.append(E.make_divider(E.eval_series(mod_poly, tw.alphas[m])).loss)
+        mod_poly = mod_poly * TruncSeries(spec, cap, list(G.pibar(m)))
+    assert losses == [1] * (M - 1)
+    g = TruncSeries(spec, cap, [1, 1, 2])
+    g_rec, info = CO.interpolate(CO.system_from_series(tw, g))
+    assert info["n_eff"] == N - sum(losses)
+    assert CO.reduce_mod_system_ideal(g_rec, tw, info["n_eff"]).eq_mod(
+        CO.reduce_mod_system_ideal(g, tw, info["n_eff"]), info["n_eff"])
