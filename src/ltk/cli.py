@@ -19,7 +19,8 @@ import random
 import sys
 from dataclasses import dataclass, field
 
-from .rings import DomainError, PrecisionExhausted, RingElem, make_ring, valuation
+from .rings import (DomainError, PrecisionExhausted, RingElem, _require_ints,
+                    json_fields, make_ring, valuation)
 from .series import TruncSeries
 from .lubin_tate import build_group, build_tower
 from . import measures as MS
@@ -77,7 +78,7 @@ def _inputs_hash(cfg):
     """SHA-256 prefix over the parsed arguments, the effective degree cap and
     the contents of input files; output routing (--out, -v) is left out."""
     inputs = {k: v for k, v in cfg.inputs.items() if k not in ("out", "verbose")}
-    inputs["cap"] = _cap(cfg)
+    inputs["cap"] = cfg.deg
     for key in ("series", "matrix", "system"):
         if inputs.get(key):
             with open(inputs[key], "rb") as fh:
@@ -117,17 +118,12 @@ def _emit(cfg, payload):
     return 0
 
 
-def _cap(cfg):
-    override = os.environ.get("LTK_CAP_OVERRIDE")
-    return int(override) if override else cfg.deg
-
-
 # -- subcommands ------------------------------------------------------------------
 
 
 def _group_of(cfg, cap=None):
     spec = cfg.base_spec()
-    cap = cap or _cap(cfg)
+    cap = cap or cfg.deg
     variant = cfg.variant
     if variant == "auto":
         variant = "multiplicative" if cfg.ring == "zp" else "standard"
@@ -206,10 +202,7 @@ def cmd_coleman(cfg, args):
     G = _group_of(cfg)
     tw = build_tower(G, args.levels)
     if args.system:
-        data = json.load(open(args.system))
-        vals = {int(m): tw.rings[int(m)].from_flat(v)
-                for m, v in data["values"].items()}
-        sys_ = CO.CompatibleSystem(tw, vals)
+        sys_ = _read_system(tw, args.system)
     else:
         rng = random.Random(cfg.seed)
         spec = G.spec
@@ -234,12 +227,27 @@ def cmd_coleman(cfg, args):
     })
 
 
+def _read_system(tw, path):
+    """The CompatibleSystem of a JSON file {"values": {"m": flat coords}}."""
+    values, = json_fields(json.load(open(path)), "values")
+    if not isinstance(values, dict):
+        raise DomainError("system values must be an object keyed by level")
+    vals = {}
+    for m, v in values.items():
+        E = tw.rings.get(int(m)) if m.isdecimal() else None
+        if E is None or not isinstance(v, list):
+            raise DomainError(f"system level {m!r} is no tower level or has no list")
+        _require_ints(value=tuple(v))
+        vals[int(m)] = E.from_flat([x % E.base.modulus for x in v])
+    return CO.CompatibleSystem(tw, vals)
+
+
 def cmd_measure(cfg, args):
     spec = cfg.base_spec() if cfg.ring == "zp" else make_ring(cfg.p, cfg.prec, "zp")
     okp = None
     if cfg.ring != "zp":
         okp = cfg.base_spec()
-    cap = _cap(cfg)
+    cap = cfg.deg
     if args.dirac is not None:
         if okp is not None:
             a0, a1 = (int(t) for t in args.dirac.split(",")) \
@@ -392,10 +400,14 @@ def run(argv):
         subcommand=args.subcommand, p=args.p, prec=args.prec, deg=args.deg,
         ring=args.ring, pi_sq=args.pi_sq, seed=args.seed, out=args.out,
         variant=args.variant, verbose=args.verbose, inputs=vars(args))
-    if cfg.verbose:
-        print(f"# ltk {args.subcommand} p={cfg.p} prec={cfg.prec} "
-              f"deg={_cap(cfg)} ring={cfg.ring}", file=sys.stderr)
     try:
+        # the override is one more source of the degree cap, validated with it
+        override = os.environ.get("LTK_CAP_OVERRIDE")
+        if override:
+            cfg.deg = int(override)
+        if cfg.verbose:
+            print(f"# ltk {args.subcommand} p={cfg.p} prec={cfg.prec} "
+                  f"deg={cfg.deg} ring={cfg.ring}", file=sys.stderr)
         cfg.validate()
         return COMMANDS[args.subcommand](cfg, args)
     except PrecisionExhausted as exc:

@@ -46,9 +46,14 @@ class LambdaPresentation:
 
     @staticmethod
     def from_json(obj):
-        from .rings import RingSpec
-        base = RingSpec.from_json(obj["base"])
-        mat = [[TruncSeries.from_json(e) for e in row] for row in obj["matrix"]]
+        from .rings import RingSpec, json_fields
+        base, rows = json_fields(obj, "base", "matrix")
+        base = RingSpec.from_json(base)
+        if not (isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows)):
+            raise DomainError("matrix must be a nonempty list of rows")
+        mat = [[TruncSeries.from_json(e) for e in row] for row in rows]
+        if any(e.spec != base for row in mat for e in row):
+            raise DomainError("matrix entries must be series over the base ring")
         return LambdaPresentation(base, mat)
 
 

@@ -10,7 +10,9 @@ Every algorithm here runs over a small ring protocol: zero, one, from_base,
 add, sub, mul, is_zero.  The base RingSpec, the series ring SeriesRing, the
 quotient rings base[X]/P and the exact rationals _Rationals all speak it, so
 the truncated product, the Horner composition, the companion-matrix norm and
-the determinant (rings.laplace_det) each exist once.
+the determinant (rings.laplace_det) each exist once.  A QuotientRing is
+also a packed ring: one more monic extension in the tower of rings.extend,
+with the same compiled reduce_block and mul_coords as a RingSpec.
 
 Structural series.  The logarithm, the exponential, the endomorphisms [a]_f
 and the torsion translates X [+] pt are each pinned down, coefficient by
@@ -51,7 +53,10 @@ from .rings import (
     PrecisionExhausted,
     RingElem,
     _det_bareiss,
+    compile_map,
+    extend,
     laplace_det,
+    mult_matrix,
     ord_int,
     valuation,
 )
@@ -778,11 +783,11 @@ class QuotientRing:
     p-integrality; the division reports nothing on success and raises
     PrecisionExhausted when the quotient does not exist at working precision.
 
-    Products run in the packed kernel (series.packed_mul) on flat
-    coordinates: X^k times the base basis monomials, one more packed
-    variable.  A raw block holds X^0..X^(2d-2), each a base raw block;
-    reduce_block reduces each by the base relations, then folds X^e for
-    e >= d by the monic modulus.
+    Inside, an element is its flat coordinates: X^k times the base basis
+    monomials, base-fast.  The ring is one more monic extension in the
+    tower construction (rings.extend), so its packing, its reduction map and
+    the reduce_block and mul_coords compiled from that map are those of any
+    RingSpec, and the packed series kernel takes it as it takes a RingSpec.
     """
 
     def __init__(self, base, modulus):
@@ -794,11 +799,8 @@ class QuotientRing:
         self.deg = len(self.modulus) - 1
         if self.deg < 1:
             raise DomainError("modulus must have positive degree")
-        r, B0, slots, m = base.packing
-        d = self.deg
-        self.packing = (d * r, (2 * d - 1) * B0,
-                        tuple(z * B0 + s for z in range(d) for s in slots), m)
-        self._fold = [c.coords for c in self.modulus[:d]]
+        self.packing, red_map = extend(base, [c.coords for c in self.modulus])
+        self.reduce_block, self.mul_coords = compile_map(self.packing, red_map)
 
     def zero(self):
         return tuple(self.base.zero() for _ in range(self.deg))
@@ -832,84 +834,46 @@ class QuotientRing:
         return all(all(c % q == 0 for c in x.coords) for x in a)
 
     def mul(self, a, b):
-        return self._unflat(packed_mul(self, [self._flat(a)], [self._flat(b)], 1)[0])
+        flat = self.flat_coords
+        return self.from_flat(self.mul_coords(flat(a), flat(b)))
 
     def poly_mul(self, a, b, cap):
         """Truncated product of coefficient lists of elements (packed)."""
-        flat, unflat = self._flat, self._unflat
+        flat, unflat = self.flat_coords, self.from_flat
         return [unflat(c) for c in packed_mul(self, [flat(x) for x in a],
                                               [flat(x) for x in b], cap)]
 
     def compose(self, f, g, cap):
         """f(g) mod X^cap for coefficient lists of elements (packed Horner)."""
-        flat, unflat = self._flat, self._unflat
+        flat, unflat = self.flat_coords, self.from_flat
         return [unflat(c) for c in packed_compose(self, [flat(x) for x in f],
                                                   [flat(x) for x in g], cap)]
 
-    def reduce_block(self, raw, o=0):
-        """Flat canonical coordinates of the raw product block at raw[o]."""
-        base, d = self.base, self.deg
-        B0 = base.packing[1]
-        conv = [base.reduce_block(raw, s)
-                for s in range(o, o + (2 * d - 1) * B0, B0)]
-        mul, sub = base.mul_coords, base.sub_coords
-        # X^d = -sum_{i<d} P_i X^i mod P; fold the highest power first
-        for e in range(2 * d - 2, d - 1, -1):
-            c = conv[e]
-            if any(c):
-                for i, pc in enumerate(self._fold):
-                    if any(pc):
-                        conv[e - d + i] = sub(conv[e - d + i], mul(c, pc))
-        return tuple(chain.from_iterable(conv[:d]))
-
-    def _flat(self, a):
+    def flat_coords(self, a):
+        """The flat canonical coordinates of an element, as one tuple."""
         return tuple(chain.from_iterable(x.coords for x in a))
 
-    def _unflat(self, flat):
+    def from_flat(self, flat):
+        """The element with these flat canonical coordinates."""
         base, r = self.base, self.base.rank
-        return tuple(RingElem(base, flat[i:i + r]) for i in range(0, len(flat), r))
+        if len(flat) != self.packing[0]:
+            raise DomainError("flat coordinate vector has wrong length")
+        return tuple(RingElem(base, tuple(flat[i:i + r])) for i in range(0, len(flat), r))
 
     def eval_series(self, ts, pt):
         """Evaluate a base-coefficient TruncSeries at an element (Horner:
         the composition with the constant series pt, mod X)."""
         pad = (0,) * (self.packing[0] - self.base.rank)
         f = [c + pad for c in ts.coeffs]
-        return self._unflat(packed_compose(self, f, [self._flat(pt)], 1)[0])
-
-    def flat_coords(self, a):
-        out = []
-        for x in a:
-            out.extend(x.coords)
-        return out
-
-    def from_flat(self, flat):
-        br = self.base.rank
-        return tuple(self.base.elem(flat[i * br:(i + 1) * br])
-                     for i in range(self.deg))
+        return self.from_flat(packed_compose(self, f, [self.flat_coords(pt)], 1)[0])
 
     def flat_rank(self):
-        return self.deg * self.base.rank
-
-    def _flat_mult_matrix(self, y):
-        """Integer matrix of multiplication by y on the flat basis."""
-        R = self.flat_rank()
-        br = self.base.rank
-        cols = []
-        for j in range(R):
-            flat = [0] * R
-            flat[j] = 1
-            ej = self.from_flat(flat)
-            cols.append(self.flat_coords(self.mul(y, ej)))
-        return [[cols[j][i] for j in range(R)] for i in range(R)]
-
-    def norm_to_zp(self, y):
-        det = _det_bareiss(self._flat_mult_matrix(y)) % self.base.modulus
-        return det
+        return self.packing[0]
 
     def valuation(self, y):
         if self.is_zero(y):
             return inf
-        det = self.norm_to_zp(y)
+        det = _det_bareiss(mult_matrix(self, self.flat_coords(y))) % self.base.modulus
         vd = ord_int(det, self.base.p)
         if vd == inf or vd >= self.base.N:
             raise PrecisionExhausted("valuation unresolved in quotient ring")
@@ -930,7 +894,7 @@ class QuotientRing:
         a b known mod p^n gives b/y known mod p^(n - loss).
         """
         R = self.flat_rank()
-        M = self._flat_mult_matrix(y)
+        M = mult_matrix(self, self.flat_coords(y))
         A = [[Fraction(M[i][j]) for j in range(R)] +
              [Fraction(1 if i == j else 0) for j in range(R)]
              for i in range(R)]

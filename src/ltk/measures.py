@@ -36,10 +36,10 @@ from .rings import (
     DomainError,
     PrecisionExhausted,
     RingElem,
+    RingSpec,
     descend,
     embed,
-    make_composite,
-    make_ring,
+    json_fields,
     ord_int,
 )
 from .series import TruncSeries
@@ -109,9 +109,9 @@ class Measure:
 
     @staticmethod
     def from_json(obj):
-        from .rings import RingSpec
+        amice, group = json_fields(obj, "amice", "group")
         okp = RingSpec.from_json(obj["okp"]) if "okp" in obj else None
-        return Measure(TruncSeries.from_json(obj["amice"]), obj["group"], okp)
+        return Measure(TruncSeries.from_json(amice), group, okp)
 
 
 def dirac(a, group, value_spec, cap, okp=None):
@@ -145,21 +145,7 @@ def _level_ring(value_spec, n):
     """A ring holding value_spec and the p^n-th roots of unity; its level
     is n or more (the value ring itself when that is already cyclotomic
     of level >= n), so take roots of unity through _level_zeta."""
-    if n == 0:
-        return value_spec
-    if value_spec.kind == "zp":
-        return make_ring(value_spec.p, value_spec.N, "cyclotomic", level=n)
-    if value_spec.kind in ("ramified_quad", "unramified_quad"):
-        return make_composite(value_spec, n)
-    if value_spec.kind in ("cyclotomic", "composite"):
-        if value_spec.level >= n:
-            return value_spec
-        if value_spec.kind == "cyclotomic":
-            return make_ring(value_spec.p, value_spec.N, "cyclotomic", level=n)
-        quad = make_ring(value_spec.p, value_spec.N,
-                         value_spec.quad_kind + "_quad", quad=value_spec.quad)
-        return make_composite(quad, n)
-    raise DomainError("unsupported value ring")
+    return value_spec if n <= value_spec.level else value_spec.with_level(n)
 
 
 # -- tilde ---------------------------------------------------------------------

@@ -11,6 +11,16 @@ kinds:
   composite       quad tensor cyclotomic, basis w^i x^j ordered w-fast
                   (index = i + 2*j)
 
+Each is built the same way, as a tower of monic extensions of Z/p^N: quad
+is Z/p^N[w]/(w^2 + b w + c), cyclotomic is Z/p^N[x]/Phi_{p^n} (degree 1 for
+p = 2, n = 1), composite is quad[x]/Phi_{p^n}, and lubin_tate.QuotientRing
+is base[X]/P on top of any of them.  One function, extend, takes a packed
+ring and a monic relation and returns the extension's packing and its
+reduction map: the canonical coordinates of every monomial of a raw,
+unreduced product.  compile_map turns the map, once per ring, into
+straight-line Python: reduce_block for the packed series kernel and
+mul_coords for single products.  No ring has reduction code of its own.
+
 All operations are exact in the quotient ring; there is no floating point in
 this module.  Valuations are returned as exact Fractions normalized so that
 v(p) = 1.  Operations that divide by p (log, exp) return the reduced effective
@@ -20,8 +30,10 @@ precision alongside the value.
 from __future__ import annotations
 
 import json
+from collections import Counter, namedtuple
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
+from itertools import chain
 from fractions import Fraction
 from math import inf
 
@@ -85,33 +97,24 @@ class RingSpec:
 
     def __post_init__(self):
         # Derived once per spec: every coefficient operation reads these.
-        qdeg = 2 if self.kind in ("ramified_quad", "unramified_quad", "composite") else 1
-        phi = 1 if self.level == 0 else self.p ** (self.level - 1) * (self.p - 1)
-        width = 2 * phi - 1
+        # packing, red_map, reduce_block and mul_coords: see _packed.
+        _require_ints(p=self.p, N=self.N, level=self.level, quad=self.quad or ())
         put = partial(object.__setattr__, self)
         put("modulus", self.p ** self.N)
-        put("phi", phi)      # degree of Phi_{p^level}; 1 with no cyclotomic part
-        put("rank", qdeg * phi)
-        # packing = (rank, block, slots, p^N) for series.packed_mul.  A raw
-        # product block of `block` slots holds the unreduced product of two
-        # elements on the monomials w^i x^j, i <= 2 qdeg - 2, j <= 2 phi - 2,
-        # in slot i * width + j; basis coordinate i + qdeg * j sits in
-        # slots[i + qdeg * j].
-        slots = tuple(i * width + j for j in range(phi) for i in range(qdeg))
-        put("packing", (qdeg * phi, (2 * qdeg - 1) * width, slots, self.modulus))
-        put("_cyclo_red", self._cyclo_rows() if phi > 1 else ())
+        # 'ramified' or 'unramified' for the quadratic part, else None
+        b, c, p = *(self.quad or (1, 1)), self.p
+        eisenstein = b % p == 0 and c % p == 0 and (c // p) % p != 0
+        put("quad_kind", self.quad and ("ramified" if eisenstein else "unramified"))
+        # degree of Phi_{p^level}; 1 with no cyclotomic part
+        put("phi", 1 if self.level == 0 else self.p ** (self.level - 1) * (self.p - 1))
+        for name, value in _packed(self.p, self.N, self.quad, self.level)._asdict().items():
+            put(name, value)
+        put("rank", self.packing[0])
+
+    def __reduce__(self):  # the compiled functions are rebuilt, not pickled
+        return RingSpec, (self.p, self.N, self.kind, self.quad, self.level)
 
     # -- structure ---------------------------------------------------------
-
-    @property
-    def quad_kind(self):
-        """'ramified' or 'unramified' for the quadratic part, else None."""
-        if self.quad is None:
-            return None
-        b, c = self.quad
-        if b % self.p == 0 and c % self.p == 0 and (c // self.p) % self.p != 0:
-            return "ramified"
-        return "unramified"
 
     @property
     def residue_degree(self):
@@ -126,6 +129,11 @@ class RingSpec:
 
     def with_precision(self, N2):
         return RingSpec(self.p, N2, self.kind, self.quad, self.level)
+
+    def with_level(self, n):
+        """This ring's quadratic part (if any) with zeta_{p^n} adjoined, n >= 1."""
+        kind = "cyclotomic" if self.quad is None else "composite"
+        return RingSpec(self.p, self.N, kind, self.quad, n)
 
     # -- element constructors ---------------------------------------------
 
@@ -185,81 +193,7 @@ class RingSpec:
     def is_zero(self, a):
         return a.is_zero()
 
-    # -- internals ---------------------------------------------------------
-
-    def _cyclo_rows(self):
-        """Sparse rows reducing x^d (phi <= d <= 2 phi - 2) to the basis:
-        rows[d - phi] lists the (i, c) with x^d = sum c x^i mod Phi_{p^level}."""
-        phi, p, n, m = self.phi, self.p, self.level, self.modulus
-        step = p ** (n - 1)
-        rows = []
-        for d in range(phi, 2 * phi - 1):
-            vec = [0] * (2 * phi)
-            vec[d] = 1
-            for e in range(2 * phi - 1, phi - 1, -1):
-                c = vec[e]
-                if c:
-                    vec[e] = 0
-                    # x^e = -(x^{e-phi}) * (1 + x^{step} + ... + x^{(p-2)step})
-                    t = e - phi
-                    for k in range(p - 1):
-                        vec[t + k * step] = (vec[t + k * step] - c) % m
-            rows.append(tuple((i, c) for i, c in enumerate(vec[:phi]) if c))
-        return tuple(rows)
-
-    def reduce_block(self, raw, o=0):
-        """Canonical coordinates of the raw product block raw[o:o + block].
-
-        The block's integers sit on the monomials w^i x^j (see __post_init__)
-        and may be any size.  The ring's relations fold them onto the basis
-        once: x^j for j >= phi by the rows of Phi_{p^level}, then
-        w^2 = -b w - c; the result is reduced mod p^N.
-        """
-        m = self.modulus
-        phi = self.phi
-        if phi == 1:
-            if self.quad is None:
-                return (raw[o] % m,)
-            qb, qc = self.quad
-            t2 = raw[o + 2]
-            return ((raw[o] - qc * t2) % m, (raw[o + 1] - qb * t2) % m)
-        width = 2 * phi - 1
-        red = self._cyclo_red
-        rows = []
-        for s in range(o, o + self.packing[1], width):
-            row = list(raw[s:s + phi])
-            for d in range(phi - 1):
-                c = raw[s + phi + d]
-                if c:
-                    for i, r in red[d]:
-                        row[i] += c * r
-            rows.append(row)
-        if self.quad is None:
-            return tuple(x % m for x in rows[0])
-        t0, t1, t2 = rows
-        qb, qc = self.quad
-        out = [0] * (2 * phi)
-        out[0::2] = [(x - qc * z) % m for x, z in zip(t0, t2)]
-        out[1::2] = [(y - qb * z) % m for y, z in zip(t1, t2)]
-        return tuple(out)
-
-    def mul_coords(self, a, b):
-        """Product of coordinate vectors: the raw product block, reduced."""
-        if self.rank == 1:
-            return self.reduce_block((a[0] * b[0],))
-        if self.phi == 1:
-            a0, a1 = a
-            b0, b1 = b
-            return self.reduce_block((a0 * b0, a0 * b1 + a1 * b0, a1 * b1))
-        _, block, slots, _ = self.packing
-        raw = [0] * block
-        for i, x in enumerate(a):
-            if x:
-                si = slots[i]
-                for j, y in enumerate(b):
-                    if y:
-                        raw[si + slots[j]] += x * y
-        return self.reduce_block(raw)
+    # -- coordinate arithmetic ---------------------------------------------
 
     def add_coords(self, a, b):
         m = self.modulus
@@ -277,41 +211,26 @@ class RingSpec:
     # -- serialization -----------------------------------------------------
 
     def kind_json(self):
-        if self.kind == "zp":
-            return {"zp": []}
-        if self.kind == "ramified_quad":
-            return {"ramified_quad": list(self.quad)}
-        if self.kind == "unramified_quad":
-            return {"unramified_quad": list(self.quad)}
-        if self.kind == "cyclotomic":
-            return {"cyclotomic": self.level}
-        return {
-            "composite": {
-                "quad": {self.quad_kind + "_quad": list(self.quad)},
-                "level": self.level,
-            }
-        }
+        if self.kind == "composite":
+            quad = {self.quad_kind + "_quad": list(self.quad)}
+            return {"composite": {"quad": quad, "level": self.level}}
+        return {self.kind: self.level if self.level else list(self.quad or ())}
 
     def to_json(self):
         return {"p": self.p, "N": self.N, "kind": self.kind_json()}
 
     @staticmethod
     def from_json(obj):
-        p, N, kind = obj["p"], obj["N"], obj["kind"]
-        if "zp" in kind:
-            return make_ring(p, N, "zp")
-        if "ramified_quad" in kind:
-            return make_ring(p, N, "ramified_quad", quad=tuple(kind["ramified_quad"]))
-        if "unramified_quad" in kind:
-            return make_ring(p, N, "unramified_quad", quad=tuple(kind["unramified_quad"]))
-        if "cyclotomic" in kind:
-            return make_ring(p, N, "cyclotomic", level=kind["cyclotomic"])
-        sub = kind["composite"]
-        quad = sub["quad"]
-        (qkind, coeffs), = quad.items()
-        return make_composite(
-            make_ring(p, N, qkind, quad=tuple(coeffs)), sub["level"]
-        )
+        p, N, kind = json_fields(obj, "p", "N", "kind")
+        if not isinstance(kind, dict) or len(kind) != 1:
+            raise DomainError("ring kind must be an object with one key")
+        (name, arg), = kind.items()
+        if name == "composite":
+            quad, level = json_fields(arg, "quad", "level")
+            return make_composite(RingSpec.from_json({"p": p, "N": N, "kind": quad}), level)
+        if name == "cyclotomic":
+            return make_ring(p, N, name, level=arg)
+        return make_ring(p, N, name, quad=arg)
 
 
 class RingElem:
@@ -386,21 +305,12 @@ class RingElem:
         return all(x == 0 for x in self.coords)
 
     def is_unit(self):
-        spec, p = self.spec, self.spec.p
-        if spec.kind == "zp":
-            return self.coords[0] % p != 0
-        if spec.kind == "ramified_quad":
-            return self.coords[0] % p != 0
-        if spec.kind == "unramified_quad":
-            return self.coords[0] % p != 0 or self.coords[1] % p != 0
-        # residue ring of the cyclotomic part is F_p[x]/(x-1)^phi: reduce x -> 1
-        if spec.kind == "cyclotomic":
-            return sum(self.coords) % p != 0
-        s0 = sum(self.coords[0::2]) % p
-        s1 = sum(self.coords[1::2]) % p
-        if spec.quad_kind == "ramified":
-            return s0 != 0
-        return (s0, s1) != (0, 0)
+        """Whether the image in the residue field (x -> 1 in the cyclotomic
+        part, w -> 0 when ramified) is nonzero."""
+        spec, c = self.spec, self.coords
+        if spec.level:
+            c = (sum(c[0::2]), sum(c[1::2])) if spec.quad else (sum(c),)
+        return c[0] % spec.p != 0 or (spec.quad_kind == "unramified" and c[1] % spec.p != 0)
 
     def inverse(self):
         spec = self.spec
@@ -426,12 +336,6 @@ class RingElem:
             raise PrecisionExhausted("exact division by p^%d fails" % k)
         return RingElem(self.spec, tuple(x // q for x in self.coords))
 
-    def lift_to(self, spec2):
-        """Reinterpret canonical coordinates in the same kind at precision N2."""
-        if spec2.kind != self.spec.kind or spec2.p != self.spec.p:
-            raise DomainError("lift_to requires the same ring kind")
-        return spec2.elem(self.coords)
-
     def to_json(self):
         d = self.spec.to_json()
         d["coords"] = list(self.coords)
@@ -447,14 +351,9 @@ def _generic_inverse(x):
     """Invert a unit by Gaussian elimination on its multiplication matrix."""
     spec = x.spec
     r, m, p = spec.rank, spec.modulus, spec.p
-    cols = []
-    basis = [tuple(1 if i == j else 0 for i in range(r)) for j in range(r)]
-    for bj in basis:
-        cols.append(list(spec.mul_coords(x.coords, bj)))
     # solve M y = e_0 over Z/p^N; pivots must be units since x is a unit
-    M = [[cols[j][i] for j in range(r)] for i in range(r)]
+    M = mult_matrix(spec, x.coords)
     rhs = [1] + [0] * (r - 1)
-    perm = list(range(r))
     for col in range(r):
         piv = next((i for i in range(col, r) if M[i][col] % p != 0), None)
         if piv is None:
@@ -475,28 +374,47 @@ def _generic_inverse(x):
 # -- construction -----------------------------------------------------------
 
 
+def json_fields(obj, *keys):
+    """[obj[k] for k in keys]; DomainError unless obj is a JSON object
+    holding every key."""
+    if not isinstance(obj, dict) or any(k not in obj for k in keys):
+        raise DomainError(f"expected a JSON object with keys {', '.join(keys)}")
+    return [obj[k] for k in keys]
+
+
+def _require_ints(**fields):
+    """DomainError unless every named field (or tuple of them) holds ints."""
+    for name, v in fields.items():
+        if any(type(x) is not int for x in (v if isinstance(v, tuple) else (v,))):
+            raise DomainError(f"{name} must be made of integers, got {v!r}")
+
+
 def make_ring(p, N, kind, quad=None, level=0):
     """Build a RingSpec, validating the defining data.
 
     kind: "zp" | "ramified_quad" | "unramified_quad" | "cyclotomic".
     quad: (b, c) for x^2 + b x + c; level: n for Phi_{p^n}.
     """
+    _require_ints(p=p, N=N, level=level)
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     if N < 1:
         raise DomainError("precision N must be >= 1")
     if kind == "zp":
         return RingSpec(p, N, "zp")
+    if kind in ("ramified_quad", "unramified_quad"):
+        if not isinstance(quad, (tuple, list)) or len(quad) != 2:
+            raise DomainError("quad must be a pair (b, c)")
+        b, c = quad = tuple(quad)
+        _require_ints(quad=quad)
     if kind == "ramified_quad":
-        b, c = quad
         if not (b % p == 0 and c % p == 0 and (c // p) % p != 0):
             raise DomainError("defining polynomial is not Eisenstein")
-        return RingSpec(p, N, kind, quad=(b, c))
+        return RingSpec(p, N, kind, quad=quad)
     if kind == "unramified_quad":
-        b, c = quad
         if any((x * x + b * x + c) % p == 0 for x in range(p)):
             raise DomainError("defining polynomial is reducible mod p")
-        return RingSpec(p, N, kind, quad=(b, c))
+        return RingSpec(p, N, kind, quad=quad)
     if kind == "cyclotomic":
         if level < 1:
             raise DomainError("cyclotomic level must be >= 1")
@@ -508,9 +426,117 @@ def make_composite(quad_spec, level):
     """Tensor a quadratic RingSpec with the level-n cyclotomic ring."""
     if quad_spec.kind not in ("ramified_quad", "unramified_quad"):
         raise DomainError("composite requires a quadratic spec")
+    _require_ints(level=level)
     if level < 1:
         raise DomainError("cyclotomic level must be >= 1")
     return RingSpec(quad_spec.p, quad_spec.N, "composite", quad=quad_spec.quad, level=level)
+
+
+# -- packed rings: towers of monic extensions of Z/p^N ---------------------------
+
+
+_Packed = namedtuple("_Packed", "packing red_map reduce_block mul_coords")
+
+# The compiled mul_coords has rank^2 products: rank 162 compiles in 0.26 s
+# and 31 MB (CPython 3.11).  Larger rings are refused, not compiled.
+MAX_RANK = 300
+
+
+def extend(base, rel):
+    """Packing and reduction map of base[Z]/(rel(Z)) for a monic rel.
+
+    base is a packed ring: its packing = (rank, block, slots, p^N) says that
+    an element is rank coordinates, coordinate i in slot slots[i] of a raw
+    product block of block slots; red_map[t] is the canonical form of raw
+    slot t; mul_coords is its product.  rel lists base coordinate tuples
+    rel_0, ..., rel_d = 1.  Extension coordinate z * rank + i is Z^z times
+    base coordinate i, in slot z * block + slots[i], so slot offsets add
+    like exponents and raw slot e * block + t is the monomial Z^e t: its row
+    is t's canonical form times Z^e, folded onto 1, ..., Z^(d-1) by
+    Z^d = -sum_{i<d} rel_i Z^i with the base's own product.
+    """
+    r, block, slots, m = base.packing
+    d = len(rel) - 1
+    if d * r > MAX_RANK:
+        raise DomainError(f"a ring of rank {d * r} exceeds MAX_RANK = {MAX_RANK}")
+    zero = (0,) * r
+    z_pows = [[zero] * d for _ in range(d)]
+    for e in range(d):
+        z_pows[e][e] = (1,) + zero[1:]
+    for _ in range(d, 2 * d - 1):
+        top, z = z_pows[-1][-1], [zero] + z_pows[-1][:-1]
+        z_pows.append([tuple((x - y) % m for x, y in zip(zi, base.mul_coords(top, ri)))
+                       for zi, ri in zip(z, rel)])
+    red_map = tuple(tuple(chain.from_iterable(base.mul_coords(c, v) for c in ze))
+                    for ze in z_pows for v in base.red_map)
+    packing = (d * r, (2 * d - 1) * block,
+               tuple(z * block + s for z in range(d) for s in slots), m)
+    return packing, red_map
+
+
+def compile_map(packing, red_map):
+    """(reduce_block, mul_coords) compiled from a packed ring's reduction map.
+
+    reduce_block(raw, o) maps raw[o:o + block] through the map mod p^N;
+    mul_coords(a, b) sums the raw product slot by slot, then does the same.
+    Both are straight-line Python whose only literals are slot offsets and
+    map entries reduced mod p^N (balanced, so -1 stays -1).  They carry this
+    file's name, so profilers count them with the rest of rings.
+    """
+    rank, block, slots, m = packing
+    _require_ints(packing=(rank, block, m) + tuple(slots),
+                  map=tuple(chain.from_iterable(red_map)))
+    # terms[i] lists (slot, coefficient) for canonical coordinate i
+    terms = [[(s, c - m if 2 * c > m else c) for s, row in enumerate(red_map)
+              for c in [row[i] % m] if c] for i in range(rank)]
+    uses = Counter(s for t in terms for s, _ in t)
+    prods = {s: [] for s in uses}
+    for i, si in enumerate(slots):
+        for j, sj in enumerate(slots):
+            if si + sj in prods:
+                prods[si + sj].append(f"a{i} * b{j}")
+
+    def body(expr):
+        """Lines binding the slots read twice or more, then the return."""
+        name = {s: f"r{s}" if n > 1 else f"({expr[s]})" for s, n in uses.items()}
+        forms = []
+        for t in terms:
+            form = " ".join(f"{'-' if c < 0 else '+'} {'' if abs(c) == 1 else f'{abs(c)} * '}"
+                            f"{name[s]}" for s, c in t)
+            forms.append(f"({form.removeprefix('+ ')}) % {m}" if t else "0")
+        return ([f"    r{s} = {expr[s]}" for s in sorted(uses) if uses[s] > 1]
+                + ["    return (" + ", ".join(forms) + ",)"])
+
+    src = "\n".join([
+        "def reduce_block(raw, o=0):",
+        *body({s: f"raw[o + {s}]" if s else "raw[o]" for s in uses}),
+        "def mul_coords(a, b):",
+        "    " + "".join(f"a{i}, " for i in range(rank)) + "= a",
+        "    " + "".join(f"b{i}, " for i in range(rank)) + "= b",
+        *body({s: " + ".join(prods[s]) for s in uses}), ""])
+    scope = {}
+    exec(compile(src, __file__, "exec"), scope)
+    return scope["reduce_block"], scope["mul_coords"]
+
+
+@lru_cache(maxsize=256)
+def _packed(p, N, quad, level):
+    """The _Packed of Z/p^N, extended by w^2 + b w + c for quad = (b, c),
+    then by Phi_{p^level}(x) = sum_{k<p} x^(k p^(level-1)) for level >= 1."""
+    if level:
+        base = _packed(p, N, quad, 0)
+        step, r = p ** (level - 1), base.packing[0]
+        if (p - 1) * step * r > MAX_RANK:  # refused before Phi is even listed
+            raise DomainError(f"level {level} exceeds MAX_RANK = {MAX_RANK}")
+        rel = [(1 if k % step == 0 else 0,) + (0,) * (r - 1)
+               for k in range((p - 1) * step + 1)]
+        packing, red_map = extend(base, rel)
+    elif quad is not None:
+        b, c = quad
+        packing, red_map = extend(_packed(p, N, None, 0), [(c,), (b,), (1,)])
+    else:
+        packing, red_map = (1, 1, (0,), p ** N), ((1,),)
+    return _Packed(packing, red_map, *compile_map(packing, red_map))
 
 
 # -- valuation ---------------------------------------------------------------
@@ -569,15 +595,12 @@ def laplace_det(R, rows):
     return minor(0, (1 << n) - 1)
 
 
-def mult_matrix(x):
-    """Integer matrix of multiplication by x on the canonical basis."""
-    spec = x.spec
-    r = spec.rank
-    cols = []
-    for j in range(r):
-        ej = tuple(1 if i == j else 0 for i in range(r))
-        cols.append(spec.mul_coords(x.coords, ej))
-    return [[cols[j][i] for j in range(r)] for i in range(r)]
+def mult_matrix(K, a):
+    """Integer matrix of multiplication by the coordinates a on the canonical
+    basis of a packed ring K (a RingSpec or a lubin_tate.QuotientRing)."""
+    r = K.packing[0]
+    cols = [K.mul_coords(a, tuple(int(i == j) for i in range(r))) for j in range(r)]
+    return [list(row) for row in zip(*cols)]
 
 
 def norm_to_base(x):
@@ -585,7 +608,7 @@ def norm_to_base(x):
     spec = x.spec
     if spec.kind == "zp":
         return x
-    det = _det_bareiss(mult_matrix(x)) % spec.modulus
+    det = _det_bareiss(mult_matrix(spec, x.coords)) % spec.modulus
     base = RingSpec(spec.p, spec.N, "zp")
     return base.from_int(det)
 
@@ -595,7 +618,7 @@ def trace_to_base(x):
     spec = x.spec
     if spec.kind == "zp":
         return x
-    M = mult_matrix(x)
+    M = mult_matrix(spec, x.coords)
     base = RingSpec(spec.p, spec.N, "zp")
     return base.from_int(sum(M[i][i] for i in range(spec.rank)))
 
@@ -606,20 +629,12 @@ def valuation(x):
     p, N = spec.p, spec.N
     if x.is_zero():
         return inf
-    if spec.kind == "zp":
-        return Fraction(ord_int(x.coords[0], p))
-    if spec.kind == "ramified_quad":
-        v0 = ord_int(x.coords[0], p)
-        v1 = ord_int(x.coords[1], p)
-        cands = []
-        if v0 != inf:
-            cands.append(Fraction(v0))
-        if v1 != inf:
-            cands.append(Fraction(v1) + Fraction(1, 2))
-        return min(cands)
-    if spec.kind == "unramified_quad":
-        return Fraction(min(ord_int(x.coords[0], p), ord_int(x.coords[1], p)))
-    det = _det_bareiss(mult_matrix(x)) % spec.modulus
+    if spec.level == 0:
+        # in units of v(w): 1/2 when ramified (then v(w^i) = i), else 1
+        e = 2 if spec.quad_kind == "ramified" else 1
+        return Fraction(min(e * ord_int(c, p) + i * (e - 1)
+                            for i, c in enumerate(x.coords) if c), e)
+    det = _det_bareiss(mult_matrix(spec, x.coords)) % spec.modulus
     vd = ord_int(det, p)
     if vd == inf or vd >= N:
         raise PrecisionExhausted("valuation unresolved at precision p^%d" % N)

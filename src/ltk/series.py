@@ -16,13 +16,18 @@ packed_mul (Kronecker substitution; Harvey, arXiv:0712.4046): a coefficient
 list becomes one Python int, the two ints are multiplied once, and each
 product block is reduced once by the ring's relations.  A residue ring
 speaks the kernel through `packing` = (rank, block, slots, p^N) and
-`reduce_block(raw, o)`: RingSpec for the coefficient rings, and
-lubin_tate.QuotientRing, which packs one more variable, for base[X]/P.
+`reduce_block(raw, o)`.  Every ring has both from one construction
+(rings.extend, rings.compile_map): the ring is a tower of monic extensions
+of Z/p^N, packing places each coordinate in a slot so that slot offsets add
+like exponents, and reduce_block is the ring's reduction map, compiled
+once per ring to straight-line code.  RingSpec (the coefficient rings) and
+lubin_tate.QuotientRing (base[X]/P) are the two kinds of packed ring.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import floor, inf
 
 from .rings import (
@@ -30,10 +35,10 @@ from .rings import (
     PrecisionExhausted,
     RingElem,
     RingSpec,
+    _require_ints,
     descend,
     embed,
-    make_composite,
-    make_ring,
+    json_fields,
     ord_int,
     valuation,
 )
@@ -354,9 +359,16 @@ class TruncSeries:
 
     @staticmethod
     def from_json(obj):
-        spec = RingSpec.from_json(obj["spec"])
-        return TruncSeries(spec, obj["D"], obj["coeffs"],
-                           obj["N_eff"], obj.get("shift", 0))
+        spec, cap, n_eff, coeffs = json_fields(obj, "spec", "D", "N_eff", "coeffs")
+        spec = RingSpec.from_json(spec)
+        shift = obj.get("shift", 0)
+        if not (isinstance(coeffs, list)
+                and all(isinstance(c, list) and len(c) == spec.rank for c in coeffs)):
+            raise DomainError(f"coeffs must be a list of {spec.rank}-integer lists")
+        _require_ints(D=cap, N_eff=n_eff, shift=shift, coeffs=tuple(chain(*coeffs)))
+        if not 0 <= shift < n_eff <= spec.N:
+            raise DomainError("a series needs 0 <= shift < N_eff <= N")
+        return TruncSeries(spec, cap, coeffs, n_eff, shift)
 
 
 def _align(a, b):
@@ -452,7 +464,7 @@ def packed_mul(K, a, b, cap):
     slots[i]; blocks follow the powers of X.  Packed at X -> 2^(8 nbytes
     block), the two lists multiply as one pair of ints, and the block of
     X^k in the product is the raw, unreduced product coefficient, which
-    K.reduce_block folds onto the basis once.
+    K.reduce_block maps onto the basis once (rings.compile_map).
 
     Slot width.  Every input coordinate lies in [0, m - 1], m = p^N.  Slot
     offsets add like monomial exponents (each variable's degree in a product
@@ -764,11 +776,9 @@ def weierstrass_prep(f, max_iter=None):
 
 
 def _cyclo_extension(spec, n):
-    if spec.kind == "zp":
-        return make_ring(spec.p, spec.N, "cyclotomic", level=n)
-    if spec.kind in ("ramified_quad", "unramified_quad"):
-        return make_composite(spec, n)
-    raise DomainError("unsupported base for the cyclotomic oracle")
+    if spec.level:
+        raise DomainError("unsupported base for the cyclotomic oracle")
+    return spec.with_level(n)
 
 
 def mu_lambda_by_roots(f, n_values):

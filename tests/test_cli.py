@@ -2,6 +2,7 @@ import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ltk.cli import run
 from ltk.rings import make_ring
@@ -217,3 +218,131 @@ def test_exit_code_and_json_error(capsys, argv, code):
     else:
         assert err == ""
         assert "provenance" in json.loads(out)
+
+
+# -- malformed inputs: exit 1 or 2 with one JSON error, never a traceback ----------
+
+
+RAM3 = ["--p", "3", "--ring", "ram", "--pi-sq", "-3", "--prec", "7", "--deg", "24"]
+
+
+def run_err(capsys, argv):
+    """(exit code, the JSON error object on stderr, or None on success)."""
+    rc = run(argv)
+    out, err = capsys.readouterr()
+    assert rc in (0, 1, 2)
+    if rc == 0:
+        assert err == "" and "provenance" in json.loads(out)
+        return rc, None
+    return rc, json.loads(err)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("N", 7.0), ("p", "3"), ("quad", ["0", 3]), ("quad", [0, 3.0]),
+])
+def test_ring_data_must_be_integers(tmp_path, capsys, field, value):
+    q3 = make_ring(3, 7, "ramified_quad", quad=(0, 3))
+    doc = TruncSeries(q3, 24, [1, 2]).to_json()
+    if field == "quad":
+        doc["spec"]["kind"]["ramified_quad"] = value
+    else:
+        doc["spec"][field] = value
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    rc, err = run_err(capsys, RAM3 + ["norm-op", "--series", str(path)])
+    assert rc == 1 and err["error"] == "usage"
+    assert "must be made of integers" in err["detail"]
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["char", "--matrix"], {}),
+    (RAM3 + ["norm-op", "--series"], {}),
+    (RAM3 + ["coleman", "interpolate", "--system"], {"values": {"9": []}}),
+    (["--p", "3", "--prec", "8", "--deg", "24", "measure", "moment", "--series"],
+     TruncSeries(make_ring(3, 8, "zp"), 24, [1, 2]).to_json()),
+])
+def test_malformed_documents_are_usage_errors(tmp_path, capsys, argv, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    rc, err = run_err(capsys, argv + [str(path)])
+    assert rc == 1 and err["error"] == "usage"
+
+
+def test_cap_override_is_validated_and_reported(capsys, monkeypatch):
+    monkeypatch.setenv("LTK_CAP_OVERRIDE", "1")
+    rc, err = run_err(capsys, ["--p", "3", "--ring", "ram", "--prec", "7",
+                               "--deg", "24", "norm-op"])
+    assert rc == 1 and err["error"] == "usage"
+    monkeypatch.setenv("LTK_CAP_OVERRIDE", "12")
+    rc, d = run_json(capsys, ["--p", "3", "--prec", "8", "--deg", "999",
+                              "measure", "moment", "--dirac", "2", "--k", "2"])
+    assert rc == 0 and d["provenance"]["caps"]["degree"] == 12
+
+
+def _fuzz_documents():
+    """(argv before the file, a valid document) per file-reading command,
+    on small rings and caps so that every run is cheap."""
+    from ltk.coleman import norm_fixed_point, system_from_series
+    from ltk.lubin_tate import build_group, build_tower
+    z = make_ring(3, 4, "zp")
+    q3 = make_ring(3, 4, "ramified_quad", quad=(0, 3))
+    pres = LambdaPresentation(z, [[TruncSeries(z, 8, [3]), TruncSeries(z, 8, [1])],
+                                  [TruncSeries(z, 8, []), TruncSeries(z, 8, [-3, 1])]])
+    G = build_group(q3, q3.gen_quad(), 3, 12)
+    gf, _ = norm_fixed_point(G, TruncSeries(q3, 12, [1, [1, 1], 2]))
+    system = system_from_series(build_tower(G, 2), gf)
+    ram = ["--p", "3", "--ring", "ram", "--pi-sq", "-3", "--prec", "4", "--deg", "12"]
+    return {
+        "char": (["char", "--matrix"], pres.to_json()),
+        "norm-op": (ram + ["norm-op", "--series"],
+                    TruncSeries(q3, 12, [1, [2, 1], 0, 5]).to_json()),
+        "coleman": (ram + ["coleman", "interpolate", "--system"], system.to_json()),
+        "measure": (["--p", "3", "--prec", "4", "--deg", "8", "measure", "moment",
+                     "--series"],
+                    {"amice": TruncSeries(z, 8, [1, 2, 1]).to_json(), "group": "zp"}),
+    }
+
+
+FUZZ_DOCS = _fuzz_documents()
+SMALL_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.sampled_from([0.5, 7.0])
+    | st.text("ab1", max_size=2),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text("ab1", max_size=2), kids, max_size=2),
+    max_leaves=4)
+
+
+def _paths(doc, path=()):
+    yield path
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield from _paths(v, path + (k,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """doc with one node replaced by a small JSON value, or deleted."""
+    doc = json.loads(json.dumps(doc))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    if not path:
+        return draw(SMALL_JSON)
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(SMALL_JSON)
+    return doc
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_DOCS))
+@settings(max_examples=25, deadline=None, suppress_health_check=[
+    HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_documents_end_in_json(tmp_path, capsys, command, data):
+    argv, doc = FUZZ_DOCS[command]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(data.draw(mutated(doc))))
+    run_err(capsys, argv + [str(path)])

@@ -126,6 +126,19 @@ def quotient_rings():
 PACKED = dict(SPECS, **{"quot_" + k: v for k, v in quotient_rings().items()})
 
 
+def larger_rings():
+    """Rings the workloads and tests build beyond PACKED, up to rank 16."""
+    from ltk.lubin_tate import build_tower
+    ram = SPECS["ramified"]
+    u3 = make_ring(3, 6, "unramified_quad", quad=(0, 1))
+    return {
+        "composite_level2": make_composite(make_ring(3, 7, "ramified_quad", quad=(0, 3)), 2),
+        "unramified_p3": u3,
+        "quot_torsion_q9": build_group(u3, 3, 9, 24).torsion_quotient_ring(),
+        "quot_tower_level2": build_tower(build_group(ram, ram.gen_quad(), 3, 24), 2).rings[2],
+    }
+
+
 def coeff_lists(K, max_len):
     rank, m, _ = ring_of(K)
     coord = st.one_of(st.sampled_from([0, 0, 1, m - 1]), st.integers(0, m - 1))
@@ -144,6 +157,25 @@ def test_mul_coords_matches_schoolbook(name):
         a = tuple(rng.randrange(spec.modulus) for _ in range(spec.rank))
         b = tuple(rng.randrange(spec.modulus) for _ in range(spec.rank))
         assert spec.mul_coords(a, b) == ref_elem_mul(spec, a, b)
+
+
+ALL_RINGS = dict(PACKED, **larger_rings())
+
+
+@pytest.mark.parametrize("name", sorted(ALL_RINGS))
+def test_reduction_map_column_by_column(name):
+    """The raw unit vector at each slot of a product block is the product of
+    two basis monomials; reduced, it must equal their schoolbook product."""
+    K = ALL_RINGS[name]
+    rank, block, slots, m = K.packing
+    _, _, mul = ring_of(K)
+    basis = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
+    for s in range(block):
+        i, j = next((i, j) for i in range(rank) for j in range(rank)
+                    if slots[i] + slots[j] == s)
+        unit = [0] * block
+        unit[s] = 1
+        assert K.reduce_block(unit) == mul(basis[i], basis[j]), s
 
 
 @pytest.mark.parametrize("name", sorted(quotient_rings()))
