@@ -301,22 +301,26 @@ def cmd_elliptic(cfg, args):
     if len(parts) != 2:
         raise DomainError("--lattice needs two periods (w1 w2 or w1,w2)")
     w1, w2 = complex(parts[0]), complex(parts[1])
-    L = EL.Lattice(w1, w2)
     z = complex(args.z)
-    if args.action == "theta":
-        v = L.theta_robert(z)
-        payload = {"theta": [v.real, v.imag]}
-    else:
-        asub = complex(args.sub)
-        if asub == 0:
-            raise DomainError("--sub must be nonzero")
-        Lsub = EL.scale_lattice(L, 1 / asub)
-        # psi(z; L, a^{-1} L)
-        v = EL.psi_robert(z, L, Lsub)
-        d, rep = EL.delta_canonical(L, Lsub)
-        payload = {"psi": [v.real, v.imag],
-                   "delta_branch": rep["branch"],
-                   "mu12_ambiguity": rep["mu12_ambiguity"]}
+    try:
+        L = EL.Lattice(w1, w2)
+        if args.action == "theta":
+            v = L.theta_robert(z)
+            payload = {"theta": [v.real, v.imag]}
+        else:
+            asub = complex(args.sub)
+            if asub == 0:
+                raise DomainError("--sub must be nonzero")
+            Lsub = EL.scale_lattice(L, 1 / asub)
+            # psi(z; L, a^{-1} L)
+            v = EL.psi_robert(z, L, Lsub)
+            d, rep = EL.delta_canonical(L, Lsub)
+            payload = {"psi": [v.real, v.imag],
+                       "delta_branch": rep["branch"],
+                       "mu12_ambiguity": rep["mu12_ambiguity"]}
+    except OverflowError as exc:
+        raise PrecisionExhausted(
+            f"elliptic values overflow double precision: {exc}") from exc
     payload["truncation"] = {"q_terms": EL._Q_TERMS,
                              "legendre_defect": L.legendre_defect}
     return _emit(cfg, payload)
@@ -325,8 +329,15 @@ def cmd_elliptic(cfg, args):
 # -- argument parsing ----------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors are raised, so run reports them as JSON."""
+
+    def error(self, message):
+        raise DomainError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="ltk",
         description="exact-arithmetic toolkit for height-2 local Iwasawa theory")
     ap.add_argument("--p", type=int, default=3)
@@ -391,16 +402,15 @@ COMMANDS = {
 
 
 def run(argv):
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code else 0
-    cfg = JobConfig(
-        subcommand=args.subcommand, p=args.p, prec=args.prec, deg=args.deg,
-        ring=args.ring, pi_sq=args.pi_sq, seed=args.seed, out=args.out,
-        variant=args.variant, verbose=args.verbose, inputs=vars(args))
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help
+            return 1 if exc.code else 0
+        cfg = JobConfig(
+            subcommand=args.subcommand, p=args.p, prec=args.prec, deg=args.deg,
+            ring=args.ring, pi_sq=args.pi_sq, seed=args.seed, out=args.out,
+            variant=args.variant, verbose=args.verbose, inputs=vars(args))
         # the override is one more source of the degree cap, validated with it
         override = os.environ.get("LTK_CAP_OVERRIDE")
         if override:

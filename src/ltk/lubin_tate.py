@@ -8,11 +8,12 @@ recovers the classical picture.
 
 Every algorithm here runs over a small ring protocol: zero, one, from_base,
 add, sub, mul, is_zero.  The base RingSpec, the series ring SeriesRing, the
-quotient rings base[X]/P and the exact rationals _Rationals all speak it, so
-the truncated product, the Horner composition, the companion-matrix norm and
-the determinant (rings.laplace_det) each exist once.  A QuotientRing is
-also a packed ring: one more monic extension in the tower of rings.extend,
-with the same compiled reduce_block and mul_coords as a RingSpec.
+quotient rings base[X]/P, the exact rationals _Rationals and _Coords (any
+packed ring on flat coordinate tuples, with its compiled mul_coords) all
+speak it, so the structural solver, the companion-matrix norm and the
+determinant (rings.laplace_det) each exist once.  A QuotientRing is also a
+packed ring: one more monic extension in the tower of rings.extend, with the
+same compiled reduce_block and mul_coords as a RingSpec.
 
 Structural series.  The logarithm, the exponential, the endomorphisms [a]_f
 and the torsion translates X [+] pt are each pinned down, coefficient by
@@ -28,10 +29,18 @@ coefficient, by the Lubin-Tate uniqueness lemma in one shape:
 where f(pt + S) = sum_i d_i S^i.  _solve_structural solves all four.  As
 c_0 = 0, [C^j]_k involves only c_1..c_{k-1}, so the powers of C come from the
 running convolution P_j[k] = sum_{i=1}^{k-1} c_i P_{j-1}[k-i], filled in as
-the coefficients appear.  The first three are solved over exact rationals:
-divisions by pi^k - pi cost no precision, and the results are certified
-p-integral on the way back to residues.  The translates are solved in the
-quotient ring base[w]/pibar_1(w), with certified divisions by d_1 = f'(pt).
+the coefficients appear.
+
+Which solves are residue and which rational.  [a]_f is solved in residue
+arithmetic, Z/p^(N+s) on coordinate tuples, each division by pi^k - pi an
+exact, checked division by p; the budget s = 1 + ceil(floor(log_q(cap-1)) / e)
+is derived in FormalGroup.endomorphism (an error reaches c_k with a unit
+coefficient only from c_{k/q}, so the loss grows with the q-adic depth of
+the cap).  The translates are solved in the quotient ring base[w]/pibar_1(w)
+on flat coordinates, with certified divisions by d_1 = f'(pt) through an
+integer inverse (QuotientRing.make_divider).  log and exp stay over exact
+rationals: their denominators are genuine, and log_series, q_coordinate and
+group_law_bivariate report them exactly.
 
 The Coleman norm operator is a resultant: N_f g (Y) = det g(C) where C is
 the companion matrix of f(Z) - Y, exact mod (p^N, Y^D).  The entries of g(C)
@@ -43,6 +52,7 @@ torsion translates; the two routes share only the protocol arithmetic.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import partial
 from itertools import chain
@@ -163,14 +173,43 @@ class _Rationals:
 # -- polynomial algorithms over the ring protocol ------------------------------------
 
 
-def _poly_mul(R, a, b, cap):
-    """Truncated product of coefficient lists over R.
+class _Coords:
+    """A packed ring K on flat coordinate tuples, as a protocol ring.
 
-    A QuotientRing multiplies in the packed kernel; the loop below serves
-    the rings with no packed form (_Rationals, SeriesRing).
+    Its elements are the canonical coordinate tuples the packed kernel
+    reads and writes; products are K's compiled mul_coords, sums are taken
+    mod p^N and zero is `not any(...)`.  _solve_structural runs over it for
+    every residue solve ([a]_f over a RingSpec, the translates over a
+    QuotientRing), so no RingElem is built inside the solve.
     """
-    if isinstance(R, QuotientRing):
-        return R.poly_mul(a, b, cap)
+
+    def __init__(self, K):
+        rank, _, _, self.m = K.packing
+        self.K = K
+        self.mul = K.mul_coords
+        self._zero = (0,) * rank
+
+    def zero(self):
+        return self._zero
+
+    def one(self):
+        return (1,) + self._zero[1:]
+
+    def add(self, a, b):
+        m = self.m
+        return tuple((x + y) % m for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        m = self.m
+        return tuple((x - y) % m for x, y in zip(a, b))
+
+    @staticmethod
+    def is_zero(a):
+        return not any(a)
+
+
+def _poly_mul(R, a, b, cap):
+    """Truncated product of coefficient lists over the exact rationals."""
     out = [R.zero()] * cap
     for i, ai in enumerate(a[:cap]):
         if R.is_zero(ai):
@@ -182,19 +221,28 @@ def _poly_mul(R, a, b, cap):
 
 
 def _compose(R, f, g, cap):
-    """f(g) mod X^cap by Horner's rule over R.
+    """f(g) mod X^cap by Horner's rule over the exact rationals.
 
     Every coefficient of f is used: g(0) need not vanish, so high terms of f
-    reach the low degrees.  A QuotientRing runs the Horner steps packed.
+    reach the low degrees.
     """
-    if isinstance(R, QuotientRing):
-        return R.compose(f, g, cap)
     res = [R.zero()] * cap
     for c in reversed(f):
         res = _poly_mul(R, res, g, cap)
         if not R.is_zero(c):
             res[0] = R.add(res[0], c)
     return res
+
+
+def _balanced_lift(x, big):
+    """The coordinates of x in big = Z/p^M (M >= N) through the balanced lift.
+
+    [a]_f mod p^N depends on the lift of a and of f, not only on their
+    residues (c_q is a multiple of (a - a^q) / (pi^q - pi)), so every solve
+    lifts the way the exact rationals do: residues above p^N / 2 go negative.
+    """
+    m, big_m = x.spec.modulus, big.modulus
+    return tuple((c if c <= m // 2 else c - m) % big_m for c in x.coords)
 
 
 def _solve_structural(R, cap, head, divide, b=(), u=(), v_pows=()):
@@ -311,6 +359,8 @@ class FormalGroup:
         self._Q = _Rationals(spec)
         self._f_rat = [self._Q.from_base(c) for c in self.f_poly]
         self._f_pows = []
+        self._residue_solvers = {}
+        self._torsion_ring = None
         self._log_cache = {}
         self._exp_cache = {}
         self._endo_cache = {}
@@ -457,27 +507,106 @@ class FormalGroup:
             return False
         return l[1] == R.one()
 
-    # -- endomorphisms ----------------------------------------------------------
+    # -- endomorphisms, in residue arithmetic ------------------------------------
+
+    def _solve_budget(self, cap):
+        """s = 1 + ceil(floor(log_q(cap - 1)) / e), derived in endomorphism."""
+        t, qt = 0, self.q
+        while qt <= cap - 1:
+            t, qt = t + 1, qt * self.q
+        return 1 - (-t // self.spec.ramification_index)
+
+    def _residue_solver(self, cap):
+        """(K, f, f powers, divide) for a structural solve mod X^cap in Z/p^M.
+
+        M = N + _solve_budget(cap).  K is Z/p^M on coordinate tuples
+        (_Coords); f lists the balanced lifts of f's coefficients and the
+        powers [None, f, f^2, ...] are known mod X^cap (packed products);
+        divide(k, x) = x / (pi^k - pi) is x rho_k / p with
+        rho_k = p / (pi^k - pi) = (p / pi) (pi^(k-1) - 1)^-1, and raises
+        PrecisionExhausted unless x rho_k is divisible by p.  Kept per M for
+        the largest cap asked for.
+        """
+        big = self.spec.with_precision(self.spec.N + self._solve_budget(cap))
+        built = self._residue_solvers.get(big.N)
+        if built and len(built[2]) >= cap:
+            return built
+        K = _Coords(big)
+        f = [_balanced_lift(c, big) for c in self.f_poly]
+        fc = (f + [K.zero()] * cap)[:cap]
+        pows = [None, fc]
+        for _ in range(2, cap):
+            pows.append(packed_mul(big, fc, pows[-1], cap))
+        # pi^e = p u with u a unit, so p / pi = pi^(e-1) u^-1; pi^e is formed
+        # one digit up so that u is known mod p^M
+        e, up = self.spec.ramification_index, big.with_precision(big.N + 1)
+        u = (RingElem(up, _balanced_lift(self.pi, up)) ** e).divide_exact_p(1)
+        pi = RingElem(big, _balanced_lift(self.pi, big))
+        p_over_pi = pi ** (e - 1) * RingElem(big, u.coords).inverse()
+        rho, pik = [None, None], pi
+        for _ in range(2, cap):
+            rho.append((p_over_pi * (pik - 1).inverse()).coords)
+            pik = pik * pi
+        mul, p = big.mul_coords, big.p
+
+        def divide(k, x):
+            y = mul(x, rho[k])
+            if any(c % p for c in y):
+                raise PrecisionExhausted(
+                    "[a]_f coefficient %d is not integral at p^%d" % (k, big.N))
+            return tuple(c // p for c in y)
+
+        self._residue_solvers[big.N] = K, f, pows, divide
+        return self._residue_solvers[big.N]
 
     def endomorphism(self, a, cap=None):
-        """[a]_f as an integral TruncSeries, solved from [a] o f = f o [a]."""
+        """[a]_f as an integral TruncSeries, solved from [a] o f = f o [a].
+
+        The solve runs in Z/p^M, M = N + s, on the balanced lifts of a and of
+        f's coefficients, and keeps the residues mod p^N: those of the exact
+        [a]_f of the lifts, which is integral (Lubin and Tate, 1965).  Each
+        c_k = r_k / (pi^k - pi) is the exact division (r_k rho_k) / p, with
+        rho_k = p / (pi^k - pi) integral (_residue_solver).
+
+        Budget.  Let the computed c_k differ from the exact one by an error
+        of valuation >= M - lambda_k (v(p) = 1, v(pi) = 1/e, e the base's
+        ramification index); c_1 = a is exact.  The division by p leaves c_k
+        known mod p^(M-1), so lambda_k >= 1, and divides the error of r_k by
+        pi.  Which errors reach r_k with a unit coefficient?  In
+        sum_{j<k} c_j [f^j]_k only that of c_{k/q}: f = X^q mod pi, so
+        [f^j]_k is divisible by pi unless k = q j.  In sum_{j>=2} f_j [C^j]_k
+        none: f_j is divisible by pi for 1 < j < q, and an error eps in C
+        moves C^q by sum_{0<m<q} binom(q, m) C^(q-m) eps^m + eps^q, all of
+        valuation >= v(eps) + 1 (q is a power of p and v(eps) >= 1).  So
+
+            lambda_k <= max(1, max_{j<k} lambda_j, lambda_{k/q} + 1/e),
+
+        and by induction lambda_k <= 1 + floor(log_q k) / e.  Every c_k with
+        k < cap is therefore exact mod p^N once
+
+            s = 1 + ceil(floor(log_q(cap - 1)) / e):
+
+        the digits lost grow with the q-adic depth of cap, not with cap.
+        """
         cap = cap or self.cap
         if isinstance(a, int):
             a = self.spec.from_int(a)
         key = (a.coords, cap)
         if key not in self._endo_cache:
-            R = self._Q
-            c = _solve_structural(
-                R, cap, [R.zero(), R.from_base(a)], self._pi_divider(cap),
-                u=self._f_rat, v_pows=self._f_powers(cap))
-            self._endo_cache[key] = TruncSeries(self.spec, cap,
-                                                [R.to_base(t) for t in c])
+            K, f, f_pows, divide = self._residue_solver(cap)
+            c = _solve_structural(K, cap, [K.zero(), _balanced_lift(a, K.K)],
+                                  divide, u=f, v_pows=f_pows)
+            m = self.spec.modulus
+            self._endo_cache[key] = _series(
+                self.spec, cap, [tuple(x % m for x in t) for t in c[:cap]], self.spec.N)
         return self._endo_cache[key]
 
     # -- [pi^m] iterates and distinguished quotients ----------------------------
 
     def pi_power_series(self, m):
         """[pi^m]_f = f composed with itself m times (exact, d = 1)."""
+        if m < 0:
+            raise DomainError("[pi^m]_f needs m >= 0")
         if m in self._pi_power_cache:
             return self._pi_power_cache[m]
         g = self.pi_power_series(m - 1)
@@ -521,6 +650,8 @@ class FormalGroup:
 
     def omega_polys(self, n):
         """pibar_m for m <= n and the omega^{+/-} products with their X-free forms."""
+        if n < 0:
+            raise DomainError("omega polynomials need n >= 0")
         spec = self.spec
         pibars = {m: self.pibar(m) for m in range(1, n + 1)}
         def prod_over(ms):
@@ -573,6 +704,13 @@ class FormalGroup:
 
     # -- Coleman norm operator ---------------------------------------------------
 
+    def _own(self, g):
+        """g, a series over the group's ring (DomainError otherwise)."""
+        if g.spec is not self.spec and g.spec != self.spec:
+            raise DomainError(f"series over {g.spec!r}, but the group is over "
+                              f"{self.spec!r}")
+        return g.require_integral()
+
     def coleman_norm(self, g):
         """N_f g as det of g at the companion matrix of f(Z) - Y (exact).
 
@@ -581,7 +719,7 @@ class FormalGroup:
         precision loss are involved.  The entries of g(C), the f-adic digits
         of Z^j g(Z), are read off as Y-coefficients with no product.
         """
-        g = g.require_integral()
+        g = self._own(g)
         cap = min(g.cap, self.cap)
         R = SeriesRing(self.spec, cap)
         ng = _companion_norm(R, self.f_poly, g.coeffs[:cap])
@@ -590,13 +728,22 @@ class FormalGroup:
         return _series(self.spec, cap, ng.coeffs, min(self.spec.N, g.n_eff))
 
     def torsion_quotient_ring(self):
-        """base[w]/pibar_1(w), housing the nonzero f-torsion."""
-        return QuotientRing(self.spec, list(self.pibar(1)))
+        """base[w]/pibar_1(w), housing the nonzero f-torsion (built once)."""
+        if self._torsion_ring is None:
+            self._torsion_ring = QuotientRing(self.spec, list(self.pibar(1)))
+        return self._torsion_ring
 
-    def torsion_points(self, E=None, cap=None):
-        """All q torsion points [a]_f(w) in the pibar_1 quotient ring."""
+    def torsion_points(self, E=None):
+        """All q torsion points [a]_f(w) in the pibar_1 quotient ring, mod p^N.
+
+        pibar_1 is Eisenstein of degree q - 1, so w^(q-1) = pi y with y
+        integral and w^(e (q - 1) N) = p^N (unit) y^(e N) vanishes mod p^N
+        (e the base's ramification index: v(w) = 1 / (e (q - 1))).  [a]_f
+        truncated at that cap therefore gives the points exactly mod p^N,
+        and they are computed there whatever cap the caller works at.
+        """
         E = E or self.torsion_quotient_ring()
-        cap = cap or self.cap
+        cap = max(2, self.spec.ramification_index * (self.q - 1) * self.spec.N)
         pts = [E.zero()]
         w = E.x_class()
         one = self.spec.one()
@@ -629,27 +776,35 @@ class FormalGroup:
 
         With T = pt + S and f(pt + S) = sum_i d_i S^i, the solve is the
         structural one with u = -d, b = f and certified divisions by d_1;
-        the result is at working precision.
+        the result is at working precision.  It runs on E's flat
+        coordinates; elements appear only here, at the boundary.
         """
-        cap = cap or self.cap
-        q = self.q
-        fE = [E.from_base(c) for c in self.f_poly]
+        T = self._translate(E, E.flat_coords(pt), cap or self.cap)
+        return [E.from_flat(c) for c in T]
+
+    def _translate(self, E, pt, cap):
+        """translate_series on flat coordinate tuples of E."""
+        K = _Coords(E)
+        q, mul, zero = self.q, K.mul, K.zero()
+        pad = zero[self.spec.rank:]
+        fE = [c.coords + pad for c in self.f_poly]
         # d_i = sum_{j>=i} f_j C(j,i) pt^{j-i}
-        pt_pows = [E.one()]
+        pt_pows = [K.one()]
         for _ in range(q):
-            pt_pows.append(E.mul(pt_pows[-1], pt))
-        d = [E.zero()] * (q + 1)
+            pt_pows.append(mul(pt_pows[-1], pt))
+        d = [zero] * (q + 1)
         for i in range(q + 1):
             for j in range(i, q + 1):
-                d[i] = E.add(d[i], E.smul(comb(j, i), E.mul(fE[j], pt_pows[j - i])))
+                d[i] = K.add(d[i], tuple(comb(j, i) * x
+                                         for x in mul(fE[j], pt_pows[j - i])))
         # f(pt) must vanish to working precision
-        if not E.is_zero_mod(d[0], self.spec.N - 1):
+        if any(x % self.spec.p ** (self.spec.N - 1) for x in d[0]):
             raise PrecisionExhausted("torsion point fails f(pt) = 0 at precision")
-        if E.is_zero(pt):
-            return [E.zero(), E.one()] + [E.zero()] * (cap - 2)
-        divide_by_d1 = E.make_divider(d[1])
-        T = _solve_structural(E, cap, [E.zero()], lambda k, x: divide_by_d1(x),
-                              b=fE, u=[E.sub(E.zero(), di) for di in d])
+        if not any(pt):
+            return [zero, K.one()] + [zero] * (cap - 2)
+        divide_by_d1 = E.make_divider(E.from_flat(d[1])).flat
+        T = _solve_structural(K, cap, [zero], lambda k, x: divide_by_d1(x),
+                              b=fE, u=[K.sub(zero, di) for di in d])
         T[0] = pt
         return T
 
@@ -658,22 +813,27 @@ class FormalGroup:
 
         This is the extension-ring side of the norm-operator law; it shares
         nothing with coleman_norm's resultant route but the ring arithmetic.
-        The translate series depend only on the cap and are kept per cap.
+        The translate series depend only on the cap and are kept per cap, as
+        flat coordinates of the torsion quotient ring E; the product is
+        descended to the base mod p^(N-1), the precision of f(pt) = 0.
         """
-        g = g.require_integral()
+        g = self._own(g)
         cap = min(cap or self.cap, g.cap)
+        E = self.torsion_quotient_ring()
         if cap not in self._translate_cache:
-            E = self.torsion_quotient_ring()
-            self._translate_cache[cap] = E, [self.translate_series(pt, E, cap)
-                                             for pt in self.torsion_points(E, cap)]
-        E, translates = self._translate_cache[cap]
-        gE = [E.from_base(g.coeff(k)) for k in range(g.cap)]
+            self._translate_cache[cap] = [self._translate(E, E.flat_coords(pt), cap)
+                                          for pt in self.torsion_points(E)]
+        r, n = self.spec.rank, self.spec.p ** (self.spec.N - 1)
+        pad = (0,) * (E.packing[0] - r)
+        gE = [c + pad for c in g.coeffs]
         acc = None
-        for T in translates:
-            comp = _compose(E, gE, T, cap)
-            acc = comp if acc is None else _poly_mul(E, acc, comp, cap)
-        out = [E.descend(c, self.spec.N - 1) for c in acc]
-        return TruncSeries(self.spec, cap, out, min(g.n_eff, self.spec.N - 1), 0)
+        for T in self._translate_cache[cap]:
+            comp = packed_compose(E, gE, T, cap)
+            acc = comp if acc is None else packed_mul(E, acc, comp, cap)
+        if any(x % n for c in acc for x in c[r:]):
+            raise PrecisionExhausted("element does not descend to base")
+        return _series(self.spec, cap, [c[:r] for c in acc],
+                       min(g.n_eff, self.spec.N - 1))
 
     # -- q-coordinate -------------------------------------------------------------
 
@@ -779,9 +939,10 @@ class QuotientRing:
     """base[X]/(P(X)) for a monic polynomial P over a RingSpec.
 
     Elements are tuples of base RingElems of length deg P.  Division by
-    non-units is supported through an exact rational solve with certified
-    p-integrality; the division reports nothing on success and raises
-    PrecisionExhausted when the quotient does not exist at working precision.
+    non-units is supported through an integer inverse with certified
+    p-integrality (make_divider); the division reports nothing on success
+    and raises PrecisionExhausted when the quotient does not exist at
+    working precision.
 
     Inside, an element is its flat coordinates: X^k times the base basis
     monomials, base-fast.  The ring is one more monic extension in the
@@ -823,9 +984,6 @@ class QuotientRing:
     def sub(self, a, b):
         return tuple(x - y for x, y in zip(a, b))
 
-    def smul(self, s, a):
-        return tuple(x * s for x in a)
-
     def is_zero(self, a):
         return all(x.is_zero() for x in a)
 
@@ -836,18 +994,6 @@ class QuotientRing:
     def mul(self, a, b):
         flat = self.flat_coords
         return self.from_flat(self.mul_coords(flat(a), flat(b)))
-
-    def poly_mul(self, a, b, cap):
-        """Truncated product of coefficient lists of elements (packed)."""
-        flat, unflat = self.flat_coords, self.from_flat
-        return [unflat(c) for c in packed_mul(self, [flat(x) for x in a],
-                                              [flat(x) for x in b], cap)]
-
-    def compose(self, f, g, cap):
-        """f(g) mod X^cap for coefficient lists of elements (packed Horner)."""
-        flat, unflat = self.flat_coords, self.from_flat
-        return [unflat(c) for c in packed_compose(self, [flat(x) for x in f],
-                                                  [flat(x) for x in g], cap)]
 
     def flat_coords(self, a):
         """The flat canonical coordinates of an element, as one tuple."""
@@ -886,45 +1032,54 @@ class QuotientRing:
             return False
 
     def make_divider(self, y):
-        """Precompute the rational inverse of mult-by-y; returns b -> b/y.
+        """b -> b / y, from an integer inverse of multiplication by y.
 
-        Division is exact with certified p-integrality; a p in a denominator
-        means the quotient does not exist at working precision.  The divider's
-        loss is the largest p-order of a denominator of the inverse matrix:
-        a b known mod p^n gives b/y known mod p^(n - loss).
+        Let M be the integer matrix of multiplication by y on the flat
+        basis.  Fraction-free Gauss-Jordan elimination (Bareiss) takes
+        [M | I] to [D I | D M^-1] with every entry an integer minor, so each
+        division in it is exact; D = +-det M.  loss is the largest p-order of
+        a denominator of M^-1, and A = p^loss M^-1 mod p^(N + loss) is an
+        integer matrix.  For flat coordinates b, A b = p^loss (M^-1 b) mod
+        p^(N + loss), so M^-1 b is p-integral exactly when p^loss divides
+        every entry of A b, and then b / y = (A b) / p^loss mod p^N: one
+        integer matrix-vector product, a divisibility check and an exact
+        division.  A b known mod p^n gives b / y mod p^(n - loss).  A p left
+        in a denominator means the quotient does not exist at working
+        precision (PrecisionExhausted).  divide.flat does the same on flat
+        tuples.
         """
         R = self.flat_rank()
-        M = mult_matrix(self, self.flat_coords(y))
-        A = [[Fraction(M[i][j]) for j in range(R)] +
-             [Fraction(1 if i == j else 0) for j in range(R)]
-             for i in range(R)]
-        for col in range(R):
-            piv = next((i for i in range(col, R) if A[i][col] != 0), None)
+        aug = [row + [int(i == j) for j in range(R)]
+               for i, row in enumerate(mult_matrix(self, self.flat_coords(y)))]
+        D = 1
+        for k in range(R):
+            piv = next((i for i in range(k, R) if aug[i][k]), None)
             if piv is None:
                 raise PrecisionExhausted("division by (near) zero divisor")
-            A[col], A[piv] = A[piv], A[col]
-            pv = A[col][col]
-            A[col] = [v / pv for v in A[col]]
+            aug[k], aug[piv] = aug[piv], aug[k]
+            pk, prev, D = aug[k], D, aug[k][k]
             for i in range(R):
-                if i != col and A[i][col] != 0:
-                    f = A[i][col]
-                    A[i] = [A[i][j] - f * A[col][j] for j in range(2 * R)]
-        inv = [[A[i][R + j] for j in range(R)] for i in range(R)]
-        m = self.base.modulus
-        p = self.base.p
+                if i != k:
+                    c = aug[i][k]
+                    aug[i] = [(D * x - c * z) // prev for x, z in zip(aug[i], pk)]
+        p, m = self.base.p, self.base.modulus
+        vd = ord_int(D, p)
+        # M^-1 = adj / D; its denominators' p-orders are vd - v(adj entry)
+        loss = vd - min(ord_int(x, p) for row in aug for x in row[R:])
+        scale, big = p ** loss, m * p ** loss
+        unit_inv = pow(D // p ** vd, -1, big)
+        A = [[x // p ** (vd - loss) * unit_inv % big for x in row[R:]] for row in aug]
+
+        def flat(b):
+            xs = [sum(map(operator.mul, row, b)) for row in A]
+            if any(x % scale for x in xs):
+                raise PrecisionExhausted("quotient not integral at this precision")
+            return tuple(x // scale % m for x in xs)
 
         def divide(b):
-            rhs = self.flat_coords(b)
-            flat = []
-            for i in range(R):
-                x = sum(inv[i][j] * rhs[j] for j in range(R))
-                if x.denominator % p == 0:
-                    raise PrecisionExhausted(
-                        "quotient not integral at this precision")
-                flat.append((x.numerator * pow(x.denominator, -1, m)) % m)
-            return self.from_flat(flat)
+            return self.from_flat(flat(self.flat_coords(b)))
 
-        divide.loss = max(ord_int(x.denominator, p) for row in inv for x in row)
+        divide.flat, divide.loss = flat, loss
         return divide
 
     def divide(self, b, y):
@@ -932,14 +1087,6 @@ class QuotientRing:
 
     def inverse(self, y):
         return self.divide(self.one(), y)
-
-    def descend(self, a, n_check):
-        """Project to the base when the higher coordinates vanish mod p^n."""
-        q = self.base.p ** n_check
-        for x in a[1:]:
-            if any(c % q for c in x.coords):
-                raise PrecisionExhausted("element does not descend to base")
-        return a[0]
 
 
 class TorsionTower:

@@ -320,6 +320,8 @@ def coset_mass(mu, delta, n):
     integer for the Z_p tags.  Returns (value, n_eff): the mass is correct
     mod p^n_eff.
     """
+    if n < 0:
+        raise DomainError("a coset level must be >= 0")
     m, guar = _pushforward(mu.amice, n)
     return _mass(mu.amice, m, guar, _coset_index(mu, delta, n), n)
 

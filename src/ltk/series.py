@@ -66,6 +66,8 @@ def _as_coords(spec, c):
         return c.coords
     if isinstance(c, int):
         return spec.from_int(c).coords
+    if len(c) != spec.rank:
+        raise DomainError(f"a coefficient needs {spec.rank} coordinates, not {len(c)}")
     return tuple(int(a) % spec.modulus for a in c)
 
 

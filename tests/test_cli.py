@@ -279,6 +279,20 @@ def test_cap_override_is_validated_and_reported(capsys, monkeypatch):
     assert rc == 0 and d["provenance"]["caps"]["degree"] == 12
 
 
+@pytest.mark.parametrize("argv, ring", [
+    (["--p", "3", "--prec", "7", "--deg", "24"], make_ring(3, 6, "zp")),
+    (RAM3, make_ring(3, 7, "zp")),
+])
+def test_norm_op_series_over_another_ring_is_a_usage_error(tmp_path, capsys, argv, ring):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(TruncSeries(ring, 24, [1, 2, 5]).to_json()))
+    rc, err = run_err(capsys, argv + ["norm-op", "--series", str(path)])
+    assert rc == 1 and err["error"] == "usage"
+    group_kind = "ramified_quad" if "ram" in argv else "zp"
+    assert f"series over RingSpec(p=3, N={ring.N}, kind='zp'" in err["detail"]
+    assert f"group is over RingSpec(p=3, N=7, kind='{group_kind}'" in err["detail"]
+
+
 def _fuzz_documents():
     """(argv before the file, a valid document) per file-reading command,
     on small rings and caps so that every run is cheap."""
@@ -346,3 +360,48 @@ def test_fuzzed_documents_end_in_json(tmp_path, capsys, command, data):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(data.draw(mutated(doc))))
     run_err(capsys, argv + [str(path)])
+
+
+# -- fuzzed arguments: exit 0, 1 or 2, one JSON error, never a traceback ------------
+
+
+@st.composite
+def cli_arguments(draw):
+    """Global options and one subcommand with its arguments, all small: p
+    prime or not, caps and levels around the edges of their domains."""
+    pick = lambda *xs: str(draw(st.sampled_from(xs)))
+    argv = ["--p", pick(-3, 0, 1, 2, 3, 4, 5, 6, 7, 9),
+            "--prec", str(draw(st.integers(-1, 6))),
+            "--deg", str(draw(st.integers(0, 16))),
+            "--ring", pick("zp", "ram", "unram", "bogus"),
+            "--pi-sq", str(draw(st.integers(-6, 6))),
+            "--variant", pick("auto", "standard", "multiplicative"),
+            "--seed", str(draw(st.integers(0, 3)))]
+    sub = draw(st.sampled_from(["group", "omega", "norm-op", "tower", "coleman",
+                                "measure", "elliptic"]))
+    if sub == "omega":
+        return argv + ["omega", "--n", str(draw(st.integers(-1, 3)))]
+    if sub in ("tower", "coleman"):
+        action = [pick("interpolate", "mu0")] if sub == "coleman" else []
+        return argv + [sub, *action, "--levels", str(draw(st.integers(-1, 3)))]
+    if sub == "measure":
+        return argv + ["measure", pick("coset", "moment", "tilde"),
+                       "--dirac", pick("0", "1", "5", "-2", "4,3", "1,1"),
+                       "--k", str(draw(st.integers(-1, 4))),
+                       "--level", str(draw(st.integers(-1, 3))),
+                       "--delta", pick("0", "1", "-1", "7,0", "2,1")]
+    if sub == "elliptic":
+        return ["elliptic", pick("theta", "psi"),
+                "--lattice", *draw(st.sampled_from([["1j", "1"], ["1", "1"], ["1j"],
+                                                    ["1e300j", "1"], ["x", "1"]])),
+                "--z", pick("0", "0.3+0.2j", "1e10", "nan"),
+                "--sub", pick("0", "2+1j", "1j")]
+    return argv + [sub]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_arguments())
+def test_fuzzed_arguments_end_in_json(capsys, argv):
+    rc, err = run_err(capsys, argv)
+    assert rc == 0 or set(err) == {"error", "detail"}

@@ -4,7 +4,7 @@ import pytest
 
 from ltk import coleman as CO
 from ltk import lubin_tate as LT
-from ltk.rings import laplace_det, make_ring, valuation
+from ltk.rings import DomainError, laplace_det, make_ring, mult_matrix, valuation
 from ltk.series import SeriesRing, TruncSeries, mu_lambda_by_roots
 from ltk.lubin_tate import QuotientRing, build_group, build_tower
 
@@ -331,6 +331,135 @@ def test_norm_law_routes_are_independent(g3, rng, monkeypatch):
         # warm: the second call reads the cached translates
         assert g3.translates_product(g).coeffs == rhs.coeffs
     assert lhs.eq_mod(rhs, 5)
+
+
+# -- the residue solves against the exact rational oracle ------------------------
+
+
+def _rational_endomorphism(G, a, cap):
+    """[a]_f solved over exact rationals and reduced mod p^N (the route the
+    residue solve replaced; kept as its oracle)."""
+    R = G._Q
+    c = LT._solve_structural(R, cap, [R.zero(), R.from_base(a)], G._pi_divider(cap),
+                             u=G._f_rat, v_pows=G._f_powers(cap))
+    return tuple(R.to_base(t).coords for t in c)
+
+
+@pytest.mark.parametrize("name", SOLVER_GROUPS)
+def test_residue_endomorphism_matches_rational_solve(name, request, monkeypatch):
+    G = request.getfixturevalue(name)
+    spec, p = G.spec, G.spec.p
+    avals = [spec.from_int(a) if isinstance(a, int) else a for a in G._residue_reps()]
+    avals += [spec.from_int(a) for a in (-1, -5, p, p * p, 1 + p)]
+    if spec.quad is not None:
+        avals.append(spec.one() + spec.gen_quad() * 3)
+    for cap in (8, G.cap, 40):
+        want = [_rational_endomorphism(G, a, cap) for a in avals]
+        fresh = LT.FormalGroup(spec, G.pi, G.q, G.cap, G.f.coeffs, G.variant)
+        with monkeypatch.context() as m:
+            # the residue solve builds no fraction
+            m.setattr(Fraction, "__new__", None)
+            m.setattr(LT, "_Rationals", None)
+            got = [fresh.endomorphism(a, cap) for a in avals]
+        assert [e.coeffs for e in got] == want
+        assert {(e.cap, e.n_eff, e.shift) for e in got} == {(cap, spec.N, 0)}
+
+
+def test_solve_budget_is_tight_on_the_p2_group(g2, monkeypatch):
+    # s = 1 + ceil(floor(log_2(cap - 1)) / 2) is 2 at cap 8 and 3 at cap 24;
+    # one digit less and [-1]_f is already wrong mod p^N
+    budget = LT.FormalGroup._solve_budget
+    for cap, s in ((8, 2), (24, 3)):
+        assert g2._solve_budget(cap) == s
+        want = _rational_endomorphism(g2, g2.spec.from_int(-1), cap)
+        assert g2.endomorphism(-1, cap).coeffs == want
+        with monkeypatch.context() as m:
+            m.setattr(LT.FormalGroup, "_solve_budget",
+                      lambda self, cap: budget(self, cap) - 1)
+            short = build_group(g2.spec, g2.pi, 2, 24)
+            assert short.endomorphism(-1, cap).coeffs != want
+
+
+def test_q9_torsion_points_are_exact_mod_p_n():
+    # inert p = 3, q = 9: v(w) = 1/8, so the points need 8 N = 48 terms of
+    # [a]_f; at the group's cap 24 they used to agree with these only mod p^4
+    spec = make_ring(3, 6, "unramified_quad", quad=(0, 1))
+    G = build_group(spec, 3, 9, 24)
+    E = G.torsion_quotient_ring()
+    w = E.x_class()
+    want = [E.zero(), w] + [E.eval_series(G.endomorphism(a, 80), w)
+                            for a in G._residue_reps()[2:]]
+    assert G.torsion_points(E) == want
+
+
+@pytest.mark.parametrize("name", ["g3", "gu2"])
+def test_translates_product_below_the_group_cap(name, request, rng):
+    # the points do not depend on the product's cap, so cap 12 is the
+    # prefix of cap 24 and satisfies the norm law there
+    G = request.getfixturevalue(name)
+    g = random_series(G.spec, G.cap, rng)
+    low = G.translates_product(g, cap=12)
+    assert low.coeffs == G.translates_product(g).coeffs[:12]
+    lhs = G.coleman_norm(g).compose(G.f.truncate(G.cap)).truncate(12)
+    assert lhs.eq_mod(low, G.spec.N - 1)
+
+
+def _rational_divide(E, y, b):
+    """b / y in E by exact rational elimination on the flat coordinates,
+    None when the quotient is not p-integral (the divider's oracle)."""
+    R, p, m = E.flat_rank(), E.base.p, E.base.modulus
+    M = mult_matrix(E, E.flat_coords(y))
+    A = [[Fraction(x) for x in row] + [Fraction(c)]
+         for row, c in zip(M, E.flat_coords(b))]
+    for col in range(R):
+        piv = next(i for i in range(col, R) if A[i][col])
+        A[col], A[piv] = A[piv], A[col]
+        A[col] = [x / A[col][col] for x in A[col]]
+        for i in range(R):
+            if i != col and A[i][col]:
+                A[i] = [x - A[i][col] * z for x, z in zip(A[i], A[col])]
+    xs = [row[R] for row in A]
+    if any(x.denominator % p == 0 for x in xs):
+        return None
+    return tuple(x.numerator * pow(x.denominator, -1, m) % m for x in xs)
+
+
+@pytest.mark.parametrize("name, level", [("g3", 2), ("gz3", 2), ("gu2", 1)])
+def test_integer_divider_matches_rational_elimination(name, level, request, rng,
+                                                      monkeypatch):
+    G = request.getfixturevalue(name)
+    spec = G.spec
+    tw = build_tower(G, level)
+    E, alpha = tw.rings[level], tw.alphas[level]
+    rand = lambda: E.from_flat([rng.randrange(spec.modulus)
+                                for _ in range(E.flat_rank())])
+    mod_poly = TruncSeries(spec, G.cap, list(G.pibar(1)))
+    for y in (E.eval_series(mod_poly, alpha), alpha, E.one(), rand()):
+        try:
+            divide = E.make_divider(y)
+        except LT.PrecisionExhausted:
+            continue
+        bs = [rand() for _ in range(4)] + [E.mul(y, rand()) for _ in range(4)]
+        want = [_rational_divide(E, y, b) for b in bs]
+        with monkeypatch.context() as m:
+            m.setattr(Fraction, "__new__", None)  # divide does integer arithmetic
+            for b, w in zip(bs, want):
+                if w is None:
+                    with pytest.raises(LT.PrecisionExhausted):
+                        divide(b)
+                else:
+                    assert E.flat_coords(divide(b)) == w == divide.flat(E.flat_coords(b))
+        assert any(w is not None for w in want)
+
+
+def test_norms_reject_a_series_over_another_ring(g3, gz3):
+    for G, spec in ((g3, make_ring(3, 7, "zp")),
+                    (g3, make_ring(3, 6, "ramified_quad", quad=(0, 3))),
+                    (gz3, make_ring(3, 7, "zp"))):
+        g = TruncSeries(spec, 12, [1, 2])
+        for method in (G.coleman_norm, G.translates_product):
+            with pytest.raises(DomainError, match="but the group is over"):
+                method(g)
 
 
 # -- the fiber-expansion norm against the matrix-Horner oracle -----------------

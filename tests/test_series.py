@@ -246,3 +246,11 @@ def test_series_json_round_trip(q2):
     assert j2["shift"] == L.shift
     back = TruncSeries.from_json(j2)
     assert back.shift == L.shift and back.eq_mod(L)
+
+
+def test_constructor_rejects_coefficients_of_the_wrong_length():
+    q3 = make_ring(3, 6, "ramified_quad", quad=(0, 3))
+    for coeffs in ([[1, 2, 3]], [[1]], [[1, 2], []]):
+        with pytest.raises(DomainError, match="needs 2 coordinates"):
+            TruncSeries(q3, 4, coeffs)
+    assert TruncSeries(q3, 4, [[1, 2], 5]).coeffs[:2] == ((1, 2), (5, 0))
