@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
-"""Record benchmark runs to BENCH_<label>.json files and compare two of them.
+"""Record benchmark runs to BENCH_<sha>.json files and compare two of them.
 
-    python3 scripts/bench_record.py record LABEL=CHECKOUT [LABEL=CHECKOUT ...]
-        --workloads W [W ...] --seeds N [N ...] [--seconds S] [--trace 0|1]
-        [--out-dir DIR]
+    python3 scripts/bench_record.py record PARENT CHANGE
+        --workloads W [W ...] --seeds N [N ...] [--out-dir DIR]
     python3 scripts/bench_record.py compare BENCH_A.json BENCH_B.json
 
-record runs perfbench/run.py of each checkout (a directory holding a source
-tree) for every workload and seed.  The checkouts take turns on each
-(workload, seed), the first of them alternating from one to the next, so
-the runs of two checkouts come in pairs that share the host's slow and fast
-spells.  It writes BENCH_<label>.json per checkout: its git sha (with a
-dirty flag), the Python version, the command, and for every run the report
-line (raw times, host calibration) and the result line (the metrics)
-exactly as run.py printed them.
+record runs perfbench/run.py of two git checkouts (the parent and the
+change) for every workload and seed, each run as long as BENCHMARK.json's
+run_seconds and untraced.  The checkouts take turns on each (workload,
+seed), the one that goes first alternating from one to the next, so their
+runs come in pairs that share the host's slow and fast spells.  A checkout
+with uncommitted changes to tracked files is refused, so the commit names
+the code measured.  It writes BENCH_<short sha>.json per checkout: the full
+sha, the Python version, the command, and for every run the report line
+(raw times, host calibration) and the result line (the metrics) exactly as
+run.py printed them.
 
 compare takes the median of each end-to-end metric over a file's runs of a
 workload and applies the bounds of BENCHMARK.json unchanged: B fails a
@@ -31,6 +32,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def git(checkout, *args):
@@ -39,9 +41,9 @@ def git(checkout, *args):
     return out.stdout.strip() if out.returncode == 0 else None
 
 
-def run_once(checkout, workload, seed, seconds, trace):
+def run_once(checkout, workload, seed):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
-           str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+           str(seed), "--seconds", str(SPEC["run_seconds"]), "--trace", "0"]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     *_, report, result = out.stdout.strip().splitlines()
     return {"workload": workload, "seed": seed, **json.loads(report), **json.loads(result)}
@@ -49,31 +51,32 @@ def run_once(checkout, workload, seed, seconds, trace):
 
 def record(args):
     sides = []
-    for item in args.sides:
-        label, sep, checkout = item.partition("=")
-        if not sep or not (Path(checkout) / "perfbench" / "run.py").is_file():
-            sys.exit(f"error: {item!r} is not LABEL=CHECKOUT with perfbench/run.py")
-        sides.append((label, Path(checkout).resolve()))
-    files = {label: {
-        "label": label,
-        "git_sha": git(checkout, "rev-parse", "HEAD"),
-        "dirty": bool(git(checkout, "status", "--porcelain", "--untracked-files=no")),
-        "python": sys.version.split()[0],
-        "command": ["python3", "perfbench/run.py", "--seconds", str(args.seconds),
-                    "--trace", str(args.trace)],
-        "runs": [],
-    } for label, checkout in sides}
+    for checkout in (args.parent, args.change):
+        checkout = Path(checkout).resolve()
+        sha = git(checkout, "rev-parse", "HEAD")
+        if sha is None or not (checkout / "perfbench" / "run.py").is_file():
+            sys.exit(f"error: {checkout} is not a git checkout with perfbench/run.py")
+        if git(checkout, "status", "--porcelain", "--untracked-files=no"):
+            sys.exit(f"error: {checkout} has uncommitted changes; commit them first")
+        sides.append((checkout, {
+            "git_sha": sha,
+            "python": sys.version.split()[0],
+            "command": ["python3", "perfbench/run.py", "--seconds",
+                        str(SPEC["run_seconds"]), "--trace", "0"],
+            "runs": [],
+        }))
     pairs = [(w, s) for w in args.workloads for s in args.seeds]
     for i, (workload, seed) in enumerate(pairs):
         # alternate which checkout runs first
-        for label, checkout in sides[::-1] if i % 2 else sides:
-            run = run_once(checkout, workload, seed, args.seconds, args.trace)
-            files[label]["runs"].append(run)
+        for checkout, doc in sides[::-1] if i % 2 else sides:
+            run = run_once(checkout, workload, seed)
+            doc["runs"].append(run)
             ops = run["metrics"].get("ops_per_s", {}).get("value")
-            print(f"{label} {workload} seed {seed}: ops_per_s {ops}", flush=True)
+            print(f"{doc['git_sha'][:7]} {workload} seed {seed}: ops_per_s {ops}",
+                  flush=True)
         # written after every pair, so an interrupted series keeps its runs
-        for label, doc in files.items():
-            path = Path(args.out_dir) / f"BENCH_{label}.json"
+        for _, doc in sides:
+            path = Path(args.out_dir) / f"BENCH_{doc['git_sha'][:7]}.json"
             path.write_text(json.dumps(doc, indent=1) + "\n")
 
 
@@ -85,10 +88,8 @@ def quartiles(xs):
 
 
 def compare(args):
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     a, b = (json.loads(Path(p).read_text()) for p in (args.a, args.b))
-    print(f"A = {a['label']} ({a['git_sha']}{' dirty' if a['dirty'] else ''}), "
-          f"B = {b['label']} ({b['git_sha']}{' dirty' if b['dirty'] else ''})")
+    print(f"A = {a['git_sha']}, B = {b['git_sha']}")
     ok = True
     for workload in dict.fromkeys(r["workload"] for r in a["runs"]):
         ra = {r["seed"]: r for r in a["runs"] if r["workload"] == workload}
@@ -100,7 +101,7 @@ def compare(args):
         print(f"\n{workload}: {len(ra)} runs of A, {len(rb)} of B, "
               f"failed share {fa:.3g} -> {fb:.3g}")
         ok &= fb <= fa
-        for m in spec["end_to_end"]:
+        for m in SPEC["end_to_end"]:
             name, bound, higher = m["name"], m["bound"], m["better"] == "higher"
             va = [r["metrics"][name]["value"] for r in ra.values()]
             vb = [r["metrics"][name]["value"] for r in rb.values()]
@@ -121,11 +122,10 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = ap.add_subparsers(dest="mode", required=True)
     rec = sub.add_parser("record")
-    rec.add_argument("sides", nargs="+", metavar="LABEL=CHECKOUT")
+    rec.add_argument("parent")
+    rec.add_argument("change")
     rec.add_argument("--workloads", nargs="+", required=True)
     rec.add_argument("--seeds", nargs="+", type=int, required=True)
-    rec.add_argument("--seconds", type=float, default=25)
-    rec.add_argument("--trace", type=int, choices=(0, 1), default=0)
     rec.add_argument("--out-dir", default=".")
     cmp_ = sub.add_parser("compare")
     cmp_.add_argument("a")

@@ -68,6 +68,7 @@ from .rings import (
     laplace_det,
     mult_matrix,
     ord_int,
+    teichmuller,
     valuation,
 )
 from .series import (
@@ -734,26 +735,30 @@ class FormalGroup:
         return self._torsion_ring
 
     def torsion_points(self, E=None):
-        """All q torsion points [a]_f(w) in the pibar_1 quotient ring, mod p^N.
+        """All q torsion points [a]_f(w) in the pibar_1 quotient ring, exact mod p^N.
 
-        pibar_1 is Eisenstein of degree q - 1, so w^(q-1) = pi y with y
-        integral and w^(e (q - 1) N) = p^N (unit) y^(e N) vanishes mod p^N
-        (e the base's ramification index: v(w) = 1 / (e (q - 1))).  [a]_f
-        truncated at that cap therefore gives the points exactly mod p^N,
-        and they are computed there whatever cap the caller works at.
+        Closed forms, with no series and no cap.  w is pi-torsion, so
+        [pi t]_f(w) = [t]_f(f(w)) = 0 and the point depends only on a mod
+        pi.  For f = pi X + X^q, f(zeta X) = zeta f(X) when zeta^q = zeta, so
+        [zeta]_f = zeta X by the uniqueness lemma and [a]_f(w) = omega(a) w,
+        omega(a) the Teichmuller representative of a.  For the
+        multiplicative variant [a]_f = (1 + X)^a - 1 for integers a.  These
+        are the points [a]_f(w) that the series [a]_f at cap e (q - 1) N
+        gives mod p^N (v(w) = 1 / (e (q - 1)), e the base's ramification
+        index), at any q.
         """
         E = E or self.torsion_quotient_ring()
-        cap = max(2, self.spec.ramification_index * (self.q - 1) * self.spec.N)
-        pts = [E.zero()]
         w = E.x_class()
-        one = self.spec.one()
-        for a in self._residue_reps()[1:]:
-            if isinstance(a, int):
-                a = self.spec.from_int(a)
-            if a == one:
-                pts.append(w)
+        pts = [E.zero(), w]
+        for a in self._residue_reps()[2:]:
+            if self.variant == "multiplicative":
+                pt = one_w = E.add(E.one(), w)
+                for _ in range(a - 1):
+                    pt = E.mul(pt, one_w)
+                pts.append(E.sub(pt, E.one()))
             else:
-                pts.append(E.eval_series(self.endomorphism(a, cap), w))
+                a = self.spec.from_int(a) if isinstance(a, int) else a
+                pts.append(E.mul(E.from_base(teichmuller(a)), w))
         return pts
 
     def _residue_reps(self):

@@ -288,6 +288,19 @@ def test_endomorphisms_commute_with_f(name, request):
 
 
 @pytest.mark.parametrize("name", SOLVER_GROUPS)
+def test_torsion_points_are_the_series_at_w(name, request):
+    # the closed forms omega(a) w and (1 + w)^a - 1 against [a]_f(w) summed
+    # to cap e (q - 1) N, where w^k vanishes mod p^N
+    G = request.getfixturevalue(name)
+    E = G.torsion_quotient_ring()
+    w = E.x_class()
+    cap = max(3, G.spec.ramification_index * (G.q - 1) * G.spec.N)
+    want = [E.zero()] + [E.eval_series(G.endomorphism(a, cap), w)
+                         for a in G._residue_reps()[1:]]
+    assert G.torsion_points(E) == want
+
+
+@pytest.mark.parametrize("name", SOLVER_GROUPS)
 def test_translates_solve_f_of_t_equals_f(name, request):
     # f(X [+] pt) = f(X) in base[w]/pibar_1(w), to the precision of f(pt) = 0
     G = request.getfixturevalue(name)
@@ -381,8 +394,8 @@ def test_solve_budget_is_tight_on_the_p2_group(g2, monkeypatch):
 
 
 def test_q9_torsion_points_are_exact_mod_p_n():
-    # inert p = 3, q = 9: v(w) = 1/8, so the points need 8 N = 48 terms of
-    # [a]_f; at the group's cap 24 they used to agree with these only mod p^4
+    # inert p = 3, q = 9: v(w) = 1/8, so [a]_f(w) needs 8 N = 48 terms of
+    # [a]_f; truncated at the group's cap 24 it agrees with these only mod p^4
     spec = make_ring(3, 6, "unramified_quad", quad=(0, 1))
     G = build_group(spec, 3, 9, 24)
     E = G.torsion_quotient_ring()
