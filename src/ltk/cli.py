@@ -188,12 +188,12 @@ def cmd_tower(cfg, args):
     tw = build_tower(G, args.levels)
     payload = {"levels": args.levels}
     for m in range(1, args.levels + 1):
-        E = tw.rings[m]
         nm = tw.norm(m, tw.alphas[m])
         payload[f"level_{m}"] = {
-            "degree": E.deg,
-            "norm_of_alpha": _elem_json(nm) if isinstance(nm, RingElem)
-            else [list(c.coords) for c in nm],
+            "degree": tw.rings[m].deg,
+            # in the base ring at m = 1, else in O'_{m-1}
+            "norm_of_alpha": _elem_json(RingElem(G.spec, nm)) if m == 1
+            else [list(c) for c in tw.rings[m - 1].coeffs(nm)],
         }
     return _emit(cfg, payload)
 
@@ -238,7 +238,7 @@ def _read_system(tw, path):
         if E is None or not isinstance(v, list):
             raise DomainError(f"system level {m!r} is no tower level or has no list")
         _require_ints(value=tuple(v))
-        vals[int(m)] = E.from_flat([x % E.base.modulus for x in v])
+        vals[int(m)] = E.elem(v)
     return CO.CompatibleSystem(tw, vals)
 
 

@@ -19,8 +19,8 @@ reported on failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .rings import DomainError, PrecisionExhausted, RingElem, valuation
-from .series import TruncSeries
+from .rings import DomainError, PrecisionExhausted, RingElem, ord_int, valuation
+from .series import TruncSeries, poly_divmod_monic
 from .measures import Measure
 
 __all__ = [
@@ -40,15 +40,20 @@ class CompatibleSystem:
     (equivalent to coming from a norm-operator fixed point)."""
 
     tower: object
-    values: dict  # level m -> element of O'_m (tuple of base RingElems)
+    coords: dict  # level m -> beta_m, an element of O'_m (flat coordinates)
 
     def __post_init__(self):
         tw = self.tower
         for m in range(1, tw.M + 1):
-            if m not in self.values:
+            if m not in self.coords:
                 raise DomainError("missing level %d value" % m)
-            if not tw.rings[m].is_unit(self.values[m]):
+            if not tw.rings[m].is_unit(self.coords[m]):
                 raise DomainError("beta_%d is not a unit" % m)
+        # the API form, built once: beta_m as a tuple of base RingElems, one
+        # per power of alpha_m
+        spec = tw.group.spec
+        self.values = {m: tuple(RingElem(spec, c) for c in tw.rings[m].coeffs(v))
+                       for m, v in self.coords.items()}
 
     def norm_compatible(self, n_check=None):
         """Check Nm_m(beta_m) = beta_{m-1}; returns the agreement verdict."""
@@ -57,18 +62,15 @@ class CompatibleSystem:
         nc = n_check or (spec.N - 1)
         q = spec.p ** nc
         for m in range(2, tw.M + 1):
-            nm = tw.norm(m, self.values[m])
-            prev = self.values[m - 1]
-            for x, y in zip(nm, prev):
-                if any((a - b) % q for a, b in zip(x.coords, y.coords)):
-                    return False
+            nm = tw.norm(m, self.coords[m])
+            if any((a - b) % q for a, b in zip(nm, self.coords[m - 1])):
+                return False
         return True
 
     def to_json(self):
         return {
             "levels": self.tower.M,
-            "values": {str(m): self.tower.rings[m].flat_coords(v)
-                       for m, v in self.values.items()},
+            "values": {str(m): v for m, v in self.coords.items()},
         }
 
 
@@ -98,21 +100,17 @@ def interpolate(sys):
     if total_deg > cap:
         raise PrecisionExhausted("cap too small for the interpolation modulus")
     # level 1: lift beta_1 as a polynomial of degree < deg pibar_1
-    E1 = tw.rings[1]
-    coeffs = list(sys.values[1]) + [spec.zero()] * (cap - E1.deg)
-    g = TruncSeries(spec, cap, coeffs)
+    g = TruncSeries(spec, cap, tw.rings[1].coeffs(sys.coords[1]))
     mod_poly = TruncSeries(spec, cap, list(G.pibar(1)))
     n_eff = spec.N
     for m in range(2, tw.M + 1):
         E = tw.rings[m]
         am = tw.alphas[m]
         ga = E.eval_series(g, am)
-        target = sys.values[m]
         divide = E.make_divider(E.eval_series(mod_poly, am))
-        h = divide(E.sub(target, ga))
+        h = divide(E.sub(sys.coords[m], ga))
         n_eff -= divide.loss
-        lift = TruncSeries(spec, cap, list(h) + [spec.zero()] * (cap - E.deg))
-        g = g + mod_poly * lift
+        g = g + mod_poly * TruncSeries(spec, cap, E.coeffs(h))
         mod_poly = mod_poly * TruncSeries(spec, cap, list(G.pibar(m)))
     info = {
         "modulus_degree": total_deg,
@@ -124,7 +122,6 @@ def interpolate(sys):
 
 def reduce_mod_system_ideal(g, tower, n_eff=None):
     """Canonical representative of g mod (prod pibar_m, p^n_eff)."""
-    from .series import poly_divmod_monic
     G = tower.group
     spec = G.spec
     prod = TruncSeries(spec, G.cap, [1])
@@ -197,7 +194,6 @@ def _log_one_units(u, terms=None):
     kmax = terms or (e * (N + 2) + 4)
     acc = TruncSeries.zero(spec, u.cap)
     power = one
-    from .rings import ord_int
     for k in range(1, kmax + 1):
         power = power * h
         if power.canonical().is_zero():
@@ -207,14 +203,8 @@ def _log_one_units(u, terms=None):
         term = term.divide_exact_p(a)
         if k % 2 == 0:
             term = -term
-        acc = _add_min(acc, term)
+        acc = acc + term
     return acc
-
-
-def _add_min(a, b):
-    return TruncSeries(a.spec, min(a.cap, b.cap),
-                       [a.coeff(i) + b.coeff(i) for i in range(min(a.cap, b.cap))],
-                       min(a.n_eff, b.n_eff), 0)
 
 
 def tilde_log(G, g, bootstrap=True):

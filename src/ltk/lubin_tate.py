@@ -7,13 +7,15 @@ variant is f = pi'*X + X^q; the multiplicative variant (1+X)^p - 1 over Z_p
 recovers the classical picture.
 
 Every algorithm here runs over a small ring protocol: zero, one, from_base,
-add, sub, mul, is_zero.  The base RingSpec, the series ring SeriesRing, the
-quotient rings base[X]/P, the exact rationals _Rationals and _Coords (any
-packed ring on flat coordinate tuples, with its compiled mul_coords) all
-speak it, so the structural solver, the companion-matrix norm and the
-determinant (rings.laplace_det) each exist once.  A QuotientRing is also a
-packed ring: one more monic extension in the tower of rings.extend, with the
-same compiled reduce_block and mul_coords as a RingSpec.
+add, sub, mul, is_zero.  Three kinds of ring speak it: _Coords (a packed
+ring on its flat coordinate tuples, with its compiled mul_coords: a RingSpec
+as _Coords(spec), and every QuotientRing base[X]/P, which is a _Coords of
+itself), the series ring SeriesRing and the exact rationals _Rationals.  So
+the structural solver, the companion-matrix norm and the determinant
+(rings.laplace_det) each exist once.  A QuotientRing is one more monic
+extension in the tower of rings.extend, with the same compiled reduce_block
+and mul_coords as a RingSpec, and its elements are flat coordinate tuples
+only; base RingElems appear at the API boundary, not inside the algorithms.
 
 Structural series.  The logarithm, the exponential, the endomorphisms [a]_f
 and the torsion translates X [+] pt are each pinned down, coefficient by
@@ -55,15 +57,14 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import partial
-from itertools import chain
-from math import comb, inf
+from math import comb
 
 from .rings import (
     DomainError,
     PrecisionExhausted,
     RingElem,
-    _det_bareiss,
     compile_map,
+    det_valuation,
     extend,
     laplace_det,
     mult_matrix,
@@ -175,26 +176,36 @@ class _Rationals:
 
 
 class _Coords:
-    """A packed ring K on flat coordinate tuples, as a protocol ring.
+    """A packed ring K on its flat coordinate tuples, as a protocol ring.
 
     Its elements are the canonical coordinate tuples the packed kernel
     reads and writes; products are K's compiled mul_coords, sums are taken
-    mod p^N and zero is `not any(...)`.  _solve_structural runs over it for
-    every residue solve ([a]_f over a RingSpec, the translates over a
-    QuotientRing), so no RingElem is built inside the solve.
+    mod p^N, zero is `not any(...)` and from_base pads a base element's
+    coordinates to K's rank.  The residue solves ([a]_f over Z/p^M, the
+    translates over the torsion ring), the tower norms and the quotient-ring
+    arithmetic all run over it, so no RingElem is built inside them.
     """
 
     def __init__(self, K):
-        rank, _, _, self.m = K.packing
-        self.K = K
+        self.rank, _, _, self.m = K.packing
         self.mul = K.mul_coords
-        self._zero = (0,) * rank
+        self._zero = (0,) * self.rank
 
     def zero(self):
         return self._zero
 
     def one(self):
         return (1,) + self._zero[1:]
+
+    def from_base(self, c):
+        return c.coords + self._zero[len(c.coords):]
+
+    def elem(self, coords):
+        """The element with these coordinates, reduced mod p^N: the checked
+        constructor for outside input."""
+        if len(coords) != self.rank:
+            raise DomainError("flat coordinate vector has wrong length")
+        return tuple(int(x) % self.m for x in coords)
 
     def add(self, a, b):
         m = self.m
@@ -235,14 +246,14 @@ def _compose(R, f, g, cap):
     return res
 
 
-def _balanced_lift(x, big):
-    """The coordinates of x in big = Z/p^M (M >= N) through the balanced lift.
+def _balanced_lift(x, big_m):
+    """The coordinates of x mod big_m = p^M (M >= N) through the balanced lift.
 
     [a]_f mod p^N depends on the lift of a and of f, not only on their
     residues (c_q is a multiple of (a - a^q) / (pi^q - pi)), so every solve
     lifts the way the exact rationals do: residues above p^N / 2 go negative.
     """
-    m, big_m = x.spec.modulus, big.modulus
+    m = x.spec.modulus
     return tuple((c if c <= m // 2 else c - m) % big_m for c in x.coords)
 
 
@@ -283,7 +294,8 @@ def _companion_norm(R, rel, y):
 
     y lists base coordinate tuples; rel is a base polynomial of degree d with
     a unit top coefficient.  R is base[[T]]/(T^cap) (a SeriesRing, T = Y),
-    base[T]/(P) (a QuotientRing, T its generator) or the base ring (T = 0).
+    base[T]/(P) (a QuotientRing, T its generator) or the base ring on
+    coordinate tuples (_Coords(base), T = 0).
 
     C is multiplication by Z on R[Z]/(rel(Z) - T) in the basis 1, ..., Z^{d-1},
     so column j of y(C) holds the coordinates of Z^j y(Z).  These are reduced
@@ -293,17 +305,17 @@ def _companion_norm(R, rel, y):
     of Z^j y.  base[T] -> R is a ring map, so the mapped entries are those of
     y(C) over R, entry by entry.  No products in R occur before the determinant.
     """
+    spec = rel[-1].spec
+    zero = (0,) * spec.rank
     if isinstance(R, SeriesRing):
-        spec, cap = R.spec, R.cap
+        cap = R.cap
         lift = lambda P: _series(spec, cap, (P + [zero] * cap)[:cap], spec.N)
     elif isinstance(R, QuotientRing):
-        spec, gen = R.base, R.x_class()
+        gen = R.x_class()
         lift = lambda P: R.eval_series(_series(spec, len(P) or 1, P or [zero],
                                                spec.N), gen)
     else:
-        spec = R
-        lift = lambda P: RingElem(spec, P[0] if P else zero)
-    zero = (0,) * spec.rank
+        lift = lambda P: P[0] if P else zero
     mul, add = spec.mul_coords, spec.add_coords
     top_inv = rel[-1].inverse()
     col = [[(-(c * top_inv)).coords] for c in rel[:-1]]  # base polynomials in T
@@ -533,7 +545,7 @@ class FormalGroup:
         if built and len(built[2]) >= cap:
             return built
         K = _Coords(big)
-        f = [_balanced_lift(c, big) for c in self.f_poly]
+        f = [_balanced_lift(c, big.modulus) for c in self.f_poly]
         fc = (f + [K.zero()] * cap)[:cap]
         pows = [None, fc]
         for _ in range(2, cap):
@@ -541,8 +553,8 @@ class FormalGroup:
         # pi^e = p u with u a unit, so p / pi = pi^(e-1) u^-1; pi^e is formed
         # one digit up so that u is known mod p^M
         e, up = self.spec.ramification_index, big.with_precision(big.N + 1)
-        u = (RingElem(up, _balanced_lift(self.pi, up)) ** e).divide_exact_p(1)
-        pi = RingElem(big, _balanced_lift(self.pi, big))
+        u = (RingElem(up, _balanced_lift(self.pi, up.modulus)) ** e).divide_exact_p(1)
+        pi = RingElem(big, _balanced_lift(self.pi, big.modulus))
         p_over_pi = pi ** (e - 1) * RingElem(big, u.coords).inverse()
         rho, pik = [None, None], pi
         for _ in range(2, cap):
@@ -595,7 +607,7 @@ class FormalGroup:
         key = (a.coords, cap)
         if key not in self._endo_cache:
             K, f, f_pows, divide = self._residue_solver(cap)
-            c = _solve_structural(K, cap, [K.zero(), _balanced_lift(a, K.K)],
+            c = _solve_structural(K, cap, [K.zero(), _balanced_lift(a, K.m)],
                                   divide, u=f, v_pows=f_pows)
             m = self.spec.modulus
             self._endo_cache[key] = _series(
@@ -616,30 +628,21 @@ class FormalGroup:
         return out
 
     def f_of(self, g):
-        """f(g) for the stored polynomial f, by powers of g."""
-        out = TruncSeries.zero(self.spec, g.cap)
-        powg = TruncSeries.one(self.spec, g.cap)
-        for j in range(1, self.q + 1):
-            powg = powg * g
-            cj = self.f_poly[j]
-            if not cj.is_zero():
-                out = out + powg.scale(cj)
-        return out
+        """f(g) for the stored polynomial f, as one packed composition."""
+        g, spec = g.require_integral(), self.spec
+        return _series(spec, g.cap, packed_compose(spec, self.f.coeffs[:self.q + 1],
+                                                   g.coeffs, g.cap),
+                       min(spec.N, g.n_eff))
 
     def pibar(self, m):
         """Distinguished polynomial of [pi^m]/[pi^{m-1}] (degree (q-1) q^{m-1})."""
         if m in self._pibar_cache:
             return self._pibar_cache[m]
-        g = self.pi_power_series(m - 1)
-        # f(g)/g = sum_j f_j g^(j-1), exact since f(0)=0
-        quot = TruncSeries.zero(self.spec, self.cap)
-        powg = TruncSeries.one(self.spec, self.cap)
-        for j in range(1, self.q + 1):
-            cj = self.f_poly[j]
-            if not cj.is_zero():
-                quot = quot + powg.scale(cj)
-            if j < self.q:
-                powg = powg * g
+        g, spec = self.pi_power_series(m - 1), self.spec
+        # f(g)/g = sum_j f_j g^(j-1), exact since f(0) = 0
+        quot = _series(spec, self.cap, packed_compose(spec, self.f.coeffs[1:self.q + 1],
+                                                      g.coeffs, self.cap),
+                       min(spec.N, g.n_eff))
         deg = (self.q - 1) * self.q ** (m - 1)
         if deg >= self.cap:
             raise PrecisionExhausted("cap too small for pibar_%d" % m)
@@ -777,39 +780,32 @@ class FormalGroup:
         raise DomainError("torsion size q does not match the residue field")
 
     def translate_series(self, pt, E, cap=None):
-        """T(X) = X [+]_f pt, solved from f(T) = f(X), T(0) = pt.
+        """T(X) = X [+]_f pt, solved from f(T) = f(X), T(0) = pt, over E.
 
         With T = pt + S and f(pt + S) = sum_i d_i S^i, the solve is the
         structural one with u = -d, b = f and certified divisions by d_1;
-        the result is at working precision.  It runs on E's flat
-        coordinates; elements appear only here, at the boundary.
+        the result is at working precision.
         """
-        T = self._translate(E, E.flat_coords(pt), cap or self.cap)
-        return [E.from_flat(c) for c in T]
-
-    def _translate(self, E, pt, cap):
-        """translate_series on flat coordinate tuples of E."""
-        K = _Coords(E)
-        q, mul, zero = self.q, K.mul, K.zero()
-        pad = zero[self.spec.rank:]
-        fE = [c.coords + pad for c in self.f_poly]
+        cap = cap or self.cap
+        q, mul, zero = self.q, E.mul, E.zero()
+        fE = [E.from_base(c) for c in self.f_poly]
         # d_i = sum_{j>=i} f_j C(j,i) pt^{j-i}
-        pt_pows = [K.one()]
+        pt_pows = [E.one()]
         for _ in range(q):
             pt_pows.append(mul(pt_pows[-1], pt))
         d = [zero] * (q + 1)
         for i in range(q + 1):
             for j in range(i, q + 1):
-                d[i] = K.add(d[i], tuple(comb(j, i) * x
+                d[i] = E.add(d[i], tuple(comb(j, i) * x
                                          for x in mul(fE[j], pt_pows[j - i])))
         # f(pt) must vanish to working precision
         if any(x % self.spec.p ** (self.spec.N - 1) for x in d[0]):
             raise PrecisionExhausted("torsion point fails f(pt) = 0 at precision")
         if not any(pt):
-            return [zero, K.one()] + [zero] * (cap - 2)
-        divide_by_d1 = E.make_divider(E.from_flat(d[1])).flat
-        T = _solve_structural(K, cap, [zero], lambda k, x: divide_by_d1(x),
-                              b=fE, u=[K.sub(zero, di) for di in d])
+            return [zero, E.one()] + [zero] * (cap - 2)
+        divide_by_d1 = E.make_divider(d[1])
+        T = _solve_structural(E, cap, [zero], lambda k, x: divide_by_d1(x),
+                              b=fE, u=[E.sub(zero, di) for di in d])
         T[0] = pt
         return T
 
@@ -818,18 +814,18 @@ class FormalGroup:
 
         This is the extension-ring side of the norm-operator law; it shares
         nothing with coleman_norm's resultant route but the ring arithmetic.
-        The translate series depend only on the cap and are kept per cap, as
-        flat coordinates of the torsion quotient ring E; the product is
-        descended to the base mod p^(N-1), the precision of f(pt) = 0.
+        The translate series depend only on the cap and are kept per cap in
+        the torsion quotient ring E; the product is descended to the base mod
+        p^(N-1), the precision of f(pt) = 0.
         """
         g = self._own(g)
         cap = min(cap or self.cap, g.cap)
         E = self.torsion_quotient_ring()
         if cap not in self._translate_cache:
-            self._translate_cache[cap] = [self._translate(E, E.flat_coords(pt), cap)
+            self._translate_cache[cap] = [self.translate_series(pt, E, cap)
                                           for pt in self.torsion_points(E)]
         r, n = self.spec.rank, self.spec.p ** (self.spec.N - 1)
-        pad = (0,) * (E.packing[0] - r)
+        pad = E.zero()[r:]
         gE = [c + pad for c in g.coeffs]
         acc = None
         for T in self._translate_cache[cap]:
@@ -940,20 +936,19 @@ def build_group(spec, pi, q, cap, variant="standard"):
 # -- quotient rings and the torsion tower -----------------------------------------
 
 
-class QuotientRing:
+class QuotientRing(_Coords):
     """base[X]/(P(X)) for a monic polynomial P over a RingSpec.
 
-    Elements are tuples of base RingElems of length deg P.  Division by
-    non-units is supported through an integer inverse with certified
-    p-integrality (make_divider); the division reports nothing on success
-    and raises PrecisionExhausted when the quotient does not exist at
-    working precision.
-
-    Inside, an element is its flat coordinates: X^k times the base basis
-    monomials, base-fast.  The ring is one more monic extension in the
-    tower construction (rings.extend), so its packing, its reduction map and
-    the reduce_block and mul_coords compiled from that map are those of any
-    RingSpec, and the packed series kernel takes it as it takes a RingSpec.
+    An element is one tuple, its flat canonical coordinates: X^k times the
+    base basis monomials, base-fast, so coeffs(a)[k] holds the base
+    coordinates of its X^k coefficient.  The ring is one more monic
+    extension in the tower construction (rings.extend), so its packing, its
+    reduction map and the reduce_block and mul_coords compiled from that map
+    are those of any RingSpec: the packed series kernel takes it as it takes
+    a RingSpec, and it speaks the ring protocol as a _Coords of itself.
+    Division by non-units goes through an integer inverse with certified
+    p-integrality (make_divider), which raises PrecisionExhausted when the
+    quotient does not exist at working precision.
     """
 
     def __init__(self, base, modulus):
@@ -967,68 +962,28 @@ class QuotientRing:
             raise DomainError("modulus must have positive degree")
         self.packing, red_map = extend(base, [c.coords for c in self.modulus])
         self.reduce_block, self.mul_coords = compile_map(self.packing, red_map)
-
-    def zero(self):
-        return tuple(self.base.zero() for _ in range(self.deg))
-
-    def one(self):
-        return self.from_base(self.base.one())
-
-    def from_base(self, c):
-        return tuple([c] + [self.base.zero()] * (self.deg - 1))
+        super().__init__(self)
 
     def x_class(self):
+        """The class of X."""
         if self.deg == 1:
-            return (self.base.zero() - self.modulus[0],)
-        return tuple([self.base.zero(), self.base.one()] +
-                     [self.base.zero()] * (self.deg - 2))
+            return tuple(-c % self.m for c in self.modulus[0].coords)
+        r = self.base.rank
+        return self._zero[:r] + self.one()[:r] + self._zero[2 * r:]
 
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def is_zero(self, a):
-        return all(x.is_zero() for x in a)
-
-    def is_zero_mod(self, a, n):
-        q = self.base.p ** n
-        return all(all(c % q == 0 for c in x.coords) for x in a)
-
-    def mul(self, a, b):
-        flat = self.flat_coords
-        return self.from_flat(self.mul_coords(flat(a), flat(b)))
-
-    def flat_coords(self, a):
-        """The flat canonical coordinates of an element, as one tuple."""
-        return tuple(chain.from_iterable(x.coords for x in a))
-
-    def from_flat(self, flat):
-        """The element with these flat canonical coordinates."""
-        base, r = self.base, self.base.rank
-        if len(flat) != self.packing[0]:
-            raise DomainError("flat coordinate vector has wrong length")
-        return tuple(RingElem(base, tuple(flat[i:i + r])) for i in range(0, len(flat), r))
+    def coeffs(self, a):
+        """The X^k coefficients of a, k < deg, as base coordinate tuples."""
+        r = self.base.rank
+        return [a[i:i + r] for i in range(0, self.rank, r)]
 
     def eval_series(self, ts, pt):
         """Evaluate a base-coefficient TruncSeries at an element (Horner:
         the composition with the constant series pt, mod X)."""
-        pad = (0,) * (self.packing[0] - self.base.rank)
-        f = [c + pad for c in ts.coeffs]
-        return self.from_flat(packed_compose(self, f, [self.flat_coords(pt)], 1)[0])
-
-    def flat_rank(self):
-        return self.packing[0]
+        pad = self._zero[self.base.rank:]
+        return packed_compose(self, [c + pad for c in ts.coeffs], [pt], 1)[0]
 
     def valuation(self, y):
-        if self.is_zero(y):
-            return inf
-        det = _det_bareiss(mult_matrix(self, self.flat_coords(y))) % self.base.modulus
-        vd = ord_int(det, self.base.p)
-        if vd == inf or vd >= self.base.N:
-            raise PrecisionExhausted("valuation unresolved in quotient ring")
-        return Fraction(vd, self.flat_rank())
+        return det_valuation(self, y, self.base.p, self.base.N)
 
     def is_unit(self, y):
         try:
@@ -1050,12 +1005,12 @@ class QuotientRing:
         integer matrix-vector product, a divisibility check and an exact
         division.  A b known mod p^n gives b / y mod p^(n - loss).  A p left
         in a denominator means the quotient does not exist at working
-        precision (PrecisionExhausted).  divide.flat does the same on flat
-        tuples.
+        precision (PrecisionExhausted).  The divider carries loss as
+        divide.loss.
         """
-        R = self.flat_rank()
+        R = self.rank
         aug = [row + [int(i == j) for j in range(R)]
-               for i, row in enumerate(mult_matrix(self, self.flat_coords(y)))]
+               for i, row in enumerate(mult_matrix(self, y))]
         D = 1
         for k in range(R):
             piv = next((i for i in range(k, R) if aug[i][k]), None)
@@ -1067,7 +1022,7 @@ class QuotientRing:
                 if i != k:
                     c = aug[i][k]
                     aug[i] = [(D * x - c * z) // prev for x, z in zip(aug[i], pk)]
-        p, m = self.base.p, self.base.modulus
+        p, m = self.base.p, self.m
         vd = ord_int(D, p)
         # M^-1 = adj / D; its denominators' p-orders are vd - v(adj entry)
         loss = vd - min(ord_int(x, p) for row in aug for x in row[R:])
@@ -1075,23 +1030,14 @@ class QuotientRing:
         unit_inv = pow(D // p ** vd, -1, big)
         A = [[x // p ** (vd - loss) * unit_inv % big for x in row[R:]] for row in aug]
 
-        def flat(b):
+        def divide(b):
             xs = [sum(map(operator.mul, row, b)) for row in A]
             if any(x % scale for x in xs):
                 raise PrecisionExhausted("quotient not integral at this precision")
             return tuple(x // scale % m for x in xs)
 
-        def divide(b):
-            return self.from_flat(flat(self.flat_coords(b)))
-
-        divide.flat, divide.loss = flat, loss
+        divide.loss = loss
         return divide
-
-    def divide(self, b, y):
-        return self.make_divider(y)(b)
-
-    def inverse(self, y):
-        return self.divide(self.one(), y)
 
 
 class TorsionTower:
@@ -1112,28 +1058,31 @@ class TorsionTower:
         self._verify_compatibility()
 
     def _verify_compatibility(self):
+        spec = self.group.spec
         for m in range(2, self.M + 1):
             E = self.rings[m]
             fa = E.eval_series(self.group.f, self.alphas[m])
-            pib_prev = TruncSeries(self.group.spec, self.group.cap,
-                                   list(self.group.pibar(m - 1)))
+            pib_prev = TruncSeries(spec, self.group.cap, list(self.group.pibar(m - 1)))
             val = E.eval_series(pib_prev, fa)
-            if not E.is_zero_mod(val, self.group.spec.N - 1):
+            if any(x % spec.p ** (spec.N - 1) for x in val):
                 raise PrecisionExhausted(
                     "tower inclusion fails: pibar_%d(f(alpha_%d)) != 0" % (m - 1, m))
 
     def norm(self, m, y):
         """Norm O'_m -> O'_{m-1} (to the base ring for m = 1).
 
-        y, a base polynomial in alpha_m, is evaluated at the companion matrix
-        C of pibar_1(Z) over the base (m = 1) or of f(Z) - alpha_{m-1} over
-        O'_{m-1}, and det y(C) is the norm.  Its entries, the rel-adic digits
-        of Z^j y, are base polynomials in T set to 0 or alpha_{m-1}.
+        y, an element of O'_m and so a base polynomial in alpha_m, is
+        evaluated at the companion matrix C of pibar_1(Z) over the base
+        (m = 1) or of f(Z) - alpha_{m-1} over O'_{m-1}, and det y(C) is the
+        norm: a coordinate tuple at every m, the base ring's at m = 1 and the
+        flat coordinates of O'_{m-1} above.  The entries of y(C), the
+        rel-adic digits of Z^j y, are base polynomials in T set to 0 or
+        alpha_{m-1}.
         """
         g = self.group
-        y = [c.coords for c in y]
+        y = self.rings[m].coeffs(y)
         if m == 1:
-            return _companion_norm(g.spec, g.pibar(1), y)
+            return _companion_norm(_Coords(g.spec), g.pibar(1), y)
         return _companion_norm(self.rings[m - 1], g.f_poly, y)
 
 

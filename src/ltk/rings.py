@@ -174,25 +174,6 @@ class RingSpec:
         coords[2 if self.quad is not None else 1] = 1
         return RingElem(self, tuple(coords))
 
-    # -- the ring protocol ---------------------------------------------------
-    # zero, one, from_base, add, sub, mul, is_zero: the generic determinant
-    # and the Lubin-Tate solvers run over any ring that speaks these.
-
-    def from_base(self, c):
-        return c
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a):
-        return a.is_zero()
-
     # -- coordinate arithmetic ---------------------------------------------
 
     def add_coords(self, a, b):
@@ -626,19 +607,28 @@ def trace_to_base(x):
 def valuation(x):
     """Exact valuation with v(p) = 1, as a Fraction; inf for the zero residue."""
     spec = x.spec
-    p, N = spec.p, spec.N
+    if spec.level:
+        return det_valuation(spec, x.coords, spec.p, spec.N)
     if x.is_zero():
         return inf
-    if spec.level == 0:
-        # in units of v(w): 1/2 when ramified (then v(w^i) = i), else 1
-        e = 2 if spec.quad_kind == "ramified" else 1
-        return Fraction(min(e * ord_int(c, p) + i * (e - 1)
-                            for i, c in enumerate(x.coords) if c), e)
-    det = _det_bareiss(mult_matrix(spec, x.coords)) % spec.modulus
-    vd = ord_int(det, p)
+    # in units of v(w): 1/2 when ramified (then v(w^i) = i), else 1
+    e = 2 if spec.quad_kind == "ramified" else 1
+    return Fraction(min(e * ord_int(c, spec.p) + i * (e - 1)
+                        for i, c in enumerate(x.coords) if c), e)
+
+
+def det_valuation(K, a, p, N):
+    """Valuation of the element with coordinates a of a packed ring K (a
+    RingSpec or a lubin_tate.QuotientRing) that is O_L / p^N, O_L the
+    integers of an extension L of Q_p of degree rank: v(a) = v_p(N a) / rank
+    with N a = det of multiplication by a.  inf for zero; PrecisionExhausted
+    when det vanishes mod p^N."""
+    if not any(a):
+        return inf
+    vd = ord_int(_det_bareiss(mult_matrix(K, a)) % p ** N, p)
     if vd == inf or vd >= N:
         raise PrecisionExhausted("valuation unresolved at precision p^%d" % N)
-    return Fraction(vd, spec.rank)
+    return Fraction(vd, K.packing[0])
 
 
 # -- Teichmuller, Frobenius --------------------------------------------------

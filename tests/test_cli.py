@@ -111,6 +111,25 @@ def test_out_file_and_cap_override(tmp_path, capsys, monkeypatch):
     assert d2["moment"]["coords"][0] == 4
 
 
+@pytest.mark.parametrize("ring, p, norm1, val1, norm2", [
+    # f = (1 + X)^3 - 1: pibar_1 = X^2 + 3 X + 3, N(alpha_1) = 3
+    ("zp", 3, [3], "1", [[0], [1]]),
+    # f = w X + X^3 with w^2 = -3: pibar_1 = X^2 + w, N(alpha_1) = w
+    ("ram", 3, [0, 1], "1/2", [[0, 0], [1, 0]]),
+    # f = 2 X + X^4 over Z_4: pibar_1 = X^3 + 2, N(alpha_1) = -2, and
+    # N(alpha_2) = (-1)^(q+1) alpha_1 = -alpha_1 (q = 4)
+    ("unram", 2, [2 ** 6 - 2, 0], "1", [[0, 0], [2 ** 6 - 1, 0], [0, 0]]),
+])
+def test_tower_norms_of_alpha_in_closed_form(capsys, ring, p, norm1, val1, norm2):
+    rc, d = run_json(capsys, ["--p", str(p), "--ring", ring, "--prec", "6",
+                              "--deg", "24", "tower", "--levels", "2"])
+    assert rc == 0
+    q = p ** (2 if ring == "unram" else 1)
+    assert d["level_1"] == {"degree": q - 1,
+                            "norm_of_alpha": {"coords": norm1, "valuation": val1}}
+    assert d["level_2"] == {"degree": (q - 1) * q, "norm_of_alpha": norm2}
+
+
 def test_coleman_interpolate_cli(capsys):
     rc, d = run_json(capsys, ["--p", "3", "--ring", "ram", "--pi-sq", "-3",
                               "--prec", "7", "--deg", "24",

@@ -183,11 +183,9 @@ def test_quotient_mul_matches_schoolbook(name):
     E = quotient_rings()[name]
     rng = random.Random(name)
     for _ in range(20):
-        a = E.from_flat([rng.randrange(E.base.modulus) for _ in range(E.flat_rank())])
-        b = E.from_flat([rng.randrange(E.base.modulus) for _ in range(E.flat_rank())])
-        got = E.flat_coords(E.mul(a, b))
-        assert tuple(got) == ref_quot_mul(E, tuple(E.flat_coords(a)),
-                                          tuple(E.flat_coords(b)))
+        a = E.elem([rng.randrange(E.base.modulus) for _ in range(E.rank)])
+        b = E.elem([rng.randrange(E.base.modulus) for _ in range(E.rank)])
+        assert E.mul(a, b) == ref_quot_mul(E, a, b)
 
 
 # -- series products and compositions -----------------------------------------------------
