@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rings import DomainError, PrecisionExhausted, laplace_det
-from .series import SeriesRing, TruncSeries, weierstrass_prep
+from .rings import DomainError, PrecisionExhausted
+from .series import TruncSeries, _series, packed_det, weierstrass_prep
 
 __all__ = [
     "LambdaPresentation",
@@ -58,8 +58,37 @@ class LambdaPresentation:
 
 
 def det_series(matrix, spec, cap):
-    """Determinant of a square matrix of series, mod X^cap."""
-    return laplace_det(SeriesRing(spec, cap), matrix)
+    """Determinant of a square matrix of series over spec, mod X^cap.
+
+    The entries are made integral first (TruncSeries.require_integral, a
+    no-op at shift 0).  The coefficients are series.packed_det's.  The cap
+    and n_eff are the least, with cap and spec.N, over the entries the
+    Laplace expansion multiplies (_multiplied): det is an integral
+    polynomial in exactly those, so it is known to their digits and their
+    caps.
+    """
+    rows = [[e.require_integral() for e in row] for row in matrix]
+    if any(e.spec != spec for row in rows for e in row):
+        raise DomainError("mixed ring specs")
+    used = list(_multiplied(rows))
+    cap = min([cap] + [e.cap for e in used])
+    coeffs = packed_det(spec, [[e.coeffs[:cap] for e in row] for row in rows], cap)
+    return _series(spec, cap, coeffs, min([spec.N] + [e.n_eff for e in used]))
+
+
+def _multiplied(rows):
+    """The entries a Laplace expansion down the rows multiplies.
+
+    Entry (r, c) is multiplied when it is nonzero and rows 0..r-1 have
+    nonzero entries in distinct columns other than c; a stored zero is
+    skipped with its whole subtree.
+    """
+    reach = {(1 << len(rows)) - 1}  # column sets left after the rows so far
+    for row in rows:
+        used = [(cols, c) for cols in reach for c, e in enumerate(row)
+                if cols >> c & 1 and not e.is_zero()]
+        yield from (row[c] for _, c in used)
+        reach = {cols ^ (1 << c) for cols, c in used}
 
 
 def char_ideal(pres):

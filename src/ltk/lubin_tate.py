@@ -7,12 +7,13 @@ variant is f = pi'*X + X^q; the multiplicative variant (1+X)^p - 1 over Z_p
 recovers the classical picture.
 
 Every algorithm here runs over a small ring protocol: zero, one, from_base,
-add, sub, mul, is_zero.  Three kinds of ring speak it: _Coords (a packed
-ring on its flat coordinate tuples, with its compiled mul_coords: a RingSpec
-as _Coords(spec), and every QuotientRing base[X]/P, which is a _Coords of
-itself), the series ring SeriesRing and the exact rationals _Rationals.  So
-the structural solver, the companion-matrix norm and the determinant
-(rings.laplace_det) each exist once.  A QuotientRing is one more monic
+add, sub, mul, is_zero.  Two kinds of ring speak it: _Coords (a packed ring
+on its flat coordinate tuples, with its compiled mul_coords: a RingSpec as
+_Coords(spec), and every QuotientRing base[X]/P, which is a _Coords of
+itself) and the exact rationals _Rationals.  So the structural solver
+exists once; the companion-matrix norm exists once too, and takes one
+determinant, series.packed_det, over the series ring, the base ring or a
+quotient ring alike.  A QuotientRing is one more monic
 extension in the tower of rings.extend, with the same compiled reduce_block
 and mul_coords as a RingSpec, and its elements are flat coordinate tuples
 only; base RingElems appear at the API boundary, not inside the algorithms.
@@ -46,8 +47,9 @@ group_law_bivariate report them exactly.
 
 The Coleman norm operator is a resultant: N_f g (Y) = det g(C) where C is
 the companion matrix of f(Z) - Y, exact mod (p^N, Y^D).  The entries of g(C)
-are the f-adic digits of Z^j g(Z) (its fiber expansion), so one determinant
-is the only product.  The same norm gives the tower norms O'_m -> O'_{m-1}.
+are the f-adic digits of Z^j g(Z) (its fiber expansion), so one determinant,
+series.packed_det on packed integers, is the only product.  The same norm
+gives the tower norms O'_m -> O'_{m-1}.
 The independent check of the norm law is the product of g over the actual
 torsion translates; the two routes share only the protocol arithmetic.
 """
@@ -66,17 +68,16 @@ from .rings import (
     compile_map,
     det_valuation,
     extend,
-    laplace_det,
     mult_matrix,
     ord_int,
     teichmuller,
     valuation,
 )
 from .series import (
-    SeriesRing,
     TruncSeries,
     _series,
     packed_compose,
+    packed_det,
     packed_mul,
     weierstrass_prep,
 )
@@ -289,13 +290,14 @@ def _solve_structural(R, cap, head, divide, b=(), u=(), v_pows=()):
     return c
 
 
-def _companion_norm(R, rel, y):
-    """det y(C), C the companion matrix of rel(Z) - T over R (exact).
+def _companion_norm(K, rel, y, cap=1):
+    """det y(C), C the companion matrix of rel(Z) - T over R (exact), as cap
+    coordinate tuples of K.
 
     y lists base coordinate tuples; rel is a base polynomial of degree d with
-    a unit top coefficient.  R is base[[T]]/(T^cap) (a SeriesRing, T = Y),
-    base[T]/(P) (a QuotientRing, T its generator) or the base ring on
-    coordinate tuples (_Coords(base), T = 0).
+    a unit top coefficient.  R is K[[T]]/(T^cap) for a RingSpec K, the base
+    (coleman_norm: T = Y; the tower norm at m = 1: cap = 1, so T = 0), or
+    the QuotientRing K = base[T]/(P) with T its generator (cap = 1).
 
     C is multiplication by Z on R[Z]/(rel(Z) - T) in the basis 1, ..., Z^{d-1},
     so column j of y(C) holds the coordinates of Z^j y(Z).  These are reduced
@@ -303,19 +305,22 @@ def _companion_norm(R, rel, y):
     col_0 = rel_d^-1 (T - rel_0) and col_i = -rel_d^-1 rel_i: the T^k
     coefficient of an entry is the Z^i coordinate of the k-th rel-adic digit
     of Z^j y.  base[T] -> R is a ring map, so the mapped entries are those of
-    y(C) over R, entry by entry.  No products in R occur before the determinant.
+    y(C) over R, entry by entry.  No products in R occur before the
+    determinant, series.packed_det.  Its entries and its reduced minors have
+    coordinates in [0, p^N), so a slot of a minor's signed sum is at most
+    d L r (p^N - 1)^2 in absolute value (L the longest entry, at most cap; r
+    = K's rank).  Each sum is masked to its low cap blocks, which is exact
+    mod T^cap: the mask is the ring map Z -> Z/2^(cap block W), and through
+    the Kronecker substitution it sends T^cap to 0 (packed_det).
     """
     spec = rel[-1].spec
     zero = (0,) * spec.rank
-    if isinstance(R, SeriesRing):
-        cap = R.cap
-        lift = lambda P: _series(spec, cap, (P + [zero] * cap)[:cap], spec.N)
-    elif isinstance(R, QuotientRing):
-        gen = R.x_class()
-        lift = lambda P: R.eval_series(_series(spec, len(P) or 1, P or [zero],
-                                               spec.N), gen)
+    if isinstance(K, QuotientRing):
+        gen = K.x_class()
+        lift = lambda P: [K.eval_series(_series(spec, len(P) or 1, P or [zero],
+                                                spec.N), gen)]
     else:
-        lift = lambda P: P[0] if P else zero
+        lift = lambda P: P[:cap]
     mul, add = spec.mul_coords, spec.add_coords
     top_inv = rel[-1].inverse()
     col = [[(-(c * top_inv)).coords] for c in rel[:-1]]  # base polynomials in T
@@ -340,7 +345,7 @@ def _companion_norm(R, rel, y):
     cols = [v]
     while len(cols) < len(col):
         cols.append(times_z(cols[-1]))
-    return laplace_det(R, [[lift(c[i]) for c in cols] for i in range(len(col))])
+    return packed_det(K, [[lift(c[i]) for c in cols] for i in range(len(col))], cap)
 
 
 def _reversion(R, f, cap):
@@ -725,11 +730,10 @@ class FormalGroup:
         """
         g = self._own(g)
         cap = min(g.cap, self.cap)
-        R = SeriesRing(self.spec, cap)
-        ng = _companion_norm(R, self.f_poly, g.coeffs[:cap])
+        ng = _companion_norm(self.spec, self.f_poly, g.coeffs[:cap], cap)
         # det g(C) is an integral polynomial in g's coefficients, so it is
         # known to the digits g is
-        return _series(self.spec, cap, ng.coeffs, min(self.spec.N, g.n_eff))
+        return _series(self.spec, cap, ng, min(self.spec.N, g.n_eff))
 
     def torsion_quotient_ring(self):
         """base[w]/pibar_1(w), housing the nonzero f-torsion (built once)."""
@@ -1082,8 +1086,8 @@ class TorsionTower:
         g = self.group
         y = self.rings[m].coeffs(y)
         if m == 1:
-            return _companion_norm(_Coords(g.spec), g.pibar(1), y)
-        return _companion_norm(self.rings[m - 1], g.f_poly, y)
+            return _companion_norm(g.spec, g.pibar(1), y)[0]
+        return _companion_norm(self.rings[m - 1], g.f_poly, y)[0]
 
 
 def build_tower(group, M):

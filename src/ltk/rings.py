@@ -51,7 +51,6 @@ __all__ = [
     "padic_exp",
     "embed",
     "descend",
-    "laplace_det",
     "PrecisionExhausted",
     "DomainError",
 ]
@@ -542,38 +541,6 @@ def _det_bareiss(M):
             M[i][k] = 0
         prev = M[k][k]
     return sign * M[n - 1][n - 1]
-
-
-def laplace_det(R, rows):
-    """Determinant of a small square matrix over a protocol ring R.
-
-    Column-subset Laplace expansion with memoized minors: no division, so it
-    works over series rings and quotient rings with zero divisors.
-    """
-    n = len(rows)
-    if n == 0:
-        return R.one()
-    memo = {}
-
-    def minor(r, mask):
-        key = (r, mask)
-        if key in memo:
-            return memo[key]
-        acc = R.zero()
-        sign = 1
-        for c in range(n):
-            if not (mask >> c) & 1:
-                continue
-            entry = rows[r][c]
-            if not R.is_zero(entry):
-                sub = R.one() if r == n - 1 else minor(r + 1, mask & ~(1 << c))
-                term = R.mul(entry, sub)
-                acc = R.add(acc, term) if sign > 0 else R.sub(acc, term)
-            sign = -sign
-        memo[key] = acc
-        return acc
-
-    return minor(0, (1 << n) - 1)
 
 
 def mult_matrix(K, a):

@@ -22,10 +22,15 @@ of Z/p^N, packing places each coordinate in a slot so that slot offsets add
 like exponents, and reduce_block is the ring's reduction map, compiled
 once per ring to straight-line code.  RingSpec (the coefficient rings) and
 lubin_tate.QuotientRing (base[X]/P) are the two kinds of packed ring.
+Determinants over K[Y] (the norm operator's, lambda_modules.det_series)
+go through packed_det: each entry is packed once, and each minor is a
+signed sum of int products, unpacked and reduced once.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from itertools import chain
 from math import floor, inf
@@ -45,9 +50,9 @@ from .rings import (
 
 __all__ = [
     "TruncSeries",
-    "SeriesRing",
     "packed_mul",
     "packed_compose",
+    "packed_det",
     "WeierstrassData",
     "weierstrass_prep",
     "poly_divmod_monic",
@@ -420,10 +425,18 @@ def _series(spec, cap, coeffs, n_eff, shift=0):
 # -- the packed-integer kernel ----------------------------------------------------
 
 
-def _slot_bytes(count, rank, m):
-    """Bytes per slot for products of coefficient lists at most count long
-    on one side (see packed_mul)."""
-    return ((count * rank * (m - 1) ** 2).bit_length() + 8) // 8
+# The array typecode for each slot width it can move (1, 2, 4 and 8 bytes);
+# none on a big-endian host, whose slots go through to_bytes one by one.
+_ARRAY_CODES = ({array(c).itemsize: c for c in "QIHB"}
+                if sys.byteorder == "little" else {})
+
+
+def _slot_bytes(bound):
+    """Bytes per slot for slot values of absolute value at most bound, with
+    a bit to spare: bit_length(bound) + 1 bits in whole bytes, rounded up to
+    the next width array moves (1, 2, 4 or 8) when there is one."""
+    n = (bound.bit_length() + 8) // 8
+    return min((w for w in _ARRAY_CODES if w >= n), default=n)
 
 
 def _pack(coeffs, block, slots, nbytes):
@@ -435,16 +448,28 @@ def _pack(coeffs, block, slots, nbytes):
         flat = [0] * (len(coeffs) * block)
         for i, s in enumerate(slots):
             flat[s::block] = [c[i] for c in coeffs]
-    return int.from_bytes(b"".join([x.to_bytes(nbytes, "little") for x in flat]),
-                          "little")
+    code = _ARRAY_CODES.get(nbytes)
+    data = (array(code, flat).tobytes() if code
+            else b"".join([x.to_bytes(nbytes, "little") for x in flat]))
+    return int.from_bytes(data, "little")
+
+
+def _slots(x, count, nbytes, size):
+    """The lowest count of the size unsigned nbytes-wide slots of x >= 0."""
+    buf = x.to_bytes(size * nbytes, "little")
+    code = _ARRAY_CODES.get(nbytes)
+    if code is None:
+        return [int.from_bytes(buf[i:i + nbytes], "little")
+                for i in range(0, count * nbytes, nbytes)]
+    out = array(code)
+    out.frombytes(memoryview(buf)[:count * nbytes])
+    return out.tolist()
 
 
 def _unpack(K, prod, n, nbytes, size):
     """The first n reduced coefficients of a product packed in size blocks."""
     block = K.packing[1]
-    buf = prod.to_bytes(size * block * nbytes, "little")
-    raw = [int.from_bytes(buf[i:i + nbytes], "little")
-           for i in range(0, n * block * nbytes, nbytes)]
+    raw = _slots(prod, n * block, nbytes, size * block)
     red = K.reduce_block
     return [red(raw, o) for o in range(0, n * block, block)]
 
@@ -480,16 +505,21 @@ def packed_mul(K, a, b, cap):
         bits >= bit_length(min(len a, len b) * rank * (m - 1)^2) + 1
 
     no slot carries into the next: the product's slots are exactly the raw
-    coefficients.  nbytes is that bit count rounded up to whole bytes.
-    Trailing zero coefficients are dropped first, which only shrinks the
-    bound.
+    coefficients.  nbytes is that bit count rounded up to whole bytes, then
+    to the next width array moves (1, 2, 4 or 8 bytes; _slot_bytes), so
+    packing and unpacking are one array conversion each.  Rounding up keeps
+    the slots carry-free: the bound on a slot's value depends on the inputs
+    only, not on the width, so a wider slot holds it with bits to spare, and
+    the packed product is the same polynomial evaluated at a larger power
+    of 2.  Trailing zero coefficients are dropped first, which only shrinks
+    the bound.
     """
     rank, block, slots, m = K.packing
     la, lb = _trim(a, cap), _trim(b, cap)
     if not la or not lb:
         return [(0,) * rank] * cap
     n = min(cap, la + lb - 1)
-    nbytes = _slot_bytes(min(la, lb), rank, m)
+    nbytes = _slot_bytes(min(la, lb) * rank * (m - 1) ** 2)
     A = _pack(a[:la], block, slots, nbytes)
     B = A if a is b else _pack(b[:lb], block, slots, nbytes)
     out = _unpack(K, A * B, n, nbytes, la + lb - 1)
@@ -510,7 +540,7 @@ def packed_compose(K, f, g, cap):
     if not lg:
         c = f[0] if f else zero
         return [c] + [zero] * (cap - 1)
-    nbytes = _slot_bytes(lg, rank, m)
+    nbytes = _slot_bytes(lg * rank * (m - 1) ** 2)
     G = _pack(g[:lg], block, slots, nbytes)
     res = []
     for c in reversed(f):
@@ -525,34 +555,94 @@ def packed_compose(K, f, g, cap):
     return res
 
 
-class SeriesRing:
-    """Series in one variable over a RingSpec mod Y^cap, as a protocol ring
-    (zero, one, from_base, add, sub, mul, is_zero) for determinants."""
+# A d x d determinant makes d 2^(d-1) products and keeps 2^d minors; see
+# packed_det for what this bound allows and refuses.
+MAX_DET_DIM = 13
 
-    def __init__(self, spec, cap):
-        self.spec = spec
-        self.cap = cap
 
-    def zero(self):
-        return TruncSeries.zero(self.spec, self.cap)
+def packed_det(K, rows, cap):
+    """Determinant mod Y^cap of a square matrix over K[Y], K a packed ring.
 
-    def one(self):
-        return TruncSeries.one(self.spec, self.cap)
+    K is a RingSpec or a lubin_tate.QuotientRing; rows[i][j] lists canonical
+    coordinate tuples, the Y^k coefficients of entry (i, j) (an entry over K
+    itself is a one-coefficient list at cap 1).  Returns cap coordinate
+    tuples.  The determinant is a column-subset Laplace expansion with
+    memoized minors: it never divides, so it holds over quotient rings with
+    zero divisors, such as the torsion tower's.
 
-    def from_base(self, c):
-        return TruncSeries(self.spec, self.cap, [c])
+    Packing.  Each entry is packed once into a Kronecker int as in
+    packed_mul, and each memoized minor is kept as one: a minor is the
+    signed sum of at most d products entry * smaller minor, formed on plain
+    Python ints, then unpacked and reduced once and packed again.  The last
+    row's minors are its entries, so a minor of j >= 2 rows costs one
+    reduction for its j products.  The sum may be negative and longer than
+    cap blocks; with S = 2^(cap block W), W the slot width, the slots below
+    S hold the sum's coefficients mod Y^cap with a borrow from each negative
+    one into the next.  One biased unpack reads them: adding 2^(W-1) to
+    every slot puts each one in [0, 2^W), so the slots of (sum + bias) mod
+    S, one & mask, are read unsigned and carry-free, and the bias comes off.
+    That mask is exact mod Y^cap: x -> x mod S is a ring map, and composed
+    with the Kronecker substitution it sends Y^cap to 0.
 
-    def add(self, a, b):
-        return a + b
+    Slot width.  A minor's coordinates lie in [0, m - 1], m = p^N, and so
+    do an entry's.  As in packed_mul, a slot of one product sums at most
+    L * r products of two coordinates (L <= cap the longest entry, r =
+    rank), so a slot of the sum has absolute value at most
 
-    def sub(self, a, b):
-        return a - b
+        B = d * L * r * (m - 1)^2,
 
-    def mul(self, a, b):
-        return a * b
+    and W = bit_length(B) + 1 bits hold it with its sign (rounded up as in
+    packed_mul, _slot_bytes).
 
-    def is_zero(self, a):
-        return a.is_zero()
+    Reach.  The expansion makes d 2^(d-1) products and keeps up to 2^d
+    minors, each reduced once.  d <= MAX_DET_DIM = 13 bounds them by 53248
+    products and 8192 minors (q <= 9 needs at most 2304 and 512); q = 25
+    would need 4.2e8 products and 3.4e7 minors, so a larger d raises
+    DomainError before any work.
+    """
+    d = len(rows)
+    rank, block, slots, m = K.packing
+    zero = (0,) * rank
+    if d > MAX_DET_DIM:
+        raise DomainError(f"a {d} x {d} determinant exceeds MAX_DET_DIM = {MAX_DET_DIM}: "
+                          f"{d * 2 ** (d - 1)} products over {2 ** d} minors")
+    if not d:
+        return [(1,) + zero[1:]] + [zero] * (cap - 1)
+    rows = [[e[:_trim(e, cap)] for e in row] for row in rows]
+    L = max(len(e) for row in rows for e in row)
+    nbytes = _slot_bytes(d * L * rank * (m - 1) ** 2)
+    ints = [[_pack(e, block, slots, nbytes) for e in row] for row in rows]
+    size = cap * block
+    mask = (1 << (8 * nbytes * size)) - 1
+    half = 1 << (8 * nbytes - 1)
+    bias = int.from_bytes(half.to_bytes(nbytes, "little") * size, "little")
+    red = K.reduce_block
+    # minors by their column bitmask; the last row's are its entries
+    memo = {1 << c: x for c, x in enumerate(ints[-1])}
+    memo[0] = _pack([(1,) + zero[1:]], block, slots, nbytes)
+
+    def expand(r, cols):
+        """The signed sum of the products of rows r, r + 1, ... on cols."""
+        acc, sign = 0, 1
+        for c in range(d):
+            if cols >> c & 1:
+                if ints[r][c]:
+                    t = ints[r][c] * minor(r + 1, cols ^ (1 << c))
+                    acc = acc + t if sign > 0 else acc - t
+                sign = -sign
+        return acc
+
+    def reduced(acc):
+        """The cap canonical coefficients of a packed signed sum."""
+        raw = [x - half for x in _slots((acc + bias) & mask, size, nbytes, size)]
+        return [red(raw, o) for o in range(0, size, block)]
+
+    def minor(r, cols):
+        if cols not in memo:
+            memo[cols] = _pack(reduced(expand(r, cols)), block, slots, nbytes)
+        return memo[cols]
+
+    return reduced(expand(0, (1 << d) - 1))
 
 
 # -- formal log / exp ---------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -237,6 +238,19 @@ def test_exit_code_and_json_error(capsys, argv, code):
     else:
         assert err == ""
         assert "provenance" in json.loads(out)
+
+
+def test_norm_op_out_of_reach_is_refused_at_once(capsys):
+    # q = 25: the 25 x 25 norm determinant would take 4.2e8 products over
+    # 3.4e7 minors; it is refused before any of them
+    start = time.perf_counter()
+    rc = run(["--p", "5", "--ring", "unram", "--prec", "7", "--deg", "32", "norm-op"])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert json.loads(err)["error"] == "usage"
+    assert "MAX_DET_DIM" in json.loads(err)["detail"]
+    assert elapsed < 5
 
 
 # -- malformed inputs: exit 1 or 2 with one JSON error, never a traceback ----------

@@ -4,7 +4,8 @@ The references below share no code with the kernel: ring products multiply
 coordinate vectors as polynomials in w and x and reduce them by long
 division by Phi_{p^level}(x) and the quadratic polynomial; quotient-ring
 products reduce by long division by the monic modulus; series products are
-the coefficient-by-coefficient convolution.
+the coefficient-by-coefficient convolution; determinants are the Laplace
+oracle (det_oracle.laplace_det) over those series products.
 """
 
 import random
@@ -12,9 +13,14 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from math import comb
+
 from ltk.lubin_tate import QuotientRing, build_group
-from ltk.rings import make_composite, make_ring
-from ltk.series import TruncSeries, packed_compose, packed_mul
+from ltk.rings import DomainError, make_composite, make_ring
+from ltk.series import (MAX_DET_DIM, TruncSeries, _ARRAY_CODES, _slot_bytes,
+                        packed_compose, packed_det, packed_mul)
+
+from det_oracle import laplace_det
 
 SPECS = {
     "zp": make_ring(3, 13, "zp"),
@@ -270,3 +276,136 @@ def test_truncseries_product_and_compose_match_schoolbook(rng):
     comp = a.compose(inner)
     assert list(comp.coeffs) == ref_compose(mul, m, rank, a.coeffs, inner.coeffs, 20)
     assert comp.n_eff == 6
+
+
+@pytest.mark.parametrize("width, K, count", [
+    (1, make_ring(2, 1, "zp"), 100),
+    (2, make_ring(3, 3, "zp"), 32),
+    (4, SPECS["ramified"], 128),
+    (8, SPECS["zp"], 128),
+    (17, make_ring(3, 40, "zp"), 128),
+], ids=["1", "2", "4", "8", "17"])
+def test_slot_widths_take_their_packing_path(width, K, count):
+    """Every coordinate p^N - 1: the middle slots reach count * rank *
+    (p^N - 1)^2, which takes slots of width bytes, moved by array up to 8
+    bytes and joined byte by byte above."""
+    rank, m, mul = ring_of(K)
+    assert _slot_bytes(count * rank * (m - 1) ** 2) == width
+    assert (width in _ARRAY_CODES) == (width <= 8)
+    a = [(m - 1,) * rank] * count
+    assert packed_mul(K, a, a, count) == ref_series_mul(mul, m, rank, a, a, count)
+
+
+# -- determinants ---------------------------------------------------------------------
+
+
+class RefSeriesRing:
+    """K[Y]/(Y^cap) on coefficient lists with the schoolbook product, as a
+    protocol ring for the Laplace oracle."""
+
+    def __init__(self, K, cap):
+        self.rank, self.m, self.mul_ = ring_of(K)
+        self.cap = cap
+
+    def zero(self):
+        return [(0,) * self.rank] * self.cap
+
+    def one(self):
+        return [(1,) + (0,) * (self.rank - 1)] + self.zero()[1:]
+
+    def add(self, a, b):
+        return [ref_add(self.m, x, y) for x, y in zip(a, b)]
+
+    def sub(self, a, b):
+        return [tuple((u - v) % self.m for u, v in zip(x, y)) for x, y in zip(a, b)]
+
+    def mul(self, a, b):
+        return ref_series_mul(self.mul_, self.m, self.rank, a, b, self.cap)
+
+    def is_zero(self, a):
+        return not any(map(any, a))
+
+
+def oracle_det(K, rows, cap):
+    R = RefSeriesRing(K, cap)
+    pad = lambda e: (list(e) + R.zero())[:cap]
+    return laplace_det(R, [[pad(e) for e in row] for row in rows])
+
+
+DET_RINGS = {name: PACKED[name] for name in
+             ["zp", "ramified", "unramified", "cyclotomic2", "composite",
+              "quot_ram_deg2", "quot_ram_pibar1"]}
+
+
+@pytest.mark.parametrize("name", sorted(DET_RINGS))
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("cap", [1, 8, 24])
+def test_packed_det_matches_laplace(name, d, cap):
+    """Two matrices of random entries of random lengths up to cap + 2, a
+    third of them zero, then one with a zero row and one of all ones."""
+    K = DET_RINGS[name]
+    rank, m, _ = ring_of(K)
+    rng = random.Random(f"{name} {d} {cap}")
+
+    def entry():
+        if rng.random() < 1 / 3:
+            return []
+        return [tuple(rng.randrange(m) for _ in range(rank))
+                for _ in range(rng.randrange(1, cap + 3))]
+
+    one = [(1,) + (0,) * (rank - 1)]
+    cases = [[[entry() for _ in range(d)] for _ in range(d)] for _ in range(2)]
+    cases.append([[[]] * d] + [[entry() for _ in range(d)] for _ in range(d - 1)])
+    cases.append([[one] * d for _ in range(d)])
+    for rows in cases:
+        assert packed_det(K, rows, cap) == oracle_det(K, rows, cap)
+
+
+@pytest.mark.parametrize("name", ["zp", "ramified", "cyclotomic2", "composite",
+                                  "quot_ram_deg2"])
+@pytest.mark.parametrize("d", [3, 4])
+def test_packed_det_worst_case(name, d):
+    """Every coordinate p^N - 1 in every entry at cap 24.  The last row's
+    minors are its entries, so the products in each 2-row minor have middle
+    slots of 24 r (p^N - 1)^2, the per-product part of the slot bound
+    B = d L r (p^N - 1)^2 (L = 24); the factor d counts the products of one
+    signed sum, of which at most ceil(d / 2) can add up when every product
+    is nonnegative.  With all entries equal every minor of two rows or more
+    is zero; a triangular matrix with two rows swapped has one permutation,
+    an odd one, so on Z_p the Y^(cap-1) coefficient of its determinant is
+    -C(cap + d - 2, d - 1) (p^N - 1)^d before reduction mod p^N."""
+    K, cap = PACKED[name], 24
+    rank, m, _ = ring_of(K)
+    full = [(m - 1,) * rank] * cap
+    tri = [[full if j >= i else [] for j in range(d)] for i in range(d)]
+    tri[0], tri[1] = tri[1], tri[0]
+    for rows in ([[full] * d for _ in range(d)], tri):
+        assert packed_det(K, rows, cap) == oracle_det(K, rows, cap)
+    if name == "zp":
+        top = -comb(cap + d - 2, d - 1) * (m - 1) ** d
+        assert packed_det(K, tri, cap)[cap - 1] == (top % m,)
+
+
+def test_packed_det_sum_reaches_its_slot_bound():
+    """Two products of the same sign at their largest: row 0 is (full, 0,
+    full) and both 2 x 2 minors it multiplies reduce to full, so the top
+    sum's Y^(L-1) slot is 2 L (p^N - 1)^2, two thirds of B = 3 L r (p^N -
+    1)^2.  At p^N = 3^18 and L = 40 that is past 2^63, while L (p^N - 1)^2
+    alone is not: a width without the factor d would take 8-byte slots,
+    whose bias reads it wrong."""
+    K, cap = make_ring(3, 18, "zp"), 40
+    m = K.modulus
+    assert _slot_bytes(cap * (m - 1) ** 2) == 8
+    assert 2 * cap * (m - 1) ** 2 >= 2 ** 63
+    assert _slot_bytes(3 * cap * (m - 1) ** 2) == 9
+    full, ones, one = [(m - 1,)] * cap, [(1,)] * cap, [(1,)]
+    rows = [[full, [], full], [full, [], ones], [[], one, []]]
+    assert packed_det(K, rows, cap) == oracle_det(K, rows, cap)
+
+
+def test_packed_det_refuses_past_its_reach():
+    K = SPECS["zp"]
+    rows = [[[(1,)]] * (MAX_DET_DIM + 1)] * (MAX_DET_DIM + 1)
+    with pytest.raises(DomainError, match="MAX_DET_DIM"):
+        packed_det(K, rows, 4)
+    assert packed_det(K, [], 3) == [(1,), (0,), (0,)]

@@ -6,7 +6,10 @@ from ltk.lambda_modules import (
     LambdaPresentation,
     additivity_check,
     char_ideal,
+    det_series,
 )
+
+from det_oracle import SeriesRing, laplace_det
 
 
 Z = make_ring(3, 8, "zp")
@@ -117,3 +120,36 @@ def test_json_round_trip():
     pres = LambdaPresentation(Z, [[ts([3, 1]), ts([5])], [ts([]), ts([0, 1])]])
     back = LambdaPresentation.from_json(pres.to_json())
     assert char_ideal(back).lam == char_ideal(pres).lam
+
+
+def test_det_series_matches_laplace(rng):
+    """Coefficients, cap and n_eff as the Laplace expansion over the series
+    ring gives them: the least over the entries it multiplies, so an entry
+    no row above can reach is left out and one whose minor is a dead end is
+    not."""
+    Q = make_ring(3, 7, "ramified_quad", quad=(0, 3))
+
+    def rand(spec, cap=CAP, n_eff=None, terms=None):
+        return TruncSeries(spec, cap, [spec.elem([rng.randrange(spec.modulus)
+                                                  for _ in range(spec.rank)])
+                                       for _ in range(terms or cap)], n_eff)
+
+    zero = TruncSeries.zero(Z, CAP)
+    cases = [
+        (Z, [[rand(Z, n_eff=6), rand(Z, 24)], [rand(Z, terms=3), rand(Z, n_eff=7)]]),
+        (Q, [[rand(Q, n_eff=5) for _ in range(3)] for _ in range(3)]),
+        # (1, 0) is never reached: row 0's only entry takes column 0
+        (Z, [[rand(Z), zero, zero], [rand(Z, n_eff=2), rand(Z), rand(Z)],
+             [rand(Z), rand(Z, n_eff=6), rand(Z)]]),
+        # (0, 0) multiplies a zero minor (row 1 is zero off column 0)
+        (Z, [[rand(Z, n_eff=4), rand(Z)], [rand(Z, n_eff=5), zero]]),
+        # an entry of smaller cap that is multiplied, and block zeros
+        (Z, [[rand(Z, 12), rand(Z), zero], [zero, rand(Z), zero],
+             [zero, zero, rand(Z, terms=2)]]),
+        (Z, [[rand(Z, n_eff=3)]]),
+        (Z, []),
+    ]
+    for spec, M in cases:
+        want = laplace_det(SeriesRing(spec, CAP), M)
+        got = det_series(M, spec, CAP)
+        assert (got.coeffs, got.cap, got.n_eff) == (want.coeffs, want.cap, want.n_eff)

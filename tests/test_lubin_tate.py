@@ -4,11 +4,12 @@ import pytest
 
 from ltk import coleman as CO
 from ltk import lubin_tate as LT
-from ltk.rings import DomainError, laplace_det, make_ring, mult_matrix, valuation
-from ltk.series import SeriesRing, TruncSeries, mu_lambda_by_roots
+from ltk.rings import DomainError, make_ring, mult_matrix, valuation
+from ltk.series import TruncSeries, mu_lambda_by_roots
 from ltk.lubin_tate import QuotientRing, build_group, build_tower
 
 from conftest import random_series
+from det_oracle import SeriesRing, laplace_det
 
 
 @pytest.fixture
@@ -342,7 +343,7 @@ def test_norm_law_routes_are_independent(g3, rng, monkeypatch):
         m.setattr(LT, "_solve_structural", crossed)
         lhs = g3.coleman_norm(g).compose(g3.f.truncate(24))
     with monkeypatch.context() as m:
-        m.setattr(LT, "laplace_det", crossed)
+        m.setattr(LT, "packed_det", crossed)
         m.setattr(LT, "_companion_norm", crossed)
         rhs = g3.translates_product(g)
         # warm: the second call reads the cached translates
@@ -518,7 +519,7 @@ def _oracle_tower_norm(tw, m, y):
     return _matrix_horner_norm(R, _fiber_column(R, G.f_poly, tw.alphas[m - 1]), y)
 
 
-@pytest.mark.parametrize("name", SOLVER_GROUPS)
+@pytest.mark.parametrize("name", SOLVER_GROUPS + ["gu3"])
 def test_coleman_norm_matches_matrix_horner(name, request, rng):
     G = request.getfixturevalue(name)
     spec, cap, N = G.spec, G.cap, G.spec.N
@@ -531,6 +532,8 @@ def test_coleman_norm_matches_matrix_horner(name, request, rng):
         random_series(spec, cap, rng, terms=5),              # trailing zeros
         random_series(spec, cap + 6, rng),                   # cap above G.cap
     ]
+    if name == "gu3":   # d = 9: 2304 products in the oracle's determinant
+        cases = cases[:1]
     for g in cases:
         ng = G.coleman_norm(g)
         assert ng.coeffs == _oracle_coleman_norm(G, g)
@@ -575,18 +578,18 @@ def test_fiber_norm_with_a_non_monic_relation(g3, rng):
     rel = [c * u for c in g3.f_poly]
     want = _matrix_horner_norm(S, _fiber_column(S, rel, TruncSeries.x(spec, 24)),
                                [spec.elem(c) for c in y])
-    assert LT._companion_norm(S, rel, y).coeffs == want.coeffs
+    assert LT._companion_norm(spec, rel, y, 24) == list(want.coeffs)
     rel1 = [c * u for c in g3.pibar(1)]
     y1 = y[:5]
     B = LT._Coords(spec)
     want = _matrix_horner_norm(B, _fiber_column(B, rel1, B.zero()),
                                [spec.elem(c) for c in y1])
-    assert LT._companion_norm(B, rel1, y1) == want
+    assert LT._companion_norm(spec, rel1, y1) == [want]
     E = build_tower(g3, 1).rings[1]
     rel2 = [rel[0] + spec.one()] + rel[1:]
     want = _matrix_horner_norm(E, _fiber_column(E, rel2, E.x_class()),
                                [spec.elem(c) for c in y])
-    assert LT._companion_norm(E, rel2, y) == want
+    assert LT._companion_norm(E, rel2, y) == [want]
 
 
 def test_translates_cache_matches_a_fresh_group(q3, rng):
