@@ -295,6 +295,20 @@ def test_slot_widths_take_their_packing_path(width, K, count):
     assert packed_mul(K, a, a, count) == ref_series_mul(mul, m, rank, a, a, count)
 
 
+def test_packing_without_array_widths(monkeypatch):
+    """A big-endian host has no array widths: slots stay whole bytes, here
+    3, and every slot is joined and split byte by byte."""
+    from ltk import series
+    monkeypatch.setattr(series, "_ARRAY_CODES", {})
+    K, count = make_ring(3, 5, "zp"), 32
+    rank, m, mul = ring_of(K)
+    assert series._slot_bytes(count * rank * (m - 1) ** 2) == 3
+    a = [(m - 1,) * rank] * count
+    assert packed_mul(K, a, a, count) == ref_series_mul(mul, m, rank, a, a, count)
+    rows = [[a[:3], a[:2]], [a[:1], a[:3]]]
+    assert packed_det(K, rows, 8) == oracle_det(K, rows, 8)
+
+
 # -- determinants ---------------------------------------------------------------------
 
 
