@@ -46,12 +46,17 @@ rationals: their denominators are genuine, and log_series, q_coordinate and
 group_law_bivariate report them exactly.
 
 The Coleman norm operator is a resultant: N_f g (Y) = det g(C) where C is
-the companion matrix of f(Z) - Y, exact mod (p^N, Y^D).  The entries of g(C)
-are the f-adic digits of Z^j g(Z) (its fiber expansion), so one determinant,
-series.packed_det on packed integers, is the only product.  The same norm
-gives the tower norms O'_m -> O'_{m-1}.
+the companion matrix of f(Z) - Y, exact mod (p^N, Y^D).  g(C) = sum_k g_k C^k
+is linear in g, and the matrix of C^k is a window of the f-adic digits D_n =
+Z^n mod (f(Z) - Y), which depend only on the group: they are made and packed
+once per group (_fiber_digits, series.PackedRows), so a call sums one packed
+product per coefficient of g, reduces the sum once, and takes one
+determinant, series.packed_det.  The same norm gives the tower norms O'_m ->
+O'_{m-1}, with digits kept per level on the TorsionTower.
 The independent check of the norm law is the product of g over the actual
-torsion translates; the two routes share only the protocol arithmetic.
+torsion translates, g o tau = sum_k g_k tau^k with the powers of each
+translate tau packed once per cap in the same way; the two routes share
+only the ring arithmetic and the packed kernel.
 """
 
 from __future__ import annotations
@@ -74,6 +79,7 @@ from .rings import (
     valuation,
 )
 from .series import (
+    PackedRows,
     TruncSeries,
     _series,
     packed_compose,
@@ -290,62 +296,86 @@ def _solve_structural(R, cap, head, divide, b=(), u=(), v_pows=()):
     return c
 
 
-def _companion_norm(K, rel, y, cap=1):
-    """det y(C), C the companion matrix of rel(Z) - T over R (exact), as cap
-    coordinate tuples of K.
+def _fiber_digits(K, rel, cap=1):
+    """The digits D_n = Z^n mod (rel(Z) - T) over R, as series.PackedRows
+    for _companion_norm of y with at most cap terms (any number at cap 1).
 
-    y lists base coordinate tuples; rel is a base polynomial of degree d with
-    a unit top coefficient.  R is K[[T]]/(T^cap) for a RingSpec K, the base
-    (coleman_norm: T = Y; the tower norm at m = 1: cap = 1, so T = 0), or
-    the QuotientRing K = base[T]/(P) with T its generator (cap = 1).
+    rel is a base polynomial of degree d with a unit top coefficient.  R is
+    K[[T]]/(T^cap) for a RingSpec K, the base (coleman_norm: T = Y; the
+    tower norm at m = 1: cap = 1, so T = 0), or the QuotientRing K =
+    base[T]/(P) with T its generator (cap = 1).  The digits are made in R
+    itself, so no entry is lifted afterwards: D_0 = 1 and D_{n+1} = Z D_n,
+    with Z^d = sum_i col_i Z^i, col_0 = rel_d^-1 (T - rel_0) and col_i =
+    -rel_d^-1 rel_i, col_0 taken into R once.  A row costs one product in K
+    per nonzero pair of a col_i coefficient and a top-digit coefficient.
 
-    C is multiplication by Z on R[Z]/(rel(Z) - T) in the basis 1, ..., Z^{d-1},
-    so column j of y(C) holds the coordinates of Z^j y(Z).  These are reduced
-    over base[T] first, by Horner's rule with Z^d = sum_i col_i Z^i,
-    col_0 = rel_d^-1 (T - rel_0) and col_i = -rel_d^-1 rel_i: the T^k
-    coefficient of an entry is the Z^i coordinate of the k-th rel-adic digit
-    of Z^j y.  base[T] -> R is a ring map, so the mapped entries are those of
-    y(C) over R, entry by entry.  No products in R occur before the
-    determinant, series.packed_det.  Its entries and its reduced minors have
-    coordinates in [0, p^N), so a slot of a minor's signed sum is at most
-    d L r (p^N - 1)^2 in absolute value (L the longest entry, at most cap; r
-    = K's rank).  Each sum is masked to its low cap blocks, which is exact
-    mod T^cap: the mask is the ring map Z -> Z/2^(cap block W), and through
-    the Kronecker substitution it sends T^cap to 0 (packed_det).
+    Row n lists D_n's d coordinates in the basis 1, ..., Z^{d-1}, each as
+    its first e T-coefficients (tuples of K).  Each fold of Z^d brings at
+    most one T, so D_n has T-degree at most n / d, and the norm of y with at
+    most cap terms reads D_n for n <= cap + d - 2: e = min(cap, (cap - 2) //
+    d + 2) holds them.  A row past those would need T^e (DomainError).
     """
-    spec = rel[-1].spec
-    zero = (0,) * spec.rank
-    if isinstance(K, QuotientRing):
-        gen = K.x_class()
-        lift = lambda P: [K.eval_series(_series(spec, len(P) or 1, P or [zero],
-                                                spec.N), gen)]
-    else:
-        lift = lambda P: P[:cap]
-    mul, add = spec.mul_coords, spec.add_coords
+    d = len(rel) - 1
+    e = min(cap, (cap - 2) // d + 2)
+    R = K if isinstance(K, QuotientRing) else _Coords(K)
+    zero, mul, add = R.zero(), R.mul, R.add
     top_inv = rel[-1].inverse()
-    col = [[(-(c * top_inv)).coords] for c in rel[:-1]]  # base polynomials in T
-    col[0].append(top_inv.coords)
+    col = [[R.from_base(-(c * top_inv))] for c in rel[:-1]]
+    t = R.from_base(top_inv)   # T's coefficient in col_0
+    if isinstance(K, QuotientRing):
+        col[0] = [add(col[0][0], mul(t, K.x_class()))]
+    elif cap > 1:
+        col[0].append(t)
 
-    def times_z(v):
-        top, out = v[-1], [[]] + v[:-1]
+    short = len(col[0]) > 1 and e < cap   # col_0's T can reach T^e < T^cap
+
+    def times_z(row):
+        top = row[-e:]
+        if short and any(top[-1]):
+            raise DomainError("the fiber digits hold norms of at most cap terms")
+        out = [zero] * e + row[:-e]
         for i, c in enumerate(col):
             for s, cs in enumerate(c):
-                if top and any(cs):
-                    P = out[i] + [zero] * (s + len(top) - len(out[i]))
-                    for k, a in enumerate(top, s):
-                        P[k] = add(P[k], mul(cs, a))
-                    out[i] = P
+                if any(cs):
+                    for k in range(e - s):
+                        if any(top[k]):
+                            o = i * e + k + s
+                            out[o] = add(out[o], mul(cs, top[k]))
         return out
 
-    v = [[] for _ in col]
-    for yk in reversed(y):
-        v = times_z(v)
-        if any(yk):
-            v[0] = [add(v[0][0], yk)] + v[0][1:] if v[0] else [yk]
-    cols = [v]
-    while len(cols) < len(col):
-        cols.append(times_z(cols[-1]))
-    return packed_det(K, [[lift(c[i]) for c in cols] for i in range(len(col))], cap)
+    first = [R.one()] + [zero] * (d * e - 1)
+    return PackedRows(K, d * e, d, first, times_z)
+
+
+def _companion_norm(digits, y, cap=1):
+    """det y(C) mod T^cap, C the companion matrix of rel(Z) - T over R
+    (exact), as cap coordinate tuples of K; digits = _fiber_digits(K, rel,
+    cap') for some cap' >= cap, and y lists base coordinate tuples.
+
+    C is multiplication by Z on R[Z]/(rel(Z) - T) in the basis 1, ...,
+    Z^{d-1}, so column j of C^k holds the coordinates of Z^(j+k), the digit
+    D_{j+k}, and
+
+        y(C) = sum_k y_k C^k,   entry (i, j) = sum_k y_k D_{j+k}[i].
+
+    The d x d matrix of C^k is the window of d rows of the digits starting
+    at row k, so y(C) is one PackedRows.combine: one int product per nonzero
+    y_k and one reduction per entry coefficient, its slots at most
+    L r (p^N - 1)^2 for L terms of y (r = K's rank; the derivation is
+    PackedRows').  Truncating the entries to cap coefficients is the ring map
+    mod T^cap.  The determinant is series.packed_det.  Its entries and its
+    reduced minors have coordinates in [0, p^N), so a slot of a minor's
+    signed sum is at most d L' r (p^N - 1)^2 in absolute value (L' the
+    longest entry, at most cap).  Each sum is masked to its low cap blocks,
+    which is exact mod T^cap: the mask is the ring map Z -> Z/2^(cap block
+    W), and through the Kronecker substitution it sends T^cap to 0
+    (packed_det).
+    """
+    K, d = digits.K, digits.width
+    rank, e = K.packing[0], digits.stride // d
+    flat = digits.combine([c + (0,) * (rank - len(c)) for c in y])
+    entry = lambda o: flat[o * e:o * e + min(e, cap)]
+    return packed_det(K, [[entry(j * d + i) for j in range(d)] for i in range(d)], cap)
 
 
 def _reversion(R, f, cap):
@@ -384,6 +414,7 @@ class FormalGroup:
         self._endo_cache = {}
         self._pibar_cache = {}
         self._translate_cache = {}
+        self._norm_digits = None
         self._pi_power_cache = {0: TruncSeries.x(spec, cap)}
 
     def _check_frobenius_shape(self):
@@ -725,12 +756,16 @@ class FormalGroup:
 
         (N_f g)(f(X)) = prod over the f-fiber of g, which is the defining
         product over torsion translates; no compositional inversion and no
-        precision loss are involved.  The entries of g(C), the f-adic digits
-        of Z^j g(Z), are read off as Y-coefficients with no product.
+        precision loss are involved.  g(C) = sum_k g_k C^k is one packed sum
+        over the f-adic digits of Z^n, made once per group at its cap and
+        extended to the trimmed length of g as calls need (_fiber_digits,
+        _companion_norm).
         """
         g = self._own(g)
         cap = min(g.cap, self.cap)
-        ng = _companion_norm(self.spec, self.f_poly, g.coeffs[:cap], cap)
+        if self._norm_digits is None:
+            self._norm_digits = _fiber_digits(self.spec, self.f_poly, self.cap)
+        ng = _companion_norm(self._norm_digits, g.coeffs[:cap], cap)
         # det g(C) is an integral polynomial in g's coefficients, so it is
         # known to the digits g is
         return _series(self.spec, cap, ng, min(self.spec.N, g.n_eff))
@@ -817,23 +852,38 @@ class FormalGroup:
         """prod over torsion pt of g(X [+] pt), in the extension, descended.
 
         This is the extension-ring side of the norm-operator law; it shares
-        nothing with coleman_norm's resultant route but the ring arithmetic.
-        The translate series depend only on the cap and are kept per cap in
-        the torsion quotient ring E; the product is descended to the base mod
-        p^(N-1), the precision of f(pt) = 0.
+        nothing with coleman_norm's resultant route but the ring arithmetic
+        and the packed kernel.  Composition is linear in g:
+
+            g o tau = sum_k g_k tau^k  mod X^cap,
+
+        and every coefficient of g counts, not only those below cap: tau(0)
+        = pt is not 0, so tau^k does not vanish mod X^cap for k >= cap.  The
+        translates tau = X [+] pt and their powers depend only on the cap,
+        so they are kept per cap in the torsion quotient ring E, each
+        translate's powers as one series.PackedRows (row k is tau^k mod
+        X^cap, made by one packed_mul from row k - 1 when a call first needs
+        it).  g o tau is then one combine: a packed product g_k tau^k per
+        nonzero g_k, summed with slots of at most L r (p^N - 1)^2 (L the
+        trimmed length of g, r the rank of E; derived in PackedRows) and
+        reduced once.  The product over the translates is descended to the
+        base mod p^(N-1), the precision of f(pt) = 0.
         """
         g = self._own(g)
         cap = min(cap or self.cap, g.cap)
         E = self.torsion_quotient_ring()
         if cap not in self._translate_cache:
-            self._translate_cache[cap] = [self.translate_series(pt, E, cap)
-                                          for pt in self.torsion_points(E)]
+            one = [E.one()] + [E.zero()] * (cap - 1)
+            self._translate_cache[cap] = [
+                PackedRows(E, cap, 1, one, lambda P, T=T: packed_mul(E, P, T, cap))
+                for T in (self.translate_series(pt, E, cap)
+                          for pt in self.torsion_points(E))]
         r, n = self.spec.rank, self.spec.p ** (self.spec.N - 1)
         pad = E.zero()[r:]
         gE = [c + pad for c in g.coeffs]
         acc = None
-        for T in self._translate_cache[cap]:
-            comp = packed_compose(E, gE, T, cap)
+        for powers in self._translate_cache[cap]:
+            comp = powers.combine(gE)
             acc = comp if acc is None else packed_mul(E, acc, comp, cap)
         if any(x % n for c in acc for x in c[r:]):
             raise PrecisionExhausted("element does not descend to base")
@@ -1054,6 +1104,7 @@ class TorsionTower:
         self.M = M
         self.rings = {}
         self.alphas = {}
+        self._digits = {}
         for m in range(1, M + 1):
             pib = group.pibar(m)
             E = QuotientRing(group.spec, list(pib))
@@ -1079,15 +1130,16 @@ class TorsionTower:
         evaluated at the companion matrix C of pibar_1(Z) over the base
         (m = 1) or of f(Z) - alpha_{m-1} over O'_{m-1}, and det y(C) is the
         norm: a coordinate tuple at every m, the base ring's at m = 1 and the
-        flat coordinates of O'_{m-1} above.  The entries of y(C), the
-        rel-adic digits of Z^j y, are base polynomials in T set to 0 or
-        alpha_{m-1}.
+        flat coordinates of O'_{m-1} above.  y(C) = sum_k y_k C^k is one
+        packed sum over the rel-adic digits of Z^n, made in the base (T = 0)
+        or in O'_{m-1} (T = alpha_{m-1}) once per level and kept on the
+        tower (_fiber_digits, _companion_norm).
         """
-        g = self.group
-        y = self.rings[m].coeffs(y)
-        if m == 1:
-            return _companion_norm(g.spec, g.pibar(1), y)[0]
-        return _companion_norm(self.rings[m - 1], g.f_poly, y)[0]
+        if m not in self._digits:
+            g = self.group
+            self._digits[m] = (_fiber_digits(g.spec, g.pibar(1)) if m == 1 else
+                               _fiber_digits(self.rings[m - 1], g.f_poly))
+        return _companion_norm(self._digits[m], self.rings[m].coeffs(y))[0]
 
 
 def build_tower(group, M):

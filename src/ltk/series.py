@@ -53,6 +53,7 @@ __all__ = [
     "packed_mul",
     "packed_compose",
     "packed_det",
+    "PackedRows",
     "WeierstrassData",
     "weierstrass_prep",
     "poly_divmod_monic",
@@ -442,6 +443,11 @@ def _slot_bytes(bound):
 def _pack(coeffs, block, slots, nbytes):
     """One int holding the coefficient tuples, block slots of nbytes each per
     coefficient, coordinate i of a coefficient in its slot slots[i]."""
+    return int.from_bytes(_pack_bytes(coeffs, block, slots, nbytes), "little")
+
+
+def _pack_bytes(coeffs, block, slots, nbytes):
+    """_pack's int as its len(coeffs) * block * nbytes little-endian bytes."""
     if block == 1:
         flat = [c[0] for c in coeffs]
     else:
@@ -449,9 +455,8 @@ def _pack(coeffs, block, slots, nbytes):
         for i, s in enumerate(slots):
             flat[s::block] = [c[i] for c in coeffs]
     code = _ARRAY_CODES.get(nbytes)
-    data = (array(code, flat).tobytes() if code
+    return (array(code, flat).tobytes() if code
             else b"".join([x.to_bytes(nbytes, "little") for x in flat]))
-    return int.from_bytes(data, "little")
 
 
 def _slots(x, count, nbytes, size):
@@ -553,6 +558,77 @@ def packed_compose(K, f, g, cap):
             res[0] = tuple((x + y) % m for x, y in zip(res[0], c))
     res.extend([zero] * (cap - len(res)))
     return res
+
+
+class PackedRows:
+    """Rows over a packed ring K, made on demand and kept packed as one
+    Kronecker int, and the sums of products of coefficients with windows of
+    them: the sum-then-reduce-once step of a linear map y -> sum_k y_k M_k
+    whose matrices M_k are windows of one table.
+
+    Row n is a list of stride canonical coordinate tuples: first is row 0
+    and step(row n) is row n + 1.  Row n fills blocks n stride .. (n + 1)
+    stride - 1 of the int, which is kept as its little-endian bytes, so
+    window k, rows k .. k + width - 1, is a slice of them: the int shifted
+    down by k rows and masked to width rows.  combine(ys) is
+
+        sum_k ys[k] * (window k),
+
+    each ys[k] a coordinate tuple of K multiplying every block of its
+    window, read as width * stride canonical coordinate tuples.  ys[k] is
+    packed as one block, so ys[k] * (window k) is one int product whose
+    block b is the raw product of ys[k] with block b of the window (the
+    product of two blocks stays in one block, as in packed_mul).  The
+    products are summed as plain ints, and the sum is unpacked and reduced
+    once (_unpack): a call makes one int product per nonzero ys[k] and
+    width * stride reductions, however many terms it sums.
+
+    Slot width.  The coordinates of the rows and of ys lie in [0, m - 1], m
+    = p^N.  A slot of one product sums at most r products of two
+    coordinates (r = K's rank: given the slot and a coordinate of ys[k], at
+    most one coordinate of the block fits, as in packed_mul), so a slot of
+    a sum of L products is a nonnegative integer of at most
+
+        L * r * (m - 1)^2,
+
+    and with bit_length of that plus one bit per slot (_slot_bytes) no slot
+    carries into the next: the sum's slots are its raw coefficients.  The
+    table is packed at the width for the longest trimmed ys asked for so
+    far and packed again only when a longer one needs wider slots (a wider
+    slot holds the smaller bound too).  Rows are made only up to the last
+    one a call reads, L + width - 1 of them for L trimmed terms, so a cold
+    call makes no row it does not use.
+    """
+
+    def __init__(self, K, stride, width, first, step):
+        self.K, self.stride, self.width, self.step = K, stride, width, step
+        self.rows = [first]
+        self.nbytes, self.packed = 0, b""
+
+    def combine(self, ys):
+        rank, block, slots, m = self.K.packing
+        n = self.width * self.stride
+        L = _trim(ys, len(ys))
+        if not L:
+            return [(0,) * rank] * n
+        while len(self.rows) < L + self.width - 1:
+            self.rows.append(self.step(self.rows[-1]))
+        nbytes = max(self.nbytes, _slot_bytes(L * rank * (m - 1) ** 2))
+        if nbytes != self.nbytes:   # wider slots: pack every row again
+            self.nbytes, self.packed = nbytes, b""
+        size = block * nbytes
+        row = size * self.stride
+        done = len(self.packed) // row
+        if done < len(self.rows):
+            self.packed += _pack_bytes(list(chain.from_iterable(self.rows[done:])),
+                                       block, slots, nbytes)
+        table, packed_ys = self.packed, _pack_bytes(ys[:L], block, slots, nbytes)
+        acc = 0
+        for k, y in enumerate(ys[:L]):
+            if any(y):
+                acc += (int.from_bytes(packed_ys[k * size:(k + 1) * size], "little")
+                        * int.from_bytes(table[k * row:(k + self.width) * row], "little"))
+        return _unpack(self.K, acc, n, nbytes, n)
 
 
 # A d x d determinant makes d 2^(d-1) products and keeps 2^d minors; see

@@ -578,18 +578,18 @@ def test_fiber_norm_with_a_non_monic_relation(g3, rng):
     rel = [c * u for c in g3.f_poly]
     want = _matrix_horner_norm(S, _fiber_column(S, rel, TruncSeries.x(spec, 24)),
                                [spec.elem(c) for c in y])
-    assert LT._companion_norm(spec, rel, y, 24) == list(want.coeffs)
+    assert LT._companion_norm(LT._fiber_digits(spec, rel, 24), y, 24) == list(want.coeffs)
     rel1 = [c * u for c in g3.pibar(1)]
     y1 = y[:5]
     B = LT._Coords(spec)
     want = _matrix_horner_norm(B, _fiber_column(B, rel1, B.zero()),
                                [spec.elem(c) for c in y1])
-    assert LT._companion_norm(spec, rel1, y1) == [want]
+    assert LT._companion_norm(LT._fiber_digits(spec, rel1), y1) == [want]
     E = build_tower(g3, 1).rings[1]
     rel2 = [rel[0] + spec.one()] + rel[1:]
     want = _matrix_horner_norm(E, _fiber_column(E, rel2, E.x_class()),
                                [spec.elem(c) for c in y])
-    assert LT._companion_norm(E, rel2, y) == [want]
+    assert LT._companion_norm(LT._fiber_digits(E, rel2), y) == [want]
 
 
 def test_translates_cache_matches_a_fresh_group(q3, rng):
