@@ -24,7 +24,11 @@ once per ring to straight-line code.  RingSpec (the coefficient rings) and
 lubin_tate.QuotientRing (base[X]/P) are the two kinds of packed ring.
 Determinants over K[Y] (the norm operator's, lambda_modules.det_series)
 go through packed_det: each entry is packed once, and each minor is a
-signed sum of int products, unpacked and reduced once.
+signed sum of int products, unpacked and reduced once.  Linear maps
+y -> sum_k y_k M_k whose matrices M_k are windows of one table (the norm's
+fiber digits, the powers of a torsion translate) go through PackedRows: the
+table is packed once, and a call sums one int product per term, unpacked
+and reduced once.
 """
 
 from __future__ import annotations
@@ -603,7 +607,7 @@ class PackedRows:
     def __init__(self, K, stride, width, first, step):
         self.K, self.stride, self.width, self.step = K, stride, width, step
         self.rows = [first]
-        self.nbytes, self.packed = 0, b""
+        self.table = 0, b""   # (slot bytes, the packed rows)
 
     def combine(self, ys):
         rank, block, slots, m = self.K.packing
@@ -611,18 +615,26 @@ class PackedRows:
         L = _trim(ys, len(ys))
         if not L:
             return [(0,) * rank] * n
-        while len(self.rows) < L + self.width - 1:
-            self.rows.append(self.step(self.rows[-1]))
-        nbytes = max(self.nbytes, _slot_bytes(L * rank * (m - 1) ** 2))
-        if nbytes != self.nbytes:   # wider slots: pack every row again
-            self.nbytes, self.packed = nbytes, b""
+        # rows and table are replaced, never changed in place, so concurrent
+        # calls each read a consistent snapshot
+        rows = self.rows
+        if len(rows) < L + self.width - 1:
+            rows = list(rows)
+            while len(rows) < L + self.width - 1:
+                rows.append(self.step(rows[-1]))
+            self.rows = rows
+        nbytes, table = self.table
+        wide = _slot_bytes(L * rank * (m - 1) ** 2)
+        if wide > nbytes:   # wider slots: pack every row again
+            nbytes, table = wide, b""
         size = block * nbytes
         row = size * self.stride
-        done = len(self.packed) // row
-        if done < len(self.rows):
-            self.packed += _pack_bytes(list(chain.from_iterable(self.rows[done:])),
-                                       block, slots, nbytes)
-        table, packed_ys = self.packed, _pack_bytes(ys[:L], block, slots, nbytes)
+        done = len(table) // row
+        if done < len(rows):
+            table += _pack_bytes(list(chain.from_iterable(rows[done:])), block, slots,
+                                 nbytes)
+            self.table = nbytes, table
+        packed_ys = _pack_bytes(ys[:L], block, slots, nbytes)
         acc = 0
         for k, y in enumerate(ys[:L]):
             if any(y):

@@ -16,8 +16,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ltk.lubin_tate import QuotientRing, build_group
 from ltk.rings import DomainError, make_composite, make_ring
-from ltk.series import (MAX_DET_DIM, TruncSeries, _ARRAY_CODES, _slot_bytes,
-                        packed_compose, packed_det, packed_mul)
+from ltk.series import (MAX_DET_DIM, PackedRows, TruncSeries, _ARRAY_CODES,
+                        _slot_bytes, packed_compose, packed_det, packed_mul)
 
 from det_oracle import laplace_det
 
@@ -423,3 +423,31 @@ def test_packed_det_refuses_past_its_reach():
     with pytest.raises(DomainError, match="MAX_DET_DIM"):
         packed_det(K, rows, 4)
     assert packed_det(K, [], 3) == [(1,), (0,), (0,)]
+
+
+# -- sums over packed rows -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, width, stride, L", [
+    ("ramified", 3, 27, 24),          # the lt_coleman fiber digits: d = 3, e = 9
+    ("quot_tower_level2", 3, 3, 18),  # the norm O'_3 -> O'_2: d = 3, 18 terms
+    ("zp_3^18", 1, 8, 128),
+])
+def test_packed_rows_worst_case(name, width, stride, L):
+    """Every coordinate of the rows and of the L terms p^N - 1: the middle
+    slot of each block of the sum reaches the bound L r (p^N - 1)^2 its
+    width is derived for.  At p^N = 3^18 and L = 128 that is past 2^64
+    while r (p^N - 1)^2 alone is not, so a width without the factor L would
+    take 8-byte slots and carry out of them."""
+    K = make_ring(3, 18, "zp") if name == "zp_3^18" else ALL_RINGS[name]
+    rank, m, mul = ring_of(K)
+    if name == "zp_3^18":
+        assert _slot_bytes(rank * (m - 1) ** 2) == 8
+        assert L * rank * (m - 1) ** 2 >= 2 ** 64
+    full = (m - 1,) * rank
+    rows = PackedRows(K, stride, width, [full] * stride, lambda row: row)
+    want = (0,) * rank
+    for _ in range(L):
+        want = ref_add(m, want, mul(full, full))
+    assert rows.combine([full] * L) == [want] * (width * stride)
+    assert len(rows.rows) == L + width - 1

@@ -1,3 +1,5 @@
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -146,14 +148,6 @@ def test_coleman_norm_constants(g2, g3, gm3):
 def test_coleman_norm_multiplicative_fixed(gm3):
     one_x = TruncSeries(gm3.spec, gm3.cap, [1, 1])
     assert gm3.coleman_norm(one_x).eq_mod(one_x)
-
-
-def test_norm_law_both_methods(g3, rng):
-    for _ in range(3):
-        g = random_series(g3.spec, 24, rng)
-        lhs = g3.coleman_norm(g).compose(g3.f.truncate(24))
-        rhs = g3.translates_product(g)
-        assert lhs.eq_mod(rhs, 5)
 
 
 def test_coleman_norm_reports_the_input_precision(g3):
@@ -330,6 +324,27 @@ def test_translates_solve_f_of_t_equals_f(name, request):
         for k in range(cap):
             want = E.from_base(G.f.coeff(k))
             assert not any(x % G.spec.p ** n for x in E.sub(fT[k], want))
+
+
+@pytest.mark.parametrize("name", SOLVER_GROUPS + ["gu3"])
+def test_norm_law_both_methods(name, request, rng):
+    # (N_f g) o f = prod over the torsion of g(X [+] pt), known mod p^(N-1)
+    G = request.getfixturevalue(name)
+    f = G.f.truncate(G.cap)
+    for _ in range(3):
+        g = random_series(G.spec, G.cap, rng)
+        lhs = G.coleman_norm(g).compose(f)
+        assert lhs.eq_mod(G.translates_product(g), G.spec.N - 1)
+
+
+def test_norm_fixed_point_on_the_q9_group(gu3, rng):
+    # N_f g = g to N - 1 digits, so g o f = prod g(X [+] pt) there too
+    seed = random_series(gu3.spec, gu3.cap, rng, terms=8)
+    gfix, info = CO.norm_fixed_point(gu3, seed)
+    n = gu3.spec.N - 1
+    assert info["agreement"] >= n
+    assert gu3.coleman_norm(gfix).eq_mod(gfix, n)
+    assert gfix.compose(gu3.f.truncate(gu3.cap)).eq_mod(gu3.translates_product(gfix), n)
 
 
 def test_norm_law_routes_are_independent(g3, rng, monkeypatch):
@@ -599,6 +614,67 @@ def test_translates_cache_matches_a_fresh_group(q3, rng):
         got = warm.translates_product(g, cap=cap)
         fresh = build_group(q3, q3.gen_quad(), 3, 24).translates_product(g, cap=cap)
         assert (got.cap, got.coeffs, got.n_eff) == (fresh.cap, fresh.coeffs, fresh.n_eff)
+
+
+def test_norm_caches_stay_per_group_and_warm_equals_cold(rng):
+    # one f = 3X + X^3 over Z/3^6 and over Z/3^9: digits or powers kept by
+    # f's coordinates alone would serve one group's tables to the other.
+    # Trimmed lengths 3, 24, 3 grow the tables and, at 3^9, widen their
+    # slots (4 to 8 bytes) between two short calls
+    warm = [build_group(make_ring(3, N, "zp"), 3, 3, 24) for N in (6, 9)]
+    towers = [build_tower(G, 2) for G in warm]
+    for terms in (3, 24, 3):
+        for G, tw in zip(warm, towers):
+            g = random_series(G.spec, G.cap, rng, terms=terms)
+            assert g.degree() == terms - 1
+            cold = build_group(G.spec, 3, 3, 24)
+            cold_tw = build_tower(cold, 2)
+            ng = G.coleman_norm(g)
+            assert ng.coeffs == cold.coleman_norm(g).coeffs == _oracle_coleman_norm(G, g)
+            for m in (1, 2):
+                y = tw.rings[m].eval_series(g, tw.alphas[m])
+                assert tw.norm(m, y) == cold_tw.norm(m, y) == _oracle_tower_norm(tw, m, y)
+            got, want = G.translates_product(g), cold.translates_product(g)
+            assert (got.cap, got.coeffs, got.n_eff) == (want.cap, want.coeffs, want.n_eff)
+
+
+def test_norm_caches_under_concurrent_calls(q3, rng):
+    # six threads on two cores grow one cold group's digits and powers at
+    # once, with a short switch interval, five times over; a lost or
+    # doubled row would change a result
+    gs = [random_series(q3, 24, rng, terms=t) for t in (3, 24, 9, 16, 5, 20)]
+    ref = build_group(q3, q3.gen_quad(), 3, 24)
+    want = [(ref.coleman_norm(g).coeffs, ref.translates_product(g).coeffs) for g in gs]
+
+    def work(G, got, i):
+        got[i] = (G.coleman_norm(gs[i]).coeffs, G.translates_product(gs[i]).coeffs)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            shared, got = build_group(q3, q3.gen_quad(), 3, 24), [None] * len(gs)
+            threads = [threading.Thread(target=work, args=(shared, got, i))
+                       for i in range(len(gs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert got == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_fiber_digits_refuse_more_terms_than_their_cap(g3, rng):
+    # the digits keep e = min(cap, (cap - 2) // d + 2) T-coefficients, all
+    # that y with at most cap terms reads; a longer y would need one more
+    y = list(random_series(g3.spec, 30, rng).coeffs)
+    digits = LT._fiber_digits(g3.spec, g3.f_poly, 24)
+    assert LT._companion_norm(digits, y[:24], 24) == list(g3.coleman_norm(
+        TruncSeries(g3.spec, 24, y[:24])).coeffs)
+    with pytest.raises(DomainError, match="at most cap terms"):
+        LT._companion_norm(digits, y, 24)
 
 
 # -- the derived per-level loss of interpolation --------------------------------
