@@ -85,6 +85,7 @@ from .series import (
     packed_compose,
     packed_det,
     packed_mul,
+    packed_times,
     weierstrass_prep,
 )
 
@@ -344,7 +345,7 @@ def _fiber_digits(K, rel, cap=1):
         return out
 
     first = [R.one()] + [zero] * (d * e - 1)
-    return PackedRows(K, d * e, d, first, times_z)
+    return PackedRows(K, d * e, d, [first], times_z)
 
 
 def _companion_norm(digits, y, cap=1):
@@ -862,11 +863,11 @@ class FormalGroup:
         translates tau = X [+] pt and their powers depend only on the cap,
         so they are kept per cap in the torsion quotient ring E, each
         translate's powers as one series.PackedRows (row k is tau^k mod
-        X^cap, made by one packed_mul from row k - 1 when a call first needs
-        it).  g o tau is then one combine: a packed product g_k tau^k per
-        nonzero g_k, summed with slots of at most L r (p^N - 1)^2 (L the
-        trimmed length of g, r the rank of E; derived in PackedRows) and
-        reduced once.  The product over the translates is descended to the
+        X^cap, made from row k - 1 by one product with tau, packed once,
+        when a call first needs it).  g o tau is then one combine: a packed
+        product g_k tau^k per nonzero g_k, summed with slots of at most
+        L r (p^N - 1)^2 (L the trimmed length of g, r the rank of E; derived
+        in PackedRows) and reduced once.  The product over the translates is descended to the
         base mod p^(N-1), the precision of f(pt) = 0.
         """
         g = self._own(g)
@@ -875,7 +876,7 @@ class FormalGroup:
         if cap not in self._translate_cache:
             one = [E.one()] + [E.zero()] * (cap - 1)
             self._translate_cache[cap] = [
-                PackedRows(E, cap, 1, one, lambda P, T=T: packed_mul(E, P, T, cap))
+                PackedRows(E, cap, 1, [one, T], packed_times(E, T, cap))
                 for T in (self.translate_series(pt, E, cap)
                           for pt in self.torsion_points(E))]
         r, n = self.spec.rank, self.spec.p ** (self.spec.N - 1)

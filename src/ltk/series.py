@@ -55,6 +55,7 @@ from .rings import (
 __all__ = [
     "TruncSeries",
     "packed_mul",
+    "packed_times",
     "packed_compose",
     "packed_det",
     "PackedRows",
@@ -536,32 +537,53 @@ def packed_mul(K, a, b, cap):
     return out
 
 
+def packed_times(K, b, cap):
+    """a -> a * b mod X^cap over a packed ring K, as cap coefficients, with
+    b packed once.
+
+    The slots are packed_mul's, at the width for len(b) * rank * (m - 1)^2:
+    a bound on min(len a, len b) * rank * (m - 1)^2 for every a (lengths
+    trimmed).
+    """
+    rank, block, slots, m = K.packing
+    zero = (0,) * rank
+    lb = _trim(b, cap)
+    nbytes = _slot_bytes(lb * rank * (m - 1) ** 2)
+    B = _pack(b[:lb], block, slots, nbytes)
+
+    def times(a):
+        la = _trim(a, cap)
+        if not la or not lb:
+            return [zero] * cap
+        n = min(cap, la + lb - 1)
+        out = _unpack(K, _pack(a[:la], block, slots, nbytes) * B, n, nbytes, la + lb - 1)
+        out.extend([zero] * (cap - n))
+        return out
+
+    return times
+
+
 def packed_compose(K, f, g, cap):
     """f(g) mod X^cap over a packed ring K by Horner's rule.
 
     f and g are coefficient lists of canonical coordinate tuples.  g is
-    packed once; each coefficient of f costs one packed product.  Every
-    coefficient of f is used, so g(0) need not vanish.
+    packed once (packed_times); each coefficient of f costs one packed
+    product.  Every coefficient of f is used, so g(0) need not vanish.
     """
-    rank, block, slots, m = K.packing
+    rank, _, _, m = K.packing
     zero = (0,) * rank
-    lg = _trim(g, cap)
-    if not lg:
+    if not _trim(g, cap):
         c = f[0] if f else zero
         return [c] + [zero] * (cap - 1)
-    nbytes = _slot_bytes(lg * rank * (m - 1) ** 2)
-    G = _pack(g[:lg], block, slots, nbytes)
+    times_g = packed_times(K, g, cap)
     res = []
     for c in reversed(f):
         if res:
-            n = min(cap, len(res) + lg - 1)
-            res = _unpack(K, _pack(res, block, slots, nbytes) * G, n, nbytes,
-                          len(res) + lg - 1)
+            res = times_g(res)
         if any(c):
-            res = res or [zero]
+            res = res or [zero] * cap
             res[0] = tuple((x + y) % m for x, y in zip(res[0], c))
-    res.extend([zero] * (cap - len(res)))
-    return res
+    return res or [zero] * cap
 
 
 class PackedRows:
@@ -570,8 +592,8 @@ class PackedRows:
     them: the sum-then-reduce-once step of a linear map y -> sum_k y_k M_k
     whose matrices M_k are windows of one table.
 
-    Row n is a list of stride canonical coordinate tuples: first is row 0
-    and step(row n) is row n + 1.  Row n fills blocks n stride .. (n + 1)
+    Row n is a list of stride canonical coordinate tuples: rows lists the
+    first ones, and step(row n) is row n + 1.  Row n fills blocks n stride .. (n + 1)
     stride - 1 of the int, which is kept as its little-endian bytes, so
     window k, rows k .. k + width - 1, is a slice of them: the int shifted
     down by k rows and masked to width rows.  combine(ys) is
@@ -604,9 +626,9 @@ class PackedRows:
     call makes no row it does not use.
     """
 
-    def __init__(self, K, stride, width, first, step):
+    def __init__(self, K, stride, width, rows, step):
         self.K, self.stride, self.width, self.step = K, stride, width, step
-        self.rows = [first]
+        self.rows = list(rows)
         self.table = 0, b""   # (slot bytes, the packed rows)
 
     def combine(self, ys):

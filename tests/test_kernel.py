@@ -445,7 +445,7 @@ def test_packed_rows_worst_case(name, width, stride, L):
         assert _slot_bytes(rank * (m - 1) ** 2) == 8
         assert L * rank * (m - 1) ** 2 >= 2 ** 64
     full = (m - 1,) * rank
-    rows = PackedRows(K, stride, width, [full] * stride, lambda row: row)
+    rows = PackedRows(K, stride, width, [[full] * stride], lambda row: row)
     want = (0,) * rank
     for _ in range(L):
         want = ref_add(m, want, mul(full, full))
