@@ -867,8 +867,8 @@ class FormalGroup:
         when a call first needs it).  g o tau is then one combine: a packed
         product g_k tau^k per nonzero g_k, summed with slots of at most
         L r (p^N - 1)^2 (L the trimmed length of g, r the rank of E; derived
-        in PackedRows) and reduced once.  The product over the translates is descended to the
-        base mod p^(N-1), the precision of f(pt) = 0.
+        in PackedRows) and reduced once.  The product over the translates is
+        descended to the base mod p^(N-1), the precision of f(pt) = 0.
         """
         g = self._own(g)
         cap = min(cap or self.cap, g.cap)

@@ -593,10 +593,10 @@ class PackedRows:
     whose matrices M_k are windows of one table.
 
     Row n is a list of stride canonical coordinate tuples: rows lists the
-    first ones, and step(row n) is row n + 1.  Row n fills blocks n stride .. (n + 1)
-    stride - 1 of the int, which is kept as its little-endian bytes, so
-    window k, rows k .. k + width - 1, is a slice of them: the int shifted
-    down by k rows and masked to width rows.  combine(ys) is
+    first ones, and step(row n) is row n + 1.  Row n fills blocks n stride
+    .. (n + 1) stride - 1 of the int, which is kept as its little-endian
+    bytes, so window k, rows k .. k + width - 1, is a slice of them: the
+    int shifted down by k rows and masked to width rows.  combine(ys) is
 
         sum_k ys[k] * (window k),
 
