@@ -639,9 +639,9 @@ def test_norm_caches_stay_per_group_and_warm_equals_cold(rng):
 
 
 def test_norm_caches_under_concurrent_calls(q3, rng):
-    # six threads on two cores grow one cold group's digits and powers at
-    # once, with a short switch interval, five times over; a lost or
-    # doubled row would change a result
+    # six threads grow one cold group's digits and powers at once, with a
+    # short switch interval, five times over; a lost or doubled row would
+    # change a result
     gs = [random_series(q3, 24, rng, terms=t) for t in (3, 24, 9, 16, 5, 20)]
     ref = build_group(q3, q3.gen_quad(), 3, 24)
     want = [(ref.coleman_norm(g).coeffs, ref.translates_product(g).coeffs) for g in gs]
