@@ -127,9 +127,7 @@ def reduce_mod_system_ideal(g, tower, n_eff=None):
     prod = TruncSeries(spec, G.cap, [1])
     for m in range(1, tower.M + 1):
         prod = prod * TruncSeries(spec, G.cap, list(G.pibar(m)))
-    deg = prod.degree()
-    P = [prod.coeff(i) for i in range(deg + 1)]
-    _, r = poly_divmod_monic(g, P)
+    _, r = poly_divmod_monic(g, prod.coeffs[:prod.degree() + 1])
     r = r.canonical()
     if n_eff:
         return r.reduce_precision(n_eff)

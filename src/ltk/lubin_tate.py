@@ -82,6 +82,7 @@ from .series import (
     PackedRows,
     TruncSeries,
     _series,
+    horner,
     packed_compose,
     packed_det,
     packed_mul,
@@ -1032,10 +1033,9 @@ class QuotientRing(_Coords):
         return [a[i:i + r] for i in range(0, self.rank, r)]
 
     def eval_series(self, ts, pt):
-        """Evaluate a base-coefficient TruncSeries at an element (Horner:
-        the composition with the constant series pt, mod X)."""
+        """Evaluate a base-coefficient TruncSeries at an element (series.horner)."""
         pad = self._zero[self.base.rank:]
-        return packed_compose(self, [c + pad for c in ts.coeffs], [pt], 1)[0]
+        return horner(self, [c + pad for c in ts.coeffs], pt)
 
     def valuation(self, y):
         return det_valuation(self, y, self.base.p, self.base.N)

@@ -37,8 +37,9 @@ from .rings import (
     PrecisionExhausted,
     RingElem,
     RingSpec,
-    descend,
+    descend_coords,
     embed,
+    embed_coords,
     json_fields,
     ord_int,
 )
@@ -157,28 +158,17 @@ def tilde_series(h, p=None):
     spec = h.spec
     ext = _level_ring(spec, 1)
     zeta = _level_zeta(ext, 1)
-    hext = h if ext == spec else TruncSeries(
-        ext, h.cap, [embed(h.coeff(i), ext) for i in range(h.cap)],
-        h.n_eff, h.shift)
-    acc = TruncSeries.zero(hext.spec, h.cap)
-    zj = hext.spec.one()
+    hext = TruncSeries(ext, h.cap, embed_coords(h.coeffs, spec, ext), h.n_eff, h.shift)
+    acc = TruncSeries.zero(ext, h.cap)
+    zj = ext.one()
     for j in range(p):
-        a = zj - hext.spec.one()
+        a = zj - ext.one()
         acc = acc + hext.compose_affine(a, zj)
         zj = zj * zeta
     acc = acc.divide_exact_p(1)
-    out = []
-    for i in range(h.cap):
-        out.append(descend(acc.coeff(i), spec, acc.n_eff))
-    rest = TruncSeries(spec, h.cap, out, acc.n_eff, h.shift)
-    return _sub_mixed(h, rest)
-
-
-def _sub_mixed(h, rest):
-    # align n_eff: h at full precision minus the reduced-precision sum
-    return TruncSeries(h.spec, h.cap,
-                       [h.coeff(i) - rest.coeff(i) for i in range(h.cap)],
-                       min(h.n_eff, rest.n_eff), h.shift)
+    rest = TruncSeries(spec, h.cap, descend_coords(acc.coeffs, ext, spec, acc.n_eff),
+                       acc.n_eff, h.shift)
+    return h - rest
 
 
 def tilde_mahler(h):
@@ -228,18 +218,13 @@ def _eval_table(h, ext, n):
     The table is built from the stored integral coefficients; a nonzero shift
     is the caller's responsibility (the admissibility check charges for it).
     """
-    p = h.spec.p
-    pn = p ** n
     hs = TruncSeries(h.spec, h.cap, list(h.coeffs), h.n_eff, 0)
     zeta = _level_zeta(ext, n) if n >= 1 else ext.one()
-    table = []
-    guar = hs.n_eff
-    z = ext.one()
-    for s in range(pn):
-        val, g = hs.eval(z - ext.one()) if s else hs.eval(ext.zero())
-        if s:
-            guar = min(guar, g)
+    table, guar, z = [], hs.n_eff, ext.one()
+    for _ in range(h.spec.p ** n):
+        val, g = hs.eval(z - ext.one())   # at s = 0 the point is 0 and g = n_eff
         table.append(val)
+        guar = min(guar, g)
         z = z * zeta
     return table, guar
 
@@ -604,7 +589,7 @@ def gauss_sum(chi, okp=None):
             cv = chi.value(x)
             if cv.is_zero():
                 continue
-            term = embed(cv, ext) if cv.spec != ext else cv
+            term = embed(cv, ext)
             acc = acc + term * zpows[(-sigma_map(x)) % pn]
     t = 0
     while t < 2 * n and not any(c % p for c in acc.coords):
@@ -672,7 +657,7 @@ def twist_eval(mu, chi, k):
         if cv.is_zero():
             continue
         mass, _ = _mass(h, m, guar, a, n)
-        term = cv * embed(mass, vspec) if mass.spec != vspec else cv * mass
+        term = cv * embed(mass, vspec)
         acc = term if acc is None else acc + term
     return acc
 
@@ -703,10 +688,10 @@ def twist_factorization_report(mu, chi, k):
         cv = chi.value(dl.inverse())
         if cv.is_zero():
             continue
-        cve = embed(cv, ext) if cv.spec != ext else cv
+        cve = embed(cv, ext)
         orbit = orbit + cve * table[sigma_map(dl) % pn]
-    taue = embed(tau.num, ext) if tau.num.spec != ext else tau.num
+    taue = embed(tau.num, ext)
     prod = taue * orbit
-    de = embed(direct, ext) if direct.spec != ext else direct
+    de = embed(direct, ext)
     match = prod == de * (vspec.p ** tau.den_exp)
     return direct, tau, orbit, match

@@ -8,8 +8,7 @@ kinds:
   ramified_quad   (Z/p^N)[w]/(w^2 + b*w + c) with x^2+bx+c Eisenstein, basis (1, w)
   unramified_quad same shape, defining polynomial irreducible mod p
   cyclotomic      (Z/p^N)[x]/Phi_{p^n}(x), basis (1, x, ..., x^{phi-1})
-  composite       quad tensor cyclotomic, basis w^i x^j ordered w-fast
-                  (index = i + 2*j)
+  composite       quad tensor cyclotomic, basis w^i x^j at index i + 2*j
 
 Each is built the same way, as a tower of monic extensions of Z/p^N: quad
 is Z/p^N[w]/(w^2 + b w + c), cyclotomic is Z/p^N[x]/Phi_{p^n} (degree 1 for
@@ -21,10 +20,11 @@ unreduced product.  compile_map turns the map, once per ring, into
 straight-line Python: reduce_block for the packed series kernel and
 mul_coords for single products.  No ring has reduction code of its own.
 
-All operations are exact in the quotient ring; there is no floating point in
-this module.  Valuations are returned as exact Fractions normalized so that
-v(p) = 1.  Operations that divide by p (log, exp) return the reduced effective
-precision alongside the value.
+All arithmetic is exact, with no floating point; valuations are exact
+Fractions with v(p) = 1, and log and exp return the precision left after
+their divisions by p.  A ring sits in a larger one through one cached index
+map per pair, placement: embed scatters coordinates through it and descend
+gathers them back, so the two accept the same pairs.
 """
 
 from __future__ import annotations
@@ -704,59 +704,65 @@ def padic_exp(x, max_terms=None):
 # -- embeddings --------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
+def placement(base, target):
+    """Where base sits in target: base coordinate i is target coordinate
+    placement(base, target)[i]; the other target coordinates vanish on base.
+
+    base embeds when p and N agree, target has base's quadratic part (if
+    any) and a cyclotomic level m >= base's level n, and base is not a
+    composite other than target; else DomainError.  The embedding fixes w
+    and sends zeta_{p^n} to x^(p^(m-n)), so basis element w^i zeta^j (index
+    i + qb j, qb = 2 with a quadratic part, else 1) goes to w^i x^(j p^(m-n)),
+    a basis element of target: j < phi(p^n) gives j p^(m-n) < phi(p^m).
+    """
+    if (base.p != target.p or base.N != target.N or base.level > target.level
+            or base.quad not in (None, target.quad)
+            or base.kind == "composite" and base != target):
+        raise DomainError(f"no embedding of {base} in {target}")
+    qb, qt = (1 if r.quad is None else 2 for r in (base, target))
+    stride = base.p ** (target.level - base.level)
+    return tuple(i + qt * j * stride for j in range(base.phi) for i in range(qb))
+
+
+def embed_coords(coeffs, base, target):
+    """The coordinate tuples coeffs of base, each placed in target."""
+    idx, zero = placement(base, target), [0] * target.rank
+    out = []
+    for c in coeffs:
+        v = zero[:]
+        for k, a in zip(idx, c):
+            v[k] = a
+        out.append(tuple(v))
+    return out
+
+
+def descend_coords(coeffs, spec, base, n_check=None):
+    """The coordinate tuples coeffs of spec, each gathered back to base
+    through placement (DomainError for a pair embed refuses).
+    PrecisionExhausted unless the coordinates outside base vanish mod
+    p^n_check (full precision by default): else the element lives upstairs."""
+    idx = placement(base, spec)
+    out = [tuple(c[k] for k in idx) for c in coeffs]
+    q = spec.p ** (spec.N if n_check is None else n_check)
+    if any((a - b) % q for c, e in zip(coeffs, embed_coords(out, base, spec))
+           for a, b in zip(c, e)):
+        raise PrecisionExhausted("element does not descend to the base ring")
+    return out
+
+
 def embed(x, target):
-    """Embed x into a larger ring (scalars anywhere; quad/cyclo into composite;
-    cyclotomic level n into level m >= n via zeta_n = zeta_m^{p^{m-n}})."""
-    spec = x.spec
-    if spec == target:
+    """x in a ring that contains its ring (see placement)."""
+    if x.spec == target:
         return x
-    if spec.p != target.p or spec.N != target.N:
-        raise DomainError("embed requires matching p and N")
-    if spec.kind == "zp":
-        return target.from_int(x.coords[0])
-    if spec.kind in ("ramified_quad", "unramified_quad"):
-        if target.quad != spec.quad:
-            raise DomainError("no embedding: different quadratic part")
-        out = target.from_int(x.coords[0])
-        return out + target.gen_quad() * x.coords[1]
-    if spec.kind == "cyclotomic":
-        if target.kind not in ("cyclotomic", "composite") or target.level < spec.level:
-            raise DomainError("no embedding of this cyclotomic level")
-        gen = target.zeta() ** (spec.p ** (target.level - spec.level))
-        out = target.zero()
-        power = target.one()
-        for c in x.coords:
-            if c:
-                out = out + power * c
-            power = power * gen
-        return out
-    raise DomainError("unsupported embedding")
+    return RingElem(target, embed_coords([x.coords], x.spec, target)[0])
 
 
 def descend(x, base, n_check=None):
-    """Project x back to the base ring it was embedded from.
-
-    The coordinates outside the base must vanish mod p^n_check (full
-    precision by default); otherwise x genuinely lives upstairs.  embed
-    sends zeta_{p^n} to zeta_{p^m}^{p^(m-n)}, so the base basis element
-    w^i zeta_{p^n}^j sits at w^i x^(j p^(m-n)) upstairs.
-    """
-    spec = x.spec
-    if spec == base:
+    """x back in the ring base it was embedded from (see descend_coords)."""
+    if x.spec == base:
         return x
-    if base.level > spec.level:
-        raise DomainError("cannot descend to a higher cyclotomic level")
-    qs = 2 if spec.quad is not None else 1
-    qb = 2 if base.quad is not None else 1
-    stride = spec.p ** (spec.level - base.level)
-    idx = [i + qs * j * stride for j in range(base.phi) for i in range(qb)]
-    keep = [x.coords[k] for k in idx]
-    kept = set(idx)
-    rest = [c for k, c in enumerate(x.coords) if k not in kept]
-    q = spec.p ** (spec.N if n_check is None else n_check)
-    if any(c % q for c in rest):
-        raise PrecisionExhausted("element does not descend to the base ring")
-    return base.elem(keep)
+    return RingElem(base, descend_coords([x.coords], x.spec, base, n_check)[0])
 
 
 def to_json_str(obj):

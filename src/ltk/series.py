@@ -6,10 +6,8 @@ ring elements stored mod p^N.  Two bookkeeping fields ride along:
   n_eff   the stored coefficients are meaningful mod p^n_eff (<= spec.N);
   shift   the represented series is p^(-shift) times the stored one.
 
-The shift is how series with p in denominators (formal logs and exps) are
-carried: a single global exponent, never per-coefficient fractions.  The
-"true" precision of the represented series is n_eff - shift.  Most series
-have shift 0 and the arithmetic fast-paths that case.
+The shift carries p in denominators (formal logs and exps) as one global
+exponent, never per-coefficient fractions; the true precision is n_eff - shift.
 
 Every truncated series product goes through one packed-integer kernel,
 packed_mul (Kronecker substitution; Harvey, arXiv:0712.4046): a coefficient
@@ -28,7 +26,8 @@ signed sum of int products, unpacked and reduced once.  Linear maps
 y -> sum_k y_k M_k whose matrices M_k are windows of one table (the norm's
 fiber digits, the powers of a torsion translate) go through PackedRows: the
 table is packed once, and a call sums one int product per term, unpacked
-and reduced once.
+and reduced once.  Every evaluation at a point is horner: Horner's rule on
+coordinate tuples in the point's ring, whose compiled mul_coords it calls.
 """
 
 from __future__ import annotations
@@ -45,8 +44,8 @@ from .rings import (
     RingElem,
     RingSpec,
     _require_ints,
-    descend,
-    embed,
+    descend_coords,
+    embed_coords,
     json_fields,
     ord_int,
     valuation,
@@ -57,6 +56,7 @@ __all__ = [
     "packed_mul",
     "packed_times",
     "packed_compose",
+    "horner",
     "packed_det",
     "PackedRows",
     "WeierstrassData",
@@ -339,23 +339,25 @@ class TruncSeries:
 
         Returns (value, guarantee): the value is correct mod p^guarantee,
         guarantee = min(n_eff - shift, floor(cap * v(x))).
+
+        Derivation.  After require_integral, shift = 0 and n_eff has dropped
+        by the old shift.  The series is f = sum_k c_k X^k with integral c_k;
+        c'_k = c_k mod p^n_eff is stored for k < cap, and the value is
+        sum_{k<cap} c'_k x^k, so f(x) - value = sum_{k<cap} (c_k - c'_k) x^k
+        + x^cap sum_{k>=cap} c_k x^(k-cap).  Each c_k - c'_k is p^n_eff times
+        an integral element and v(x) > 0, so the first sum has valuation
+        >= n_eff, and the second >= cap v(x) >= floor(cap v(x)); at x = 0 it
+        is 0.  The bound is attained: at x = p in Z/p^N with c_cap a unit,
+        f(x) - value = c_cap p^cap mod p^(cap + 1).
         """
         s = self.require_integral()
         target = x.spec
         vx = valuation(x) if not x.is_zero() else inf
         if vx <= 0:
             raise DomainError("evaluation point must have positive valuation")
-        acc = target.zero()
-        for k in range(s.cap - 1, -1, -1):
-            acc = acc * x
-            ck = s.coeffs[k]
-            if any(ck):
-                acc = acc + embed(RingElem(s.spec, ck), target)
-        if vx is inf:
-            guar = s.n_eff
-        else:
-            guar = min(s.n_eff, floor(s.cap * vx))
-        return acc, guar
+        acc = horner(target, embed_coords(s.coeffs, s.spec, target), x.coords)
+        guar = s.n_eff if vx is inf else min(s.n_eff, floor(s.cap * vx))
+        return RingElem(target, acc), guar
 
     # -- serialization ----------------------------------------------------------
 
@@ -584,6 +586,24 @@ def packed_compose(K, f, g, cap):
             res = res or [zero] * cap
             res[0] = tuple((x + y) % m for x, y in zip(res[0], c))
     return res or [zero] * cap
+
+
+def horner(K, coeffs, pt):
+    """sum_k coeffs[k] pt^k in a packed ring K (a RingSpec or a
+    lubin_tate.QuotientRing) by Horner's rule on canonical coordinate
+    tuples: one compiled K.mul_coords per coefficient below the last nonzero
+    one.  Every evaluation of a series at a point runs through it."""
+    n = _trim(coeffs, len(coeffs))
+    if not n:
+        return (0,) * K.packing[0]
+    mul, m = K.mul_coords, K.packing[3]
+    acc = coeffs[n - 1]
+    for k in range(n - 2, -1, -1):
+        acc = mul(acc, pt)
+        c = coeffs[k]
+        if any(c):
+            acc = tuple((x + y) % m for x, y in zip(acc, c))
+    return acc
 
 
 class PackedRows:
@@ -901,7 +921,8 @@ class WeierstrassData:
 
 
 def poly_divmod_monic(f, P, cap=None):
-    """Divide by a monic polynomial (tuple of RingElem): exact, no p-divisions.
+    """Divide by a monic polynomial P (its coefficients, RingElems or
+    coordinate tuples): exact, no p-divisions.
 
     Returns (Q, R) with f = Q*P + R and deg R < deg P, all mod X^cap.
     """
@@ -977,12 +998,6 @@ def weierstrass_prep(f, max_iter=None):
 # -- root-of-unity oracle -------------------------------------------------------
 
 
-def _cyclo_extension(spec, n):
-    if spec.level:
-        raise DomainError("unsupported base for the cyclotomic oracle")
-    return spec.with_level(n)
-
-
 def mu_lambda_by_roots(f, n_values):
     """ord_p of prod over primitive p^n-th roots zeta of f(zeta - 1), per n.
 
@@ -993,30 +1008,24 @@ def mu_lambda_by_roots(f, n_values):
     if s.is_zero():
         raise DomainError("zero series")
     spec = s.spec
+    if spec.level:
+        raise DomainError("unsupported base for the cyclotomic oracle")
     p = spec.p
     out = []
     for n in n_values:
-        ext = _cyclo_extension(spec, n)
-        zeta = ext.zeta()
-        one = ext.one()
-        emb = [embed(RingElem(spec, c), ext) for c in s.coeffs]
-        prod = ext.one()
-        z = one
-        for j in range(p ** n):
-            z = z if j == 0 else z * zeta
-            if j == 0 or j % p == 0:
-                continue
-            pt = z - one
-            acc = ext.zero()
-            for k in range(s.cap - 1, -1, -1):
-                acc = acc * pt
-                if any(emb[k].coords):
-                    acc = acc + emb[k]
-            prod = prod * acc
+        ext = spec.with_level(n)
+        mul, sub = ext.mul_coords, ext.sub_coords
+        zeta, one = ext.zeta().coords, ext.one().coords
+        coeffs = embed_coords(s.coeffs, spec, ext)
+        prod = z = one
+        for j in range(1, p ** n):
+            z = mul(z, zeta)
+            if j % p:
+                prod = mul(prod, horner(ext, coeffs, sub(z, one)))
         # each factor is correct mod p^min(n_eff, cap * v(zeta-1))
         phi_n = p ** (n - 1) * (p - 1)
         guar = min(s.n_eff, s.cap // phi_n)
-        base_val = descend(prod, spec, n_check=guar)
+        base_val = RingElem(spec, descend_coords([prod], ext, spec, n_check=guar)[0])
         v = valuation(base_val)
         if v >= guar:
             raise PrecisionExhausted(

@@ -17,9 +17,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ltk.lubin_tate import QuotientRing, build_group
 from ltk.rings import DomainError, make_composite, make_ring
 from ltk.series import (MAX_DET_DIM, PackedRows, TruncSeries, _ARRAY_CODES,
-                        _slot_bytes, packed_compose, packed_det, packed_mul)
+                        _slot_bytes, horner, packed_compose, packed_det, packed_mul)
 
 from det_oracle import laplace_det
+from eval_oracle import ref_horner
 
 SPECS = {
     "zp": make_ring(3, 13, "zp"),
@@ -193,6 +194,24 @@ def test_quotient_mul_matches_schoolbook(name):
         assert E.mul(a, b) == ref_quot_mul(E, a, b)
 
 
+@pytest.mark.parametrize("name", sorted(k for k, K in ALL_RINGS.items()
+                                         if isinstance(K, QuotientRing)))
+def test_eval_series_matches_ring_horner(name):
+    """eval_series on every quotient ring here, tower level 2 and the q = 9
+    torsion ring included, against Horner's rule over schoolbook products."""
+    E = ALL_RINGS[name]
+    rank, m, mul = ring_of(E)
+    base, pad = E.base, (0,) * (rank - E.base.rank)
+    rng = random.Random(name)
+    for cap in (1, 4, 24):
+        g = TruncSeries(base, cap, [[rng.randrange(m) for _ in range(base.rank)]
+                                    for _ in range(cap)])
+        pt = E.elem([rng.randrange(m) for _ in range(rank)])
+        want = ref_horner([c + pad for c in g.coeffs], pt, (0,) * rank,
+                          lambda a, b: ref_add(m, a, b), mul)
+        assert E.eval_series(g, pt) == want
+
+
 # -- series products and compositions -----------------------------------------------------
 
 
@@ -220,6 +239,9 @@ def test_packed_compose_matches_horner(name, data):
     g = data.draw(coeff_lists(K, 7))   # g(0) need not vanish
     cap = data.draw(st.integers(1, 8))
     assert packed_compose(K, f, g, cap) == ref_compose(mul, m, rank, f, g, cap)
+    # evaluation at a point is the composition with a constant, mod X
+    pt = g[0] if g else (0,) * rank
+    assert horner(K, f, pt) == ref_compose(mul, m, rank, f, [pt], 1)[0]
 
 
 @pytest.mark.parametrize("name", sorted(PACKED))

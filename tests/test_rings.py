@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from math import inf
 
@@ -9,6 +10,7 @@ from ltk.rings import (
     DomainError,
     RingElem,
     RingSpec,
+    descend,
     embed,
     frobenius,
     make_composite,
@@ -21,6 +23,8 @@ from ltk.rings import (
     trace_to_base,
     valuation,
 )
+
+from eval_oracle import ref_embed
 
 
 def test_make_ring_examples():
@@ -212,3 +216,46 @@ def test_embed_composite(q3):
     z3 = make_ring(3, 7, "cyclotomic", level=1)
     ze = embed(z3.zeta(), cc)
     assert ze ** 3 == cc.one()
+
+
+# (ramified, unramified) defining pairs (b, c) of x^2 + b x + c per prime
+PLACEMENT_QUADS = {2: ((0, 2), (1, 1)), 3: ((0, 3), (0, 1)), 5: ((0, 5), (0, 2))}
+
+
+def placement_rings(p, N=5):
+    """Z/p^N, its ramified and unramified quadratic rings, and their
+    cyclotomic levels 1-3 (cyclotomic and both composites), up to rank 60."""
+    ram, unr = (make_ring(p, N, kind, quad=quad) for kind, quad in
+                zip(("ramified_quad", "unramified_quad"), PLACEMENT_QUADS[p]))
+    levels = [r for n in (1, 2, 3) for r in (make_ring(p, N, "cyclotomic", level=n),
+                                             make_composite(ram, n), make_composite(unr, n))]
+    return [make_ring(p, N, "zp"), ram, unr] + [r for r in levels if r.rank <= 60]
+
+
+@pytest.mark.parametrize("p, supported", [(2, 44), (3, 44), (5, 28)])
+def test_embed_and_descend_accept_the_same_pairs(p, supported):
+    """Every ordered pair of rings both ways: where ring arithmetic embeds
+    base in target, embed agrees with it and descend round-trips; where it
+    does not, embed and descend both raise DomainError.  Among the refused
+    descents at p = 3: Z/3^5 to the ramified ring (once an IndexError), the
+    ramified w to the unramified ring and the level-1 ramified composite's
+    one to the unramified ring (once silently the unramified w and 1)."""
+    rng = random.Random(p)
+    rings = placement_rings(p)
+    count = 0
+    for base in rings:
+        for target in rings:
+            x = base.elem([rng.randrange(base.modulus) for _ in range(base.rank)])
+            y = target.elem([rng.randrange(target.modulus) for _ in range(target.rank)])
+            try:
+                want = ref_embed(x, target)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    embed(x, target)
+                with pytest.raises(DomainError):
+                    descend(y, base)
+                continue
+            count += 1
+            assert embed(x, target) == want
+            assert descend(want, base) == x
+    assert count == supported

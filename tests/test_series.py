@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ltk.rings import DomainError, PrecisionExhausted, make_ring, valuation
+from ltk.rings import (DomainError, PrecisionExhausted, descend, make_composite, make_ring,
+                       valuation)
 from ltk.series import (
     TruncSeries,
     formal_exp,
@@ -16,6 +17,7 @@ from ltk.series import (
 )
 
 from conftest import random_series
+from eval_oracle import ref_eval, ref_root_product
 
 
 def test_basic_ops(z3):
@@ -141,6 +143,51 @@ def test_eval_is_homomorphism(z3, rng):
         assert all(c % q == 0 for c in (vfg - vf * vg).coords)
 
 
+def eval_points():
+    """(series ring, point) pairs: p and 0 in Z/p^N, w in a ramified ring,
+    zeta - 1 at cyclotomic levels 1 and 2 over Z/p^N and over a quadratic
+    ring, p = 2 included."""
+    z3, z2 = make_ring(3, 9, "zp"), make_ring(2, 10, "zp")
+    q3 = make_ring(3, 7, "ramified_quad", quad=(0, 3))
+    u5 = make_ring(5, 5, "unramified_quad", quad=(0, 2))
+    zm1 = lambda r: r.zeta() - r.one()
+    return [(z3, z3.from_int(3)), (z3, z3.zero()), (q3, q3.gen_quad()),
+            (z3, zm1(z3.with_level(1))), (z3, zm1(z3.with_level(2))),
+            (z2, zm1(z2.with_level(3))), (q3, zm1(q3.with_level(1))),
+            (u5, zm1(u5.with_level(1)))]
+
+
+@pytest.mark.parametrize("spec, x", eval_points())
+def test_eval_matches_ring_horner(spec, x, rng):
+    for cap in (1, 7, 30):
+        f = random_series(spec, cap, rng, unit=False)
+        assert f.eval(x)[0] == ref_eval(f, x)
+
+
+@pytest.mark.parametrize("spec, x", eval_points())
+def test_eval_guarantee_holds_past_the_truncation(spec, x, rng):
+    # a cap-4c series truncated to cap c: the truncation's value agrees with
+    # the full one mod p^guarantee (the full one is the better estimate)
+    for c in (1, 3, 8):
+        f = random_series(spec, 4 * c, rng, unit=False)
+        full, g_full = f.eval(x)
+        part, g = f.truncate(c).eval(x)
+        assert g <= g_full
+        assert not any((a - b) % spec.p ** g for a, b in zip(full.coords, part.coords))
+
+
+def test_eval_guarantee_is_attained():
+    # x = 3 in Z/3^20 with c_8 a unit: the cap-8 value misses the full one
+    # by c_8 3^8 mod 3^9, so floor(cap v(x)) = 8 digits hold and no more
+    z = make_ring(3, 20, "zp")
+    f = TruncSeries(z, 32, [1] * 32)
+    full, g_full = f.eval(z.from_int(3))
+    part, g = f.truncate(8).eval(z.from_int(3))
+    assert (g_full, g) == (20, 8)
+    d = (full - part).coords[0]
+    assert d % 3 ** 8 == 0 and d % 3 ** 9 == 3 ** 8
+
+
 def test_eval_rejects_unit_point(z3):
     f = TruncSeries.x(z3, 8)
     with pytest.raises(DomainError):
@@ -177,6 +224,19 @@ def oracle_identity_level(p, lam):
     while p ** (n - 1) * (p - 1) <= lam:
         n += 1
     return n
+
+
+@pytest.mark.parametrize("p, N", [(2, 14), (3, 12), (5, 9)])
+def test_root_products_match_ring_horner(p, N, rng):
+    # planted shapes as the iwasawa_invariants benchmark draws them
+    spec = make_ring(p, N, "zp")
+    for mu, lam in ((0, 0), (1, 1), (0, 3), (1, 2)):
+        n = oracle_identity_level(p, lam)
+        phi_n = p ** (n - 1) * (p - 1)
+        f = plant_series(spec, max(16, phi_n * (mu * phi_n + lam + 2)), rng, mu, lam)
+        guar = min(f.n_eff, f.cap // phi_n)
+        (_, v), = mu_lambda_by_roots(f, [n])
+        assert v == valuation(descend(ref_root_product(f, n), spec, guar))
 
 
 def test_oracle_matches_prep_solve(rng):
