@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ltk.rings import (DomainError, PrecisionExhausted, descend, make_composite, make_ring,
-                       valuation)
+from ltk.rings import DomainError, PrecisionExhausted, descend, make_ring, valuation
 from ltk.series import (
     TruncSeries,
     formal_exp,
