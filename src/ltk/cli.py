@@ -12,12 +12,12 @@ Exit codes: 0 success, 1 usage/validation errors, 2 precision exhaustion.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import random
 import sys
-from dataclasses import dataclass, field
 
 from .rings import (DomainError, PrecisionExhausted, RingElem, _require_ints,
                     json_fields, make_ring, valuation)
@@ -28,40 +28,26 @@ from . import coleman as CO
 from .lambda_modules import LambdaPresentation, char_ideal
 from . import elliptic as EL
 
-__all__ = ["main", "run", "JobConfig"]
+__all__ = ["main", "run"]
 
 
-@dataclass
-class JobConfig:
-    subcommand: str
-    p: int = 3
-    prec: int = 8
-    deg: int = 32
-    ring: str = "zp"
-    pi_sq: int = 0
-    seed: int = 0
-    out: str = ""
-    variant: str = "auto"
-    verbose: int = 0
-    inputs: dict = field(default_factory=dict)   # parsed arguments, hashed
-    extra: dict = field(default_factory=dict)
+def _validate(args):
+    if args.p < 2:
+        raise DomainError("p must be a prime >= 2")
+    if args.prec < 1 or args.deg < 2:
+        raise DomainError("insufficient precision or degree cap")
+    if args.ring not in ("zp", "ram", "unram"):
+        raise DomainError("ring must be zp, ram or unram")
 
-    def validate(self):
-        if self.p < 2:
-            raise DomainError("p must be a prime >= 2")
-        if self.prec < 1 or self.deg < 2:
-            raise DomainError("insufficient precision or degree cap")
-        if self.ring not in ("zp", "ram", "unram"):
-            raise DomainError("ring must be zp, ram or unram")
 
-    def base_spec(self):
-        if self.ring == "zp":
-            return make_ring(self.p, self.prec, "zp")
-        if self.ring == "ram":
-            c = -self.pi_sq if self.pi_sq else self.p
-            return make_ring(self.p, self.prec, "ramified_quad", quad=(0, c))
-        return make_ring(self.p, self.prec, "unramified_quad",
-                         quad=_unram_poly(self.p))
+def _base_spec(args):
+    if args.ring == "zp":
+        return make_ring(args.p, args.prec, "zp")
+    if args.ring == "ram":
+        c = -args.pi_sq if args.pi_sq else args.p
+        return make_ring(args.p, args.prec, "ramified_quad", quad=(0, c))
+    return make_ring(args.p, args.prec, "unramified_quad",
+                     quad=_unram_poly(args.p))
 
 
 def _unram_poly(p):
@@ -74,11 +60,12 @@ def _unram_poly(p):
                 if all((x * x + x + c) % p for x in range(p)))
 
 
-def _inputs_hash(cfg):
-    """SHA-256 prefix over the parsed arguments, the effective degree cap and
-    the contents of input files; output routing (--out, -v) is left out."""
-    inputs = {k: v for k, v in cfg.inputs.items() if k not in ("out", "verbose")}
-    inputs["cap"] = cfg.deg
+def _inputs_hash(inputs, cap):
+    """SHA-256 prefix over the parsed arguments (as given, before any cap
+    override), the effective degree cap and the contents of input files;
+    output routing (--out, -v) is left out."""
+    inputs = {k: v for k, v in inputs.items() if k not in ("out", "verbose")}
+    inputs["cap"] = cap
     for key in ("series", "matrix", "system"):
         if inputs.get(key):
             with open(inputs[key], "rb") as fh:
@@ -87,12 +74,9 @@ def _inputs_hash(cfg):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _provenance(cfg):
-    return {
-        "inputs_hash": _inputs_hash(cfg),
-        "caps": {"degree": cfg.deg, "precision": cfg.prec},
-        "achieved_precision": cfg.extra.get("achieved", cfg.prec),
-    }
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def _elem_json(x):
@@ -107,71 +91,54 @@ def _val_str(x):
     return "inf" if v == float("inf") else str(v)
 
 
-def _emit(cfg, payload):
-    payload["provenance"] = _provenance(cfg)
-    text = json.dumps(payload, indent=2, default=str)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
-    return 0
-
-
 # -- subcommands ------------------------------------------------------------------
 
 
-def _group_of(cfg, cap=None):
-    spec = cfg.base_spec()
-    cap = cap or cfg.deg
-    variant = cfg.variant
+def _group_of(args):
+    spec = _base_spec(args)
+    variant = args.variant
     if variant == "auto":
-        variant = "multiplicative" if cfg.ring == "zp" else "standard"
-    if cfg.ring == "zp":
-        return build_group(spec, spec.from_int(cfg.p), cfg.p, cap,
-                           variant=variant)
-    if cfg.ring == "ram":
-        return build_group(spec, spec.gen_quad(), cfg.p, cap, variant=variant)
-    return build_group(spec, spec.from_int(cfg.p), cfg.p ** 2, cap,
-                       variant=variant)
+        variant = "multiplicative" if args.ring == "zp" else "standard"
+    pi = spec.gen_quad() if args.ring == "ram" else spec.from_int(args.p)
+    q = args.p ** 2 if args.ring == "unram" else args.p
+    return build_group(spec, pi, q, args.deg, variant=variant)
 
 
-def cmd_group(cfg, args):
-    G = _group_of(cfg)
+def cmd_group(args):
+    G = _group_of(args)
     log = G.log_series(min(16, G.cap))
-    return _emit(cfg, {
-        "f": G.f.truncate(min(G.cap, cfg.deg)).to_json(),
+    return {
+        "f": G.f.truncate(min(G.cap, args.deg)).to_json(),
         "q": G.q,
         "log_series": log.to_json(),
         "log_derivative_unit": G.log_derivative_is_unit(min(16, G.cap)),
-    })
+    }, None
 
 
-def cmd_omega(cfg, args):
-    G = _group_of(cfg)
+def cmd_omega(args):
+    G = _group_of(args)
     n = args.n
     om = G.omega_polys(2 * n)
     target = None
-    if cfg.ring == "ram":
-        target = G.endomorphism(G.spec.from_int(cfg.p ** n), G.cap)
+    if args.ring == "ram":
+        target = G.endomorphism(G.spec.from_int(args.p ** n), G.cap)
     unit, ok = G.omega_factorization_check(n, target=target)
-    cfg.extra["achieved"] = min(cfg.prec, unit.n_eff)
-    return _emit(cfg, {
+    return {
         "n": n,
         "pibar": {str(m): [list(c.coords) for c in pb]
                   for m, pb in om["pibar"].items()},
         "omega_plus": om["omega_plus"].to_json(),
         "omega_tilde_minus": om["omega_tilde_minus"].to_json(),
         "factorization_ok": ok,
-    })
+    }, min(args.prec, unit.n_eff)
 
 
-def cmd_norm_op(cfg, args):
-    G = _group_of(cfg)
-    rng = random.Random(cfg.seed)
+def cmd_norm_op(args):
+    G = _group_of(args)
+    rng = random.Random(args.seed)
     spec = G.spec
     if args.series:
-        g = TruncSeries.from_json(json.load(open(args.series)))
+        g = TruncSeries.from_json(_read_json(args.series))
     else:
         g = TruncSeries(spec, G.cap, [spec.one()] + [
             spec.elem([rng.randrange(spec.modulus) for _ in range(spec.rank)])
@@ -179,12 +146,11 @@ def cmd_norm_op(cfg, args):
     ng = G.coleman_norm(g)
     digits = min(spec.N - 1, g.n_eff - 1)
     law = ng.compose(G.f.truncate(g.cap)).eq_mod(G.translates_product(g), digits)
-    cfg.extra["achieved"] = digits
-    return _emit(cfg, {"norm": ng.to_json(), "product_law_ok": law})
+    return {"norm": ng.to_json(), "product_law_ok": law}, digits
 
 
-def cmd_tower(cfg, args):
-    G = _group_of(cfg)
+def cmd_tower(args):
+    G = _group_of(args)
     tw = build_tower(G, args.levels)
     payload = {"levels": args.levels}
     for m in range(1, args.levels + 1):
@@ -195,16 +161,16 @@ def cmd_tower(cfg, args):
             "norm_of_alpha": _elem_json(RingElem(G.spec, nm)) if m == 1
             else [list(c) for c in tw.rings[m - 1].coeffs(nm)],
         }
-    return _emit(cfg, payload)
+    return payload, None
 
 
-def cmd_coleman(cfg, args):
-    G = _group_of(cfg)
+def cmd_coleman(args):
+    G = _group_of(args)
     tw = build_tower(G, args.levels)
     if args.system:
         sys_ = _read_system(tw, args.system)
     else:
-        rng = random.Random(cfg.seed)
+        rng = random.Random(args.seed)
         spec = G.spec
         g0 = TruncSeries(spec, G.cap, [spec.one()] + [
             spec.elem([rng.randrange(spec.modulus) for _ in range(spec.rank)])
@@ -215,21 +181,19 @@ def cmd_coleman(cfg, args):
         sys_ = CO.system_from_series(tw, g0)
     if args.action == "interpolate":
         g, info = CO.interpolate(sys_)
-        cfg.extra["achieved"] = info["n_eff"]
-        return _emit(cfg, {"series": g.to_json(), "info": info,
-                           "norm_compatible": sys_.norm_compatible()})
+        return {"series": g.to_json(), "info": info,
+                "norm_compatible": sys_.norm_compatible()}, info["n_eff"]
     mu, g, rep = CO.mu_zero(G, sys_)
-    cfg.extra["achieved"] = rep["n_eff"]
-    return _emit(cfg, {
+    return {
         "amice": mu.amice.to_json(),
         "report": {k: (v if not isinstance(v, RingElem) else _elem_json(v))
                    for k, v in rep.items()},
-    })
+    }, rep["n_eff"]
 
 
 def _read_system(tw, path):
     """The CompatibleSystem of a JSON file {"values": {"m": flat coords}}."""
-    values, = json_fields(json.load(open(path)), "values")
+    values, = json_fields(_read_json(path), "values")
     if not isinstance(values, dict):
         raise DomainError("system values must be an object keyed by level")
     vals = {}
@@ -242,28 +206,25 @@ def _read_system(tw, path):
     return CO.CompatibleSystem(tw, vals)
 
 
-def cmd_measure(cfg, args):
-    spec = cfg.base_spec() if cfg.ring == "zp" else make_ring(cfg.p, cfg.prec, "zp")
-    okp = None
-    if cfg.ring != "zp":
-        okp = cfg.base_spec()
-    cap = cfg.deg
+def cmd_measure(args):
+    spec = make_ring(args.p, args.prec, "zp")
+    okp = _base_spec(args) if args.ring != "zp" else None
     if args.dirac is not None:
         if okp is not None:
             a0, a1 = (int(t) for t in args.dirac.split(",")) \
                 if "," in args.dirac else (int(args.dirac), 0)
             elem = okp.elem((a0, a1))
-            mu = MS.dirac(elem, "okp", spec, cap, okp=okp)
+            mu = MS.dirac(elem, "okp", spec, args.deg, okp=okp)
         else:
-            mu = MS.dirac(int(args.dirac), "zp", spec, cap)
+            mu = MS.dirac(int(args.dirac), "zp", spec, args.deg)
     elif args.series:
-        mu = MS.Measure.from_json(json.load(open(args.series)))
+        mu = MS.Measure.from_json(_read_json(args.series))
     else:
         raise DomainError("need --dirac or --series")
     if args.action == "moment":
         v = MS.moment(mu, args.k)
-        cfg.extra["achieved"] = MS.moment_guarantee(mu, args.k)
-        return _emit(cfg, {"k": args.k, "moment": _elem_json(v)})
+        return ({"k": args.k, "moment": _elem_json(v)},
+                MS.moment_guarantee(mu, args.k))
     if args.action == "coset":
         if mu.group.startswith("okp"):
             d0, d1 = (int(t) for t in args.delta.split(",")) \
@@ -272,29 +233,25 @@ def cmd_measure(cfg, args):
         else:
             delta = int(args.delta)
         v, g = MS.coset_mass(mu, delta, args.level)
-        cfg.extra["achieved"] = g
-        return _emit(cfg, {"delta": args.delta, "level": args.level,
-                           "mass": _elem_json(v), "mass_n_eff": g})
+        return {"delta": args.delta, "level": args.level,
+                "mass": _elem_json(v), "mass_n_eff": g}, g
     if args.action == "tilde":
         t = MS.tilde_series(mu.amice)
-        cfg.extra["achieved"] = t.n_eff - t.shift
-        return _emit(cfg, {"tilde": t.to_json()})
+        return {"tilde": t.to_json()}, t.n_eff - t.shift
     raise DomainError("unknown measure action")
 
 
-def cmd_char(cfg, args):
-    data = json.load(open(args.matrix))
-    pres = LambdaPresentation.from_json(data)
+def cmd_char(args):
+    pres = LambdaPresentation.from_json(_read_json(args.matrix))
     wd = char_ideal(pres)
-    cfg.extra["achieved"] = wd.n_eff
-    return _emit(cfg, {
+    return {
         "mu": wd.mu,
         "lambda": wd.lam,
         "distinguished": [list(c.coords) for c in wd.dist],
-    })
+    }, wd.n_eff
 
 
-def cmd_elliptic(cfg, args):
+def cmd_elliptic(args):
     parts = args.lattice
     if len(parts) == 1 and "," in parts[0]:
         parts = parts[0].split(",")
@@ -323,7 +280,7 @@ def cmd_elliptic(cfg, args):
             f"elliptic values overflow double precision: {exc}") from exc
     payload["truncation"] = {"q_terms": EL._Q_TERMS,
                              "legendre_defect": L.legendre_defect}
-    return _emit(cfg, payload)
+    return payload, None
 
 
 # -- argument parsing ----------------------------------------------------------------
@@ -336,6 +293,7 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser():
     ap = _Parser(
         prog="ltk",
@@ -407,19 +365,29 @@ def run(argv):
             args = build_parser().parse_args(argv)
         except SystemExit as exc:  # --help
             return 1 if exc.code else 0
-        cfg = JobConfig(
-            subcommand=args.subcommand, p=args.p, prec=args.prec, deg=args.deg,
-            ring=args.ring, pi_sq=args.pi_sq, seed=args.seed, out=args.out,
-            variant=args.variant, verbose=args.verbose, inputs=vars(args))
+        inputs = dict(vars(args))
         # the override is one more source of the degree cap, validated with it
         override = os.environ.get("LTK_CAP_OVERRIDE")
         if override:
-            cfg.deg = int(override)
-        if cfg.verbose:
-            print(f"# ltk {args.subcommand} p={cfg.p} prec={cfg.prec} "
-                  f"deg={cfg.deg} ring={cfg.ring}", file=sys.stderr)
-        cfg.validate()
-        return COMMANDS[args.subcommand](cfg, args)
+            args.deg = int(override)
+        if args.verbose:
+            print(f"# ltk {args.subcommand} p={args.p} prec={args.prec} "
+                  f"deg={args.deg} ring={args.ring}", file=sys.stderr)
+        _validate(args)
+        payload, achieved = COMMANDS[args.subcommand](args)
+        # group, tower and elliptic derive no precision yet: they report --prec
+        payload["provenance"] = {
+            "inputs_hash": _inputs_hash(inputs, args.deg),
+            "caps": {"degree": args.deg, "precision": args.prec},
+            "achieved_precision": args.prec if achieved is None else achieved,
+        }
+        text = json.dumps(payload, indent=2, default=str)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
+        return 0
     except PrecisionExhausted as exc:
         print(json.dumps({"error": "precision-exhausted", "detail": str(exc)}),
               file=sys.stderr)

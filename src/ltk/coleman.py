@@ -134,7 +134,7 @@ def reduce_mod_system_ideal(g, tower, n_eff=None):
     return r
 
 
-def norm_fixed_point(G, seed, max_iter=None, target=None):
+def norm_fixed_point(G, seed, target=None):
     """Iterate g -> N_f g from a unit seed until stabilization.
 
     Returns (g, info); info records the iteration count and the congruence
@@ -144,10 +144,9 @@ def norm_fixed_point(G, seed, max_iter=None, target=None):
     if not seed.constant_term().is_unit():
         raise DomainError("seed must be a unit series")
     target = target or (G.spec.N - 1)
-    cap_iter = max_iter or (4 * G.spec.N + 8)
     g = seed
     history = []
-    for it in range(1, cap_iter + 1):
+    for it in range(1, 4 * G.spec.N + 9):
         g2 = G.coleman_norm(g)
         # agreement level of g2 vs g
         lvl = _agreement_level(g2, g)
@@ -174,7 +173,7 @@ def _agreement_level(a, b):
     return lvl
 
 
-def _log_one_units(u, terms=None):
+def _log_one_units(u):
     """log of a unit series congruent to 1 mod the maximal ideal.
 
     Purely p-adic convergence: terms (u-1)^k/k with certified divisions;
@@ -189,10 +188,9 @@ def _log_one_units(u, terms=None):
         if not c.is_zero() and valuation(c) <= 0:
             raise DomainError("log argument is not congruent to 1 mod m")
     e = spec.ramification_index
-    kmax = terms or (e * (N + 2) + 4)
     acc = TruncSeries.zero(spec, u.cap)
     power = one
-    for k in range(1, kmax + 1):
+    for k in range(1, e * (N + 2) + 5):
         power = power * h
         if power.canonical().is_zero():
             break
@@ -205,7 +203,7 @@ def _log_one_units(u, terms=None):
     return acc
 
 
-def tilde_log(G, g, bootstrap=True):
+def tilde_log(G, g):
     """(1/q) log(g^q / (N_f g o f)) with the integrality bootstrap replayed.
 
     Returns (series, report).  The report carries the bootstrap verdict and
@@ -222,16 +220,15 @@ def tilde_log(G, g, bootstrap=True):
     u = (g.pow_int(q)) * P.invert()
     S = _log_one_units(u)
     report = {}
-    if bootstrap:
-        # d(tilde-log) = S'/(q log_F') must be integral before dividing S by q
-        logp = G.log_derivative_series(g.cap)
-        dS = S.derive()
-        A = dS * logp.invert()
-        try:
-            A.divide_exact_p(qord)
-            report["d_bootstrap_integral"] = True
-        except PrecisionExhausted:
-            report["d_bootstrap_integral"] = False
+    # d(tilde-log) = S'/(q log_F') must be integral before dividing S by q
+    logp = G.log_derivative_series(g.cap)
+    dS = S.derive()
+    A = dS * logp.invert()
+    try:
+        A.divide_exact_p(qord)
+        report["d_bootstrap_integral"] = True
+    except PrecisionExhausted:
+        report["d_bootstrap_integral"] = False
     try:
         out = S.divide_exact_p(qord)
     except PrecisionExhausted as exc:
@@ -264,7 +261,7 @@ def partial_dlog(G, lt, k):
     return h.coeff(0)
 
 
-def mu_zero(G, sys, cap=None):
+def mu_zero(G, sys):
     """The measure pipeline: interpolate, tilde-log, tag as an okp measure.
 
     The amice series is kept in the X coordinate (Omega_p = 1 diagonal

@@ -50,37 +50,25 @@ def _reduce_basis(w1, w2):
     raise EllipticDomainError("basis reduction did not terminate")
 
 
-def _eta2_sum(w1, w2, terms=_Q_TERMS):
+def _eta_sum(w1, w2):
     """eta(w2) = w2 sum_m sum_n' (m w1 + n w2)^{-2} in Eisenstein order.
 
     The inner sum over n (the index on w2) runs over all of Z when m != 0 and
     skips only the origin; sum_n (x+n)^{-2} = pi^2/sin^2(pi x) collapses each
     inner sum, leaving a geometrically convergent outer sum.  This is the
     classical conditionally-convergent order, pinned by the Legendre relation
-    and the sigma quasi-periodicity cross-checks.
+    and the sigma quasi-periodicity cross-checks.  eta(w1) is _eta_sum(w2, w1):
+    the same order with the roles of the periods swapped.
     """
     tau = w1 / w2
     total = complex(math.pi ** 2 / 3.0)
-    for m in range(1, terms + 1):
+    for m in range(1, _Q_TERMS + 1):
         s = cmath.sin(math.pi * m * tau)
         term = (math.pi / s) ** 2
         total += 2 * term  # m and -m contribute equally
         if abs(term) < 1e-19:
             break
     return total / w2
-
-
-def _eta1_sum(w1, w2, terms=_Q_TERMS):
-    """eta(w1): same Eisenstein order with the roles of the periods swapped."""
-    itau = w2 / w1
-    total = complex(math.pi ** 2 / 3.0)
-    for n in range(1, terms + 1):
-        s = cmath.sin(math.pi * n * itau)
-        term = (math.pi / s) ** 2
-        total += 2 * term
-        if abs(term) < 1e-19:
-            break
-    return total / w1
 
 
 @dataclass
@@ -100,8 +88,8 @@ class Lattice:
         self._q = cmath.exp(TWO_PI_I * self._tau)
         if abs(self._q) > 0.5:
             raise EllipticDomainError("|q| too close to 1 after reduction")
-        self._eta_r1 = _eta1_sum(r1, r2)
-        self._eta_r2 = _eta2_sum(r1, r2)
+        self._eta_r1 = _eta_sum(r2, r1)
+        self._eta_r2 = _eta_sum(r1, r2)
         # Legendre relation for the reduced (oriented) basis: the constant is
         # -2 pi i in this orientation; the defect is recorded at construction
         self.legendre_defect = abs(self._eta_r1 * r2 - self._eta_r2 * r1 + TWO_PI_I)
@@ -126,9 +114,9 @@ class Lattice:
         y = (a.real * z.imag - a.imag * z.real) / det
         return x, y
 
-    def contains(self, z, tol=1e-9):
+    def contains(self, z):
         x, y = self.coords(z)
-        return abs(x - round(x)) < tol and abs(y - round(y)) < tol
+        return abs(x - round(x)) < 1e-9 and abs(y - round(y)) < 1e-9
 
     def reduce_point(self, z):
         """(z0, m, n) with z = z0 + m r1 + n r2 and z0 nearly centered."""
@@ -149,7 +137,7 @@ class Lattice:
                 break
         return (TWO_PI_I / self._r2) ** 12 * q * prod
 
-    def eisenstein(self, k, terms=_Q_TERMS):
+    def eisenstein(self, k):
         """Normalized E_4 or E_6 of the reduced tau."""
         q = self._q
         if k == 4:
@@ -159,7 +147,7 @@ class Lattice:
         else:
             raise EllipticDomainError("only E_4 and E_6")
         total = complex(1.0)
-        for n in range(1, terms + 1):
+        for n in range(1, _Q_TERMS + 1):
             sig = sum(d ** power for d in range(1, n + 1) if n % d == 0)
             term = coef * sig * q ** n
             total += term
@@ -195,31 +183,30 @@ class Lattice:
 
     # -- core functions ----------------------------------------------------------------
 
-    def _sigma_raw(self, z, terms=_Q_TERMS):
+    def _sigma_raw(self, z):
         r2, q = self._r2, self._q
         u_half = cmath.exp(1j * math.pi * z / r2)
         u = u_half * u_half
         prod = u_half - 1.0 / u_half
         qn = complex(1.0)
-        for _ in range(terms):
+        for _ in range(_Q_TERMS):
             qn *= q
             prod *= (1 - qn * u) * (1 - qn / u) / (1 - qn) ** 2
             if abs(qn) < 1e-20:
                 break
         return (r2 / TWO_PI_I) * cmath.exp(self._eta_r2 * z * z / (2 * r2)) * prod
 
-    def sigma(self, z, terms=_Q_TERMS):
+    def sigma(self, z):
         """Weierstrass sigma, extended by quasi-periodicity from the core cell."""
         z0, m, n = self.reduce_point(z)
         if m == 0 and n == 0:
-            return self._sigma_raw(z, terms)
+            return self._sigma_raw(z)
         omega = m * self._r1 + n * self._r2
-        sign = -1.0 if (m % 2 or n % 2 or (m * n) % 2) else 1.0
         sign = (-1.0) ** (m + n + m * n)
         fac = cmath.exp(self.eta(omega) * (z0 + omega / 2))
-        return sign * fac * self._sigma_raw(z0, terms)
+        return sign * fac * self._sigma_raw(z0)
 
-    def wp(self, z, terms=_Q_TERMS):
+    def wp(self, z):
         z0, _, _ = self.reduce_point(z)
         if abs(z0) < 1e-12:
             raise EllipticDomainError("wp pole: z in L")
@@ -227,7 +214,7 @@ class Lattice:
         u = cmath.exp(TWO_PI_I * z0 / r2)
         total = 1.0 / 12.0 + u / (1 - u) ** 2
         qn = complex(1.0)
-        for _ in range(terms):
+        for _ in range(_Q_TERMS):
             qn *= q
             a = qn * u
             b = qn / u
@@ -237,7 +224,7 @@ class Lattice:
                 break
         return (TWO_PI_I / r2) ** 2 * total
 
-    def wp_prime(self, z, terms=_Q_TERMS):
+    def wp_prime(self, z):
         z0, _, _ = self.reduce_point(z)
         if abs(z0) < 1e-12:
             raise EllipticDomainError("wp' pole: z in L")
@@ -245,7 +232,7 @@ class Lattice:
         u = cmath.exp(TWO_PI_I * z0 / r2)
         total = u * (1 + u) / (1 - u) ** 3
         qn = complex(1.0)
-        for _ in range(terms):
+        for _ in range(_Q_TERMS):
             qn *= q
             a = qn * u
             b = qn / u

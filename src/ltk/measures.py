@@ -152,16 +152,15 @@ def _level_ring(value_spec, n):
 # -- tilde ---------------------------------------------------------------------
 
 
-def tilde_series(h, p=None):
+def tilde_series(h):
     """Restriction-to-units on the series side (cyclotomic route, descended)."""
-    p = p or h.spec.p
     spec = h.spec
     ext = _level_ring(spec, 1)
     zeta = _level_zeta(ext, 1)
     hext = TruncSeries(ext, h.cap, embed_coords(h.coeffs, spec, ext), h.n_eff, h.shift)
     acc = TruncSeries.zero(ext, h.cap)
     zj = ext.one()
-    for j in range(p):
+    for j in range(spec.p):
         a = zj - ext.one()
         acc = acc + hext.compose_affine(a, zj)
         zj = zj * zeta

@@ -629,7 +629,7 @@ def frobenius(x):
 # -- log / exp ---------------------------------------------------------------
 
 
-def padic_log(u, max_terms=None):
+def padic_log(u):
     """p-adic logarithm of u with v(u-1) > 1/(p-1).
 
     Returns (value, n_eff): the value is correct mod p^n_eff and n_eff
@@ -646,8 +646,7 @@ def padic_log(u, max_terms=None):
     acc = spec.zero()
     power = spec.one()
     loss = 0
-    cap = max_terms or (64 * N * (p - 1))
-    for k in range(1, cap + 1):
+    for k in range(1, 64 * N * (p - 1) + 1):
         power = power * h
         a = ord_int(k, p)
         kk = k // (p ** a)
@@ -669,7 +668,7 @@ def padic_log(u, max_terms=None):
     return acc, N - loss
 
 
-def padic_exp(x, max_terms=None):
+def padic_exp(x):
     """p-adic exponential of x with v(x) > 1/(p-1); returns (value, n_eff)."""
     spec = x.spec
     p, N = spec.p, spec.N
@@ -683,8 +682,7 @@ def padic_exp(x, max_terms=None):
     fact_ord = 0
     fact_unit = 1
     loss = 0
-    cap = max_terms or (64 * N * (p - 1))
-    for k in range(1, cap + 1):
+    for k in range(1, 64 * N * (p - 1) + 1):
         power = power * x
         a = ord_int(k, p)
         fact_ord += a

@@ -778,7 +778,7 @@ def packed_det(K, rows, cap):
 # -- formal log / exp ---------------------------------------------------------
 
 
-def formal_log(g, terms=None):
+def formal_log(g):
     """log of a series with constant term 1; denominators go into the shift.
 
     The stored coefficients are p^S times the true ones with S = max ord_p(k)
@@ -792,7 +792,7 @@ def formal_log(g, terms=None):
     spec = g.spec
     p, N = spec.p, spec.N
     h = g - TruncSeries.one(spec, g.cap)
-    kmax = min(terms or (g.cap - 1), g.cap - 1)
+    kmax = g.cap - 1
     if kmax < 1 or h.is_zero():
         return TruncSeries.zero(spec, g.cap)
     S = max(ord_int(k, p) for k in range(1, kmax + 1))
@@ -813,7 +813,7 @@ def formal_log(g, terms=None):
     return _pack_shifted(acc, spec, g.n_eff, S)
 
 
-def formal_exp(f, terms=None):
+def formal_exp(f):
     """exp of a series with zero constant term, via inflated-precision sums.
 
     Accepts a shifted input.  The sum is exact at an inflated modulus, so the
@@ -824,7 +824,7 @@ def formal_exp(f, terms=None):
     p, N = spec.p, spec.N
     if not f.constant_term().is_zero():
         raise DomainError("formal_exp requires zero constant term")
-    kmax = min(terms or (f.cap - 1), f.cap - 1)
+    kmax = f.cap - 1
     if kmax < 1:
         return TruncSeries.one(spec, f.cap)
     fact_ord = 0
@@ -848,10 +848,10 @@ def formal_exp(f, terms=None):
         fact_unit = (fact_unit * (k // p ** a)) % big_spec.modulus
         sc = (p ** (S - f.shift * k - fo)) * pow(fact_unit, -1, big_spec.modulus)
         acc = acc + power.scale(sc)
-    return _pack_shifted(acc, spec, t_out, S, allow_nonintegral=True)
+    return _pack_shifted(acc, spec, t_out, S)
 
 
-def _pack_shifted(acc_big, spec, true_prec, S, allow_nonintegral=True):
+def _pack_shifted(acc_big, spec, true_prec, S):
     """Strip content from a p^S-scaled big-modulus accumulator and repack.
 
     true_prec bounds the represented series' true precision; the result has
@@ -866,8 +866,6 @@ def _pack_shifted(acc_big, spec, true_prec, S, allow_nonintegral=True):
         if content == 0:
             break
     shift = S - content
-    if shift and not allow_nonintegral:
-        raise PrecisionExhausted("denominator survives at this precision")
     q = p ** content
     keep = min(true_prec + shift, N)
     if keep <= shift:
@@ -946,7 +944,7 @@ def poly_divmod_monic(f, P, cap=None):
     return Q, R
 
 
-def weierstrass_prep(f, max_iter=None):
+def weierstrass_prep(f):
     """Factor f = p^mu * distinguished * unit over Z_p or a quadratic ring.
 
     mu is the largest integer with p^mu dividing every coefficient; lambda is
@@ -978,8 +976,7 @@ def weierstrass_prep(f, max_iter=None):
     # initial factorization: P = X^lam, U = top part of F
     P = [spec.zero() for _ in range(lam)] + [spec.one()]
     U = TruncSeries(spec, F.cap, list(F.coeffs[lam:]), F.n_eff, 0)
-    it_cap = max_iter or (2 * (F.n_eff * spec.ramification_index).bit_length() + 8)
-    for _ in range(it_cap):
+    for _ in range(2 * (F.n_eff * spec.ramification_index).bit_length() + 8):
         E = F - TruncSeries(spec, F.cap, [c.coords for c in P],
                             F.n_eff, 0) * U
         if E.canonical().is_zero():

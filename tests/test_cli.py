@@ -1,11 +1,14 @@
+import gc
 import json
 import os
 import time
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ltk.cli import run
+from ltk import measures as MS
+from ltk.cli import build_parser, run
 from ltk.rings import make_ring
 from ltk.series import TruncSeries
 from ltk.lambda_modules import LambdaPresentation
@@ -438,3 +441,92 @@ def cli_arguments(draw):
 def test_fuzzed_arguments_end_in_json(capsys, argv):
     rc, err = run_err(capsys, argv)
     assert rc == 0 or set(err) == {"error", "detail"}
+
+
+# -- one configuration per run: derived precisions, no state between runs ----------
+
+
+def _expected_achieved(command, tmp_path):
+    """(argv, the achieved_precision it must report), the value derived here
+    through the library rather than read from the CLI's output."""
+    from ltk import coleman as CO
+    from ltk.lambda_modules import char_ideal
+    from ltk.lubin_tate import build_group, build_tower
+    q2 = make_ring(2, 6, "ramified_quad", quad=(0, 2))
+    q3 = make_ring(3, 7, "ramified_quad", quad=(0, 3))
+    path = tmp_path / "doc.json"
+    if command == "omega":
+        G = build_group(q2, q2.gen_quad(), 2, 24, variant="standard")
+        unit, _ = G.omega_factorization_check(2, target=G.endomorphism(
+            q2.from_int(4), G.cap))
+        return (["--p", "2", "--ring", "ram", "--pi-sq", "-2", "--prec", "6",
+                 "--deg", "24", "omega", "--n", "2"], min(6, unit.n_eff))
+    if command == "norm-op":
+        # a series known to 4 digits: the law holds to 3, below N - 1 = 6
+        g = TruncSeries(q3, 24, [1, [2, 1], 0, 5], n_eff=4)
+        path.write_text(json.dumps(g.to_json()))
+        return RAM3 + ["norm-op", "--series", str(path)], 3
+    if command == "coleman":
+        argv, doc = FUZZ_DOCS["coleman"]
+        path.write_text(json.dumps(doc))
+        r4 = make_ring(3, 4, "ramified_quad", quad=(0, 3))
+        tw = build_tower(build_group(r4, r4.gen_quad(), 3, 12), 2)
+        system = CO.CompatibleSystem(tw, {int(m): tw.rings[int(m)].elem(v)
+                                          for m, v in doc["values"].items()})
+        return argv + [str(path)], CO.interpolate(system)[1]["n_eff"]
+    if command == "measure":
+        mu = MS.dirac(q3.elem((4, 3)), "okp", make_ring(3, 7, "zp"), 24, okp=q3)
+        _, guarantee = MS.coset_mass(mu, q3.elem((7, 0)), 1)
+        return RAM3 + ["measure", "coset", "--dirac", "4,3", "--delta", "7,0",
+                       "--level", "1"], guarantee
+    if command == "char":
+        argv, doc = FUZZ_DOCS["char"]
+        path.write_text(json.dumps(doc))
+        return argv + [str(path)], char_ideal(LambdaPresentation.from_json(doc)).n_eff
+    # group, tower and elliptic derive no precision and report --prec
+    return ["--prec", "5", "--deg", "16", command], 5
+
+
+@pytest.mark.parametrize("command", ["group", "omega", "norm-op", "tower",
+                                     "coleman", "measure", "char", "elliptic"])
+def test_achieved_precision_of_every_subcommand(tmp_path, capsys, command):
+    argv, expected = _expected_achieved(command, tmp_path)
+    if command == "elliptic":
+        argv.append("psi")
+    rc, d = run_json(capsys, argv)
+    assert rc == 0
+    assert d["provenance"]["achieved_precision"] == expected
+
+
+@pytest.mark.parametrize("first, plain", [
+    (["measure", "moment", "--dirac", "5", "--k", "3"],
+     ["measure", "moment", "--dirac", "5"]),
+    (["elliptic", "psi", "--lattice", "1,1j"], ["elliptic", "psi"]),
+    (["elliptic", "psi", "--lattice", "2j", "1"], ["elliptic", "psi"]),
+])
+def test_back_to_back_runs_share_no_state(capsys, first, plain):
+    build_parser.cache_clear()
+    fresh = run(plain), capsys.readouterr()
+    run(first)
+    capsys.readouterr()
+    assert (run(plain), capsys.readouterr()) == fresh
+    if plain[0] == "measure":
+        assert json.loads(fresh[1].out)["k"] == 1
+    else:
+        assert run(plain + ["--lattice", "1j", "1"]) == 0
+        assert capsys.readouterr().out == fresh[1].out
+
+
+def test_input_files_are_closed(tmp_path, capsys):
+    runs = []
+    for command in sorted(FUZZ_DOCS):
+        argv, doc = FUZZ_DOCS[command]
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(doc))
+        runs.append(argv + [str(path)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        for argv in runs:
+            assert run(argv) == 0
+        gc.collect()
+    assert [str(w.message) for w in caught] == []
