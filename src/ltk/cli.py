@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 usage/validation errors, 2 precision exhaustion.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import os
@@ -293,7 +292,6 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(f"{self.prog}: {message}")
 
 
-@functools.cache
 def build_parser():
     ap = _Parser(
         prog="ltk",

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ltk import measures as MS
-from ltk.cli import build_parser, run
+from ltk.cli import run
 from ltk.rings import make_ring
 from ltk.series import TruncSeries
 from ltk.lambda_modules import LambdaPresentation
@@ -505,7 +505,6 @@ def test_achieved_precision_of_every_subcommand(tmp_path, capsys, command):
     (["elliptic", "psi", "--lattice", "2j", "1"], ["elliptic", "psi"]),
 ])
 def test_back_to_back_runs_share_no_state(capsys, first, plain):
-    build_parser.cache_clear()
     fresh = run(plain), capsys.readouterr()
     run(first)
     capsys.readouterr()
