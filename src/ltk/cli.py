@@ -35,8 +35,6 @@ def _validate(args):
         raise DomainError("p must be a prime >= 2")
     if args.prec < 1 or args.deg < 2:
         raise DomainError("insufficient precision or degree cap")
-    if args.ring not in ("zp", "ram", "unram"):
-        raise DomainError("ring must be zp, ram or unram")
 
 
 def _base_spec(args):

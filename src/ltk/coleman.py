@@ -19,8 +19,8 @@ reported on failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .rings import DomainError, PrecisionExhausted, RingElem, ord_int, valuation
-from .series import TruncSeries, poly_divmod_monic
+from .rings import DomainError, PrecisionExhausted, RingElem, log_one_unit, valuation
+from .series import TruncSeries, _series, poly_divmod_monic
 from .measures import Measure
 
 __all__ = [
@@ -173,36 +173,6 @@ def _agreement_level(a, b):
     return lvl
 
 
-def _log_one_units(u):
-    """log of a unit series congruent to 1 mod the maximal ideal.
-
-    Purely p-adic convergence: terms (u-1)^k/k with certified divisions;
-    (u-1)^k has coefficients in m^k, which covers the division by k.
-    """
-    spec = u.spec
-    p, N = spec.p, spec.N
-    one = TruncSeries.one(spec, u.cap)
-    h = u - one
-    for i in range(h.cap):
-        c = h.coeff(i)
-        if not c.is_zero() and valuation(c) <= 0:
-            raise DomainError("log argument is not congruent to 1 mod m")
-    e = spec.ramification_index
-    acc = TruncSeries.zero(spec, u.cap)
-    power = one
-    for k in range(1, e * (N + 2) + 5):
-        power = power * h
-        if power.canonical().is_zero():
-            break
-        a = ord_int(k, p)
-        term = power.scale(pow(k // p ** a, -1, spec.modulus))
-        term = term.divide_exact_p(a)
-        if k % 2 == 0:
-            term = -term
-        acc = acc + term
-    return acc
-
-
 def tilde_log(G, g):
     """(1/q) log(g^q / (N_f g o f)) with the integrality bootstrap replayed.
 
@@ -218,7 +188,14 @@ def tilde_log(G, g):
     qord = 1 if q == spec.p else 2
     P = G.coleman_norm(g).compose(G.f.truncate(g.cap))
     u = (g.pow_int(q)) * P.invert()
-    S = _log_one_units(u)
+    # log u, read at the digits u is known to: the log of any lift of u is
+    # the same mod p^u.n_eff
+    h = (u - TruncSeries.one(spec, u.cap)).reduce_precision(u.n_eff)
+    t = min(valuation(h.coeff(i)) for i in range(h.cap))
+    if t <= 0:
+        raise DomainError("log argument is not congruent to 1 mod m")
+    S, n_eff = log_one_unit(h, t)
+    S = _series(spec, S.cap, S.coeffs, n_eff)
     report = {}
     # d(tilde-log) = S'/(q log_F') must be integral before dividing S by q
     logp = G.log_derivative_series(g.cap)

@@ -7,32 +7,36 @@ variant is f = pi'*X + X^q; the multiplicative variant (1+X)^p - 1 over Z_p
 recovers the classical picture.
 
 Every algorithm here runs over a small ring protocol: zero, one, from_base,
-add, sub, mul, is_zero.  Two kinds of ring speak it: _Coords (a packed ring
-on its flat coordinate tuples, with its compiled mul_coords: a RingSpec as
-_Coords(spec), and every QuotientRing base[X]/P, which is a _Coords of
-itself) and the exact rationals _Rationals.  So the structural solver
-exists once; the companion-matrix norm exists once too, and takes one
-determinant, series.packed_det, over the series ring, the base ring or a
-quotient ring alike.  A QuotientRing is one more monic
-extension in the tower of rings.extend, with the same compiled reduce_block
-and mul_coords as a RingSpec, and its elements are flat coordinate tuples
-only; base RingElems appear at the API boundary, not inside the algorithms.
+add, sub, mul, is_zero.  Two kinds of ring speak it: series._Coords (a
+packed ring on its flat coordinate tuples, with its compiled mul_coords: a
+RingSpec as _Coords(spec), and every QuotientRing base[X]/P, which is a
+_Coords of itself) and the exact rationals _Rationals here.  The protocol
+and the structural solver, series._solve_structural, live in series next to
+the kernel they call; the companion-matrix norm exists once too, and takes
+one determinant, series.packed_det, over the series ring, the base ring or
+a quotient ring alike.  A QuotientRing is one more monic extension in the
+tower of rings.extend, with the same compiled reduce_block and mul_coords as
+a RingSpec, and its elements are flat coordinate tuples only; base RingElems
+appear at the API boundary, not inside the algorithms.
 
-Structural series.  The logarithm, the exponential, the endomorphisms [a]_f
-and the torsion translates X [+] pt are each pinned down, coefficient by
-coefficient, by the Lubin-Tate uniqueness lemma in one shape:
+Structural series.  The logarithm, the exponential, the endomorphisms [a]_f,
+the torsion translates X [+] pt and the compositional inverses are each
+pinned down, coefficient by coefficient, by one triangular identity, the
+shape of the Lubin-Tate uniqueness lemma:
 
     D_k c_k = b_k + sum_{j>=2} u_j [C^j]_k - sum_{1<=j<k} c_j [v^j]_k
 
-  log       l(f(X)) = pi l(X)       v = f, D_k = pi^k - pi
-  exp       f(e(Y)) = e(pi Y)       u = f, D_k = pi^k - pi
-  [a]_f     [a] o f = f o [a]       u = v = f, D_k = pi^k - pi
-  translate f(pt + S) = f(X)        u = -d, b = f, D_k = d_1
+  log        l(f(X)) = pi l(X)      v = f, D_k = pi^k - pi
+  exp        f(e(Y)) = e(pi Y)      u = f, D_k = pi^k - pi
+  [a]_f      [a] o f = f o [a]      u = v = f, D_k = pi^k - pi
+  translate  f(pt + S) = f(X)       u = -d, b = f, D_k = d_1
+  reversion  g(h(X)) = X            u = -g, D_k = g_1 (series.reversion)
+  theta^-1   theta(h(X)) = X        u = -theta, D_k = theta_1 (q_coordinate)
 
-where f(pt + S) = sum_i d_i S^i.  _solve_structural solves all four.  As
-c_0 = 0, [C^j]_k involves only c_1..c_{k-1}, so the powers of C come from the
-running convolution P_j[k] = sum_{i=1}^{k-1} c_i P_{j-1}[k-i], filled in as
-the coefficients appear.
+where f(pt + S) = sum_i d_i S^i.  _solve_structural solves all six (the last
+two are series._reversion).  As c_0 = 0, [C^j]_k involves only c_1..c_{k-1},
+so the powers of C come from the running convolution P_j[k] =
+sum_{i=1}^{k-1} c_i P_{j-1}[k-i], filled in as the coefficients appear.
 
 Which solves are residue and which rational.  [a]_f is solved in residue
 arithmetic, Z/p^(N+s) on coordinate tuples, each division by pi^k - pi an
@@ -64,7 +68,6 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import partial
-from math import comb
 
 from .rings import (
     DomainError,
@@ -81,7 +84,10 @@ from .rings import (
 from .series import (
     PackedRows,
     TruncSeries,
+    _Coords,
+    _reversion,
     _series,
+    _solve_structural,
     horner,
     packed_compose,
     packed_det,
@@ -184,51 +190,6 @@ class _Rationals:
 # -- polynomial algorithms over the ring protocol ------------------------------------
 
 
-class _Coords:
-    """A packed ring K on its flat coordinate tuples, as a protocol ring.
-
-    Its elements are the canonical coordinate tuples the packed kernel
-    reads and writes; products are K's compiled mul_coords, sums are taken
-    mod p^N, zero is `not any(...)` and from_base pads a base element's
-    coordinates to K's rank.  The residue solves ([a]_f over Z/p^M, the
-    translates over the torsion ring), the tower norms and the quotient-ring
-    arithmetic all run over it, so no RingElem is built inside them.
-    """
-
-    def __init__(self, K):
-        self.rank, _, _, self.m = K.packing
-        self.mul = K.mul_coords
-        self._zero = (0,) * self.rank
-
-    def zero(self):
-        return self._zero
-
-    def one(self):
-        return (1,) + self._zero[1:]
-
-    def from_base(self, c):
-        return c.coords + self._zero[len(c.coords):]
-
-    def elem(self, coords):
-        """The element with these coordinates, reduced mod p^N: the checked
-        constructor for outside input."""
-        if len(coords) != self.rank:
-            raise DomainError("flat coordinate vector has wrong length")
-        return tuple(int(x) % self.m for x in coords)
-
-    def add(self, a, b):
-        m = self.m
-        return tuple((x + y) % m for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        m = self.m
-        return tuple((x - y) % m for x, y in zip(a, b))
-
-    @staticmethod
-    def is_zero(a):
-        return not any(a)
-
-
 def _poly_mul(R, a, b, cap):
     """Truncated product of coefficient lists over the exact rationals."""
     out = [R.zero()] * cap
@@ -264,38 +225,6 @@ def _balanced_lift(x, big_m):
     """
     m = x.spec.modulus
     return tuple((c if c <= m // 2 else c - m) % big_m for c in x.coords)
-
-
-def _solve_structural(R, cap, head, divide, b=(), u=(), v_pows=()):
-    """Coefficients c_0..c_{cap-1} of a structural series over R.
-
-    head holds the given c_0 = 0, c_1, ...; every later coefficient solves
-    D_k c_k = b_k + sum_{2<=j<len(u)} u_j [C^j]_k - sum_{1<=j<k} c_j [v^j]_k,
-    where divide(k, x) = x / D_k and v_pows[j] lists the coefficients of v^j.
-    """
-    zero = R.zero()
-    c = list(head) + [zero] * (cap - len(head))
-    # pows[j][k] = [C^j]_k by the running convolution: it needs only
-    # c_1..c_{k-1} (c_0 = 0), so it is filled in before c_k is solved
-    pows = [None, c] + [[zero] * cap for _ in range(2, len(u))]
-    for k in range(1, cap):
-        for j in range(2, len(u)):
-            prev, acc = pows[j - 1], zero
-            for i in range(1, k - j + 2):
-                if not R.is_zero(c[i]) and not R.is_zero(prev[k - i]):
-                    acc = R.add(acc, R.mul(c[i], prev[k - i]))
-            pows[j][k] = acc
-        if k < len(head):
-            continue
-        rhs = b[k] if k < len(b) else zero
-        for j in range(2, len(u)):
-            if not R.is_zero(u[j]) and not R.is_zero(pows[j][k]):
-                rhs = R.add(rhs, R.mul(u[j], pows[j][k]))
-        for j in range(1, min(k, len(v_pows))):
-            if not R.is_zero(c[j]) and not R.is_zero(v_pows[j][k]):
-                rhs = R.sub(rhs, R.mul(c[j], v_pows[j][k]))
-        c[k] = divide(k, rhs)
-    return c
 
 
 def _fiber_digits(K, rel, cap=1):
@@ -378,17 +307,6 @@ def _companion_norm(digits, y, cap=1):
     flat = digits.combine([c + (0,) * (rank - len(c)) for c in y])
     entry = lambda o: flat[o * e:o * e + min(e, cap)]
     return packed_det(K, [[entry(j * d + i) for j in range(d)] for i in range(d)], cap)
-
-
-def _reversion(R, f, cap):
-    """Compositional inverse of f = f_1 X + ... over the rationals."""
-    inv1 = R.inv(f[1])
-    g = [R.zero(), inv1] + [R.zero()] * (cap - 2)
-    for k in range(2, cap):
-        # [X^k] f(g + t X^k) = [X^k] f(g) + f_1 t
-        err = _compose(R, f[: k + 1], g, k + 1)[k]
-        g[k] = R.mul(R.sub(R.zero(), err), inv1)
-    return g
 
 
 # -- the formal group ----------------------------------------------------------
@@ -542,7 +460,7 @@ class FormalGroup:
 
     def log_derivative_series(self, cap=None):
         """log_F'(X) as an integral unit TruncSeries (certified)."""
-        cap = cap or self.cap
+        cap = self.cap if cap is None else cap
         R = self._Q
         l = self.log_coeffs(cap + 1)
         ser = R.series([R.scale(Fraction(k + 1), l[k + 1]) for k in range(cap)])
@@ -551,12 +469,13 @@ class FormalGroup:
         return ser
 
     def log_derivative_is_unit(self, cap=None):
-        """log_F'(X) must be an integral unit series (constant term 1)."""
-        R = self._Q
-        l = self.log_coeffs(cap)
-        if R.den_ord(R.scale(k, l[k]) for k in range(1, len(l))):
+        """Whether log_F'(X) mod X^(cap-1), from log_F mod X^cap, is an
+        integral unit series (constant term 1)."""
+        try:
+            ser = self.log_derivative_series((self.cap if cap is None else cap) - 1)
+        except PrecisionExhausted:
             return False
-        return l[1] == R.one()
+        return ser.constant_term() == self.spec.one()
 
     # -- endomorphisms, in residue arithmetic ------------------------------------
 
@@ -828,17 +747,11 @@ class FormalGroup:
         the result is at working precision.
         """
         cap = cap or self.cap
-        q, mul, zero = self.q, E.mul, E.zero()
+        zero = E.zero()
         fE = [E.from_base(c) for c in self.f_poly]
-        # d_i = sum_{j>=i} f_j C(j,i) pt^{j-i}
-        pt_pows = [E.one()]
-        for _ in range(q):
-            pt_pows.append(mul(pt_pows[-1], pt))
-        d = [zero] * (q + 1)
-        for i in range(q + 1):
-            for j in range(i, q + 1):
-                d[i] = E.add(d[i], tuple(comb(j, i) * x
-                                         for x in mul(fE[j], pt_pows[j - i])))
+        # the Taylor shift d_i = sum_j C(j, i) f_j pt^(j-i): f(pt + S), exact
+        # mod S^(q+1) as f has degree q
+        d = packed_compose(E, fE, [pt, E.one()], self.q + 1)
         # f(pt) must vanish to working precision
         if any(x % self.spec.p ** (self.spec.N - 1) for x in d[0]):
             raise PrecisionExhausted("torsion point fails f(pt) = 0 at precision")
@@ -958,6 +871,8 @@ def build_group(spec, pi, q, cap, variant="standard"):
     """Assemble a FormalGroup; variant picks f = pi*X + X^q by default."""
     if isinstance(pi, int):
         pi = spec.from_int(pi)
+    if pi.is_zero():
+        raise PrecisionExhausted(f"pi is 0 mod p^N at N = {spec.N}: raise the precision")
     v = valuation(pi)
     if spec.kind == "zp" or spec.quad_kind == "unramified":
         if v != 1:

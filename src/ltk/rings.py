@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
 from fractions import Fraction
-from math import inf
+from math import floor, inf
 
 __all__ = [
     "RingSpec",
@@ -48,6 +48,7 @@ __all__ = [
     "norm_to_base",
     "trace_to_base",
     "padic_log",
+    "log_one_unit",
     "padic_exp",
     "embed",
     "descend",
@@ -224,6 +225,9 @@ class RingElem:
 
     def __setattr__(self, *a):
         raise AttributeError("RingElem is immutable")
+
+    def __reduce__(self):  # unpickled through the constructor, not setattr
+        return RingElem, (self.spec, self.coords)
 
     def __repr__(self):
         return f"RingElem({self.spec.kind}, {list(self.coords)})"
@@ -629,43 +633,59 @@ def frobenius(x):
 # -- log / exp ---------------------------------------------------------------
 
 
+def log_one_unit(h, t):
+    """(log(1 + h), n_eff): sum_{k>=1} (-1)^(k+1) h^k / k for h a RingElem
+    (padic_log) or a TruncSeries (coleman.tilde_log) mod p^N, every
+    coordinate of h of valuation >= t > 0.  The sum stops at the first power
+    h^K that is 0 mod p^N; term k is divided by p^ord_p(k), certified.
+
+    Derivation of n_eff (t is lowered to N when larger, which only weakens
+    it).  Every coefficient of h^k has valuation >= k t.  A summed term
+    k < K is h^k mod p^N over p^a, a = ord_p(k), so it is known mod
+    p^(N - a), and k t < N as h^k is not 0 mod p^N.  A dropped term k >= K
+    has h^k = 0 mod p^N and valuation >= k t, so it is only known to be 0
+    mod p^(max(N, floor(k t)) - a).  Both read max(N, floor(k t)) - a, and
+    the least k of p-order a is p^a, so
+
+        n_eff = min_{a>=0} (max(N, floor(p^a t)) - a).
+
+    Once p^a t (p - 1) >= 1, floor(p^(a+1) t) - floor(p^a t) >= 1, so
+    floor(p^a t) - a no longer falls: the loop stops at the first such a
+    where it is at least the minimum so far.
+    """
+    spec = h.spec
+    p, N, m = spec.p, spec.N, spec.modulus
+    acc, power, k = h * 0, h, 1
+    while not power.is_zero():
+        a = ord_int(k, p)
+        term = (power * pow(k // p ** a, -1, m)).divide_exact_p(a)
+        acc = acc + term if k % 2 else acc - term
+        k += 1
+        power = power * h
+    t = min(t, N)
+    n_eff, a = N, 0
+    while p ** a * t * (p - 1) < 1 or floor(p ** a * t) - a < n_eff:
+        a += 1
+        n_eff = min(n_eff, max(N, floor(p ** a * t)) - a)
+    if n_eff < 1:
+        raise PrecisionExhausted("no digit of the logarithm is known at p^%d" % N)
+    return acc, n_eff
+
+
 def padic_log(u):
     """p-adic logarithm of u with v(u-1) > 1/(p-1).
 
-    Returns (value, n_eff): the value is correct mod p^n_eff and n_eff
-    reports the digits lost to divisions by term indices.
+    Returns (value, n_eff): the value is correct mod p^n_eff, derived in
+    log_one_unit.
     """
     spec = u.spec
-    p, N = spec.p, spec.N
     h = u - spec.one()
-    t = valuation(h) if not h.is_zero() else inf
-    if t <= Fraction(1, p - 1):
-        raise DomainError("padic_log requires v(u-1) > 1/(p-1)")
     if h.is_zero():
-        return spec.zero(), N
-    acc = spec.zero()
-    power = spec.one()
-    loss = 0
-    for k in range(1, 64 * N * (p - 1) + 1):
-        power = power * h
-        a = ord_int(k, p)
-        kk = k // (p ** a)
-        term = power * pow(kk, -1, spec.modulus)
-        term = term.divide_exact_p(a)
-        if k % 2 == 0:
-            term = -term
-        acc = acc + term
-        loss = max(loss, a)
-        # tail terms k' > k have v >= k'*t - log_p(k'), increasing in k'
-        nxt = k + 1
-        bound = 0
-        while p ** (bound + 1) <= nxt:
-            bound += 1
-        if nxt * t - bound >= N:
-            break
-    else:
-        raise PrecisionExhausted("padic_log did not converge within term budget")
-    return acc, N - loss
+        return spec.zero(), spec.N
+    t = valuation(h)
+    if t <= Fraction(1, spec.p - 1):
+        raise DomainError("padic_log requires v(u-1) > 1/(p-1)")
+    return log_one_unit(h, t)
 
 
 def padic_exp(x):

@@ -28,6 +28,11 @@ fiber digits, the powers of a torsion translate) go through PackedRows: the
 table is packed once, and a call sums one int product per term, unpacked
 and reduced once.  Every evaluation at a point is horner: Horner's rule on
 coordinate tuples in the point's ring, whose compiled mul_coords it calls.
+
+The structural-series solver, _solve_structural, and its ring protocol
+(_Coords, or lubin_tate's exact rationals) live here too: they give the
+Lubin-Tate log, exp, [a]_f and translates (tabled in lubin_tate) and every
+compositional inverse (_reversion).
 """
 
 from __future__ import annotations
@@ -102,6 +107,9 @@ class TruncSeries:
     def __setattr__(self, *a):
         raise AttributeError("TruncSeries is immutable")
 
+    def __reduce__(self):  # unpickled through _series, not setattr
+        return _series, (self.spec, self.cap, self.coeffs, self.n_eff, self.shift)
+
     # -- constructors --------------------------------------------------------
 
     @staticmethod
@@ -139,13 +147,6 @@ class TruncSeries:
             if any(self.coeffs[i]):
                 return i
         return -1
-
-    def order(self):
-        """Smallest index with a nonzero stored coefficient, or inf."""
-        for i in range(self.cap):
-            if any(self.coeffs[i]):
-                return i
-        return inf
 
     def __repr__(self):
         return (f"TruncSeries({self.spec.kind}, cap={self.cap}, "
@@ -875,24 +876,112 @@ def _pack_shifted(acc_big, spec, true_prec, S):
     return _series(spec, acc_big.cap, cs, keep, shift)
 
 
+# -- structural series ---------------------------------------------------------
+
+
+class _Coords:
+    """A packed ring K on its flat coordinate tuples, as a protocol ring
+    (zero, one, from_base, add, sub, mul, is_zero; inv for _reversion).
+
+    Its elements are the canonical coordinate tuples the packed kernel
+    reads and writes; products are K's compiled mul_coords, sums are taken
+    mod p^N, zero is `not any(...)` and from_base pads a base element's
+    coordinates to K's rank.  The residue solves ([a]_f over Z/p^M, the
+    translates over the torsion ring, reversion), the tower norms and the
+    quotient-ring arithmetic all run over it, so no RingElem is built inside
+    them.
+    """
+
+    def __init__(self, K):
+        self.K = K
+        self.rank, _, _, self.m = K.packing
+        self.mul = K.mul_coords
+        self._zero = (0,) * self.rank
+
+    def zero(self):
+        return self._zero
+
+    def one(self):
+        return (1,) + self._zero[1:]
+
+    def from_base(self, c):
+        return c.coords + self._zero[len(c.coords):]
+
+    def elem(self, coords):
+        """The element with these coordinates, reduced mod p^N: the checked
+        constructor for outside input."""
+        if len(coords) != self.rank:
+            raise DomainError("flat coordinate vector has wrong length")
+        return tuple(int(x) % self.m for x in coords)
+
+    def add(self, a, b):
+        m = self.m
+        return tuple((x + y) % m for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        m = self.m
+        return tuple((x - y) % m for x, y in zip(a, b))
+
+    @staticmethod
+    def is_zero(a):
+        return not any(a)
+
+    def inv(self, a):
+        """The inverse of a unit a of K, a RingSpec."""
+        return RingElem(self.K, a).inverse().coords
+
+
+def _solve_structural(R, cap, head, divide, b=(), u=(), v_pows=()):
+    """Coefficients c_0..c_{cap-1} of a structural series over R.
+
+    head holds the given c_0 = 0, c_1, ...; every later coefficient solves
+    D_k c_k = b_k + sum_{2<=j<len(u)} u_j [C^j]_k - sum_{1<=j<k} c_j [v^j]_k,
+    where divide(k, x) = x / D_k and v_pows[j] lists the coefficients of v^j.
+    """
+    zero = R.zero()
+    c = list(head) + [zero] * (cap - len(head))
+    # pows[j][k] = [C^j]_k by the running convolution: it needs only
+    # c_1..c_{k-1} (c_0 = 0), so it is filled in before c_k is solved
+    pows = [None, c] + [[zero] * cap for _ in range(2, len(u))]
+    for k in range(1, cap):
+        for j in range(2, len(u)):
+            prev, acc = pows[j - 1], zero
+            for i in range(1, k - j + 2):
+                if not R.is_zero(c[i]) and not R.is_zero(prev[k - i]):
+                    acc = R.add(acc, R.mul(c[i], prev[k - i]))
+            pows[j][k] = acc
+        if k < len(head):
+            continue
+        rhs = b[k] if k < len(b) else zero
+        for j in range(2, len(u)):
+            if not R.is_zero(u[j]) and not R.is_zero(pows[j][k]):
+                rhs = R.add(rhs, R.mul(u[j], pows[j][k]))
+        for j in range(1, min(k, len(v_pows))):
+            if not R.is_zero(c[j]) and not R.is_zero(v_pows[j][k]):
+                rhs = R.sub(rhs, R.mul(c[j], v_pows[j][k]))
+        c[k] = divide(k, rhs)
+    return c
+
+
+def _reversion(R, f, cap):
+    """Compositional inverse g of f = f_1 X + ... (f_1 a unit) over R mod X^cap:
+    [X^k] f(g) = f_1 c_k + sum_{j>=2} f_j [g^j]_k = 0 for k >= 2 is the
+    structural shape with u = -f, D_k = f_1 and head (0, f_1^-1)."""
+    inv1 = R.inv(f[1])
+    return _solve_structural(R, cap, [R.zero(), inv1], lambda k, x: R.mul(x, inv1),
+                             u=[R.sub(R.zero(), c) for c in f])
+
+
 def reversion(f):
     """Compositional inverse of f = c1*X + ... with c1 a unit."""
     if f.shift:
         raise DomainError("reversion of a shifted series is not supported")
     if not f.constant_term().is_zero():
         raise DomainError("reversion requires zero constant term")
-    c1 = f.coeff(1)
-    if not c1.is_unit():
+    if not f.coeff(1).is_unit():
         raise DomainError("reversion requires a unit linear coefficient")
-    spec, cap = f.spec, f.cap
-    inv1 = c1.inverse()
-    g = [spec.zero().coords, inv1.coords] + [spec.zero().coords] * (cap - 2)
-    for k in range(2, cap):
-        gs = TruncSeries(spec, k + 1, g[: k + 1], spec.N, 0)
-        err = f.truncate(k + 1).compose(gs).coeff(k)
-        # [X^k] f(g + t X^k) = [X^k] f(g) + c1 t, so t = -err/c1
-        g[k] = (-(err * inv1)).coords
-    return TruncSeries(spec, cap, g, f.n_eff, 0)
+    return _series(f.spec, f.cap, _reversion(_Coords(f.spec), f.coeffs, f.cap)[:f.cap],
+                   f.n_eff)
 
 
 # -- Weierstrass preparation ---------------------------------------------------
@@ -928,9 +1017,9 @@ def poly_divmod_monic(f, P, cap=None):
     cap = cap or f.cap
     lam = len(P) - 1
     Pc = [_as_coords(spec, c) for c in P]
-    work = [c for c in f.coeffs[:cap]]
-    work += [(0,) * spec.rank] * (cap - len(work))
-    q = [(0,) * spec.rank] * cap
+    zero = (0,) * spec.rank
+    work = list(f.coeffs[:cap]) + [zero] * (max(cap, lam) - min(cap, f.cap))
+    q = [zero] * cap
     sub, mul = spec.sub_coords, spec.mul_coords
     for k in range(cap - 1, lam - 1, -1):
         c = work[k]
@@ -939,8 +1028,8 @@ def poly_divmod_monic(f, P, cap=None):
             for i in range(lam + 1):
                 if any(Pc[i]):
                     work[k - lam + i] = sub(work[k - lam + i], mul(c, Pc[i]))
-    Q = TruncSeries(spec, cap, q, f.n_eff, f.shift)
-    R = TruncSeries(spec, max(lam, 1), work[:lam] if lam else [0], f.n_eff, f.shift)
+    Q = _series(spec, cap, q, f.n_eff, f.shift)
+    R = _series(spec, max(lam, 1), work[:lam] or [zero], f.n_eff, f.shift)
     return Q, R
 
 
@@ -967,18 +1056,18 @@ def weierstrass_prep(f):
     if mu >= s.n_eff:
         raise PrecisionExhausted("all coefficients vanish at this precision")
     q = p ** mu
-    F = TruncSeries(spec, s.cap, [tuple(x // q for x in c) for c in s.coeffs],
-                    s.n_eff - mu, 0)
+    F = _series(spec, s.cap, [tuple(x // q for x in c) for c in s.coeffs], s.n_eff - mu)
     lam = next((i for i in range(F.cap) if F.coeff(i).is_unit()), None)
     if lam is None:
         raise DomainError("no unit coefficient after removing p^mu "
                           "(content has fractional valuation or lambda exceeds cap)")
     # initial factorization: P = X^lam, U = top part of F
     P = [spec.zero() for _ in range(lam)] + [spec.one()]
-    U = TruncSeries(spec, F.cap, list(F.coeffs[lam:]), F.n_eff, 0)
+    zero = (0,) * spec.rank
+    U = _series(spec, F.cap, F.coeffs[lam:] + (zero,) * lam, F.n_eff)
     for _ in range(2 * (F.n_eff * spec.ramification_index).bit_length() + 8):
-        E = F - TruncSeries(spec, F.cap, [c.coords for c in P],
-                            F.n_eff, 0) * U
+        E = F - _series(spec, F.cap, [c.coords for c in P] + [zero] * (F.cap - lam - 1),
+                        F.n_eff) * U
         if E.canonical().is_zero():
             break
         A = E * U.invert()

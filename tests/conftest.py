@@ -6,7 +6,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import pytest
 
-from ltk.rings import make_ring
+from ltk.rings import RingElem, make_ring, ord_int
 from ltk.series import TruncSeries
 
 
@@ -27,6 +27,38 @@ def random_series(spec, cap, rng, unit=True, terms=None):
             coeffs[0] = spec.elem([rng.randrange(spec.modulus)
                                    for _ in range(spec.rank)])
     return TruncSeries(spec, cap, coeffs)
+
+
+def log_reference(h, extra=25):
+    """log(1 + h) for a RingElem or TruncSeries h, summed term by term at
+    extra + 8 digits above h's ring until the stored power vanishes.
+
+    Each term k is known mod p^(M - ord_p(k)) at M = N + extra + 8, and
+    ord_p(k) <= 8 for every k the tests reach, so the sum is right mod
+    p^(N + extra): an oracle for the digits a run at N claims.
+    """
+    spec = h.spec
+    p = spec.p
+    big = spec.with_precision(spec.N + extra + 8)
+    x = (RingElem(big, h.coords) if isinstance(h, RingElem)
+         else TruncSeries(big, h.cap, h.coeffs))
+    acc, power, k = x * 0, x, 1
+    while not power.is_zero():
+        a = ord_int(k, p)
+        assert a <= 8
+        term = (power * pow(k // p ** a, -1, big.modulus)).divide_exact_p(a)
+        acc = acc + term if k % 2 else acc - term
+        k += 1
+        power = power * x
+    return acc
+
+
+def congruent(a, b, n):
+    """Whether two elements or two series agree coordinatewise mod p^n."""
+    q = a.spec.p ** n
+    rows = lambda x: [x.coords] if isinstance(x, RingElem) else x.coeffs
+    return all((x - y) % q == 0 for ca, cb in zip(rows(a), rows(b))
+               for x, y in zip(ca, cb))
 
 
 @pytest.fixture

@@ -101,6 +101,14 @@ def test_exit_codes(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("ring", ["zp", "unram"])
+def test_precision_one_is_exhaustion_not_a_bad_uniformizer(capsys, ring):
+    # pi = p is a uniformizer, but it is 0 mod p^1
+    rc, err = run_err(capsys, ["--p", "3", "--ring", ring, "--prec", "1", "norm-op"])
+    assert rc == 2 and err["error"] == "precision-exhausted"
+    assert "N = 1" in err["detail"]
+
+
 def test_out_file_and_cap_override(tmp_path, capsys, monkeypatch):
     out = tmp_path / "res.json"
     rc = run(["--p", "3", "--prec", "8", "--deg", "24",

@@ -1,6 +1,9 @@
+import random
+from fractions import Fraction
+
 import pytest
 
-from ltk.rings import PrecisionExhausted, make_ring, teichmuller, valuation
+from ltk.rings import PrecisionExhausted, log_one_unit, make_ring, teichmuller, valuation
 from ltk.series import TruncSeries
 from ltk.lubin_tate import build_group, build_tower
 from ltk.measures import tilde_series
@@ -15,7 +18,7 @@ from ltk.coleman import (
     tilde_log,
 )
 
-from conftest import random_series
+from conftest import congruent, log_reference, random_series
 
 
 @pytest.fixture
@@ -212,3 +215,52 @@ def test_system_json(g3t, rng):
     g1, _ = interpolate(sys_)
     g2, _ = interpolate(sys2)
     assert g1.eq_mod(g2)
+
+
+# -- the one-unit logarithm of a series: every claimed digit ----------------------
+
+
+@pytest.mark.parametrize("p, N", [(2, 2), (2, 4), (3, 3), (5, 5)])
+def test_log_of_one_plus_pX_claims_only_known_digits(p, N):
+    # log(1 + pX) = sum_k (-1)^(k+1) p^k X^k / k exactly.  Over Z/p^N the
+    # stored (pX)^N vanishes, but the first dropped term (pX)^N / N does not:
+    # p^(p-1) X^p over Z/p^p, 4 X^4 at p = 2, N = 4.  n_eff = min_a max(N,
+    # p^a) - a
+    z = make_ring(p, N, "zp")
+    S, n = log_one_unit(TruncSeries(z, p + 3, [0, p]), 1)
+    assert n == min(max(N, p ** a) - a for a in range(4))
+    for k in range(1, p + 3):
+        exact = Fraction((-1) ** (k + 1) * p ** k, k)
+        assert (S.coeffs[k][0] - exact.numerator * pow(exact.denominator, -1, p ** n)
+                ) % p ** n == 0
+
+
+def test_log_one_unit_on_the_lt_coleman_ring():
+    # series u = 1 mod pi over Z_3[pi], pi^2 = -3, N = 7: t = 1/2, and the
+    # stored h^9 is 0 mod 3^7 while h^9 / 9 is only 0 mod 3^5
+    spec = make_ring(3, 7, "ramified_quad", quad=(0, 3))
+    w, rng = spec.gen_quad(), random.Random(1)
+    draw = lambda: w * spec.elem([rng.randrange(spec.modulus) for _ in range(2)])
+    for _ in range(40):
+        h = TruncSeries(spec, 8, [draw() for _ in range(8)])
+        S, n = log_one_unit(h, min(valuation(h.coeff(i)) for i in range(8)))
+        assert n == 5
+        assert congruent(S, log_reference(h), n)
+
+
+@pytest.mark.parametrize("p, N, coeffs", [
+    (2, 4, None), (2, 8, None), (3, 6, [1, 691, 276, 344, 89, 318, 340, 15])])
+def test_tilde_log_digits_survive_more_precision(p, N, coeffs):
+    # the multiplicative group at cap 12: the run at N agrees with the run at
+    # N + 6 to every digit it reports
+    groups = [build_group(make_ring(p, n, "zp"), p, p, 12, variant="multiplicative")
+              for n in (N, N + 6)]
+    rng = random.Random(7)
+    draws = [coeffs] if coeffs else [
+        [rng.randrange(1, p)] + [rng.randrange(p ** N) for _ in range(7)]
+        for _ in range(10)]
+    for cs in draws:
+        (lt, rep), (hi, rep_hi) = (tilde_log(G, TruncSeries(G.spec, 12, cs))
+                                   for G in groups)
+        assert rep["n_eff"] <= rep_hi["n_eff"]
+        assert congruent(lt, hi, rep["n_eff"])

@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 from fractions import Fraction
 from math import inf
@@ -8,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from ltk.rings import (
     DomainError,
+    PrecisionExhausted,
     RingElem,
     RingSpec,
     descend,
     embed,
     frobenius,
+    log_one_unit,
     make_composite,
     make_ring,
     norm_to_base,
@@ -24,6 +27,9 @@ from ltk.rings import (
     valuation,
 )
 
+from ltk.series import TruncSeries
+
+from conftest import congruent, log_reference
 from eval_oracle import ref_embed
 
 
@@ -259,3 +265,87 @@ def test_embed_and_descend_accept_the_same_pairs(p, supported):
             assert embed(x, target) == want
             assert descend(want, base) == x
     assert count == supported
+
+
+# -- the one-unit logarithm: every claimed digit ---------------------------------
+
+
+def test_padic_log_counts_the_dropped_terms():
+    # over Z_5[w], w^2 = -5, at N = 2: h = 7w has v(h^4) = 2, so the loop stops
+    # at K = 4, but h^5 / 5 has valuation 3/2 and is only 0 mod 5
+    spec = make_ring(5, 2, "ramified_quad", quad=(0, 5))
+    h = spec.elem((0, 7))
+    val, n = padic_log(spec.one() + h)
+    assert n == 1
+    assert congruent(val, log_reference(h), 1)
+    assert not congruent(val, log_reference(h), 2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_padic_log_digits_match_the_reference(p):
+    rng = random.Random(p)
+    for N in range(2, 9):
+        for spec in (make_ring(p, N, "zp"),
+                     make_ring(p, N, "ramified_quad", quad=(0, p))):
+            count = 0
+            for _ in range(200):
+                h = spec.elem([rng.randrange(spec.modulus) for _ in range(spec.rank)])
+                if h.is_zero() or valuation(h) <= Fraction(1, p - 1):
+                    continue
+                val, n = padic_log(spec.one() + h)
+                assert congruent(val, log_reference(h), n), (spec, h, n)
+                count += 1
+                if count == 12:
+                    break
+
+
+def test_log_one_unit_precision_closed_form():
+    # n_eff = min over a of max(N, floor(p^a t)) - a
+    z = make_ring(2, 4, "zp")
+    assert log_one_unit(z.from_int(4), 2)[1] == 3        # a = 1: 4 - 1
+    assert log_one_unit(z.from_int(2), 1)[1] == 2        # a = 2: 4 - 2
+    with pytest.raises(PrecisionExhausted):
+        log_one_unit(make_ring(2, 2, "ramified_quad", quad=(0, 2)).gen_quad(),
+                     Fraction(1, 2))                      # a = 2: 2 - 2
+
+
+# -- rings the other tests reach only through probes ------------------------------
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_generic_inverse_on_cyclotomic_and_composite_rings(p):
+    rng = random.Random(p)
+    rings = [r for r in placement_rings(p) if r.level in (1, 2)]
+    assert {r.kind for r in rings} == {"cyclotomic", "composite"}
+    for spec in rings:
+        units = 0
+        while units < 4:
+            x = spec.elem([rng.randrange(spec.modulus) for _ in range(spec.rank)])
+            if x.is_unit():
+                assert x * x.inverse() == spec.one()
+                units += 1
+        with pytest.raises(DomainError):
+            (spec.zeta() - 1).inverse()
+
+
+def test_pickle_round_trip():
+    p = 3
+    ram, unr = (make_ring(p, 5, kind, quad=quad) for kind, quad in
+                zip(("ramified_quad", "unramified_quad"), PLACEMENT_QUADS[p]))
+    specs = [make_ring(p, 5, "zp"), ram, unr, make_ring(p, 5, "cyclotomic", level=2),
+             make_composite(ram, 1)]
+    assert {s.kind for s in specs} == {"zp", "ramified_quad", "unramified_quad",
+                                       "cyclotomic", "composite"}
+    rng = random.Random(1)
+    for spec in specs:
+        back = pickle.loads(pickle.dumps(spec))
+        assert back == spec
+        x = spec.elem([rng.randrange(spec.modulus) for _ in range(spec.rank)])
+        y = pickle.loads(pickle.dumps(x))
+        assert y == x and y * y == x * x
+        assert back.mul_coords(x.coords, x.coords) == (x * x).coords
+    s = TruncSeries(ram, 6, [1, [2, 1], 0, 5], n_eff=4)
+    t = pickle.loads(pickle.dumps(s))
+    assert (t.spec, t.cap, t.coeffs, t.n_eff, t.shift) == (s.spec, s.cap, s.coeffs,
+                                                            s.n_eff, s.shift)
+    assert (t * t).coeffs == (s * s).coeffs
