@@ -315,25 +315,29 @@ class TruncSeries:
         return _series(spec, self.cap, cs, self.n_eff, self.shift)
 
     def invert(self):
-        """Multiplicative inverse; requires a unit constant term."""
+        """Multiplicative inverse; requires a unit constant term.
+
+        Newton iteration on packed_mul (von zur Gathen and Gerhard, Modern
+        Computer Algebra, 9.1).  If v inverts s mod X^k, then s v = 1 + X^k e
+        mod X^n for n = min(2k, cap), and v - X^k v e inverts s mod X^n,
+        since s (v - X^k v e) = 1 - X^2k e^2.  Each doubling costs two packed
+        products: e = (s v mod X^n)[k:], then v e mod X^(n-k).  The inverse
+        mod (p^N, X^cap) is unique, so the result is the one any exact method
+        gives.
+        """
         s = self.require_integral()
         spec = s.spec
         c0 = s.constant_term()
         if not c0.is_unit():
             raise DomainError("invert requires a unit constant term")
-        inv0 = c0.inverse().coords
-        mul, sub = spec.mul_coords, spec.sub_coords
-        zero = (0,) * spec.rank
-        out = [zero] * s.cap
-        out[0] = inv0
-        for k in range(1, s.cap):
-            acc = zero
-            for j in range(0, k):
-                cj = s.coeffs[k - j]
-                if any(cj) and any(out[j]):
-                    acc = spec.add_coords(acc, mul(out[j], cj))
-            out[k] = mul(inv0, sub(zero, acc))
-        return _series(spec, s.cap, out, s.n_eff, 0)
+        m = spec.modulus
+        v, k = [c0.inverse().coords], 1
+        while k < s.cap:
+            n = min(2 * k, s.cap)
+            e = packed_mul(spec, s.coeffs[:n], v, n)[k:]
+            v += [tuple((-x) % m for x in c) for c in packed_mul(spec, v, e, n - k)]
+            k = n
+        return _series(spec, s.cap, v, s.n_eff, 0)
 
     def eval(self, x):
         """Evaluate at a positive-valuation point in an extension ring.
@@ -1040,6 +1044,20 @@ def weierstrass_prep(f):
     the least index where f/p^mu has a unit coefficient.  The distinguished
     factor is produced by quadratic Hensel iteration against the monic
     candidate X^lambda and verified by reconstruction.
+
+    Step bound.  Write F = f/p^mu, E = F - P U, and v for the least
+    valuation of a coefficient, in powers of the uniformizer pi (e of them
+    make p).  A step takes A = E U^-1 and A = Q P + R (deg R < lambda, both
+    exact mod X^cap), then P' = P + R and U' = U + Q U.  With dP = R and
+    dU = Q U this solves E = P dU + U dP exactly mod X^cap, so
+
+        E' = F - (P + dP)(U + dU) = -dP dU.
+
+    U is a unit and P is monic, so v(A), v(Q), v(R) >= v(E), and
+    v(E') >= 2 v(E).  The first E is F's terms below X^lambda, non-units,
+    so v(E_0) >= 1 and v(E_k) >= 2^k; R is divisible by pi, so P stays
+    distinguished.  E vanishes mod p^n_eff once v(E_k) >= e n_eff, after
+    ceil(log2(e n_eff)) steps, and one more pass observes E = 0.
     """
     spec = f.spec
     if spec.kind not in ("zp", "ramified_quad", "unramified_quad"):
@@ -1065,7 +1083,7 @@ def weierstrass_prep(f):
     P = [spec.zero() for _ in range(lam)] + [spec.one()]
     zero = (0,) * spec.rank
     U = _series(spec, F.cap, F.coeffs[lam:] + (zero,) * lam, F.n_eff)
-    for _ in range(2 * (F.n_eff * spec.ramification_index).bit_length() + 8):
+    for _ in range((F.n_eff * spec.ramification_index - 1).bit_length() + 1):
         E = F - _series(spec, F.cap, [c.coords for c in P] + [zero] * (F.cap - lam - 1),
                         F.n_eff) * U
         if E.canonical().is_zero():

@@ -3,7 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ltk.rings import DomainError, PrecisionExhausted, descend, make_ring, valuation
+from ltk import lubin_tate
+from ltk.cli import run
+from ltk.rings import (DomainError, PrecisionExhausted, descend, make_composite,
+                       make_ring, valuation)
 from ltk.series import (
     TruncSeries,
     formal_exp,
@@ -17,6 +20,7 @@ from ltk.series import (
 
 from conftest import random_series
 from eval_oracle import ref_eval, ref_root_product
+from series_oracle import ref_invert
 
 
 def test_basic_ops(z3):
@@ -313,3 +317,109 @@ def test_constructor_rejects_coefficients_of_the_wrong_length():
         with pytest.raises(DomainError, match="needs 2 coordinates"):
             TruncSeries(q3, 4, coeffs)
     assert TruncSeries(q3, 4, [[1, 2], 5]).coeffs[:2] == ((1, 2), (5, 0))
+
+
+# -- the Newton inverse against the schoolbook oracle --------------------------------
+
+
+INVERT_SPECS = {
+    "zp": make_ring(3, 13, "zp"),
+    "zp2": make_ring(2, 9, "zp"),
+    "ramified": make_ring(3, 7, "ramified_quad", quad=(0, 3)),
+    "ramified2": make_ring(2, 8, "ramified_quad", quad=(0, 2)),
+    "unramified": make_ring(2, 7, "unramified_quad", quad=(1, 1)),
+    "cyclotomic1": make_ring(3, 9, "cyclotomic", level=1),
+    "cyclotomic2": make_ring(3, 6, "cyclotomic", level=2),
+    "composite": make_composite(make_ring(3, 7, "ramified_quad", quad=(0, 3)), 1),
+    "composite_p2": make_composite(make_ring(2, 6, "unramified_quad", quad=(1, 1)), 2),
+}
+
+
+@pytest.mark.parametrize("kind", INVERT_SPECS)
+def test_invert_matches_schoolbook_oracle(kind, rng):
+    spec = INVERT_SPECS[kind]
+    for cap in (1, 2, 3, 5, 16, 17, 33, 128):
+        # dense at full precision, 3-term at n_eff < N, and a shifted series
+        # whose p-content normalization lowers n_eff
+        dense = random_series(spec, cap, rng)
+        sparse = random_series(spec, cap, rng, terms=3)
+        for s in (dense, TruncSeries(spec, cap, sparse.coeffs, n_eff=spec.N - 2),
+                  TruncSeries(spec, cap, dense.scale(spec.p).coeffs, shift=1)):
+            got, want = s.invert(), ref_invert(s)
+            assert got.coeffs == want.coeffs
+            assert (got.n_eff, got.shift) == (want.n_eff, 0)
+            assert got.n_eff == s.n_eff - s.shift
+
+
+def test_invert_errors(z3, q3):
+    for invert in (TruncSeries.invert, ref_invert):
+        with pytest.raises(DomainError):
+            invert(TruncSeries(z3, 8, [3, 1]))
+        with pytest.raises(DomainError):
+            invert(TruncSeries(q3, 8, [q3.gen_quad(), 1]))
+        # 1 + X over p: the shift survives normalization
+        with pytest.raises(PrecisionExhausted):
+            invert(TruncSeries(z3, 8, [1, 1], shift=1))
+
+
+# -- Weierstrass preparation: outputs and Hensel steps -------------------------------
+
+
+def criterion_7_shapes():
+    """(spec, mu, lambda, cap) for every planted shape of criterion 7 and the
+    iwasawa_invariants workload, whose caps run up to 112 (p = 2, lambda =
+    4, mu = 1)."""
+    for p, (N, lam_bound) in {2: (14, 5), 3: (12, 5), 5: (9, 4)}.items():
+        spec = make_ring(p, N, "zp")
+        for mu in (0, 1):
+            for lam in range(lam_bound):
+                n = oracle_identity_level(p, lam)
+                phi_n = p ** (n - 1) * (p - 1)
+                yield spec, mu, lam, max(16, phi_n * (mu * phi_n + lam + 2))
+
+
+def omega_preps(monkeypatch):
+    """The series `ltk omega` prepares at p = 2, pi^2 = -2, N = 6, cap 24:
+    pibar_1 to pibar_4 (lambda up to 8) and [p^2]_f."""
+    seen = []
+
+    def record(f):
+        seen.append(f)
+        return weierstrass_prep(f)
+
+    with monkeypatch.context() as m:
+        m.setattr(lubin_tate, "weierstrass_prep", record)
+        assert run(["--p", "2", "--ring", "ram", "--pi-sq", "-2", "--prec", "6",
+                    "--deg", "24", "omega", "--n", "2"]) == 0
+    assert len(seen) == 5
+    return seen
+
+
+def prep_fields(wd):
+    return (wd.mu, wd.lam, [c.coords for c in wd.dist], wd.unit.coeffs,
+            wd.unit.n_eff, wd.n_eff)
+
+
+def test_weierstrass_unchanged_by_the_newton_inverse(monkeypatch, capsys, rng):
+    series = [plant_series(spec, cap, rng, mu, lam)
+              for spec, mu, lam, cap in criterion_7_shapes()]
+    assert max(f.cap for f in series) == 112
+    series += omega_preps(monkeypatch)
+    newton = [prep_fields(weierstrass_prep(f)) for f in series]
+    monkeypatch.setattr(TruncSeries, "invert", ref_invert)
+    assert [prep_fields(weierstrass_prep(f)) for f in series] == newton
+
+
+def test_hensel_steps_within_the_derived_bound(monkeypatch, capsys, rng):
+    series = [plant_series(spec, cap, rng, mu, lam)
+              for _ in range(3) for spec, mu, lam, cap in criterion_7_shapes()]
+    series += omega_preps(monkeypatch)
+    steps = []
+    newton = TruncSeries.invert
+    monkeypatch.setattr(TruncSeries, "invert", lambda s: steps.append(s) or newton(s))
+    for f in series:
+        steps.clear()
+        wd = weierstrass_prep(f)
+        # one inverse per Hensel step; ceil(log2(e n_eff)) steps suffice
+        e = f.spec.ramification_index
+        assert len(steps) <= (e * wd.n_eff - 1).bit_length()
