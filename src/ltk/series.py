@@ -28,6 +28,7 @@ fiber digits, the powers of a torsion translate) go through PackedRows: the
 table is packed once, and a call sums one int product per term, unpacked
 and reduced once.  Every evaluation at a point is horner: Horner's rule on
 coordinate tuples in the point's ring, whose compiled mul_coords it calls.
+The inverse, TruncSeries.invert, is Newton iteration on packed_mul.
 
 The structural-series solver, _solve_structural, and its ring protocol
 (_Coords, or lubin_tate's exact rationals) live here too: they give the

@@ -400,7 +400,7 @@ def prep_fields(wd):
             wd.unit.n_eff, wd.n_eff)
 
 
-def test_weierstrass_unchanged_by_the_newton_inverse(monkeypatch, capsys, rng):
+def test_weierstrass_unchanged_by_the_newton_inverse(monkeypatch, rng):
     series = [plant_series(spec, cap, rng, mu, lam)
               for spec, mu, lam, cap in criterion_7_shapes()]
     assert max(f.cap for f in series) == 112
@@ -410,7 +410,7 @@ def test_weierstrass_unchanged_by_the_newton_inverse(monkeypatch, capsys, rng):
     assert [prep_fields(weierstrass_prep(f)) for f in series] == newton
 
 
-def test_hensel_steps_within_the_derived_bound(monkeypatch, capsys, rng):
+def test_hensel_steps_within_the_derived_bound(monkeypatch, rng):
     series = [plant_series(spec, cap, rng, mu, lam)
               for _ in range(3) for spec, mu, lam, cap in criterion_7_shapes()]
     series += omega_preps(monkeypatch)
