@@ -325,6 +325,15 @@ class TruncSeries:
         products: e = (s v mod X^n)[k:], then v e mod X^(n-k).  The inverse
         mod (p^N, X^cap) is unique, so the result is the one any exact method
         gives.
+
+        Exact exit.  Let ls and lv be the lengths of s and v without their
+        trailing zero coefficients.  If e = 0 then s v = 1 mod X^n, and if
+        also ls + lv - 1 <= n, then s has no term beyond X^(n-1) and s v, of
+        degree at most ls + lv - 2 < n, equals its residue mod X^n: s v = 1
+        as polynomials over Z/p^N.  Then v, padded with zeros, inverts s mod
+        X^cap, and the loop stops.  A unit constant exits at the first step,
+        after one product; 1 + pX over Z/p^N exits at the first step with
+        k >= N and n > N, since its inverse sum (-p)^i X^i ends at X^(N-1).
         """
         s = self.require_integral()
         spec = s.spec
@@ -333,9 +342,13 @@ class TruncSeries:
             raise DomainError("invert requires a unit constant term")
         m = spec.modulus
         v, k = [c0.inverse().coords], 1
+        ls = _trim(s.coeffs, s.cap)
         while k < s.cap:
             n = min(2 * k, s.cap)
             e = packed_mul(spec, s.coeffs[:n], v, n)[k:]
+            if not any(map(any, e)) and ls + _trim(v, k) - 1 <= n:
+                v += [(0,) * spec.rank] * (s.cap - k)
+                break
             v += [tuple((-x) % m for x in c) for c in packed_mul(spec, v, e, n - k)]
             k = n
         return _series(spec, s.cap, v, s.n_eff, 0)

@@ -362,6 +362,38 @@ def test_invert_errors(z3, q3):
             invert(TruncSeries(z3, 8, [1, 1], shift=1))
 
 
+@pytest.mark.parametrize("kind", INVERT_SPECS)
+def test_invert_of_a_series_whose_inverse_is_a_polynomial(kind, rng):
+    # a unit constant, and a unit plus a tail divisible by p: the tail is
+    # nilpotent mod p^N, so s v = 1 holds for a polynomial v and the Newton
+    # loop takes its exact exit
+    spec = INVERT_SPECS[kind]
+    m = spec.modulus
+    for cap in (1, 2, 3, 5, 16, 17, 33):
+        c0 = random_series(spec, 1, rng).coeffs[0]
+        p = [spec.p] + [0] * (spec.rank - 1)
+        # 1 + pX, a gap before the tail (p X^2), and a random tail
+        tails = ([], [p], [[0] * spec.rank, p],
+                 [[spec.p * rng.randrange(m) % m for _ in range(spec.rank)]
+                  for _ in range(rng.randrange(1, 5))])
+        for tail in tails:
+            s = TruncSeries(spec, cap, ([c0] + tail)[:cap])
+            got, want = s.invert(), ref_invert(s)
+            assert got.coeffs == want.coeffs
+            assert (got.n_eff, got.shift) == (want.n_eff, 0)
+
+
+def test_invert_of_a_constant_takes_one_newton_step(monkeypatch, q2):
+    from ltk import series
+    calls = []
+    mul = series.packed_mul
+    monkeypatch.setattr(series, "packed_mul", lambda *a: calls.append(a) or mul(*a))
+    s = TruncSeries(q2, 24, [[1, 1]])
+    got = s.invert()
+    assert len(calls) <= 2
+    assert got.coeffs == ref_invert(s).coeffs
+
+
 # -- Weierstrass preparation: outputs and Hensel steps -------------------------------
 
 
