@@ -290,7 +290,48 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(f"{self.prog}: {message}")
 
 
-def build_parser():
+def _opt(*flags, **kwargs):
+    return flags, kwargs
+
+
+# subcommand -> (handler, its arguments); run builds the parser of one of them
+SUBCOMMANDS = {
+    "group": (cmd_group, []),
+    "omega": (cmd_omega, [_opt("--n", type=int, default=1)]),
+    "norm-op": (cmd_norm_op, [_opt("--series", default="")]),
+    "tower": (cmd_tower, [_opt("--levels", type=int, default=2)]),
+    "coleman": (cmd_coleman, [
+        _opt("action", choices=["interpolate", "mu0"]),
+        _opt("--system", default=""),
+        _opt("--levels", type=int, default=2)]),
+    "measure": (cmd_measure, [
+        _opt("action", choices=["coset", "moment", "tilde"]),
+        _opt("--dirac", default=None),
+        _opt("--series", default=""),
+        _opt("--delta", default="1"),
+        _opt("--level", type=int, default=1),
+        _opt("--k", type=int, default=1)]),
+    "char": (cmd_char, [_opt("--matrix", required=True)]),
+    "elliptic": (cmd_elliptic, [
+        _opt("action", choices=["theta", "psi"]),
+        _opt("--lattice", nargs="+", default=["1j", "1"], help="w1 w2 or w1,w2"),
+        _opt("--z", default="0.3+0.2j"),
+        _opt("--sub", default="2+1j")]),
+}
+
+
+def _parse(argv):
+    """(namespace, handler) of one command line, building only the chosen
+    subcommand's parser.
+
+    The first parser reads the global options and gives the subcommand name
+    and everything after it to one positional of nargs PARSER, the nargs of
+    argparse's own subparsers action; the second reads the rest into the same
+    namespace.  Arguments that neither knows are reported by the first, as
+    argparse reports a subparser's.  So every command line gets the namespace,
+    or the usage error, that one parser with eight subparsers gives it
+    (tests/cli_oracle.py).
+    """
     ap = _Parser(
         prog="ltk",
         description="exact-arithmetic toolkit for height-2 local Iwasawa theory")
@@ -305,60 +346,23 @@ def build_parser():
     ap.add_argument("--variant", choices=["auto", "standard", "multiplicative"],
                     default="auto", help="Frobenius series shape")
     ap.add_argument("-v", "--verbose", action="count", default=0)
-    sub = ap.add_subparsers(dest="subcommand", required=True)
-
-    sub.add_parser("group")
-
-    p_om = sub.add_parser("omega")
-    p_om.add_argument("--n", type=int, default=1)
-
-    p_no = sub.add_parser("norm-op")
-    p_no.add_argument("--series", default="")
-
-    p_tw = sub.add_parser("tower")
-    p_tw.add_argument("--levels", type=int, default=2)
-
-    p_co = sub.add_parser("coleman")
-    p_co.add_argument("action", choices=["interpolate", "mu0"])
-    p_co.add_argument("--system", default="")
-    p_co.add_argument("--levels", type=int, default=2)
-
-    p_me = sub.add_parser("measure")
-    p_me.add_argument("action", choices=["coset", "moment", "tilde"])
-    p_me.add_argument("--dirac", default=None)
-    p_me.add_argument("--series", default="")
-    p_me.add_argument("--delta", default="1")
-    p_me.add_argument("--level", type=int, default=1)
-    p_me.add_argument("--k", type=int, default=1)
-
-    p_ch = sub.add_parser("char")
-    p_ch.add_argument("--matrix", required=True)
-
-    p_el = sub.add_parser("elliptic")
-    p_el.add_argument("action", choices=["theta", "psi"])
-    p_el.add_argument("--lattice", nargs="+", default=["1j", "1"],
-                      help="w1 w2 or w1,w2")
-    p_el.add_argument("--z", default="0.3+0.2j")
-    p_el.add_argument("--sub", default="2+1j")
-    return ap
-
-
-COMMANDS = {
-    "group": cmd_group,
-    "omega": cmd_omega,
-    "norm-op": cmd_norm_op,
-    "tower": cmd_tower,
-    "coleman": cmd_coleman,
-    "measure": cmd_measure,
-    "char": cmd_char,
-    "elliptic": cmd_elliptic,
-}
+    ap.add_argument("subcommand", nargs=argparse.PARSER, choices=SUBCOMMANDS)
+    args, extras = ap.parse_known_args(argv)
+    args.subcommand, *rest = args.subcommand
+    handler, arguments = SUBCOMMANDS[args.subcommand]
+    sub = _Parser(prog=f"ltk {args.subcommand}")
+    for flags, kwargs in arguments:
+        sub.add_argument(*flags, **kwargs)
+    args, more = sub.parse_known_args(rest, args)
+    if extras or more:
+        ap.error(f"unrecognized arguments: {' '.join(extras + more)}")
+    return args, handler
 
 
 def run(argv):
     try:
         try:
-            args = build_parser().parse_args(argv)
+            args, handler = _parse(argv)
         except SystemExit as exc:  # --help
             return 1 if exc.code else 0
         inputs = dict(vars(args))
@@ -370,7 +374,7 @@ def run(argv):
             print(f"# ltk {args.subcommand} p={args.p} prec={args.prec} "
                   f"deg={args.deg} ring={args.ring}", file=sys.stderr)
         _validate(args)
-        payload, achieved = COMMANDS[args.subcommand](args)
+        payload, achieved = handler(args)
         # group, tower and elliptic derive no precision yet: they report --prec
         payload["provenance"] = {
             "inputs_hash": _inputs_hash(inputs, args.deg),

@@ -7,11 +7,13 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ltk import measures as MS
+from ltk import cli, measures as MS
 from ltk.cli import run
-from ltk.rings import make_ring
+from ltk.rings import DomainError, make_ring
 from ltk.series import TruncSeries
 from ltk.lambda_modules import LambdaPresentation
+
+from cli_oracle import build_parser
 
 
 def run_json(capsys, argv):
@@ -537,3 +539,76 @@ def test_input_files_are_closed(tmp_path, capsys):
             assert run(argv) == 0
         gc.collect()
     assert [str(w.message) for w in caught] == []
+
+
+# -- the two-stage parse: the one-parser oracle's namespaces and errors, two parsers -
+
+
+EDGE_ARGVS = [
+    [], ["--p", "3"], ["-x"], ["--seed"], ["bogus"], ["--", "--p", "3"],
+    ["--p", "3", "--", "group"], ["-v", "--", "measure", "--", "moment"],
+    ["--out", "--", "group"], ["coleman", "--", "mu0"], ["group", "--", "x"],
+    ["measure", "--p", "3", "moment"], ["group", "--p", "3"], ["group", "extra"],
+    ["--p", "3", "group", "group"], ["--bogus", "group"],
+    ["--bogus", "measure", "bad"], ["--bogus", "group", "extra", "--more"],
+    ["coleman"], ["coleman", "bad"], ["char"], ["elliptic", "psi", "--lattice"],
+    ["measure", "moment", "--k"], ["measure", "moment", "-k", "3"],
+    ["measure", "moment", "--", "--k"], ["measure", "moment", "--lev", "2"],
+    ["--ring", "bogus", "group"], ["--p", "x", "group"], ["-vv", "group"],
+    ["--p=3", "group"], ["--pr", "8", "group"], ["--pi-sq", "-3", "tower"],
+    ["elliptic", "psi", "--lattice", "1", "2", "--z", "-1"],
+    ["--help"], ["-h"], ["measure", "--help"], ["group", "-h", "--p", "3"],
+]
+EDIT_TOKENS = ["--", "-", "--p", "3", "-v", "-h", "--bogus", "extra", "group",
+               "moment", "--k", "-k", "--levels"]
+
+
+@st.composite
+def edited_arguments(draw):
+    """cli_arguments() with one more token put in at any place."""
+    argv = draw(cli_arguments())
+    i = draw(st.integers(0, len(argv)))
+    return argv[:i] + [draw(st.sampled_from(EDIT_TOKENS))] + argv[i:]
+
+
+def check_parse_against_oracle(capsys, argv):
+    """The oracle's namespace where it accepts argv; where it refuses, exit 1
+    with its usage error; where it prints help, exit 0 with its help."""
+    try:
+        want = vars(build_parser().parse_args(argv))
+    except DomainError as exc:
+        rc, err = run_err(capsys, argv)
+        assert rc == 1 and err == {"error": "usage", "detail": str(exc)}
+    except SystemExit as exc:
+        assert exc.code == 0
+        help_text = capsys.readouterr().out
+        assert run(argv) == 0
+        assert capsys.readouterr() == (help_text, "")
+    else:
+        assert vars(cli._parse(argv)[0]) == want
+
+
+@pytest.mark.parametrize("argv", EDGE_ARGVS, ids=" ".join)
+def test_edge_arguments_parse_as_under_one_parser(capsys, argv):
+    check_parse_against_oracle(capsys, argv)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=cli_arguments() | edited_arguments())
+def test_arguments_parse_as_under_one_parser(capsys, argv):
+    check_parse_against_oracle(capsys, argv)
+
+
+@pytest.mark.parametrize("command", list(cli.SUBCOMMANDS))
+def test_one_run_builds_two_parsers(tmp_path, capsys, monkeypatch, command):
+    built = []
+    init = cli._Parser.__init__
+    monkeypatch.setattr(cli._Parser, "__init__",
+                        lambda self, **kw: built.append(kw["prog"]) or init(self, **kw))
+    argv, _ = _expected_achieved(command, tmp_path)
+    if command == "elliptic":
+        argv.append("psi")
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert built == ["ltk", f"ltk {command}"]
