@@ -372,7 +372,7 @@ def test_invert_of_a_series_whose_inverse_is_a_polynomial(kind, rng):
     for cap in (1, 2, 3, 5, 16, 17, 33):
         c0 = random_series(spec, 1, rng).coeffs[0]
         p = [spec.p] + [0] * (spec.rank - 1)
-        # 1 + pX, a gap before the tail (p X^2), and a random tail
+        # c0 + pX, c0 + pX^2 (a gap before the tail), and a random tail
         tails = ([], [p], [[0] * spec.rank, p],
                  [[spec.p * rng.randrange(m) % m for _ in range(spec.rank)]
                   for _ in range(rng.randrange(1, 5))])
