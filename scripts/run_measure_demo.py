@@ -39,7 +39,7 @@ def main():
     for n in (1, 2):
         masses = {}
         for d in unit_residues(okp, n):
-            v, g = coset_mass(mu, okp.elem(d), n)
+            v, g = coset_mass(mu, d, n)
             if not v.is_zero():
                 masses[d] = v.coords[0] % 3 ** g
         print(f"level {n}: nonzero masses {masses}")

@@ -10,8 +10,12 @@ Coset masses come from one level-n pushforward.  Z_p[[T]] is the inverse
 limit of Z_p[Z/p^n] under T -> gamma - 1, so reducing the Amice series mod
 (1+T)^{p^n} - 1 gives sum_a m_a (1+T)^a with m_a = mu(a + p^n Z_p).  On
 O_Kp, mu(delta U_n) is the sum of the m_a with sigma(delta^-1) a = 1 and
-sigma(delta^-1 w) a = 1 mod p^n.  One reduction per level serves every
-coset; no cyclotomic ring and no division by p^n is involved.
+sigma(delta^-1 w) a = 1 mod p^n; that is one m_a or none, and _coset_index
+finds its a in closed form from the coordinates of delta.  One reduction per
+level serves every coset, and a Measure keeps it, so each (measure, level)
+pair is reduced once; no cyclotomic ring and no division by p^n is involved.
+Masses, Riemann sums and the partition law run on coordinate tuples of
+plain integers, and ring elements are made only for the values returned.
 
 Guarantee.  Only the coefficients below cap are stored.  The integral tail
 t = sum_{j >= cap} c_j T^j contributes p^-n sum_s t(zeta^s - 1) zeta^(-s a)
@@ -29,7 +33,7 @@ h~ = h - (1/p) sum_j h(zeta_p^j (1+T) - 1).  Measures are immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb, factorial
 
 from .rings import (
@@ -51,7 +55,6 @@ __all__ = [
     "sigma_map",
     "dirac",
     "tilde_series",
-    "tilde_mahler",
     "coset_mass",
     "partition_check",
     "moment",
@@ -81,6 +84,10 @@ class Measure:
     amice: TruncSeries        # series in T = Q - 1 over the value ring
     group: str                # one of GROUP_TAGS
     okp: object = None        # quadratic RingSpec for the okp tags
+    # level n -> _pushforward(amice, n), filled on first use; not part of
+    # the measure's value (equality, hash, repr and JSON ignore it)
+    _pushforwards: dict = field(default_factory=dict, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         if self.group not in GROUP_TAGS:
@@ -91,6 +98,13 @@ class Measure:
     @property
     def spec(self):
         return self.amice.spec
+
+    def pushforward(self, n):
+        """_pushforward(self.amice, n), computed once per level."""
+        got = self._pushforwards.get(n)
+        if got is None:
+            got = self._pushforwards[n] = _pushforward(self.amice, n)
+        return got
 
     def check_units_invariant(self, n_check=None):
         """For the units tags: the amice series is tilde-fixed (up to the
@@ -170,38 +184,6 @@ def tilde_series(h):
     return h - rest
 
 
-def tilde_mahler(h):
-    """Independent tilde: expand in powers of Q = 1+T, kill p | n, re-expand."""
-    spec, cap = h.spec, h.cap
-    # h = sum_m c_m (Q-1)^m -> b_r via binomial transform (exact)
-    b = [spec.zero() for _ in range(cap)]
-    for m in range(cap):
-        cm = h.coeff(m)
-        if cm.is_zero():
-            continue
-        binom = 1
-        sign = 1 if m % 2 == 0 else -1
-        b[0] = b[0] + cm * (sign * binom)
-        for r in range(1, m + 1):
-            binom = binom * (m - r + 1) // r
-            sign = 1 if (m - r) % 2 == 0 else -1
-            b[r] = b[r] + cm * (sign * binom)
-    for r in range(0, cap, spec.p):
-        b[r] = spec.zero()
-    # re-expand in T
-    out = [spec.zero() for _ in range(cap)]
-    for r in range(cap):
-        br = b[r]
-        if br.is_zero():
-            continue
-        binom = 1
-        out[0] = out[0] + br
-        for m in range(1, r + 1):
-            binom = binom * (r - m + 1) // m
-            out[m] = out[m] + br * binom
-    return TruncSeries(spec, cap, out, h.n_eff, h.shift)
-
-
 def restrict_to_units(mu):
     """Measure-level tilde; retags to the units variant."""
     new_tag = {"zp": "zp_units", "okp": "okp_units"}.get(mu.group, mu.group)
@@ -258,65 +240,84 @@ def _pushforward(h, n):
 def _coset_index(mu, delta, n):
     """The a in Z/p^n with mu(delta U_n) = mu(a + p^n Z_p), or None if empty.
 
-    On O_Kp the group enters the series through sigma only, so the coset
-    collects the a with sigma(delta^-1) a = 1 and sigma(delta^-1 w) a = 1
-    mod p^n: a = sigma(delta^-1)^-1 when the two sigma-values agree.
+    delta is an int or, on O_Kp, a coordinate pair (d0, d1) = d0 + d1 w (an
+    int d is (d, 0)); the pair is read as its canonical residue mod p^N.
+
+    On O_Kp the group enters the series through sigma(a0 + a1 w) = a0 + a1
+    only, so the coset collects the a with sigma(delta^-1) a = 1 and
+    sigma(delta^-1 w) a = 1 mod p^n.  With w^2 = -b w - c (quad = (b, c))
+    the conjugate of delta is d0 - b d1 - d1 w, so
+
+        delta^-1   = (d0 - b d1 - d1 w) / Nm,  Nm = d0^2 - b d0 d1 + c d1^2,
+        delta^-1 w = ((d0 - b d1) w - d1 w^2) / Nm = (c d1 + d0 w) / Nm,
+
+    and sigma(delta^-1) = s / Nm, sigma(delta^-1 w) = t / Nm with
+    s = d0 - (b + 1) d1 and t = d0 + c d1.  delta is a unit iff its norm Nm
+    is a unit of Z_p.  Then s a = Nm has a solution iff s is a unit mod p^n,
+    namely a = Nm s^-1, and t a = Nm holds as well iff t = s mod p^n.  At
+    n = 0 every residue is 0, and a = 0 indexes the one coset.
     """
     pn = mu.spec.p ** n
     if not mu.group.startswith("okp"):
-        return (delta if isinstance(delta, int) else delta.coords[0]) % pn
+        return (delta if isinstance(delta, int) else delta[0]) % pn
     okp = mu.okp
-    if isinstance(delta, tuple):
-        delta = okp.elem(list(delta))
-    if not delta.is_unit():
+    (b, c), mod = okp.quad, okp.modulus
+    d0, d1 = (delta, 0) if isinstance(delta, int) else delta
+    d0, d1 = d0 % mod, d1 % mod
+    nm = d0 * d0 - b * d0 * d1 + c * d1 * d1
+    if nm % okp.p == 0:
         raise DomainError("delta must be a unit")
-    dinv = delta.inverse()
-    u = sigma_map(dinv) % pn
-    v = sigma_map(dinv * okp.gen_quad()) % pn
+    s = d0 - (b + 1) * d1
     try:
-        a = pow(u, -1, pn)
-    except ValueError:        # p | u: no a has u a = 1
+        a = nm * pow(s, -1, pn) % pn
+    except ValueError:        # p | s: no a has s a = Nm
         return None
-    return a if (v * a - 1) % pn == 0 else None
+    return a if (d0 + c * d1 - s) % pn == 0 else None
 
 
 def _mass(h, m, guar, a, n):
-    """m[a] / p^shift (zero for a = None), with the admissibility check."""
+    """m[a] / p^shift as a coordinate tuple (zero for a = None), with the
+    admissibility check."""
     spec = h.spec
     p, shift = spec.p, h.shift
     if guar < shift + 1:
         raise PrecisionExhausted(
             f"coset_mass at level {n}: needs {shift + 1} digits (shift {shift} "
             f"+ 1), {max(guar, 0)} available (N_eff {h.n_eff}, cap {h.cap})")
-    q = p ** guar
-    num = [0] * spec.rank if a is None else [c % q for c in m[a]]
-    if any(c % p ** shift for c in num):
+    q, ps = p ** guar, p ** shift
+    num = (0,) * spec.rank if a is None else [c % q for c in m[a]]
+    if any(c % ps for c in num):
         raise PrecisionExhausted(
             f"coset_mass at level {n}: mass is not divisible by p^{shift}, "
             "series is not admissible")
-    return spec.elem([c // p ** shift for c in num]), guar - shift
+    return tuple(c // ps for c in num), guar - shift
 
 
 def coset_mass(mu, delta, n):
     """mu(delta * U_n) on O_Kp, or mu(delta + p^n Z_p) on Z_p.
 
-    delta is a unit of O_K/p^n (any lift; only its class matters), or an
-    integer for the Z_p tags.  Returns (value, n_eff): the mass is correct
-    mod p^n_eff.
+    delta is a unit of O_K/p^n (any lift; only its class matters) as a ring
+    element or a coordinate pair, or an integer.  Returns (value, n_eff):
+    the mass is correct mod p^n_eff.
     """
     if n < 0:
         raise DomainError("a coset level must be >= 0")
-    m, guar = _pushforward(mu.amice, n)
-    return _mass(mu.amice, m, guar, _coset_index(mu, delta, n), n)
+    m, guar = mu.pushforward(n)
+    if isinstance(delta, RingElem):
+        delta = delta.coords
+    v, g = _mass(mu.amice, m, guar, _coset_index(mu, delta, n), n)
+    return RingElem(mu.spec, v), g
 
 
 def _cosets(mu, n):
     """(delta, pushforward index, sigma(delta)) over the level-n cosets a
-    Riemann sum runs over: the units on O_Kp and zp_units, all of Z/p^n on zp."""
+    Riemann sum runs over: the units on O_Kp and zp_units, all of Z/p^n on
+    zp.  On O_Kp delta is the coordinate pair reduced mod p^N."""
     if mu.group.startswith("okp"):
-        for d in unit_residues(mu.okp, n):
-            dl = mu.okp.elem(d)
-            yield dl, _coset_index(mu, dl, n), sigma_map(dl)
+        mod = mu.okp.modulus
+        for d0, d1 in unit_residues(mu.okp, n):
+            d = (d0 % mod, d1 % mod)
+            yield d, _coset_index(mu, d, n), (d[0] + d[1]) % mod
         return
     p = mu.spec.p
     for a in range(p ** n):
@@ -343,22 +344,25 @@ def unit_residues(okp, n):
 
 
 def partition_check(mu, n):
-    """sum over delta in U_n/U_{n+1} of mu(delta U_{n+1}) == mu(U_n)."""
-    okp = mu.okp
-    p = okp.p
+    """sum over delta in U_n/U_{n+1} of mu(delta U_{n+1}) == mu(U_n), n >= 1.
+
+    The representatives 1 + p^n (c0 + c1 w) are units only from n = 1 on,
+    and U_0 is no coset of the units, so level 0 is refused.
+    """
+    if n < 1:
+        raise DomainError(f"partition_check at level {n}: the unit cosets "
+                          "U_n start at level 1")
+    p = mu.okp.p
+    pn = p ** n
     h = mu.amice
-    fine, g_fine = _pushforward(h, n + 1)
-    lhs = h.spec.zero()
-    for c0 in range(p):
-        for c1 in range(p):
-            d = okp.elem((1 + c0 * p ** n, c1 * p ** n))
-            v, _ = _mass(h, fine, g_fine, _coset_index(mu, d, n + 1), n + 1)
-            lhs = lhs + v
-    coarse, g_coarse = _pushforward(h, n)
-    rhs, _ = _mass(h, coarse, g_coarse, _coset_index(mu, okp.one(), n), n)
+    fine, g_fine = mu.pushforward(n + 1)
+    lhs = [_mass(h, fine, g_fine, _coset_index(mu, (1 + c0 * pn, c1 * pn), n + 1),
+                 n + 1)[0] for c0 in range(p) for c1 in range(p)]
+    coarse, g_coarse = mu.pushforward(n)
+    rhs, _ = _mass(h, coarse, g_coarse, _coset_index(mu, 1, n), n)
     guar = min(g_fine, g_coarse) - h.shift
     q = p ** guar
-    ok = all((x - y) % q == 0 for x, y in zip(lhs.coords, rhs.coords))
+    ok = all((sum(xs) - y) % q == 0 for xs, y in zip(zip(*lhs), rhs))
     return ok, guar
 
 
@@ -408,15 +412,22 @@ def moment_guarantee(mu, k):
 
 
 def riemann_moment(mu, k, n):
-    """Riemann sum over level-n cosets against sigma(x)^k (or x^k on Z_p)."""
+    """Riemann sum over level-n cosets against sigma(x)^k (or x^k on Z_p).
+
+    On O_Kp the unit cosets start at level 1 (there is no unit residue mod
+    p^0), so level 0 is refused there; the Z_p tags sum over Z/1 at level 0.
+    """
     _check_order(k)
+    if n < 1 and mu.group.startswith("okp"):
+        raise DomainError(f"riemann_moment at level {n}: the unit cosets "
+                          "U_n start at level 1")
     h = mu.amice
-    m, guar = _pushforward(h, n)
-    acc = h.spec.zero()
-    for _, a, x in _cosets(mu, n):
-        v, _ = _mass(h, m, guar, a, n)
-        acc = acc + v * x ** k
-    return acc, guar - h.shift
+    m, guar = mu.pushforward(n)
+    terms = [(_mass(h, m, guar, a, n)[0], x ** k) for _, a, x in _cosets(mu, n)]
+    spec = h.spec
+    acc = tuple(sum(v[i] * xk for v, xk in terms) % spec.modulus
+                for i in range(spec.rank))
+    return RingElem(spec, acc), guar - h.shift
 
 
 # -- characters and twists ----------------------------------------------------------
@@ -487,7 +498,8 @@ class FiniteCharacter:
         return FiniteCharacter(n, domain, value_spec, table)
 
     def value(self, x):
-        """chi(x); zero for arguments outside the tabulated units."""
+        """chi(x) for an int, a ring element or (on O_K) a coordinate pair;
+        zero for arguments outside the tabulated units."""
         if self.level == 0:
             return self.value_spec.one()
         pn = self.value_spec.p ** self.level
@@ -496,7 +508,7 @@ class FiniteCharacter:
         else:
             if isinstance(x, int):
                 x = self.domain.from_int(x)
-            k = tuple(c % pn for c in x.coords)
+            k = tuple(c % pn for c in (x.coords if isinstance(x, RingElem) else x))
         got = self.table.get(k)
         return got if got is not None else self.value_spec.zero()
 
@@ -649,16 +661,19 @@ def twist_eval(mu, chi, k):
         return moment(mu, k)
     h = _qddq_power(mu.amice, k)
     m, guar = _pushforward(h, n)
-    vspec = chi.value_spec
-    acc = None
+    terms = []
     for delta, a, _ in _cosets(mu, n):
         cv = chi.value(delta)
-        if cv.is_zero():
-            continue
-        mass, _ = _mass(h, m, guar, a, n)
-        term = cv * embed(mass, vspec)
-        acc = term if acc is None else acc + term
-    return acc
+        if not cv.is_zero():
+            terms.append((cv.coords, _mass(h, m, guar, a, n)[0]))
+    if not terms:
+        return None
+    vspec = chi.value_spec
+    masses = embed_coords([v for _, v in terms], h.spec, vspec)
+    acc = (0,) * vspec.rank
+    for (cv, _), v in zip(terms, masses):
+        acc = vspec.add_coords(acc, vspec.mul_coords(cv, v))
+    return RingElem(vspec, acc)
 
 
 def twist_factorization_report(mu, chi, k):

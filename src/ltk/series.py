@@ -82,7 +82,7 @@ def _as_coords(spec, c):
             raise DomainError("coefficient from a different ring")
         return c.coords
     if isinstance(c, int):
-        return spec.from_int(c).coords
+        return (c % spec.modulus,) + (0,) * (spec.rank - 1)
     if len(c) != spec.rank:
         raise DomainError(f"a coefficient needs {spec.rank} coordinates, not {len(c)}")
     return tuple(int(a) % spec.modulus for a in c)

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ltk.rings import PrecisionExhausted, make_ring
+from ltk import measures as MS
+from ltk.rings import DomainError, PrecisionExhausted, make_ring
 from ltk.series import TruncSeries
 from ltk.measures import (
     FiniteCharacter,
@@ -15,7 +18,6 @@ from ltk.measures import (
     partition_check,
     restrict_to_units,
     riemann_moment,
-    tilde_mahler,
     tilde_series,
     twist_eval,
     twist_factorization_report,
@@ -23,6 +25,8 @@ from ltk.measures import (
 )
 
 from conftest import random_series
+import measures_oracle as MO
+from measures_oracle import tilde_mahler
 
 Z12 = make_ring(3, 12, "zp")
 Q3_12 = make_ring(3, 12, "ramified_quad", quad=(0, 3))
@@ -315,3 +319,145 @@ def test_moment_guarantee_covers_the_truncated_tail():
             assert got >= g
             worst_gap = min(worst_gap, got - g)
     assert worst_gap == 0
+
+
+# -- the integer-coordinate coset route against the ring-element oracle --------
+
+# ramified and unramified, with b = 0 and b != 0; the last entry is the top level
+INDEX_RINGS = [
+    (2, "ramified_quad", (0, 2), 3), (2, "ramified_quad", (2, 2), 3),
+    (2, "unramified_quad", (1, 1), 3),
+    (3, "ramified_quad", (0, 3), 3), (3, "ramified_quad", (3, 3), 3),
+    (3, "unramified_quad", (1, 2), 3),
+    (5, "ramified_quad", (5, 5), 2), (5, "unramified_quad", (1, 1), 2),
+    (5, "unramified_quad", (0, 2), 2),
+]
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except (DomainError, PrecisionExhausted) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("p, kind, quad, top", INDEX_RINGS)
+def test_coset_index_matches_the_ring_element_route(p, kind, quad, top):
+    rng = random.Random(p * 100 + quad[0])
+    okp = make_ring(p, 6, kind, quad=quad)
+    mu = Measure(TruncSeries.zero(make_ring(p, 6, "zp"), 4), "okp", okp)
+    units = 0
+    for n in range(top + 1):
+        pn = p ** n
+        for d0 in range(pn):
+            for d1 in range(pn):
+                step = p ** max(n, 1)      # keeps the unit class at n = 0
+                lift = (d0 + step * rng.randrange(-3, 4),
+                        d1 + step * rng.randrange(-3, 4))
+                want = _outcome(MO.coset_index, mu, okp.elem((d0, d1)), n)
+                assert _outcome(MS._coset_index, mu, (d0, d1), n) == want
+                assert _outcome(MS._coset_index, mu, lift, n) == want
+                units += want[0] == "ok"
+    assert units == sum(len(unit_residues(okp, n)) for n in range(1, top + 1))
+
+
+def _measures(tag, z, okp, rng):
+    """A seeded Dirac combination for a group tag, its cap-10 truncation
+    (no digit left at level 2), and the first Dirac made admissible with
+    shift 1 (p times it, over p) and scaled by 1/p (not admissible)."""
+    p, cap = z.p, 64
+    units = tag.endswith("units")
+    diracs = []
+    while len(diracs) < 3:
+        if tag.startswith("okp"):
+            a = okp.elem((rng.randrange(p ** 4), rng.randrange(p ** 4)))
+            if units and not a.is_unit():
+                continue
+        else:
+            a = rng.randrange(p ** 4)
+            if units and a % p == 0:
+                continue
+        diracs.append(dirac(a, tag, z, cap, okp=okp).amice)
+    amice = diracs[0]
+    for d in diracs[1:]:
+        amice = amice + d.scale(rng.randrange(1, p ** 3))
+    first = diracs[0]
+    return [Measure(amice, tag, okp), Measure(amice.truncate(10), tag, okp),
+            Measure(TruncSeries(z, cap, list(first.scale(p).coeffs), z.N, 1), tag, okp),
+            Measure(TruncSeries(z, cap, list(first.coeffs), z.N, 1), tag, okp)]
+
+
+@pytest.mark.parametrize("quad", [(0, 3), (3, 3)])
+@pytest.mark.parametrize("tag", ["zp", "zp_units", "okp", "okp_units"])
+def test_coset_route_matches_the_ring_element_oracle(tag, quad):
+    rng = random.Random(f"{tag}{quad}")
+    z = make_ring(3, 12, "zp")
+    c3 = make_ring(3, 12, "cyclotomic", level=1)
+    okp = make_ring(3, 12, "ramified_quad", quad=quad)
+    on_okp = tag.startswith("okp")
+    if on_okp:
+        gen = next(okp.elem(d) for d in unit_residues(okp, 1)
+                   if _mult_order_elem(okp.elem(d), 3) == 6)
+        chars = [FiniteCharacter.from_generator(okp, 1, c3, gen, -(c3.zeta()))]
+    else:
+        chars = [FiniteCharacter.from_generator("zp", 1, c3, 2, -c3.one()),
+                 FiniteCharacter.from_generator("zp", 2, c3, 2, -(c3.zeta()))]
+    for mu in _measures(tag, z, okp if on_okp else None, rng):
+        for n in (1, 2) if on_okp else (0, 1, 2):
+            deltas = ([okp.elem(d) for d in unit_residues(okp, n)] if on_okp
+                      else list(range(3 ** n)))
+            for delta in deltas:
+                want = _outcome(MO.coset_mass, mu, delta, n)
+                assert _outcome(coset_mass, mu, delta, n) == want
+                if on_okp:
+                    assert _outcome(coset_mass, mu, delta.coords, n) == want
+            for k in range(4):
+                assert _outcome(riemann_moment, mu, k, n) == \
+                    _outcome(MO.riemann_moment, mu, k, n)
+        if on_okp:
+            assert _outcome(partition_check, mu, 1) == _outcome(MO.partition_check, mu, 1)
+        for chi in chars:
+            for k in (0, 1):
+                assert _outcome(twist_eval, mu, chi, k) == _outcome(MO.twist_eval, mu, chi, k)
+
+
+def test_one_pushforward_per_measure_and_level(monkeypatch):
+    calls = []
+    real = MS._pushforward
+    monkeypatch.setattr(MS, "_pushforward", lambda h, n: calls.append(n) or real(h, n))
+    a = Q3_12.elem((4, 3))
+    mu = dirac(a, "okp", Z12, 64, okp=Q3_12)
+    first = coset_mass(mu, Q3_12.elem((7, 0)), 1)
+    assert coset_mass(mu, Q3_12.elem((7, 0)), 1) == first
+    assert calls == [1]
+    coset_mass(mu, (2, 0), 1)
+    riemann_moment(mu, 2, 1)
+    partition_check(mu, 1)           # levels 2 and 1
+    assert calls == [1, 2]
+    # an equal measure has its own memo, and the memo is not part of the value
+    twin = Measure(mu.amice, mu.group, mu.okp)
+    assert twin == mu and hash(twin) == hash(mu) and repr(twin) == repr(mu)
+    assert twin.to_json() == mu.to_json()
+    assert coset_mass(twin, Q3_12.elem((7, 0)), 1) == first
+    assert calls == [1, 2, 1]
+
+
+def test_level_zero_is_refused_on_the_unit_cosets():
+    mu = dirac(Q3_12.elem((4, 0)), "okp", Z12, 64, okp=Q3_12)
+    with pytest.raises(DomainError, match="partition_check at level 0"):
+        partition_check(mu, 0)
+    with pytest.raises(DomainError, match="riemann_moment at level 0"):
+        riemann_moment(mu, 2, 0)
+    assert [riemann_moment(mu, 2, n)[0].coords[0] for n in (1, 2)] == [1, 16]
+    # the Z_p tags keep level 0: Z/1 is one coset, represented by 0
+    assert riemann_moment(dirac(4, "zp", Z12, 64), 0, 0) == (Z12.one(), 12)
+
+
+def test_coset_index_above_the_group_precision_reads_the_lift():
+    # delta = 3 over a ring known mod 2^3, at level 4: the closed form reads
+    # the lift 3 as it stands, so the Dirac at 3 has its mass on 3 U_4
+    okp = make_ring(2, 3, "ramified_quad", quad=(0, 2))
+    mu = dirac(okp.elem((3, 0)), "okp", make_ring(2, 3, "zp"), 80, okp=okp)
+    assert MS._coset_index(mu, (3, 0), 4) == 3
+    v, g = coset_mass(mu, okp.elem((3, 0)), 4)
+    assert (v.coords, g) == ((1,), 3)

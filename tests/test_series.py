@@ -455,3 +455,13 @@ def test_hensel_steps_within_the_derived_bound(monkeypatch, rng):
         # one inverse per Hensel step; ceil(log2(e n_eff)) steps suffice
         e = f.spec.ramification_index
         assert len(steps) <= (e * wd.n_eff - 1).bit_length()
+
+
+def test_int_coefficients_are_the_ring_integers():
+    rings = [make_ring(3, 5, "zp"), make_ring(3, 5, "ramified_quad", quad=(0, 3)),
+             make_ring(2, 4, "cyclotomic", level=2),
+             make_composite(make_ring(3, 4, "unramified_quad", quad=(1, 2)), 1)]
+    for spec in rings:
+        ints = [0, 1, -1, 7, spec.modulus + 2, -5 * spec.modulus - 3, 3 ** 40]
+        got = TruncSeries(spec, len(ints), ints).coeffs
+        assert got == tuple(spec.from_int(c).coords for c in ints)
