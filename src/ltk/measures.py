@@ -100,7 +100,8 @@ class Measure:
         return self.amice.spec
 
     def pushforward(self, n):
-        """_pushforward(self.amice, n), computed once per level."""
+        """_pushforward(self.amice, n), computed once per level.  Threads
+        that race on a level both compute it and store equal values."""
         got = self._pushforwards.get(n)
         if got is None:
             got = self._pushforwards[n] = _pushforward(self.amice, n)
