@@ -19,7 +19,7 @@ reported on failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .rings import DomainError, PrecisionExhausted, RingElem, log_one_unit, valuation
+from .rings import DomainError, PrecisionExhausted, RingElem, log_one_unit, ord_int, valuation
 from .series import TruncSeries, _series, poly_divmod_monic
 from .measures import Measure
 
@@ -90,28 +90,25 @@ def interpolate(sys):
     partial products of the pibar_m; the divisions in the quotient rings are
     exact with certified integrality.  Each costs its divider's loss, the
     largest p-order of a denominator of the inverse multiplication matrix
-    (QuotientRing.make_divider), and info["n_eff"] is N less their sum.
+    (QuotientRing.make_divider), and info["n_eff"] is N less their sum.  The
+    partial products and the dividers depend on the tower only and are kept
+    on it (TorsionTower.modulus, TorsionTower.divider).
     """
     tw = sys.tower
-    G = tw.group
-    spec = G.spec
-    cap = G.cap
+    spec = tw.group.spec
+    cap = tw.group.cap
     total_deg = sum(tw.rings[m].deg for m in range(1, tw.M + 1))
     if total_deg > cap:
         raise PrecisionExhausted("cap too small for the interpolation modulus")
     # level 1: lift beta_1 as a polynomial of degree < deg pibar_1
     g = TruncSeries(spec, cap, tw.rings[1].coeffs(sys.coords[1]))
-    mod_poly = TruncSeries(spec, cap, list(G.pibar(1)))
     n_eff = spec.N
     for m in range(2, tw.M + 1):
         E = tw.rings[m]
-        am = tw.alphas[m]
-        ga = E.eval_series(g, am)
-        divide = E.make_divider(E.eval_series(mod_poly, am))
-        h = divide(E.sub(sys.coords[m], ga))
+        divide = tw.divider(m)
+        h = divide(E.sub(sys.coords[m], E.eval_series(g, tw.alphas[m])))
         n_eff -= divide.loss
-        g = g + mod_poly * TruncSeries(spec, cap, E.coeffs(h))
-        mod_poly = mod_poly * TruncSeries(spec, cap, list(G.pibar(m)))
+        g = g + tw.modulus(m - 1) * TruncSeries(spec, cap, E.coeffs(h))
     info = {
         "modulus_degree": total_deg,
         "n_eff": n_eff,
@@ -121,12 +118,9 @@ def interpolate(sys):
 
 
 def reduce_mod_system_ideal(g, tower, n_eff=None):
-    """Canonical representative of g mod (prod pibar_m, p^n_eff)."""
-    G = tower.group
-    spec = G.spec
-    prod = TruncSeries(spec, G.cap, [1])
-    for m in range(1, tower.M + 1):
-        prod = prod * TruncSeries(spec, G.cap, list(G.pibar(m)))
+    """Canonical representative of g mod (prod pibar_m, p^n_eff); the
+    product is the tower's (TorsionTower.modulus)."""
+    prod = tower.modulus(tower.M)
     _, r = poly_divmod_monic(g, prod.coeffs[:prod.degree() + 1])
     r = r.canonical()
     if n_eff:
@@ -159,17 +153,16 @@ def norm_fixed_point(G, seed, target=None):
 
 
 def _agreement_level(a, b):
+    """The least of min(a.n_eff, b.n_eff) and the p-orders of the coordinate
+    differences of a and b."""
     p = a.spec.p
     lvl = min(a.n_eff, b.n_eff)
+    q = p ** lvl
     for ca, cb in zip(a.coeffs, b.coeffs):
         for x, y in zip(ca, cb):
-            d = (x - y) % (p ** lvl)
-            if d:
-                v = 0
-                while d % p == 0:
-                    d //= p
-                    v += 1
-                lvl = min(lvl, v)
+            if (x - y) % q:   # agrees to fewer than lvl digits
+                lvl = ord_int(x - y, p)
+                q = p ** lvl
     return lvl
 
 

@@ -13,8 +13,8 @@ RingSpec as _Coords(spec), and every QuotientRing base[X]/P, which is a
 _Coords of itself) and the exact rationals _Rationals here.  The protocol
 and the structural solver, series._solve_structural, live in series next to
 the kernel they call; the companion-matrix norm exists once too, and takes
-one determinant, series.packed_det, over the series ring, the base ring or
-a quotient ring alike.  A QuotientRing is one more monic extension in the
+one determinant, packed_det's expansion, over the series ring, the base ring
+or a quotient ring alike.  A QuotientRing is one more monic extension in the
 tower of rings.extend, with the same compiled reduce_block and mul_coords as
 a RingSpec, and its elements are flat coordinate tuples only; base RingElems
 appear at the API boundary, not inside the algorithms.
@@ -53,10 +53,13 @@ The Coleman norm operator is a resultant: N_f g (Y) = det g(C) where C is
 the companion matrix of f(Z) - Y, exact mod (p^N, Y^D).  g(C) = sum_k g_k C^k
 is linear in g, and the matrix of C^k is a window of the f-adic digits D_n =
 Z^n mod (f(Z) - Y), which depend only on the group: they are made and packed
-once per group (_fiber_digits, series.PackedRows), so a call sums one packed
-product per coefficient of g, reduces the sum once, and takes one
-determinant, series.packed_det.  The same norm gives the tower norms O'_m ->
-O'_{m-1}, with digits kept per level on the TorsionTower.
+once per group, each window read as an int once (_fiber_digits,
+series.PackedRows), so a call sums one packed product per coefficient of g,
+reduces the sum once, packs the d^2 entries in one go and takes one
+determinant on them (series._det_packed, packed_det's expansion).  The same
+norm gives the tower norms O'_m -> O'_{m-1}, with digits kept per level on
+the TorsionTower, which also keeps the CRT moduli and dividers that
+coleman.interpolate divides by.
 The independent check of the norm law is the product of g over the actual
 torsion translates, g o tau = sum_k g_k tau^k with the powers of each
 translate tau packed once per cap in the same way; the two routes share
@@ -68,6 +71,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 
 from .rings import (
     DomainError,
@@ -85,12 +89,14 @@ from .series import (
     PackedRows,
     TruncSeries,
     _Coords,
+    _det_packed,
+    _pack_bytes,
     _reversion,
     _series,
+    _slot_bytes,
     _solve_structural,
     horner,
     packed_compose,
-    packed_det,
     packed_mul,
     packed_times,
     weierstrass_prep,
@@ -294,19 +300,36 @@ def _companion_norm(digits, y, cap=1):
     y_k and one reduction per entry coefficient, its slots at most
     L r (p^N - 1)^2 for L terms of y (r = K's rank; the derivation is
     PackedRows').  Truncating the entries to cap coefficients is the ring map
-    mod T^cap.  The determinant is series.packed_det.  Its entries and its
-    reduced minors have coordinates in [0, p^N), so a slot of a minor's
-    signed sum is at most d L' r (p^N - 1)^2 in absolute value (L' the
-    longest entry, at most cap).  Each sum is masked to its low cap blocks,
-    which is exact mod T^cap: the mask is the ring map Z -> Z/2^(cap block
-    W), and through the Kronecker substitution it sends T^cap to 0
-    (packed_det).
+    mod T^cap.
+
+    The determinant is packed_det's expansion, series._det_packed, on
+    entries packed here once: combine's d^2 reduced entries, each cut to
+    its first c = min(e, cap) coefficients (e = the digits' T-length, which
+    no entry exceeds), go into one _pack_bytes call, and entry o is the
+    slice of c blocks at o c.  The slot width is packed_det's for entries
+    of at most c coefficients: the entries and the reduced minors have
+    coordinates in [0, p^N), so a slot of a minor's signed sum is at most
+
+        d c r (p^N - 1)^2
+
+    in absolute value, and _slot_bytes of that holds it with its sign.
+    Each sum is masked to its low cap blocks, which is exact mod T^cap: the
+    mask is the ring map Z -> Z/2^(cap block W), and through the Kronecker
+    substitution it sends T^cap to 0 (packed_det).
     """
     K, d = digits.K, digits.width
-    rank, e = K.packing[0], digits.stride // d
-    flat = digits.combine([c + (0,) * (rank - len(c)) for c in y])
-    entry = lambda o: flat[o * e:o * e + min(e, cap)]
-    return packed_det(K, [[entry(j * d + i) for j in range(d)] for i in range(d)], cap)
+    rank, block, slots, m = K.packing
+    e = digits.stride // d
+    c = min(e, cap)
+    flat = digits.combine([x + (0,) * (rank - len(x)) for x in y])
+    if c < e:
+        flat = list(chain.from_iterable(flat[o * e:o * e + c] for o in range(d * d)))
+    nbytes = _slot_bytes(d * c * rank * (m - 1) ** 2)
+    packed = _pack_bytes(flat, block, slots, nbytes)
+    w = c * block * nbytes
+    entry = lambda o: int.from_bytes(packed[o * w:(o + 1) * w], "little")
+    return _det_packed(K, [[entry(j * d + i) for j in range(d)] for i in range(d)],
+                       nbytes, cap)
 
 
 # -- the formal group ----------------------------------------------------------
@@ -1021,6 +1044,8 @@ class TorsionTower:
         self.rings = {}
         self.alphas = {}
         self._digits = {}
+        self._moduli = {}
+        self._dividers = {}
         for m in range(1, M + 1):
             pib = group.pibar(m)
             E = QuotientRing(group.spec, list(pib))
@@ -1056,6 +1081,27 @@ class TorsionTower:
             self._digits[m] = (_fiber_digits(g.spec, g.pibar(1)) if m == 1 else
                                _fiber_digits(self.rings[m - 1], g.f_poly))
         return _companion_norm(self._digits[m], self.rings[m].coeffs(y))[0]
+
+    def modulus(self, m):
+        """pibar_1 ... pibar_m, a TruncSeries at the group's cap, for 1 <= m
+        <= M: the CRT modulus of levels 1 .. m (coleman.interpolate's at
+        level m + 1, and at m = M the system ideal's).  Made on first use and
+        kept."""
+        if m not in self._moduli:
+            g = self.group
+            pib = TruncSeries(g.spec, g.cap, list(g.pibar(m)))
+            self._moduli[m] = pib if m == 1 else self.modulus(m - 1) * pib
+        return self._moduli[m]
+
+    def divider(self, m):
+        """b -> b / modulus(m - 1)(alpha_m) in O'_m, for 2 <= m <= M
+        (QuotientRing.make_divider, with its loss).  Made on first use and
+        kept, so each level runs one elimination per tower."""
+        if m not in self._dividers:
+            E = self.rings[m]
+            self._dividers[m] = E.make_divider(
+                E.eval_series(self.modulus(m - 1), self.alphas[m]))
+        return self._dividers[m]
 
 
 def build_tower(group, M):

@@ -347,9 +347,13 @@ def unit_residues(okp, n):
 def partition_check(mu, n):
     """sum over delta in U_n/U_{n+1} of mu(delta U_{n+1}) == mu(U_n), n >= 1.
 
+    The law is one of the O_Kp unit filtration, so the Z_p tags are refused.
     The representatives 1 + p^n (c0 + c1 w) are units only from n = 1 on,
     and U_0 is no coset of the units, so level 0 is refused.
     """
+    if not mu.group.startswith("okp"):
+        raise DomainError(f"partition_check is defined on the O_Kp tags only, "
+                          f"not on {mu.group!r}")
     if n < 1:
         raise DomainError(f"partition_check at level {n}: the unit cosets "
                           "U_n start at level 1")
@@ -415,11 +419,12 @@ def moment_guarantee(mu, k):
 def riemann_moment(mu, k, n):
     """Riemann sum over level-n cosets against sigma(x)^k (or x^k on Z_p).
 
-    On O_Kp the unit cosets start at level 1 (there is no unit residue mod
-    p^0), so level 0 is refused there; the Z_p tags sum over Z/1 at level 0.
+    On O_Kp and on zp_units the unit cosets start at level 1 (there is no
+    unit residue mod p^0), so level 0 is refused there; the zp tag sums over
+    Z/1 at level 0.
     """
     _check_order(k)
-    if n < 1 and mu.group.startswith("okp"):
+    if n < 1 and mu.group != "zp":
         raise DomainError(f"riemann_moment at level {n}: the unit cosets "
                           "U_n start at level 1")
     h = mu.amice

@@ -21,13 +21,15 @@ like exponents, and reduce_block is the ring's reduction map, compiled
 once per ring to straight-line code.  RingSpec (the coefficient rings) and
 lubin_tate.QuotientRing (base[X]/P) are the two kinds of packed ring.
 Determinants over K[Y] (the norm operator's, lambda_modules.det_series)
-go through packed_det: each entry is packed once, and each minor is a
-signed sum of int products, unpacked and reduced once.  Linear maps
-y -> sum_k y_k M_k whose matrices M_k are windows of one table (the norm's
-fiber digits, the powers of a torsion translate) go through PackedRows: the
-table is packed once, and a call sums one int product per term, unpacked
-and reduced once.  Every evaluation at a point is horner: Horner's rule on
-coordinate tuples in the point's ring, whose compiled mul_coords it calls.
+go through one expansion, _det_packed, on packed entries: packed_det packs
+each entry once, the norm operator packs its entries all at once, and each
+minor is a signed sum of int products, unpacked and reduced once.  Linear
+maps y -> sum_k y_k M_k whose matrices M_k are windows of one table (the
+norm's fiber digits, the powers of a torsion translate) go through
+PackedRows: the table is packed once and each window read as an int once,
+and a call sums one int product per term, unpacked and reduced once.  Every
+evaluation at a point is horner: Horner's rule on coordinate tuples in the
+point's ring, whose compiled mul_coords it calls.
 The inverse, TruncSeries.invert, is Newton iteration on packed_mul.
 
 The structural-series solver, _solve_structural, and its ring protocol
@@ -663,12 +665,23 @@ class PackedRows:
     slot holds the smaller bound too).  Rows are made only up to the last
     one a call reads, L + width - 1 of them for L trimmed terms, so a cold
     call makes no row it does not use.
+
+    Window ints.  Window k is read as an int once, when a call first needs
+    it, and kept beside the table bytes at the same slot width; they are
+    dropped with the table when the slots widen.  A warm call converts only
+    its ys.  Each window holds width rows, so the windows kept take about
+    width times the table's memory.
+
+    Concurrency.  rows and the (slot width, table bytes, window ints)
+    snapshot are replaced, never changed in place, so concurrent calls each
+    read a consistent snapshot; a call that loses a race to replace one
+    only redoes work.
     """
 
     def __init__(self, K, stride, width, rows, step):
         self.K, self.stride, self.width, self.step = K, stride, width, step
         self.rows = list(rows)
-        self.table = 0, b""   # (slot bytes, the packed rows)
+        self.table = 0, b"", []   # (slot bytes, the packed rows, window ints)
 
     def combine(self, ys):
         rank, block, slots, m = self.K.packing
@@ -676,31 +689,31 @@ class PackedRows:
         L = _trim(ys, len(ys))
         if not L:
             return [(0,) * rank] * n
-        # rows and table are replaced, never changed in place, so concurrent
-        # calls each read a consistent snapshot
         rows = self.rows
         if len(rows) < L + self.width - 1:
             rows = list(rows)
             while len(rows) < L + self.width - 1:
                 rows.append(self.step(rows[-1]))
             self.rows = rows
-        nbytes, table = self.table
+        nbytes, table, windows = self.table
         wide = _slot_bytes(L * rank * (m - 1) ** 2)
         if wide > nbytes:   # wider slots: pack every row again
-            nbytes, table = wide, b""
+            nbytes, table, windows = wide, b"", []
         size = block * nbytes
-        row = size * self.stride
-        done = len(table) // row
-        if done < len(rows):
-            table += _pack_bytes(list(chain.from_iterable(rows[done:])), block, slots,
-                                 nbytes)
-            self.table = nbytes, table
+        if len(windows) < L:
+            row, last = size * self.stride, L + self.width - 1
+            done = len(table) // row
+            if done < last:
+                table += _pack_bytes(list(chain.from_iterable(rows[done:last])), block,
+                                     slots, nbytes)
+            windows = windows + [int.from_bytes(table[k * row:(k + self.width) * row],
+                                                "little") for k in range(len(windows), L)]
+            self.table = nbytes, table, windows
         packed_ys = _pack_bytes(ys[:L], block, slots, nbytes)
         acc = 0
         for k, y in enumerate(ys[:L]):
             if any(y):
-                acc += (int.from_bytes(packed_ys[k * size:(k + 1) * size], "little")
-                        * int.from_bytes(table[k * row:(k + self.width) * row], "little"))
+                acc += int.from_bytes(packed_ys[k * size:(k + 1) * size], "little") * windows[k]
         return _unpack(self.K, acc, n, nbytes, n)
 
 
@@ -720,7 +733,10 @@ def packed_det(K, rows, cap):
     zero divisors, such as the torsion tower's.
 
     Packing.  Each entry is packed once into a Kronecker int as in
-    packed_mul, and each memoized minor is kept as one: a minor is the
+    packed_mul, and the expansion (_det_packed) takes those ints: a caller
+    that holds its entries packed already, as the Coleman norm does
+    (lubin_tate._companion_norm), calls _det_packed directly and packs
+    nothing twice.  Each memoized minor is kept as one int too: a minor is the
     signed sum of at most d products entry * smaller minor, formed on plain
     Python ints, then unpacked and reduced once and packed again.  The last
     row's minors are its entries, so a minor of j >= 2 rows costs one
@@ -747,9 +763,22 @@ def packed_det(K, rows, cap):
     minors, each reduced once.  d <= MAX_DET_DIM = 13 bounds them by 53248
     products and 8192 minors (q <= 9 needs at most 2304 and 512); q = 25
     would need 4.2e8 products and 3.4e7 minors, so a larger d raises
-    DomainError before any work.
+    DomainError before any product.
     """
-    d = len(rows)
+    rows = [[e[:_trim(e, cap)] for e in row] for row in rows]
+    L = max((len(e) for row in rows for e in row), default=0)
+    rank, block, slots, m = K.packing
+    nbytes = _slot_bytes(len(rows) * L * rank * (m - 1) ** 2)
+    return _det_packed(K, [[_pack(e, block, slots, nbytes) for e in row] for row in rows],
+                       nbytes, cap)
+
+
+def _det_packed(K, ints, nbytes, cap):
+    """packed_det's expansion on entries already packed: ints[i][j] is
+    entry (i, j) as one Kronecker int at nbytes-wide slots (_pack), and
+    nbytes holds d * L * r * (m - 1)^2 with its sign (_slot_bytes), L at
+    least the longest entry.  Returns cap coordinate tuples."""
+    d = len(ints)
     rank, block, slots, m = K.packing
     zero = (0,) * rank
     if d > MAX_DET_DIM:
@@ -757,10 +786,6 @@ def packed_det(K, rows, cap):
                           f"{d * 2 ** (d - 1)} products over {2 ** d} minors")
     if not d:
         return [(1,) + zero[1:]] + [zero] * (cap - 1)
-    rows = [[e[:_trim(e, cap)] for e in row] for row in rows]
-    L = max(len(e) for row in rows for e in row)
-    nbytes = _slot_bytes(d * L * rank * (m - 1) ** 2)
-    ints = [[_pack(e, block, slots, nbytes) for e in row] for row in rows]
     size = cap * block
     mask = (1 << (8 * nbytes * size)) - 1
     half = 1 << (8 * nbytes - 1)

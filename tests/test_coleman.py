@@ -264,3 +264,63 @@ def test_tilde_log_digits_survive_more_precision(p, N, coeffs):
                                    for G in groups)
         assert rep["n_eff"] <= rep_hi["n_eff"]
         assert congruent(lt, hi, rep["n_eff"])
+
+
+# -- the CRT data kept on the tower ----------------------------------------------
+
+
+@pytest.mark.parametrize("M", [2, 3])
+def test_interpolation_is_the_same_warm_and_on_a_fresh_tower(M, monkeypatch):
+    # the tower keeps its moduli and dividers: two calls on one tower and one
+    # on a fresh tower give the same series and info, and each level runs
+    # one elimination per tower however often it is divided by
+    from ltk.lubin_tate import QuotientRing
+
+    z3 = make_ring(3, 8, "zp")
+    G = build_group(z3, 3, 3, 28, variant="multiplicative")
+    g0 = random_series(z3, 28, random.Random(M), terms=9)
+    made = []
+    make = QuotientRing.make_divider
+    monkeypatch.setattr(QuotientRing, "make_divider",
+                        lambda E, y: made.append(E) or make(E, y))
+
+    def run(tw):
+        g, info = interpolate(system_from_series(tw, g0))
+        r = reduce_mod_system_ideal(g, tw, info["n_eff"])
+        r0 = reduce_mod_system_ideal(g0, tw)
+        return [(s.cap, s.n_eff, s.shift, s.coeffs) for s in (g, r, r0)], info
+
+    tw = build_tower(G, M)
+    first = run(tw)
+    assert run(tw) == first
+    assert made == [tw.rings[m] for m in range(2, M + 1)]
+    assert run(build_tower(G, M)) == first
+    assert len(made) == 2 * (M - 1)
+    assert first[0][1][1] == first[1]["n_eff"] == 8 - (M - 1)
+
+
+def test_modulus_is_the_product_of_the_pibar(g3t):
+    G, tw = g3t
+    prod = TruncSeries(G.spec, G.cap, [1])
+    for m in (1, 2):
+        prod = prod * TruncSeries(G.spec, G.cap, list(G.pibar(m)))
+        assert tw.modulus(m).coeffs == prod.coeffs
+    assert tw.modulus(2).degree() == sum(tw.rings[m].deg for m in (1, 2))
+
+
+def test_agreement_level_is_the_least_order_of_a_difference(q3):
+    # the history of norm_fixed_point reads it: min(n_eff of both, the least
+    # 3-order of a coordinate difference)
+    from ltk.coleman import _agreement_level
+
+    rng = random.Random(7)
+    m = q3.modulus
+    order = lambda d: next(k for k in range(99) if d % 3 ** (k + 1)) if d else 99
+    for _ in range(200):
+        a = random_series(q3, 6, rng, unit=False)
+        b = TruncSeries(q3, 6, [q3.elem([(x + rng.choice((0, 0, 1, 3, 9, 81, 243))
+                                          * rng.randrange(1, 9)) % m for x in c])
+                                for c in a.coeffs], rng.randrange(3, 8))
+        want = min([a.n_eff, b.n_eff] + [order(x - y) for ca, cb in zip(a.coeffs, b.coeffs)
+                                         for x, y in zip(ca, cb)])
+        assert _agreement_level(a, b) == _agreement_level(b, a) == want

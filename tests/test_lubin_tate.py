@@ -358,7 +358,7 @@ def test_norm_law_routes_are_independent(g3, rng, monkeypatch):
         m.setattr(LT, "_solve_structural", crossed)
         lhs = g3.coleman_norm(g).compose(g3.f.truncate(24))
     with monkeypatch.context() as m:
-        m.setattr(LT, "packed_det", crossed)
+        m.setattr(LT, "_det_packed", crossed)
         m.setattr(LT, "_companion_norm", crossed)
         rhs = g3.translates_product(g)
         # warm: the second call reads the cached translates
@@ -557,6 +557,36 @@ def test_coleman_norm_matches_matrix_horner(name, request, rng):
 
 
 @pytest.mark.parametrize("name", SOLVER_GROUPS)
+def test_coleman_norm_below_the_digits_length(name, request, rng):
+    # the digits keep e T-coefficients per entry; a cap below e packs only
+    # the first cap of them, at the width for cap-coefficient entries
+    G = request.getfixturevalue(name)
+    d = len(G.f_poly) - 1
+    e = min(G.cap, (G.cap - 2) // d + 2)
+    for cap in sorted({1, 2, 3, e - 1, e, e + 1}):
+        for terms in (None, 2):
+            g = random_series(G.spec, cap, rng, terms=terms)
+            ng = G.coleman_norm(g)
+            assert ng.coeffs == _oracle_coleman_norm(G, g)
+            assert (ng.cap, ng.n_eff) == (cap, G.spec.N)
+
+
+@pytest.mark.parametrize("name", SOLVER_GROUPS)
+def test_tower_norms_warm_and_cold_match_matrix_horner(name, request, rng):
+    G = request.getfixturevalue(name)
+    spec = G.spec
+    warm = build_tower(G, 2)
+    for m in (1, 2):
+        E = warm.rings[m]
+        ys = [E.zero(), E.from_base(spec.from_int(spec.p)),
+              E.elem([rng.randrange(spec.modulus) for _ in range(E.rank)])]
+        for y in ys:
+            want = _oracle_tower_norm(warm, m, y)
+            assert warm.norm(m, y) == warm.norm(m, y) == want
+            assert build_tower(G, 2).norm(m, y) == want
+
+
+@pytest.mark.parametrize("name", SOLVER_GROUPS)
 def test_tower_norms_match_matrix_horner(name, request, rng):
     G = request.getfixturevalue(name)
     spec = G.spec
@@ -641,27 +671,38 @@ def test_norm_caches_stay_per_group_and_warm_equals_cold(rng):
 def test_norm_caches_under_concurrent_calls(q3, rng):
     # six threads grow one cold group's digits and powers at once, with a
     # short switch interval, five times over; a lost or doubled row would
-    # change a result
-    gs = [random_series(q3, 24, rng, terms=t) for t in (3, 24, 9, 16, 5, 20)]
-    ref = build_group(q3, q3.gen_quad(), 3, 24)
-    want = [(ref.coleman_norm(g).coeffs, ref.translates_product(g).coeffs) for g in gs]
-
-    def work(G, got, i):
-        got[i] = (G.coleman_norm(gs[i]).coeffs, G.translates_product(gs[i]).coeffs)
-
+    # change a result.  Over Z/3^9 one 3-term call first caches the digits'
+    # window ints at 4-byte slots, and the threads' calls of 3 to 24 terms
+    # repack them at 8 bytes while others read the narrow windows
+    z9 = make_ring(3, 9, "zp")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(5):
-            shared, got = build_group(q3, q3.gen_quad(), 3, 24), [None] * len(gs)
-            threads = [threading.Thread(target=work, args=(shared, got, i))
-                       for i in range(len(gs))]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-            assert not any(t.is_alive() for t in threads)
-            assert got == want
+        for spec, pi in ((q3, q3.gen_quad()), (z9, 3)):
+            gs = [random_series(spec, 24, rng, terms=t) for t in (3, 24, 9, 16, 5, 20)]
+            # each want from its own cold group, so no cache history is shared
+            want = [(G.coleman_norm(g).coeffs, G.translates_product(g).coeffs)
+                    for g in gs for G in [build_group(spec, pi, 3, 24)]]
+
+            def work(G, got, i):
+                got[i] = (G.coleman_norm(gs[i]).coeffs, G.translates_product(gs[i]).coeffs)
+
+            for _ in range(5):
+                shared, got = build_group(spec, pi, 3, 24), [None] * len(gs)
+                if spec is z9:
+                    shared.coleman_norm(gs[0])
+                    nbytes, _, windows = shared._norm_digits.table
+                    assert (nbytes, len(windows)) == (4, 3)
+                threads = [threading.Thread(target=work, args=(shared, got, i))
+                           for i in range(len(gs))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert got == want
+                if spec is z9:
+                    assert shared._norm_digits.table[0] == 8
     finally:
         sys.setswitchinterval(interval)
 

@@ -412,6 +412,9 @@ def test_coset_route_matches_the_ring_element_oracle(tag, quad):
                 if on_okp:
                     assert _outcome(coset_mass, mu, delta.coords, n) == want
             for k in range(4):
+                if n == 0 and tag == "zp_units":   # no unit residue mod p^0
+                    assert _outcome(riemann_moment, mu, k, n)[0] == "DomainError"
+                    continue
                 assert _outcome(riemann_moment, mu, k, n) == \
                     _outcome(MO.riemann_moment, mu, k, n)
         if on_okp:
@@ -451,6 +454,21 @@ def test_level_zero_is_refused_on_the_unit_cosets():
     assert [riemann_moment(mu, 2, n)[0].coords[0] for n in (1, 2)] == [1, 16]
     # the Z_p tags keep level 0: Z/1 is one coset, represented by 0
     assert riemann_moment(dirac(4, "zp", Z12, 64), 0, 0) == (Z12.one(), 12)
+
+
+def test_level_zero_is_refused_on_the_zp_units():
+    # Z/1 holds no unit residue: level 0 would sum over no coset and claim
+    # 0 to full precision, where level 1 gives the Dirac's mass 1
+    mu = dirac(4, "zp_units", Z12, 64)
+    with pytest.raises(DomainError, match="riemann_moment at level 0: the unit cosets"):
+        riemann_moment(mu, 0, 0)
+    assert riemann_moment(mu, 0, 1) == (Z12.one(), 12)
+
+
+@pytest.mark.parametrize("group", ["zp", "zp_units"])
+def test_partition_check_is_refused_on_the_zp_tags(group):
+    with pytest.raises(DomainError, match="defined on the O_Kp tags only"):
+        partition_check(dirac(4, group, Z12, 64), 1)
 
 
 def test_coset_index_above_the_group_precision_reads_the_lift():
