@@ -547,6 +547,12 @@ def test_coleman_norm_matches_matrix_horner(name, request, rng):
         random_series(spec, cap, rng, terms=5),              # trailing zeros
         random_series(spec, cap + 6, rng),                   # cap above G.cap
     ]
+    # caps below the digits' T-length e: the entries are cut to cap
+    # coefficients and packed at the width for that length
+    d = len(G.f_poly) - 1
+    e = min(cap, (cap - 2) // d + 2)
+    cases += [random_series(spec, c, rng, terms=t)
+              for c in sorted({1, 2, 3, e - 1, e, e + 1}) for t in (None, 2)]
     if name == "gu3":   # d = 9: 2304 products in the oracle's determinant
         cases = cases[:1]
     for g in cases:
@@ -557,46 +563,18 @@ def test_coleman_norm_matches_matrix_horner(name, request, rng):
 
 
 @pytest.mark.parametrize("name", SOLVER_GROUPS)
-def test_coleman_norm_below_the_digits_length(name, request, rng):
-    # the digits keep e T-coefficients per entry; a cap below e packs only
-    # the first cap of them, at the width for cap-coefficient entries
-    G = request.getfixturevalue(name)
-    d = len(G.f_poly) - 1
-    e = min(G.cap, (G.cap - 2) // d + 2)
-    for cap in sorted({1, 2, 3, e - 1, e, e + 1}):
-        for terms in (None, 2):
-            g = random_series(G.spec, cap, rng, terms=terms)
-            ng = G.coleman_norm(g)
-            assert ng.coeffs == _oracle_coleman_norm(G, g)
-            assert (ng.cap, ng.n_eff) == (cap, G.spec.N)
-
-
-@pytest.mark.parametrize("name", SOLVER_GROUPS)
-def test_tower_norms_warm_and_cold_match_matrix_horner(name, request, rng):
-    G = request.getfixturevalue(name)
-    spec = G.spec
-    warm = build_tower(G, 2)
-    for m in (1, 2):
-        E = warm.rings[m]
-        ys = [E.zero(), E.from_base(spec.from_int(spec.p)),
-              E.elem([rng.randrange(spec.modulus) for _ in range(E.rank)])]
-        for y in ys:
-            want = _oracle_tower_norm(warm, m, y)
-            assert warm.norm(m, y) == warm.norm(m, y) == want
-            assert build_tower(G, 2).norm(m, y) == want
-
-
-@pytest.mark.parametrize("name", SOLVER_GROUPS)
 def test_tower_norms_match_matrix_horner(name, request, rng):
     G = request.getfixturevalue(name)
     spec = G.spec
     tw = build_tower(G, 2)
     for m in (1, 2):
         E = tw.rings[m]
-        ys = [tw.alphas[m], E.one(),
+        ys = [tw.alphas[m], E.one(), E.zero(), E.from_base(spec.from_int(spec.p)),
               E.elem([rng.randrange(spec.modulus) for _ in range(E.rank)])]
         for y in ys:
-            assert tw.norm(m, y) == _oracle_tower_norm(tw, m, y)
+            want = _oracle_tower_norm(tw, m, y)
+            assert tw.norm(m, y) == tw.norm(m, y) == want
+            assert build_tower(G, 2).norm(m, y) == want
 
 
 @pytest.mark.parametrize("name", SOLVER_GROUPS)
