@@ -23,7 +23,6 @@ from .rings import (
 from .series import (
     TruncSeries,
     WeierstrassData,
-    iwasawa_invariants_by_roots,
     mu_lambda_by_roots,
     weierstrass_prep,
 )
@@ -45,7 +44,7 @@ from .elliptic import Lattice, delta_canonical, psi_robert
 __all__ = [
     "RingSpec", "RingElem", "make_ring", "make_composite", "valuation",
     "TruncSeries", "WeierstrassData", "weierstrass_prep",
-    "mu_lambda_by_roots", "iwasawa_invariants_by_roots",
+    "mu_lambda_by_roots",
     "FormalGroup", "QuotientRing", "TorsionTower", "build_group", "build_tower",
     "Measure", "FiniteCharacter", "dirac", "tilde_series", "coset_mass",
     "moment", "gauss_sum", "twist_eval",

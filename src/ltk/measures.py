@@ -294,15 +294,25 @@ def _mass(h, m, guar, a, n):
     return tuple(c // ps for c in num), guar - shift
 
 
+def _require_okp_level(mu, n, what):
+    """Refuse a level-n coset on the O_Kp tags when n > okp.N: a delta of
+    O_K/p^N does not determine its class mod p^n, and each lift would give
+    its own answer."""
+    if mu.group.startswith("okp") and n > mu.okp.N:
+        raise DomainError(f"{what}: level {n} cosets are not determined by "
+                          f"O_K/p^{mu.okp.N} (okp.N = {mu.okp.N})")
+
+
 def coset_mass(mu, delta, n):
     """mu(delta * U_n) on O_Kp, or mu(delta + p^n Z_p) on Z_p.
 
     delta is a unit of O_K/p^n (any lift; only its class matters) as a ring
     element or a coordinate pair, or an integer.  Returns (value, n_eff):
-    the mass is correct mod p^n_eff.
+    the mass is correct mod p^n_eff.  On O_Kp, n may not exceed okp.N.
     """
     if n < 0:
         raise DomainError("a coset level must be >= 0")
+    _require_okp_level(mu, n, f"coset_mass at level {n}")
     m, guar = mu.pushforward(n)
     if isinstance(delta, RingElem):
         delta = delta.coords
@@ -349,7 +359,9 @@ def partition_check(mu, n):
 
     The law is one of the O_Kp unit filtration, so the Z_p tags are refused.
     The representatives 1 + p^n (c0 + c1 w) are units only from n = 1 on,
-    and U_0 is no coset of the units, so level 0 is refused.
+    and U_0 is no coset of the units, so level 0 is refused.  The check
+    reads the level n + 1 cosets, so n + 1 may not exceed okp.N: mod p^N
+    every representative is 1.
     """
     if not mu.group.startswith("okp"):
         raise DomainError(f"partition_check is defined on the O_Kp tags only, "
@@ -357,6 +369,7 @@ def partition_check(mu, n):
     if n < 1:
         raise DomainError(f"partition_check at level {n}: the unit cosets "
                           "U_n start at level 1")
+    _require_okp_level(mu, n + 1, f"partition_check at level {n}")
     p = mu.okp.p
     pn = p ** n
     h = mu.amice
@@ -421,12 +434,13 @@ def riemann_moment(mu, k, n):
 
     On O_Kp and on zp_units the unit cosets start at level 1 (there is no
     unit residue mod p^0), so level 0 is refused there; the zp tag sums over
-    Z/1 at level 0.
+    Z/1 at level 0.  On O_Kp, n may not exceed okp.N.
     """
     _check_order(k)
     if n < 1 and mu.group != "zp":
         raise DomainError(f"riemann_moment at level {n}: the unit cosets "
                           "U_n start at level 1")
+    _require_okp_level(mu, n, f"riemann_moment at level {n}")
     h = mu.amice
     m, guar = mu.pushforward(n)
     terms = [(_mass(h, m, guar, a, n)[0], x ** k) for _, a, x in _cosets(mu, n)]

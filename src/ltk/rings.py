@@ -289,27 +289,10 @@ class RingElem:
         return all(x == 0 for x in self.coords)
 
     def is_unit(self):
-        """Whether the image in the residue field (x -> 1 in the cyclotomic
-        part, w -> 0 when ramified) is nonzero."""
-        spec, c = self.spec, self.coords
-        if spec.level:
-            c = (sum(c[0::2]), sum(c[1::2])) if spec.quad else (sum(c),)
-        return c[0] % spec.p != 0 or (spec.quad_kind == "unramified" and c[1] % spec.p != 0)
+        return is_unit_coords(self.spec, self.coords)
 
     def inverse(self):
-        spec = self.spec
-        if not self.is_unit():
-            raise DomainError("not a unit")
-        if spec.kind == "zp":
-            return RingElem(spec, (pow(self.coords[0], -1, spec.modulus),))
-        if spec.kind in ("ramified_quad", "unramified_quad"):
-            b, c = spec.quad
-            a0, a1 = self.coords
-            nm = (a0 * a0 - b * a0 * a1 + c * a1 * a1) % spec.modulus
-            nm_inv = pow(nm, -1, spec.modulus)
-            conj = ((a0 - b * a1) % spec.modulus, (-a1) % spec.modulus)
-            return RingElem(spec, spec.smul_coords(nm_inv, conj))
-        return _generic_inverse(self)
+        return RingElem(self.spec, inverse_coords(self.spec, self.coords))
 
     def divide_exact_p(self, k):
         """Exact division by p^k; raises if any coordinate is not divisible."""
@@ -331,12 +314,35 @@ class RingElem:
         return spec.elem(obj["coords"])
 
 
-def _generic_inverse(x):
+def is_unit_coords(spec, c):
+    """Whether the element with coordinates c is a unit: whether its image
+    in the residue field (x -> 1 in the cyclotomic part, w -> 0 when
+    ramified) is nonzero."""
+    if spec.level:
+        c = (sum(c[0::2]), sum(c[1::2])) if spec.quad else (sum(c),)
+    return c[0] % spec.p != 0 or (spec.quad_kind == "unramified" and c[1] % spec.p != 0)
+
+
+def inverse_coords(spec, c):
+    """The coordinates of the inverse of the unit with coordinates c."""
+    if not is_unit_coords(spec, c):
+        raise DomainError("not a unit")
+    m = spec.modulus
+    if spec.kind == "zp":
+        return (pow(c[0], -1, m),)
+    if spec.kind in ("ramified_quad", "unramified_quad"):
+        b, d = spec.quad
+        a0, a1 = c
+        nm_inv = pow((a0 * a0 - b * a0 * a1 + d * a1 * a1) % m, -1, m)
+        return ((a0 - b * a1) * nm_inv % m, (-a1) * nm_inv % m)
+    return _generic_inverse(spec, c)
+
+
+def _generic_inverse(spec, c):
     """Invert a unit by Gaussian elimination on its multiplication matrix."""
-    spec = x.spec
     r, m, p = spec.rank, spec.modulus, spec.p
-    # solve M y = e_0 over Z/p^N; pivots must be units since x is a unit
-    M = mult_matrix(spec, x.coords)
+    # solve M y = e_0 over Z/p^N; pivots must be units since c is a unit
+    M = mult_matrix(spec, c)
     rhs = [1] + [0] * (r - 1)
     for col in range(r):
         piv = next((i for i in range(col, r) if M[i][col] % p != 0), None)
@@ -352,7 +358,7 @@ def _generic_inverse(x):
                 f = M[i][col]
                 M[i] = [(M[i][j] - f * M[col][j]) % m for j in range(r)]
                 rhs[i] = (rhs[i] - f * rhs[col]) % m
-    return RingElem(spec, tuple(rhs))
+    return tuple(rhs)
 
 
 # -- construction -----------------------------------------------------------

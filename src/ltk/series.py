@@ -30,7 +30,10 @@ PackedRows: the table is packed once and each window read as an int once,
 and a call sums one int product per term, unpacked and reduced once.  Every
 evaluation at a point is horner: Horner's rule on coordinate tuples in the
 point's ring, whose compiled mul_coords it calls.
-The inverse, TruncSeries.invert, is Newton iteration on packed_mul.
+The series inverse (_inverse, behind TruncSeries.invert) is Newton
+iteration on packed_mul; Weierstrass preparation runs its Hensel loop on
+coordinate lists over packed_mul, _inverse and one monic division,
+_divmod_monic, which takes the schoolbook or Newton's route by its size.
 
 The structural-series solver, _solve_structural, and its ring protocol
 (_Coords, or lubin_tate's exact rationals) live here too: they give the
@@ -54,6 +57,8 @@ from .rings import (
     _require_ints,
     descend_coords,
     embed_coords,
+    inverse_coords,
+    is_unit_coords,
     json_fields,
     ord_int,
     valuation,
@@ -71,7 +76,6 @@ __all__ = [
     "weierstrass_prep",
     "poly_divmod_monic",
     "mu_lambda_by_roots",
-    "iwasawa_invariants_by_roots",
     "formal_log",
     "formal_exp",
     "reversion",
@@ -320,40 +324,18 @@ class TruncSeries:
     def invert(self):
         """Multiplicative inverse; requires a unit constant term.
 
-        Newton iteration on packed_mul (von zur Gathen and Gerhard, Modern
-        Computer Algebra, 9.1).  If v inverts s mod X^k, then s v = 1 + X^k e
-        mod X^n for n = min(2k, cap), and v - X^k v e inverts s mod X^n,
-        since s (v - X^k v e) = 1 - X^2k e^2.  Each doubling costs two packed
-        products: e = (s v mod X^n)[k:], then v e mod X^(n-k).  The inverse
-        mod (p^N, X^cap) is unique, so the result is the one any exact method
-        gives.
-
-        Exact exit.  Let ls and lv be the lengths of s and v without their
-        trailing zero coefficients.  If e = 0 then s v = 1 mod X^n, and if
-        also ls + lv - 1 <= n, then s has no term beyond X^(n-1) and s v, of
-        degree at most ls + lv - 2 < n, equals its residue mod X^n: s v = 1
-        as polynomials over Z/p^N.  Then v, padded with zeros, inverts s mod
-        X^cap, and the loop stops.  A unit constant exits at the first step,
-        after one product; 1 + pX over Z/p^N exits at the first step with
-        k >= N and n > N, since its inverse sum (-p)^i X^i ends at X^(N-1).
+        Newton iteration on packed_mul, from the inverse of the constant
+        term: _inverse, which the monic division and Weierstrass preparation
+        also call.  The inverse mod (p^N, X^cap) is unique, so the result is
+        the one any exact method gives.
         """
         s = self.require_integral()
         spec = s.spec
-        c0 = s.constant_term()
-        if not c0.is_unit():
+        if not is_unit_coords(spec, s.coeffs[0]):
             raise DomainError("invert requires a unit constant term")
-        m = spec.modulus
-        v, k = [c0.inverse().coords], 1
-        ls = _trim(s.coeffs, s.cap)
-        while k < s.cap:
-            n = min(2 * k, s.cap)
-            e = packed_mul(spec, s.coeffs[:n], v, n)[k:]
-            if not any(map(any, e)) and ls + _trim(v, k) - 1 <= n:
-                v += [(0,) * spec.rank] * (s.cap - k)
-                break
-            v += [tuple((-x) % m for x in c) for c in packed_mul(spec, v, e, n - k)]
-            k = n
-        return _series(spec, s.cap, v, s.n_eff, 0)
+        return _series(spec, s.cap,
+                       _inverse(spec, s.coeffs, s.cap, inverse_coords(spec, s.coeffs[0])),
+                       s.n_eff, 0)
 
     def eval(self, x):
         """Evaluate at a positive-valuation point in an extension ring.
@@ -584,6 +566,39 @@ def packed_times(K, b, cap):
         return out
 
     return times
+
+
+def _inverse(K, s, cap, v0):
+    """The inverse mod X^cap of the coefficient list s over a packed ring K,
+    as cap coefficients, given the inverse v0 of its constant term.
+
+    Newton iteration on packed_mul (von zur Gathen and Gerhard, Modern
+    Computer Algebra, 9.1).  If v inverts s mod X^k, then s v = 1 + X^k e
+    mod X^n for n = min(2k, cap), and v - X^k v e inverts s mod X^n, since
+    s (v - X^k v e) = 1 - X^2k e^2.  Each doubling costs two packed
+    products: e = (s v mod X^n)[k:], then v e mod X^(n-k).
+
+    Exact exit.  Let ls and lv be the lengths of s and v without their
+    trailing zero coefficients.  If e = 0 then s v = 1 mod X^n, and if also
+    ls + lv - 1 <= n, then s has no term beyond X^(n-1) and s v, of degree
+    at most ls + lv - 2 < n, equals its residue mod X^n: s v = 1 as
+    polynomials over Z/p^N.  Then v, padded with zeros, inverts s mod X^cap,
+    and the loop stops.  A unit constant exits at the first step, after one
+    product; 1 + pX over Z/p^N exits at the first step with k >= N and
+    n > N, since its inverse sum (-p)^i X^i ends at X^(N-1).
+    """
+    rank, _, _, m = K.packing
+    v, k = [v0], 1
+    ls = _trim(s, cap)
+    while k < cap:
+        n = min(2 * k, cap)
+        e = packed_mul(K, s[:n], v, n)[k:]
+        if not any(map(any, e)) and ls + _trim(v, k) - 1 <= n:
+            v += [(0,) * rank] * (cap - k)
+            break
+        v += [tuple((-x) % m for x in c) for c in packed_mul(K, v, e, n - k)]
+        k = n
+    return v
 
 
 def packed_compose(K, f, g, cap):
@@ -971,7 +986,7 @@ class _Coords:
 
     def inv(self, a):
         """The inverse of a unit a of K, a RingSpec."""
-        return RingElem(self.K, a).inverse().coords
+        return inverse_coords(self.K, a)
 
 
 def _solve_structural(R, cap, head, divide, b=(), u=(), v_pows=()):
@@ -1054,26 +1069,73 @@ def poly_divmod_monic(f, P, cap=None):
     """Divide by a monic polynomial P (its coefficients, RingElems or
     coordinate tuples): exact, no p-divisions.
 
-    Returns (Q, R) with f = Q*P + R and deg R < deg P, all mod X^cap.
+    Returns (Q, R) with f = Q*P + R and deg R < deg P, all mod X^cap.  The
+    division is _divmod_monic's, on f's first cap coefficients.
     """
     spec = f.spec
     cap = cap or f.cap
-    lam = len(P) - 1
-    Pc = [_as_coords(spec, c) for c in P]
     zero = (0,) * spec.rank
-    work = list(f.coeffs[:cap]) + [zero] * (max(cap, lam) - min(cap, f.cap))
-    q = [zero] * cap
-    sub, mul = spec.sub_coords, spec.mul_coords
+    fc = list(f.coeffs[:cap]) + [zero] * (cap - min(cap, f.cap))
+    q, r = _divmod_monic(spec, fc, [_as_coords(spec, c) for c in P], cap)
+    return (_series(spec, cap, q, f.n_eff, f.shift),
+            _series(spec, max(len(P) - 1, 1), r or [zero], f.n_eff, f.shift))
+
+
+# Schoolbook products above which _divmod_monic divides by Newton's method.
+NEWTON_DIVISION_PRODUCTS = 256
+
+
+def _divmod_monic(K, f, P, cap):
+    """(q, r) with f = q P + r, deg r < lam = len(P) - 1, over a packed ring
+    K: f is cap coefficients, P lists lam + 1 of them (the last taken as 1),
+    q comes back as cap coefficients (zero from X^(cap - lam) on) and r as
+    lam.  f is a polynomial of degree < cap, so q and r are unique and each
+    route below gives the same residues.
+
+    Schoolbook: for k from cap - 1 down to lam, q_(k-lam) is the current
+    f_k, and q_(k-lam) P_i is taken off f_(k-lam+i) for each nonzero P_i,
+    i < lam: t (cap - lam) ring products, t the number of nonzero P_i below
+    the leading 1.  Newton: q reversed is f_(cap-1), ..., f_lam times the
+    inverse of P reversed, 1 + P_(lam-1) X + ... + P_0 X^lam, mod
+    X^(cap-lam) (von zur Gathen and Gerhard, Modern Computer Algebra, 9.1),
+    and r is f - q P mod X^lam: about 2 log2(cap - lam) + 2 packed products
+    (_inverse), whose cost grows slowly with the quotient length and not
+    with t.
+
+    The route is chosen by the schoolbook's product count t (cap - lam),
+    Newton above NEWTON_DIVISION_PRODUCTS.  Measured on CPython 3.11.7
+    (best of 5), the two routes cost the same at about 130-300 products:
+    on dense random inputs (Z/2^14, Z/5^9 and the ramified p = 2 ring at
+    N = 6; t = 1, 2, 4, 8; quotient lengths 32-128) at 128 with t = 1, near
+    180 with t = 2 and near 200 with t = 4 and t = 8; on the divisions of
+    the iwasawa_invariants workload between 4 x 68 (202 against 214 us) and
+    4 x 108 (315 against 203 us).  The quotient length alone would place
+    the crossover anywhere from below 32 (t = 8) to 128 (t = 1).  The first
+    Hensel step of weierstrass_prep, whose P = X^lam has t = 0, costs only
+    a copy.
+    """
+    rank, _, _, m = K.packing
+    zero = (0,) * rank
+    lam = len(P) - 1
+    if cap <= lam:
+        return [zero] * cap, f + [zero] * (lam - cap)
+    low = [(i, c) for i, c in enumerate(P[:lam]) if any(c)]
+    if len(low) * (cap - lam) > NEWTON_DIVISION_PRODUCTS:
+        one = (1,) + zero[1:]
+        q = packed_mul(K, f[:lam - 1:-1], _inverse(K, [one] + P[lam - 1::-1],
+                                                   cap - lam, one), cap - lam)[::-1]
+        r = [tuple([(x - y) % m for x, y in zip(a, b)])
+             for a, b in zip(f, packed_mul(K, q, P, lam))]
+        return q + [zero] * lam, r
+    work, q, mul = list(f), [zero] * cap, K.mul_coords
     for k in range(cap - 1, lam - 1, -1):
         c = work[k]
         if any(c):
             q[k - lam] = c
-            for i in range(lam + 1):
-                if any(Pc[i]):
-                    work[k - lam + i] = sub(work[k - lam + i], mul(c, Pc[i]))
-    Q = _series(spec, cap, q, f.n_eff, f.shift)
-    R = _series(spec, max(lam, 1), work[:lam] or [zero], f.n_eff, f.shift)
-    return Q, R
+            for i, pc in low:
+                w, t = work[k - lam + i], mul(c, pc)
+                work[k - lam + i] = tuple([(x - y) % m for x, y in zip(w, t)])
+    return q, work[:lam]
 
 
 def weierstrass_prep(f):
@@ -1097,6 +1159,11 @@ def weierstrass_prep(f):
     so v(E_0) >= 1 and v(E_k) >= 2^k; R is divisible by pi, so P stays
     distinguished.  E vanishes mod p^n_eff once v(E_k) >= e n_eff, after
     ceil(log2(e n_eff)) steps, and one more pass observes E = 0.
+
+    The loop runs on canonical coordinate lists: P U, E U^-1 and Q U are
+    packed_mul products, U^-1 is _inverse and the division _divmod_monic.
+    Every iterate is the residue mod (p^N, X^cap) that the steps above
+    define, whatever route computes it.
     """
     spec = f.spec
     if spec.kind not in ("zp", "ramified_quad", "unramified_quad"):
@@ -1112,30 +1179,36 @@ def weierstrass_prep(f):
             break
     if mu >= s.n_eff:
         raise PrecisionExhausted("all coefficients vanish at this precision")
-    q = p ** mu
-    F = _series(spec, s.cap, [tuple(x // q for x in c) for c in s.coeffs], s.n_eff - mu)
-    lam = next((i for i in range(F.cap) if F.coeff(i).is_unit()), None)
+    cap, n_eff, q = s.cap, s.n_eff - mu, p ** mu
+    F = [tuple(x // q for x in c) for c in s.coeffs]
+    lam = next((i for i, c in enumerate(F) if is_unit_coords(spec, c)), None)
     if lam is None:
         raise DomainError("no unit coefficient after removing p^mu "
                           "(content has fractional valuation or lambda exceeds cap)")
     # initial factorization: P = X^lam, U = top part of F
-    P = [spec.zero() for _ in range(lam)] + [spec.one()]
+    m, q_eff = spec.modulus, p ** n_eff
     zero = (0,) * spec.rank
-    U = _series(spec, F.cap, F.coeffs[lam:] + (zero,) * lam, F.n_eff)
-    for _ in range((F.n_eff * spec.ramification_index - 1).bit_length() + 1):
-        E = F - _series(spec, F.cap, [c.coords for c in P] + [zero] * (F.cap - lam - 1),
-                        F.n_eff) * U
-        if E.canonical().is_zero():
+    one = (1,) + zero[1:]
+    P, U = [zero] * lam + [one], F[lam:] + [zero] * lam
+    for _ in range((n_eff * spec.ramification_index - 1).bit_length() + 1):
+        E = [tuple([(x - y) % m for x, y in zip(a, b)])
+             for a, b in zip(F, packed_mul(spec, P, U, cap))]
+        if not any(x % q_eff for c in E for x in c):
             break
-        A = E * U.invert()
-        Q, R = poly_divmod_monic(A, P)
-        P = [P[i] + R.coeff(i) for i in range(lam)] + [spec.one()]
-        U = U + Q * U
+        if not is_unit_coords(spec, U[0]):
+            raise DomainError("invert requires a unit constant term")
+        A = packed_mul(spec, E, _inverse(spec, U, cap, inverse_coords(spec, U[0])), cap)
+        Q, R = _divmod_monic(spec, A, P, cap)
+        P = [tuple([(x + y) % m for x, y in zip(a, b)]) for a, b in zip(P, R)] + [one]
+        U = [tuple([(x + y) % m for x, y in zip(a, b)])
+             for a, b in zip(U, packed_mul(spec, Q, U, cap))]
     else:
         raise PrecisionExhausted("weierstrass preparation did not converge")
-    if not U.constant_term().is_unit():
+    if not is_unit_coords(spec, U[0]):
         raise PrecisionExhausted("unit factor lost its unit constant term")
-    return WeierstrassData(mu, lam, tuple(P), U.canonical(), F.n_eff)
+    return WeierstrassData(mu, lam, tuple(RingElem(spec, c) for c in P),
+                           _series(spec, cap, [tuple(x % q_eff for x in c) for c in U],
+                                   n_eff), n_eff)
 
 
 # -- root-of-unity oracle -------------------------------------------------------
@@ -1175,36 +1248,3 @@ def mu_lambda_by_roots(f, n_values):
                 "precision insufficient to resolve the valuation at n=%d" % n)
         out.append((n, v))
     return out
-
-
-def iwasawa_invariants_by_roots(f, n_max=4):
-    """(mu, lambda, n0) solved from consecutive root-product valuations.
-
-    Levels are computed lazily: once two consecutive solutions agree the
-    oracle stops, so the expensive high levels are touched only when the
-    invariants actually need them.
-    """
-    s = f.require_integral()
-    p = s.spec.p
-    phis = {n: p ** (n - 1) * (p - 1) for n in range(1, n_max + 2)}
-    vals = {}
-    best = None
-    for n in range(1, n_max + 1):
-        vals[n] = mu_lambda_by_roots(s, [n])[0][1]
-        if n == 1:
-            continue
-        d_phi = phis[n] - phis[n - 1]
-        mu = (vals[n] - vals[n - 1]) / d_phi
-        lam = vals[n - 1] - mu * phis[n - 1]
-        if mu < 0 or lam < 0 or lam.denominator != 1 or mu.denominator != 1:
-            best = None
-            continue
-        # Newton slopes of a distinguished polynomial are >= 1/lambda, so both
-        # levels are in the asymptotic regime once phi(p^{n-1}) > lambda
-        if lam < phis[n - 1]:
-            return int(mu), int(lam), n - 1
-        if best and best[:2] == (mu, lam):
-            return int(mu), int(lam), best[2]
-        best = (mu, lam, n - 1)
-    raise PrecisionExhausted("root-product valuations did not stabilize; "
-                             "raise n_max or the precision")

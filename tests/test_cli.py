@@ -177,6 +177,22 @@ def test_coset_precision_error_names_stage(capsys):
     assert "needs 1 digits" in err["detail"] and "0 available" in err["detail"]
 
 
+def test_coset_level_above_the_precision_is_a_usage_error(capsys):
+    # delta is read in O_K/3^4, which does not fix its class mod 3^5
+    args = ["--p", "3", "--ring", "ram", "--pi-sq", "-3", "--prec", "4", "--deg", "24",
+            "measure", "coset", "--dirac", "4,3", "--delta", "7,0", "--level"]
+    rc = run(args + ["5"])
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert rc == 1 and captured.out == ""
+    assert err["error"] == "usage"
+    assert "coset_mass at level 5" in err["detail"] and "okp.N = 4" in err["detail"]
+    # level 4 = okp.N passes that check; cap 24 then runs out of digits
+    assert run(args + ["4"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "precision-exhausted"
+    assert run(args + ["1"]) == 0
+
+
 def test_inputs_hash_covers_the_inputs(capsys, tmp_path):
     base = ["--p", "3", "--prec", "8", "--deg", "24", "measure", "moment"]
     hashes = []

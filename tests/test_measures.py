@@ -473,9 +473,31 @@ def test_partition_check_is_refused_on_the_zp_tags(group):
 
 def test_coset_index_above_the_group_precision_reads_the_lift():
     # delta = 3 over a ring known mod 2^3, at level 4: the closed form reads
-    # the lift 3 as it stands, so the Dirac at 3 has its mass on 3 U_4
+    # the lift 3 as it stands, so the Dirac at 3 has its mass on 3 U_4; the
+    # public coset_mass refuses that level (another lift of 3 mod 2^3 would
+    # land elsewhere)
     okp = make_ring(2, 3, "ramified_quad", quad=(0, 2))
     mu = dirac(okp.elem((3, 0)), "okp", make_ring(2, 3, "zp"), 80, okp=okp)
     assert MS._coset_index(mu, (3, 0), 4) == 3
-    v, g = coset_mass(mu, okp.elem((3, 0)), 4)
+    with pytest.raises(DomainError, match=r"coset_mass at level 4: .*okp.N = 3"):
+        coset_mass(mu, okp.elem((3, 0)), 4)
+    v, g = coset_mass(mu, okp.elem((3, 0)), 3)
     assert (v.coords, g) == ((1,), 3)
+
+
+@pytest.mark.parametrize("group", ["okp", "okp_units"])
+def test_levels_above_the_group_precision_are_refused(group):
+    z = make_ring(3, 13, "zp")
+    okp = make_ring(3, 2, "ramified_quad", quad=(0, 3))
+    a = okp.elem((2, 1) if group == "okp" else (4, 1))
+    mu = dirac(a, group, z, 64, okp=okp)
+    for n in (3, 4):
+        with pytest.raises(DomainError, match=rf"coset_mass at level {n}: .*okp.N = 2\)"):
+            coset_mass(mu, a, n)
+        with pytest.raises(DomainError, match=rf"riemann_moment at level {n}: .*okp.N = 2\)"):
+            riemann_moment(mu, 1, n)
+    # partition_check at level n reads the level n + 1 cosets
+    with pytest.raises(DomainError, match=r"partition_check at level 2: level 3 .*okp.N = 2\)"):
+        partition_check(mu, 2)
+    assert coset_mass(mu, a, 2)[1] > 0 and riemann_moment(mu, 1, 2)[1] > 0
+    assert partition_check(mu, 1)[0]

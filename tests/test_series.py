@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ltk import lubin_tate
+from ltk import lubin_tate, series as series_module
 from ltk.cli import run
 from ltk.rings import (DomainError, PrecisionExhausted, descend, make_composite,
                        make_ring, valuation)
@@ -11,7 +11,6 @@ from ltk.series import (
     TruncSeries,
     formal_exp,
     formal_log,
-    iwasawa_invariants_by_roots,
     mu_lambda_by_roots,
     poly_divmod_monic,
     reversion,
@@ -20,7 +19,8 @@ from ltk.series import (
 
 from conftest import random_series
 from eval_oracle import ref_eval, ref_root_product
-from series_oracle import ref_invert
+from series_oracle import (iwasawa_invariants_by_roots, ref_divmod_monic, ref_invert,
+                           ref_weierstrass_prep)
 
 
 def test_basic_ops(z3):
@@ -438,7 +438,10 @@ def test_weierstrass_unchanged_by_the_newton_inverse(monkeypatch, rng):
     assert max(f.cap for f in series) == 112
     series += omega_preps(monkeypatch)
     newton = [prep_fields(weierstrass_prep(f)) for f in series]
-    monkeypatch.setattr(TruncSeries, "invert", ref_invert)
+    # the loop's inverses (of U, and of P reversed in Newton division)
+    monkeypatch.setattr(
+        series_module, "_inverse",
+        lambda K, s, cap, v0: list(ref_invert(TruncSeries(K, cap, list(s[:cap]))).coeffs))
     assert [prep_fields(weierstrass_prep(f)) for f in series] == newton
 
 
@@ -447,12 +450,13 @@ def test_hensel_steps_within_the_derived_bound(monkeypatch, rng):
               for _ in range(3) for spec, mu, lam, cap in criterion_7_shapes()]
     series += omega_preps(monkeypatch)
     steps = []
-    newton = TruncSeries.invert
-    monkeypatch.setattr(TruncSeries, "invert", lambda s: steps.append(s) or newton(s))
+    divide = series_module._divmod_monic
+    monkeypatch.setattr(series_module, "_divmod_monic",
+                        lambda *a: steps.append(a) or divide(*a))
     for f in series:
         steps.clear()
         wd = weierstrass_prep(f)
-        # one inverse per Hensel step; ceil(log2(e n_eff)) steps suffice
+        # one division per Hensel step; ceil(log2(e n_eff)) steps suffice
         e = f.spec.ramification_index
         assert len(steps) <= (e * wd.n_eff - 1).bit_length()
 
@@ -465,3 +469,99 @@ def test_int_coefficients_are_the_ring_integers():
         ints = [0, 1, -1, 7, spec.modulus + 2, -5 * spec.modulus - 3, 3 ** 40]
         got = TruncSeries(spec, len(ints), ints).coeffs
         assert got == tuple(spec.from_int(c).coords for c in ints)
+
+
+# -- Weierstrass preparation and monic division against the TruncSeries oracles ------
+
+
+PREP_SPECS = [make_ring(p, N, kind, quad=quad)
+              for p, N, quads in ((2, 14, ((0, 2), (1, 1))), (3, 9, ((0, 3), (0, 1))),
+                                  (5, 7, ((0, 5), (0, 2))))
+              for kind, quad in (("zp", None), ("ramified_quad", quads[0]),
+                                 ("unramified_quad", quads[1]))]
+
+
+def outcome(fn, *args):
+    """fn's value, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (DomainError, PrecisionExhausted) as exc:
+        return type(exc), str(exc)
+
+
+def division_routes(monkeypatch):
+    """Record, for every _divmod_monic call, whether it took Newton's route."""
+    routes = []
+    divide = series_module._divmod_monic
+
+    def record(K, f, P, cap):
+        low = sum(1 for c in P[:len(P) - 1] if any(c))
+        routes.append(low * (cap - len(P) + 1) > series_module.NEWTON_DIVISION_PRODUCTS)
+        return divide(K, f, P, cap)
+
+    monkeypatch.setattr(series_module, "_divmod_monic", record)
+    return routes
+
+
+def random_coeffs(spec, rng, n, nonzero=1.0, scale=1):
+    return [[scale * rng.randrange(spec.modulus) % spec.modulus if rng.random() < nonzero
+             else 0 for _ in range(spec.rank)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("spec", PREP_SPECS, ids=lambda s: f"{s.kind}-{s.p}")
+def test_monic_division_matches_the_schoolbook_oracle(spec, rng, monkeypatch):
+    routes = division_routes(monkeypatch)
+    rank = spec.rank
+    one = [1] + [0] * (rank - 1)
+    cases = [(cap, lam) for lam in range(9) for cap in {1, 2, lam, lam + 1, lam + 3}
+             if cap >= 1]
+    cases += [(rng.randrange(1, 113), rng.randrange(9)) for _ in range(6)]
+    cases += [(112, 4), (112, 1), (40, 5), (24, 8)]
+    for cap, lam in cases:
+        for nonzero in (1.0, 0.4):
+            P = random_coeffs(spec, rng, lam, nonzero) + [one]
+            f = TruncSeries(spec, cap, random_coeffs(spec, rng, cap, nonzero),
+                            n_eff=spec.N - rng.randrange(2), shift=rng.randrange(2))
+            # the cap argument below, at and above the series' cap
+            for c in {None, max(1, cap - 2), cap + 3}:
+                got, want = poly_divmod_monic(f, P, c), ref_divmod_monic(f, P, c)
+                for a, b in zip(got, want):
+                    assert (a.cap, a.coeffs, a.n_eff, a.shift) == \
+                           (b.cap, b.coeffs, b.n_eff, b.shift)
+    assert any(routes) and not all(routes)
+
+
+def planted(spec, cap, rng, mu, lam, n_eff=None):
+    """p^mu (a distinguished polynomial of degree lam) (a unit of 6 terms)."""
+    pi = spec.gen_quad() if spec.quad_kind == "ramified" else spec.from_int(spec.p)
+    dist = [pi * spec.elem(c) for c in random_coeffs(spec, rng, lam)] + [spec.one()]
+    f = (TruncSeries(spec, cap, dist) * random_series(spec, cap, rng, terms=6)
+         ).scale(spec.p ** mu)
+    return TruncSeries(spec, cap, f.coeffs, n_eff=n_eff)
+
+
+@pytest.mark.parametrize("spec", PREP_SPECS, ids=lambda s: f"{s.kind}-{s.p}")
+def test_weierstrass_prep_matches_the_hensel_oracle(spec, rng, monkeypatch):
+    routes = division_routes(monkeypatch)
+    p, N = spec.p, spec.N
+    inputs = [planted(spec, cap, rng, mu, lam, rng.choice((None, N - 1)))
+              for mu, lam, cap in [(rng.randrange(2), rng.randrange(6), rng.randrange(1, 49))
+                                   for _ in range(6)] + [(0, 5, 112), (1, 4, 72), (0, 2, 1)]]
+    # arbitrary series: lambda wherever the first unit falls, or nowhere
+    inputs += [TruncSeries(spec, cap, random_coeffs(spec, rng, cap, 0.7, rng.choice((1, p))))
+               for cap in (1, 3, 9, 30)]
+    # inputs that raise: lambda beyond the cap, no unit coefficient, all digits
+    # gone, a denominator left, a ring the preparation does not take
+    pi = spec.gen_quad() if spec.quad_kind == "ramified" else spec.from_int(p)
+    inputs += [planted(spec, 3, rng, 0, 5), TruncSeries(spec, 8, [pi, pi * 3]),
+               TruncSeries.zero(spec, 8), TruncSeries(spec, 8, [p ** (N - 1)], n_eff=N - 1),
+               TruncSeries(spec, 8, [1, 1], shift=1),
+               TruncSeries(make_ring(p, 4, "cyclotomic", level=1), 8, [p, 1])]
+    for f in inputs:
+        got, want = outcome(weierstrass_prep, f), outcome(ref_weierstrass_prep, f)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert prep_fields(got) == prep_fields(want)
+            assert got.unit.cap == want.unit.cap
+    assert any(routes) and not all(routes)
