@@ -19,7 +19,8 @@ reported on failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .rings import DomainError, PrecisionExhausted, RingElem, log_one_unit, ord_int, valuation
+from .rings import (DomainError, PrecisionExhausted, RingElem, is_unit_coords, log_one_unit,
+                    ord_int, valuation)
 from .series import TruncSeries, _series, poly_divmod_monic
 from .measures import Measure
 
@@ -44,14 +45,16 @@ class CompatibleSystem:
 
     def __post_init__(self):
         tw = self.tower
+        spec = tw.group.spec
         for m in range(1, tw.M + 1):
             if m not in self.coords:
                 raise DomainError("missing level %d value" % m)
-            if not tw.rings[m].is_unit(self.coords[m]):
+            beta = tw.rings[m].elem(self.coords[m])  # DomainError on a wrong length
+            # pibar_m is Eisenstein: alpha_m is in the maximal ideal, so alpha^0 decides
+            if not is_unit_coords(spec, beta[:spec.rank]):
                 raise DomainError("beta_%d is not a unit" % m)
         # the API form, built once: beta_m as a tuple of base RingElems, one
         # per power of alpha_m
-        spec = tw.group.spec
         self.values = {m: tuple(RingElem(spec, c) for c in tw.rings[m].coeffs(v))
                        for m, v in self.coords.items()}
 

@@ -45,9 +45,9 @@ is derived in FormalGroup.endomorphism (an error reaches c_k with a unit
 coefficient only from c_{k/q}, so the loss grows with the q-adic depth of
 the cap).  The translates are solved in the quotient ring base[w]/pibar_1(w)
 on flat coordinates, with certified divisions by d_1 = f'(pt) through an
-integer inverse (QuotientRing.make_divider).  log and exp stay over exact
-rationals: their denominators are genuine, and log_series, q_coordinate and
-group_law_bivariate report them exactly.
+integer inverse (QuotientRing.make_divider, by rings.fraction_free).  log and
+exp stay over exact rationals: their denominators are genuine, and
+log_series, q_coordinate and group_law_bivariate report them exactly.
 
 The Coleman norm operator is a resultant: N_f g (Y) = det g(C) where C is
 the companion matrix of f(Z) - Y, exact mod (p^N, Y^D).  g(C) = sum_k g_k C^k
@@ -78,8 +78,8 @@ from .rings import (
     PrecisionExhausted,
     RingElem,
     compile_map,
-    det_valuation,
     extend,
+    fraction_free,
     mult_matrix,
     ord_int,
     teichmuller,
@@ -941,8 +941,8 @@ class QuotientRing(_Coords):
     are those of any RingSpec: the packed series kernel takes it as it takes
     a RingSpec, and it speaks the ring protocol as a _Coords of itself.
     Division by non-units goes through an integer inverse with certified
-    p-integrality (make_divider), which raises PrecisionExhausted when the
-    quotient does not exist at working precision.
+    p-integrality (make_divider, on the one elimination rings.fraction_free),
+    PrecisionExhausted when the quotient does not exist at working precision.
     """
 
     def __init__(self, base, modulus):
@@ -975,53 +975,34 @@ class QuotientRing(_Coords):
         pad = self._zero[self.base.rank:]
         return horner(self, [c + pad for c in ts.coeffs], pt)
 
-    def valuation(self, y):
-        return det_valuation(self, y, self.base.p, self.base.N)
-
-    def is_unit(self, y):
-        try:
-            return self.valuation(y) == 0
-        except PrecisionExhausted:
-            return False
-
     def make_divider(self, y):
         """b -> b / y, from an integer inverse of multiplication by y.
 
         Let M be the integer matrix of multiplication by y on the flat
-        basis.  Fraction-free Gauss-Jordan elimination (Bareiss) takes
-        [M | I] to [D I | D M^-1] with every entry an integer minor, so each
-        division in it is exact; D = +-det M.  loss is the largest p-order of
-        a denominator of M^-1, and A = p^loss M^-1 mod p^(N + loss) is an
-        integer matrix.  For flat coordinates b, A b = p^loss (M^-1 b) mod
-        p^(N + loss), so M^-1 b is p-integral exactly when p^loss divides
-        every entry of A b, and then b / y = (A b) / p^loss mod p^N: one
-        integer matrix-vector product, a divisibility check and an exact
-        division.  A b known mod p^n gives b / y mod p^(n - loss).  A p left
-        in a denominator means the quotient does not exist at working
-        precision (PrecisionExhausted).  The divider carries loss as
-        divide.loss.
+        basis.  The one fraction-free elimination, rings.fraction_free, on
+        [M | I] gives det M and adj M, every division in it exact, and
+        M^-1 = adj M / det M.  loss is the largest p-order of a denominator
+        of M^-1, and A = p^loss M^-1 mod p^(N + loss) is an integer matrix.
+        For flat coordinates b, A b = p^loss (M^-1 b) mod p^(N + loss), so
+        M^-1 b is p-integral exactly when p^loss divides every entry of A b,
+        and then b / y = (A b) / p^loss mod p^N: one integer matrix-vector
+        product, a divisibility check and an exact division.  A b known mod
+        p^n gives b / y mod p^(n - loss).  A p left in a denominator means
+        the quotient does not exist at working precision
+        (PrecisionExhausted).  The divider carries loss as divide.loss.
         """
         R = self.rank
-        aug = [row + [int(i == j) for j in range(R)]
-               for i, row in enumerate(mult_matrix(self, y))]
-        D = 1
-        for k in range(R):
-            piv = next((i for i in range(k, R) if aug[i][k]), None)
-            if piv is None:
-                raise PrecisionExhausted("division by (near) zero divisor")
-            aug[k], aug[piv] = aug[piv], aug[k]
-            pk, prev, D = aug[k], D, aug[k][k]
-            for i in range(R):
-                if i != k:
-                    c = aug[i][k]
-                    aug[i] = [(D * x - c * z) // prev for x, z in zip(aug[i], pk)]
+        det, adj = fraction_free(mult_matrix(self, y),
+                                 [[int(i == j) for j in range(R)] for i in range(R)])
+        if adj is None:
+            raise PrecisionExhausted("division by (near) zero divisor")
         p, m = self.base.p, self.m
-        vd = ord_int(D, p)
-        # M^-1 = adj / D; its denominators' p-orders are vd - v(adj entry)
-        loss = vd - min(ord_int(x, p) for row in aug for x in row[R:])
+        vd = ord_int(det, p)
+        # M^-1 = adj / det; its denominators' p-orders are vd - v(adj entry)
+        loss = vd - min(ord_int(x, p) for row in adj for x in row)
         scale, big = p ** loss, m * p ** loss
-        unit_inv = pow(D // p ** vd, -1, big)
-        A = [[x // p ** (vd - loss) * unit_inv % big for x in row[R:]] for row in aug]
+        unit_inv = pow(det // p ** vd, -1, big)
+        A = [[x // p ** (vd - loss) * unit_inv % big for x in row] for row in adj]
 
         def divide(b):
             xs = [sum(map(operator.mul, row, b)) for row in A]

@@ -637,13 +637,6 @@ class GaussSum:
     den_exp: int
     const: object  # Fraction
 
-    def scaled(self):
-        """num with the constant folded in (as a ring element)."""
-        m = self.num.spec.modulus
-        c = (self.const.numerator *
-             pow(self.const.denominator, -1, m)) % m
-        return self.num * c
-
 
 def _tau_constant(okp):
     """|(O_K/frakp^eps)^x| / |(Z/q)^x|, eps = floor(1/((p-1) ord_p frakp)) + 1.

@@ -22,9 +22,13 @@ mul_coords for single products.  No ring has reduction code of its own.
 
 All arithmetic is exact, with no floating point; valuations are exact
 Fractions with v(p) = 1, and log and exp return the precision left after
-their divisions by p.  A ring sits in a larger one through one cached index
-map per pair, placement: embed scatters coordinates through it and descend
-gathers them back, so the two accept the same pairs.
+their divisions by p.  One fraction-free elimination over Z, fraction_free,
+serves every multiplication matrix: its determinant gives norm_to_base and
+valuation on cyclotomic and composite rings, its adjugate the tower's
+divisions (lubin_tate.QuotientRing.make_divider).  A ring sits in a larger
+one through one cached index map per pair, placement: embed scatters
+coordinates through it and descend gathers them back, so the two accept the
+same pairs.
 """
 
 from __future__ import annotations
@@ -248,9 +252,6 @@ class RingElem:
     def __sub__(self, other):
         return RingElem(self.spec, self.spec.sub_coords(self.coords, self._c(other)))
 
-    def __rsub__(self, other):
-        return RingElem(self.spec, self.spec.sub_coords(self._c(other), self.coords))
-
     __radd__ = __add__
 
     def __neg__(self):
@@ -324,7 +325,18 @@ def is_unit_coords(spec, c):
 
 
 def inverse_coords(spec, c):
-    """The coordinates of the inverse of the unit with coordinates c."""
+    """The coordinates of the inverse of the unit with coordinates c.
+
+    Closed forms on Z/p^N and the quadratic rings.  A cyclotomic or composite
+    ring R takes Newton's iteration on mul_coords: x_0 = c^(q - 2), q = p^f
+    the residue field's size, then x <- x (2 - c x) until c x = 1.  R is
+    local, with maximal ideal m = (p, x - 1), or (p, w, x - 1) when ramified,
+    and m^e lies in pR: a product of e = phi (2 phi when ramified) generators
+    holds p, or x - 1 phi times ((x - 1)^phi = Phi_{p^n}(x) mod p), or w twice
+    (w^2 = -b w - c, p | b, c).  So m^(e N) = 0 in R; as c^(q - 1) = 1 mod m,
+    the error 1 - c x_k = (1 - c x_0)^(2^k) lies in m^(2^k) and vanishes
+    after at most ceil(log2(e N)) steps.
+    """
     if not is_unit_coords(spec, c):
         raise DomainError("not a unit")
     m = spec.modulus
@@ -335,30 +347,10 @@ def inverse_coords(spec, c):
         a0, a1 = c
         nm_inv = pow((a0 * a0 - b * a0 * a1 + d * a1 * a1) % m, -1, m)
         return ((a0 - b * a1) * nm_inv % m, (-a1) * nm_inv % m)
-    return _generic_inverse(spec, c)
-
-
-def _generic_inverse(spec, c):
-    """Invert a unit by Gaussian elimination on its multiplication matrix."""
-    r, m, p = spec.rank, spec.modulus, spec.p
-    # solve M y = e_0 over Z/p^N; pivots must be units since c is a unit
-    M = mult_matrix(spec, c)
-    rhs = [1] + [0] * (r - 1)
-    for col in range(r):
-        piv = next((i for i in range(col, r) if M[i][col] % p != 0), None)
-        if piv is None:
-            raise PrecisionExhausted("multiplication matrix not invertible mod p")
-        M[col], M[piv] = M[piv], M[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
-        inv = pow(M[col][col], -1, m)
-        M[col] = [(v * inv) % m for v in M[col]]
-        rhs[col] = (rhs[col] * inv) % m
-        for i in range(r):
-            if i != col and M[i][col]:
-                f = M[i][col]
-                M[i] = [(M[i][j] - f * M[col][j]) % m for j in range(r)]
-                rhs[i] = (rhs[i] - f * rhs[col]) % m
-    return tuple(rhs)
+    x = (RingElem(spec, c) ** (spec.p ** spec.residue_degree - 2)).coords
+    while (cx := spec.mul_coords(c, x)) != spec.one().coords:
+        x = spec.mul_coords(x, ((2 - cx[0]) % m,) + tuple(-y % m for y in cx[1:]))
+    return x
 
 
 # -- construction -----------------------------------------------------------
@@ -529,28 +521,36 @@ def _packed(p, N, quad, level):
     return _Packed(packing, red_map, *compile_map(packing, red_map))
 
 
-# -- valuation ---------------------------------------------------------------
+# -- the one elimination, and what it gives -----------------------------------
 
 
-def _det_bareiss(M):
-    """Exact integer determinant (fraction-free Bareiss)."""
-    M = [row[:] for row in M]
+def fraction_free(M, B=None):
+    """(det M, adj(M) B) for a square integer matrix M and a matrix B with
+    as many rows; adj is None when B is, and (0, None) when det M = 0.
+
+    Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968):
+    step k pivots on the first row at or below k nonzero in column k, and
+    every other row x (without B, every row below: no later pivot reads the
+    rows above) becomes (D x - x_k z) / D_prev, z the pivot row and D its
+    entry.  Each entry stays an integer minor, so each division is exact,
+    and [M | B] ends as [D I | D M^-1 B], D = det(P M) for the row
+    permutation P taken; the swaps count sign(P), and det M = sign(P) D.
+    """
     n = len(M)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
-            if piv is None:
-                return 0
-            M[k], M[piv] = M[piv], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+    aug = [list(row) + list(b) for row, b in zip(M, B or [()] * n)]
+    D, sign = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if aug[i][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            aug[k], aug[piv], sign = aug[piv], aug[k], -sign
+        pk, prev, D = aug[k], D, aug[k][k]
+        for i in (range(n) if B is not None else range(k + 1, n)):
+            if i != k:
+                c = aug[i][k]
+                aug[i] = [(D * x - c * z) // prev for x, z in zip(aug[i], pk)]
+    return sign * D, None if B is None else [[sign * x for x in row[n:]] for row in aug]
 
 
 def mult_matrix(K, a):
@@ -566,9 +566,8 @@ def norm_to_base(x):
     spec = x.spec
     if spec.kind == "zp":
         return x
-    det = _det_bareiss(mult_matrix(spec, x.coords)) % spec.modulus
-    base = RingSpec(spec.p, spec.N, "zp")
-    return base.from_int(det)
+    det = fraction_free(mult_matrix(spec, x.coords))[0]
+    return RingSpec(spec.p, spec.N, "zp").from_int(det)
 
 
 def trace_to_base(x):
@@ -577,35 +576,25 @@ def trace_to_base(x):
     if spec.kind == "zp":
         return x
     M = mult_matrix(spec, x.coords)
-    base = RingSpec(spec.p, spec.N, "zp")
-    return base.from_int(sum(M[i][i] for i in range(spec.rank)))
+    return RingSpec(spec.p, spec.N, "zp").from_int(sum(M[i][i] for i in range(spec.rank)))
 
 
 def valuation(x):
-    """Exact valuation with v(p) = 1, as a Fraction; inf for the zero residue."""
+    """Exact valuation with v(p) = 1, as a Fraction; inf for the zero residue.
+    On a cyclotomic or composite ring, O_L / p^N with [L : Q_p] = rank,
+    v(x) = v_p(N x) / rank; PrecisionExhausted when N x vanishes mod p^N."""
     spec = x.spec
-    if spec.level:
-        return det_valuation(spec, x.coords, spec.p, spec.N)
     if x.is_zero():
         return inf
+    if spec.level:
+        vd = ord_int(norm_to_base(x).coords[0], spec.p)
+        if vd >= spec.N:
+            raise PrecisionExhausted("valuation unresolved at precision p^%d" % spec.N)
+        return Fraction(vd, spec.rank)
     # in units of v(w): 1/2 when ramified (then v(w^i) = i), else 1
     e = 2 if spec.quad_kind == "ramified" else 1
     return Fraction(min(e * ord_int(c, spec.p) + i * (e - 1)
                         for i, c in enumerate(x.coords) if c), e)
-
-
-def det_valuation(K, a, p, N):
-    """Valuation of the element with coordinates a of a packed ring K (a
-    RingSpec or a lubin_tate.QuotientRing) that is O_L / p^N, O_L the
-    integers of an extension L of Q_p of degree rank: v(a) = v_p(N a) / rank
-    with N a = det of multiplication by a.  inf for zero; PrecisionExhausted
-    when det vanishes mod p^N."""
-    if not any(a):
-        return inf
-    vd = ord_int(_det_bareiss(mult_matrix(K, a)) % p ** N, p)
-    if vd == inf or vd >= N:
-        raise PrecisionExhausted("valuation unresolved at precision p^%d" % N)
-    return Fraction(vd, K.packing[0])
 
 
 # -- Teichmuller, Frobenius --------------------------------------------------

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from fractions import Fraction
 from itertools import chain
 from math import floor, inf
 
@@ -186,11 +185,6 @@ class TruncSeries:
         sub = self.spec.sub_coords
         cs = [sub(x, y) for x, y in zip(a.coeffs, b.coeffs)]
         return _series(self.spec, a.cap, cs, min(a.n_eff, b.n_eff), a.shift)
-
-    def __neg__(self):
-        m = self.spec.modulus
-        cs = [tuple((-x) % m for x in c) for c in self.coeffs]
-        return _series(self.spec, self.cap, cs, self.n_eff, self.shift)
 
     def scale(self, c):
         """Multiply by a ring element or integer scalar."""

@@ -330,6 +330,24 @@ def test_malformed_documents_are_usage_errors(tmp_path, capsys, argv, doc):
     assert rc == 1 and err["error"] == "usage"
 
 
+@pytest.mark.parametrize("m, bad", [(2, "alpha"), (1, "p times beta")])
+def test_coleman_system_with_a_non_unit_is_a_usage_error(tmp_path, capsys, m, bad):
+    # the tower's unit test refuses beta_m = alpha_m and p beta_m with one
+    # JSON error and exit code 1, no traceback
+    from ltk.coleman import system_from_series
+    from ltk.lubin_tate import build_group, build_tower
+    q3 = make_ring(3, 7, "ramified_quad", quad=(0, 3))
+    tw = build_tower(build_group(q3, q3.gen_quad(), 3, 24), 2)
+    doc = system_from_series(tw, TruncSeries(q3, 24, [1, [2, 1], 5])).to_json()
+    beta = doc["values"][str(m)]
+    doc["values"][str(m)] = (list(tw.alphas[m]) if bad == "alpha"
+                             else [3 * x % q3.modulus for x in beta])
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(doc))
+    rc, err = run_err(capsys, RAM3 + ["coleman", "interpolate", "--system", str(path)])
+    assert rc == 1 and err == {"error": "usage", "detail": "beta_%d is not a unit" % m}
+
+
 def test_cap_override_is_validated_and_reported(capsys, monkeypatch):
     monkeypatch.setenv("LTK_CAP_OVERRIDE", "1")
     rc, err = run_err(capsys, ["--p", "3", "--ring", "ram", "--prec", "7",

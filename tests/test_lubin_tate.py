@@ -6,12 +6,12 @@ import pytest
 
 from ltk import coleman as CO
 from ltk import lubin_tate as LT
-from ltk.rings import DomainError, make_ring, mult_matrix, valuation
+from ltk.rings import DomainError, is_unit_coords, make_ring, mult_matrix, valuation
 from ltk.series import TruncSeries, mu_lambda_by_roots
 from ltk.lubin_tate import QuotientRing, build_group, build_tower
 
 from conftest import random_series
-from det_oracle import SeriesRing, laplace_det
+from det_oracle import SeriesRing, det_bareiss, laplace_det
 
 
 @pytest.fixture
@@ -345,6 +345,47 @@ def test_norm_fixed_point_on_the_q9_group(gu3, rng):
     assert info["agreement"] >= n
     assert gu3.coleman_norm(gfix).eq_mod(gfix, n)
     assert gfix.compose(gu3.f.truncate(gu3.cap)).eq_mod(gu3.translates_product(gfix), n)
+
+
+# the highest level each group's cap can build (pibar_m has degree q^(m-1) (q-1))
+TOWER_TOPS = {"gz3": 3, "gm3": 3, "g2": 3, "g3": 3, "gu2": 2, "gu3": 1}
+
+
+@pytest.mark.parametrize("name", SOLVER_GROUPS + ["gu3"])
+def test_tower_unit_test_reads_the_alpha0_coordinate(name, request, rng):
+    # pibar_m is Eisenstein, so y in O'_m is a unit iff its alpha^0
+    # coordinate is: against the determinant of multiplication by y, on
+    # random elements and on ones whose alpha^0 coordinate alone is no unit
+    G = request.getfixturevalue(name)
+    spec, r = G.spec, G.spec.rank
+    tw = build_tower(G, TOWER_TOPS[name])
+    uniformizer = spec.gen_quad() if spec.quad_kind == "ramified" else spec.from_int(spec.p)
+    rand = lambda: spec.elem([rng.randrange(spec.modulus) for _ in range(r)])
+
+    def unit():
+        while not (u := rand()).is_unit():
+            pass
+        return u
+
+    for m, E in tw.rings.items():
+        verdicts = set()
+        for k in range(24):
+            coeffs = ([uniformizer * rand()] + [unit() for _ in range(E.deg - 1)]
+                      if k % 3 == 0 else [rand() for _ in range(E.deg)])
+            y = tuple(x for c in coeffs for x in c.coords)
+            want = det_bareiss(mult_matrix(E, y)) % spec.p != 0
+            assert is_unit_coords(spec, y[:r]) == want
+            verdicts.add(want)
+        assert verdicts == {True, False}
+    system = CO.system_from_series(tw, random_series(spec, G.cap, rng, terms=6))
+    for m, E in tw.rings.items():
+        beta = system.coords[m]
+        for bad in (tw.alphas[m], tuple(spec.p * x % E.m for x in beta)):
+            with pytest.raises(DomainError, match="beta_%d is not a unit" % m):
+                CO.CompatibleSystem(tw, {**system.coords, m: bad})
+        # a value of the wrong length is refused, not read in part
+        with pytest.raises(DomainError, match="wrong length"):
+            CO.CompatibleSystem(tw, {**system.coords, m: beta[:-1]})
 
 
 def test_norm_law_routes_are_independent(g3, rng, monkeypatch):

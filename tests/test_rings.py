@@ -14,7 +14,9 @@ from ltk.rings import (
     RingSpec,
     descend,
     embed,
+    fraction_free,
     frobenius,
+    inverse_coords,
     log_one_unit,
     make_composite,
     make_ring,
@@ -30,6 +32,7 @@ from ltk.rings import (
 from ltk.series import TruncSeries
 
 from conftest import congruent, log_reference
+from det_oracle import det_bareiss, generic_inverse
 from eval_oracle import ref_embed
 
 
@@ -326,6 +329,69 @@ def test_generic_inverse_on_cyclotomic_and_composite_rings(p):
                 units += 1
         with pytest.raises(DomainError):
             (spec.zeta() - 1).inverse()
+
+
+# -- the one elimination and the Newton inverse against the eliminations they replace
+
+
+def _elimination_cases(rng):
+    """Square integer matrices of sizes 1-12: random, sparse (pivot searches,
+    zero pivots met midway), with their two top rows swapped (an odd row
+    permutation), with a row made a combination of two others (singular),
+    and with one or two leading columns zero above the last row."""
+    for n in range(1, 13):
+        for _ in range(4):
+            bound = rng.choice((2, 50, 10 ** 6))
+            M = [[rng.randrange(-bound, bound + 1) if rng.random() < 0.6 else 0
+                  for _ in range(n)] for _ in range(n)]
+            yield M
+            if n > 1:
+                yield [M[1], M[0]] + M[2:]
+            if n > 2:
+                yield M[:-1] + [[3 * a - b for a, b in zip(M[0], M[1])]]
+            for z in (1, 2):
+                yield [[0] * min(z, n) + row[z:] if i < n - 1 else row
+                       for i, row in enumerate(M)]
+
+
+def test_fraction_free_matches_bareiss_and_gives_the_adjugate():
+    rng = random.Random(21)
+    cases = list(_elimination_cases(rng))
+    singular = odd = 0
+    for M in cases:
+        det, adj = fraction_free(M)
+        assert det == det_bareiss(M) and adj is None
+        n = len(M)
+        B = [[rng.randrange(-9, 10) for _ in range(3)] for _ in range(n)]
+        det_b, adjB = fraction_free(M, B)
+        assert det_b == det
+        if det == 0:
+            assert adjB is None
+            singular += 1
+            continue
+        # M adj(M) B = det(M) B
+        assert [[sum(M[i][k] * adjB[k][j] for k in range(n)) for j in range(3)]
+                for i in range(n)] == [[det * x for x in row] for row in B]
+        swapped = [M[1], M[0]] + M[2:] if n > 1 else None
+        if swapped:
+            assert fraction_free(swapped)[0] == -det
+            odd += 1
+    assert singular >= 20 and odd >= 50
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_newton_inverse_matches_the_elimination(p):
+    rng = random.Random(100 + p)
+    rings = [r for r in placement_rings(p) if r.level]
+    assert {(r.kind, r.residue_degree) for r in rings} >= {
+        ("cyclotomic", 1), ("composite", 1), ("composite", 2)}
+    for spec in rings:
+        units = 0
+        while units < 3:
+            c = spec.elem([rng.randrange(spec.modulus) for _ in range(spec.rank)]).coords
+            if spec.elem(c).is_unit():
+                assert inverse_coords(spec, c) == generic_inverse(spec, c)
+                units += 1
 
 
 def test_pickle_round_trip():
