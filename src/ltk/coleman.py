@@ -46,6 +46,9 @@ class CompatibleSystem:
     def __post_init__(self):
         tw = self.tower
         spec = tw.group.spec
+        for m in self.coords:
+            if m not in tw.rings:
+                raise DomainError("level %r is not a tower level (1 .. M = %d)" % (m, tw.M))
         for m in range(1, tw.M + 1):
             if m not in self.coords:
                 raise DomainError("missing level %d value" % m)
@@ -78,12 +81,10 @@ class CompatibleSystem:
 
 
 def system_from_series(tower, g):
-    """Evaluate a unit series at the tower generators alpha_m."""
-    vals = {}
-    for m in range(1, tower.M + 1):
-        E = tower.rings[m]
-        vals[m] = E.eval_series(g, tower.alphas[m])
-    return CompatibleSystem(tower, vals)
+    """Evaluate a unit series at the tower generators alpha_m: g(alpha_m) is
+    the remainder of g by pibar_m (QuotientRing.residue)."""
+    return CompatibleSystem(tower, {m: tower.rings[m].residue(g)
+                                    for m in range(1, tower.M + 1)})
 
 
 def interpolate(sys):
@@ -109,7 +110,7 @@ def interpolate(sys):
     for m in range(2, tw.M + 1):
         E = tw.rings[m]
         divide = tw.divider(m)
-        h = divide(E.sub(sys.coords[m], E.eval_series(g, tw.alphas[m])))
+        h = divide(E.sub(sys.coords[m], E.residue(g)))
         n_eff -= divide.loss
         g = g + tw.modulus(m - 1) * TruncSeries(spec, cap, E.coeffs(h))
     info = {

@@ -15,7 +15,7 @@ and the structural solver, series._solve_structural, live in series next to
 the kernel they call; the companion-matrix norm exists once too, and takes
 one determinant, packed_det's expansion, over the series ring, the base ring
 or a quotient ring alike.  A QuotientRing is one more monic extension in the
-tower of rings.extend, with the same compiled reduce_block and mul_coords as
+tower of rings.extend, with the same compiled reduce_blocks and mul_coords as
 a RingSpec, and its elements are flat coordinate tuples only; base RingElems
 appear at the API boundary, not inside the algorithms.
 
@@ -90,11 +90,13 @@ from .series import (
     TruncSeries,
     _Coords,
     _det_packed,
+    _divmod_monic,
     _pack_bytes,
     _reversion,
     _series,
     _slot_bytes,
     _solve_structural,
+    _trim,
     horner,
     packed_compose,
     packed_mul,
@@ -937,7 +939,7 @@ class QuotientRing(_Coords):
     base basis monomials, base-fast, so coeffs(a)[k] holds the base
     coordinates of its X^k coefficient.  The ring is one more monic
     extension in the tower construction (rings.extend), so its packing, its
-    reduction map and the reduce_block and mul_coords compiled from that map
+    reduction map and the reduce_blocks and mul_coords compiled from that map
     are those of any RingSpec: the packed series kernel takes it as it takes
     a RingSpec, and it speaks the ring protocol as a _Coords of itself.
     Division by non-units goes through an integer inverse with certified
@@ -954,8 +956,9 @@ class QuotientRing(_Coords):
         self.deg = len(self.modulus) - 1
         if self.deg < 1:
             raise DomainError("modulus must have positive degree")
-        self.packing, red_map = extend(base, [c.coords for c in self.modulus])
-        self.reduce_block, self.mul_coords = compile_map(self.packing, red_map)
+        self._rel = [c.coords for c in self.modulus]
+        self.packing, red_map = extend(base, self._rel)
+        self.reduce_blocks, self.mul_coords = compile_map(self.packing, red_map)
         super().__init__(self)
 
     def x_class(self):
@@ -974,6 +977,14 @@ class QuotientRing(_Coords):
         """Evaluate a base-coefficient TruncSeries at an element (series.horner)."""
         pad = self._zero[self.base.rank:]
         return horner(self, [c + pad for c in ts.coeffs], pt)
+
+    def residue(self, ts):
+        """ts(alpha) for alpha = x_class(), the class of X: the remainder of
+        the base-coefficient TruncSeries ts by the monic modulus, one
+        series._divmod_monic over the base ring, read as flat coordinates."""
+        n = _trim(ts.coeffs, ts.cap)
+        return tuple(chain.from_iterable(
+            _divmod_monic(self.base, list(ts.coeffs[:n]), self._rel, n)[1]))
 
     def make_divider(self, y):
         """b -> b / y, from an integer inverse of multiplication by y.
@@ -1038,7 +1049,7 @@ class TorsionTower:
         spec = self.group.spec
         for m in range(2, self.M + 1):
             E = self.rings[m]
-            fa = E.eval_series(self.group.f, self.alphas[m])
+            fa = E.residue(self.group.f)
             pib_prev = TruncSeries(spec, self.group.cap, list(self.group.pibar(m - 1)))
             val = E.eval_series(pib_prev, fa)
             if any(x % spec.p ** (spec.N - 1) for x in val):
@@ -1080,8 +1091,7 @@ class TorsionTower:
         kept, so each level runs one elimination per tower."""
         if m not in self._dividers:
             E = self.rings[m]
-            self._dividers[m] = E.make_divider(
-                E.eval_series(self.modulus(m - 1), self.alphas[m]))
+            self._dividers[m] = E.make_divider(E.residue(self.modulus(m - 1)))
         return self._dividers[m]
 
 

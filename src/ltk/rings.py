@@ -17,7 +17,7 @@ is base[X]/P on top of any of them.  One function, extend, takes a packed
 ring and a monic relation and returns the extension's packing and its
 reduction map: the canonical coordinates of every monomial of a raw,
 unreduced product.  compile_map turns the map, once per ring, into
-straight-line Python: reduce_block for the packed series kernel and
+straight-line Python: reduce_blocks for the packed series kernel and
 mul_coords for single products.  No ring has reduction code of its own.
 
 All arithmetic is exact, with no floating point; valuations are exact
@@ -101,7 +101,7 @@ class RingSpec:
 
     def __post_init__(self):
         # Derived once per spec: every coefficient operation reads these.
-        # packing, red_map, reduce_block and mul_coords: see _packed.
+        # packing, red_map, reduce_blocks and mul_coords: see _packed.
         _require_ints(p=self.p, N=self.N, level=self.level, quad=self.quad or ())
         put = partial(object.__setattr__, self)
         put("modulus", self.p ** self.N)
@@ -417,7 +417,7 @@ def make_composite(quad_spec, level):
 # -- packed rings: towers of monic extensions of Z/p^N ---------------------------
 
 
-_Packed = namedtuple("_Packed", "packing red_map reduce_block mul_coords")
+_Packed = namedtuple("_Packed", "packing red_map reduce_blocks mul_coords")
 
 # The compiled mul_coords has rank^2 products: rank 162 compiles in 0.26 s
 # and 31 MB (CPython 3.11).  Larger rings are refused, not compiled.
@@ -457,13 +457,15 @@ def extend(base, rel):
 
 
 def compile_map(packing, red_map):
-    """(reduce_block, mul_coords) compiled from a packed ring's reduction map.
+    """(reduce_blocks, mul_coords) compiled from a packed ring's reduction map.
 
-    reduce_block(raw, o) maps raw[o:o + block] through the map mod p^N;
-    mul_coords(a, b) sums the raw product slot by slot, then does the same.
-    Both are straight-line Python whose only literals are slot offsets and
-    map entries reduced mod p^N (balanced, so -1 stays -1).  They carry this
-    file's name, so profilers count them with the rest of rings.
+    reduce_blocks(raw) maps each block of block slots of the raw slot list
+    through the map mod p^N, one list comprehension over the strided slices
+    raw[s::block] of the slots the map reads; mul_coords(a, b) sums the raw
+    product slot by slot, then does the same.  Both are straight-line Python
+    whose only literals are slot offsets and map entries reduced mod p^N
+    (balanced, so -1 stays -1).  They carry this file's name, so profilers
+    count them with the rest of rings.
     """
     rank, block, slots, m = packing
     _require_ints(packing=(rank, block, m) + tuple(slots),
@@ -478,27 +480,32 @@ def compile_map(packing, red_map):
             if si + sj in prods:
                 prods[si + sj].append(f"a{i} * b{j}")
 
-    def body(expr):
-        """Lines binding the slots read twice or more, then the return."""
-        name = {s: f"r{s}" if n > 1 else f"({expr[s]})" for s, n in uses.items()}
+    def reduced(name):
+        """The canonical coordinates as a tuple expression in name[s], raw slot s."""
         forms = []
         for t in terms:
             form = " ".join(f"{'-' if c < 0 else '+'} {'' if abs(c) == 1 else f'{abs(c)} * '}"
                             f"{name[s]}" for s, c in t)
             forms.append(f"({form.removeprefix('+ ')}) % {m}" if t else "0")
-        return ([f"    r{s} = {expr[s]}" for s in sorted(uses) if uses[s] > 1]
-                + ["    return (" + ", ".join(forms) + ",)"])
+        return "(" + ", ".join(forms) + ",)"
 
+    used = sorted(uses)
+    loop = ", ".join(f"r{s}" for s in used) + " in " + (
+        f"raw[{used[0]}::{block}]" if len(used) == 1 else
+        "zip(" + ", ".join(f"raw[{s}::{block}]" for s in used) + ")")
     src = "\n".join([
-        "def reduce_block(raw, o=0):",
-        *body({s: f"raw[o + {s}]" if s else "raw[o]" for s in uses}),
+        "def reduce_blocks(raw):",
+        f"    return [{reduced({s: f'r{s}' for s in used})} for {loop}]",
         "def mul_coords(a, b):",
         "    " + "".join(f"a{i}, " for i in range(rank)) + "= a",
         "    " + "".join(f"b{i}, " for i in range(rank)) + "= b",
-        *body({s: " + ".join(prods[s]) for s in uses}), ""])
+        # the slots read twice or more are bound once
+        *[f"    r{s} = {' + '.join(prods[s])}" for s in used if uses[s] > 1],
+        "    return " + reduced({s: f"r{s}" if uses[s] > 1 else f"({' + '.join(prods[s])})"
+                                for s in used}), ""])
     scope = {}
     exec(compile(src, __file__, "exec"), scope)
-    return scope["reduce_block"], scope["mul_coords"]
+    return scope["reduce_blocks"], scope["mul_coords"]
 
 
 @lru_cache(maxsize=256)

@@ -14,11 +14,11 @@ packed_mul (Kronecker substitution; Harvey, arXiv:0712.4046): a coefficient
 list becomes one Python int, the two ints are multiplied once, and each
 product block is reduced once by the ring's relations.  A residue ring
 speaks the kernel through `packing` = (rank, block, slots, p^N) and
-`reduce_block(raw, o)`.  Every ring has both from one construction
+`reduce_blocks(raw)`.  Every ring has both from one construction
 (rings.extend, rings.compile_map): the ring is a tower of monic extensions
 of Z/p^N, packing places each coordinate in a slot so that slot offsets add
-like exponents, and reduce_block is the ring's reduction map, compiled
-once per ring to straight-line code.  RingSpec (the coefficient rings) and
+like exponents, and reduce_blocks is the ring's reduction map, compiled
+once per ring to one comprehension.  RingSpec (the coefficient rings) and
 lubin_tate.QuotientRing (base[X]/P) are the two kinds of packed ring.
 Determinants over K[Y] (the norm operator's, lambda_modules.det_series)
 go through one expansion, _det_packed, on packed entries: packed_det packs
@@ -31,9 +31,10 @@ and a call sums one int product per term, unpacked and reduced once.  Every
 evaluation at a point is horner: Horner's rule on coordinate tuples in the
 point's ring, whose compiled mul_coords it calls.
 The series inverse (_inverse, behind TruncSeries.invert) is Newton
-iteration on packed_mul; Weierstrass preparation runs its Hensel loop on
-coordinate lists over packed_mul, _inverse and one monic division,
-_divmod_monic, which takes the schoolbook or Newton's route by its size.
+iteration on packed ints, with the series packed once; Weierstrass
+preparation runs its Hensel loop on coordinate lists over packed_mul,
+_inverse and one monic division, _divmod_monic, which takes the schoolbook
+or Newton's route by its size.
 
 The structural-series solver, _solve_structural, and its ring protocol
 (_Coords, or lubin_tate's exact rationals) live here too: they give the
@@ -434,14 +435,16 @@ def _series(spec, cap, coeffs, n_eff, shift=0):
 # none on a big-endian host, whose slots go through to_bytes one by one.
 _ARRAY_CODES = ({array(c).itemsize: c for c in "QIHB"}
                 if sys.byteorder == "little" else {})
+_WIDTHS = [min((w for w in _ARRAY_CODES if w >= n), default=n) for n in range(9)]
 
 
 def _slot_bytes(bound):
     """Bytes per slot for slot values of absolute value at most bound, with
     a bit to spare: bit_length(bound) + 1 bits in whole bytes, rounded up to
-    the next width array moves (1, 2, 4 or 8) when there is one."""
+    the next width array moves (1, 2, 4 or 8) when there is one: _WIDTHS[n]
+    for n <= 8 whole bytes."""
     n = (bound.bit_length() + 8) // 8
-    return min((w for w in _ARRAY_CODES if w >= n), default=n)
+    return _WIDTHS[n] if n < len(_WIDTHS) else n
 
 
 def _pack(coeffs, block, slots, nbytes):
@@ -478,9 +481,7 @@ def _slots(x, count, nbytes, size):
 def _unpack(K, prod, n, nbytes, size):
     """The first n reduced coefficients of a product packed in size blocks."""
     block = K.packing[1]
-    raw = _slots(prod, n * block, nbytes, size * block)
-    red = K.reduce_block
-    return [red(raw, o) for o in range(0, n * block, block)]
+    return K.reduce_blocks(_slots(prod, n * block, nbytes, size * block))
 
 
 def _trim(coeffs, cap):
@@ -500,7 +501,8 @@ def packed_mul(K, a, b, cap):
     slots[i]; blocks follow the powers of X.  Packed at X -> 2^(8 nbytes
     block), the two lists multiply as one pair of ints, and the block of
     X^k in the product is the raw, unreduced product coefficient, which
-    K.reduce_block maps onto the basis once (rings.compile_map).
+    K.reduce_blocks maps onto the basis, every block in one call
+    (rings.compile_map).
 
     Slot width.  Every input coordinate lies in [0, m - 1], m = p^N.  Slot
     offsets add like monomial exponents (each variable's degree in a product
@@ -566,11 +568,17 @@ def _inverse(K, s, cap, v0):
     """The inverse mod X^cap of the coefficient list s over a packed ring K,
     as cap coefficients, given the inverse v0 of its constant term.
 
-    Newton iteration on packed_mul (von zur Gathen and Gerhard, Modern
+    Newton iteration on packed ints (von zur Gathen and Gerhard, Modern
     Computer Algebra, 9.1).  If v inverts s mod X^k, then s v = 1 + X^k e
     mod X^n for n = min(2k, cap), and v - X^k v e inverts s mod X^n, since
-    s (v - X^k v e) = 1 - X^2k e^2.  Each doubling costs two packed
-    products: e = (s v mod X^n)[k:], then v e mod X^(n-k).
+    s (v - X^k v e) = 1 - X^2k e^2.  Each doubling costs two int products:
+    e = (s v mod X^n)[k:], then v e mod X^(n-k).
+
+    Packing.  s is packed once, at packed_mul's slots for cap * rank *
+    (m - 1)^2, which no slot of (s mod X^n) v (at most k < cap coefficient
+    pairs) or of v e (n - k <= k pairs) reaches; s mod X^n is that int
+    masked to n blocks.  v is kept packed, each new block set above the
+    others, and the low k blocks of s v (1 mod X^k) are shifted off.
 
     Exact exit.  Let ls and lv be the lengths of s and v without their
     trailing zero coefficients.  If e = 0 then s v = 1 mod X^n, and if also
@@ -581,18 +589,23 @@ def _inverse(K, s, cap, v0):
     product; 1 + pX over Z/p^N exits at the first step with k >= N and
     n > N, since its inverse sum (-p)^i X^i ends at X^(N-1).
     """
-    rank, _, _, m = K.packing
-    v, k = [v0], 1
+    rank, block, slots, m = K.packing
     ls = _trim(s, cap)
+    nbytes = _slot_bytes(cap * rank * (m - 1) ** 2)
+    W = 8 * nbytes * block   # bits per block
+    S = _pack(s[:ls], block, slots, nbytes)
+    v, V, k = [v0], _pack([v0], block, slots, nbytes), 1
     while k < cap:
         n = min(2 * k, cap)
-        e = packed_mul(K, s[:n], v, n)[k:]
+        e = _unpack(K, (S & ((1 << n * W) - 1)) * V >> k * W, n - k, nbytes, n - 1)
         if not any(map(any, e)) and ls + _trim(v, k) - 1 <= n:
-            v += [(0,) * rank] * (cap - k)
             break
-        v += [tuple((-x) % m for x in c) for c in packed_mul(K, v, e, n - k)]
+        dv = [tuple([(-x) % m for x in c])
+              for c in _unpack(K, V * _pack(e, block, slots, nbytes), n - k, nbytes, n - 1)]
+        V |= _pack(dv, block, slots, nbytes) << k * W
+        v += dv
         k = n
-    return v
+    return v + [(0,) * rank] * (cap - len(v))
 
 
 def packed_compose(K, f, g, cap):
@@ -799,7 +812,6 @@ def _det_packed(K, ints, nbytes, cap):
     mask = (1 << (8 * nbytes * size)) - 1
     half = 1 << (8 * nbytes - 1)
     bias = int.from_bytes(half.to_bytes(nbytes, "little") * size, "little")
-    red = K.reduce_block
     # minors by their column bitmask; the last row's are its entries
     memo = {1 << c: x for c, x in enumerate(ints[-1])}
     memo[0] = _pack([(1,) + zero[1:]], block, slots, nbytes)
@@ -817,8 +829,8 @@ def _det_packed(K, ints, nbytes, cap):
 
     def reduced(acc):
         """The cap canonical coefficients of a packed signed sum."""
-        raw = [x - half for x in _slots((acc + bias) & mask, size, nbytes, size)]
-        return [red(raw, o) for o in range(0, size, block)]
+        raw = _slots((acc + bias) & mask, size, nbytes, size)
+        return K.reduce_blocks([x - half for x in raw])
 
     def minor(r, cols):
         if cols not in memo:

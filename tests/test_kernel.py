@@ -15,12 +15,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ltk.lubin_tate import QuotientRing, build_group
-from ltk.rings import DomainError, make_composite, make_ring
-from ltk.series import (MAX_DET_DIM, PackedRows, TruncSeries, _ARRAY_CODES,
+from ltk.rings import DomainError, extend, is_unit_coords, make_composite, make_ring
+from ltk.series import (MAX_DET_DIM, PackedRows, TruncSeries, _ARRAY_CODES, _inverse,
                         _slot_bytes, horner, packed_compose, packed_det, packed_mul)
 
 from det_oracle import laplace_det
 from eval_oracle import ref_horner
+from series_oracle import ref_invert
 
 SPECS = {
     "zp": make_ring(3, 13, "zp"),
@@ -181,7 +182,24 @@ def test_reduction_map_column_by_column(name):
                     if slots[i] + slots[j] == s)
         unit = [0] * block
         unit[s] = 1
-        assert K.reduce_block(unit) == mul(basis[i], basis[j]), s
+        assert K.reduce_blocks(unit) == [mul(basis[i], basis[j])], s
+
+
+@pytest.mark.parametrize("name", sorted(ALL_RINGS))
+def test_reduce_blocks_matches_the_map_block_by_block(name):
+    """Raw slot lists of 0 to 7 blocks, signed as _det_packed passes them
+    once its bias is off: each block reduced through the rows of red_map."""
+    K = ALL_RINGS[name]
+    rank, block, _, m = K.packing
+    red_map = (extend(K.base, [c.coords for c in K.modulus])[1]
+               if isinstance(K, QuotientRing) else K.red_map)
+    rng = random.Random(name)
+    for blocks in (0, 1, 2, 7):
+        raw = [rng.choice([0, -1, rng.randrange(-2 ** 70, 2 ** 70)])
+               for _ in range(blocks * block)]
+        want = [tuple(sum(raw[o + t] * row[i] for t, row in enumerate(red_map)) % m
+                      for i in range(rank)) for o in range(0, len(raw), block)]
+        assert K.reduce_blocks(raw) == want
 
 
 @pytest.mark.parametrize("name", sorted(quotient_rings()))
@@ -322,6 +340,7 @@ def test_packing_without_array_widths(monkeypatch):
     3, and every slot is joined and split byte by byte."""
     from ltk import series
     monkeypatch.setattr(series, "_ARRAY_CODES", {})
+    monkeypatch.setattr(series, "_WIDTHS", list(range(9)))
     K, count = make_ring(3, 5, "zp"), 32
     rank, m, mul = ring_of(K)
     assert series._slot_bytes(count * rank * (m - 1) ** 2) == 3
@@ -329,6 +348,67 @@ def test_packing_without_array_widths(monkeypatch):
     assert packed_mul(K, a, a, count) == ref_series_mul(mul, m, rank, a, a, count)
     rows = [[a[:3], a[:2]], [a[:1], a[:3]]]
     assert packed_det(K, rows, 8) == oracle_det(K, rows, 8)
+
+
+# -- the Newton inverse ----------------------------------------------------------------
+
+
+INVERSE_RINGS = {
+    "zp_2^14": make_ring(2, 14, "zp"),
+    "zp_3^12": make_ring(3, 12, "zp"),
+    "zp_5^9": make_ring(5, 9, "zp"),
+    "ramified": SPECS["ramified"],
+    "unramified": SPECS["unramified"],
+    "quot_ram_deg2": quotient_rings()["ram_deg2"],
+}
+
+
+def ref_inverse(K, s, cap):
+    """The inverse of s mod X^cap: ref_invert over a RingSpec; over a
+    QuotientRing the same recurrence on the reference product, from the
+    constant's inverse by the integer elimination (make_divider)."""
+    if not isinstance(K, QuotientRing):
+        return list(ref_invert(TruncSeries(K, cap, list(s[:cap]))).coeffs)
+    rank, m, mul = ring_of(K)
+    zero = (0,) * rank
+    s = list(s[:cap]) + [zero] * (cap - len(s))
+    out = [K.make_divider(s[0])((1,) + zero[1:])]
+    for k in range(1, cap):
+        acc = zero
+        for j in range(k):
+            acc = ref_add(m, acc, mul(out[j], s[k - j]))
+        out.append(mul(out[0], tuple(-x % m for x in acc)))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(INVERSE_RINGS))
+def test_inverse_matches_schoolbook_at_every_cap(name):
+    """_inverse at caps 1-130 on series of 132 coefficients (so longer than
+    every cap) or of 2: random; every coordinate p^N - 1, a unit, whose
+    products fill the slots; a random head followed by zeros; and 1 + pX
+    and 1 + pX^2, whose inverses are polynomials (the exact exit).  The
+    inverse mod X^cap is unique, so it is the reference's at 132 cut to cap."""
+    K = INVERSE_RINGS[name]
+    rank, m, _ = ring_of(K)
+    base = K.base if isinstance(K, QuotientRing) else K
+    rng = random.Random(name)
+    zero, full = (0,) * rank, (m - 1,) * rank
+    one, pX = (1,) + zero[1:], (base.p,) + zero[1:]
+    rand = lambda: tuple(rng.randrange(m) for _ in range(rank))
+    c0 = next(c for c in iter(rand, None) if is_unit_coords(base, c[:base.rank]))
+    assert is_unit_coords(base, full[:base.rank])
+    shapes = {
+        "random": [c0] + [rand() for _ in range(131)],
+        "worst": [full] * 132,
+        "trailing zeros": [c0] + [rand() for _ in range(19)] + [zero] * 112,
+        "1 + pX": [one, pX] + [zero] * 130,
+        "1 + pX^2": [one, zero, pX] + [zero] * 129,
+        "short": [c0, rand()],
+    }
+    for shape, s in shapes.items():
+        want = ref_inverse(K, s, 132)
+        for cap in range(1, 131):
+            assert _inverse(K, s, cap, want[0]) == want[:cap], (shape, cap)
 
 
 # -- determinants ---------------------------------------------------------------------

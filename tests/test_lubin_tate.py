@@ -388,6 +388,31 @@ def test_tower_unit_test_reads_the_alpha0_coordinate(name, request, rng):
             CO.CompatibleSystem(tw, {**system.coords, m: beta[:-1]})
 
 
+@pytest.mark.parametrize("name", SOLVER_GROUPS + ["gu3"])
+def test_tower_values_are_residues(name, request, rng):
+    # g(alpha_m) is the remainder of g by pibar_m: against Horner at
+    # alpha_m on every level, for series shorter than deg pibar_m (at the
+    # group's cap and at their own), as long, longer and full; pibar_1 of
+    # g2 and the ring base[X]/(X + p) have degree 1
+    G = request.getfixturevalue(name)
+    spec = G.spec
+    tw = build_tower(G, TOWER_TOPS[name])
+    rings = [*tw.rings.values(), QuotientRing(spec, [spec.from_int(spec.p), spec.one()])]
+    assert min(E.deg for E in rings) == 1
+    for E in rings:
+        for n in sorted({0, 1, E.deg - 1, E.deg, E.deg + 1, G.cap}):
+            g = random_series(spec, G.cap, rng, terms=n) if n else TruncSeries.zero(spec, 1)
+            for ts in (g, g.truncate(max(n, 1))):
+                assert E.residue(ts) == E.eval_series(ts, E.x_class())
+
+
+def test_system_with_a_level_above_the_tower_is_refused(g3, rng):
+    tw = build_tower(g3, 2)
+    system = CO.system_from_series(tw, random_series(g3.spec, g3.cap, rng, terms=6))
+    with pytest.raises(DomainError, match=r"level 3 is not a tower level \(1 \.\. M = 2\)"):
+        CO.CompatibleSystem(tw, {**system.coords, 3: system.coords[2]})
+
+
 def test_norm_law_routes_are_independent(g3, rng, monkeypatch):
     from ltk import lubin_tate as LT
 
