@@ -133,18 +133,31 @@ def reduce_mod_system_ideal(g, tower, n_eff=None):
 
 
 def norm_fixed_point(G, seed, target=None):
-    """Iterate g -> N_f g from a unit seed until stabilization.
+    """Iterate g -> N_f g from a unit seed until consecutive iterates agree
+    to target p-digits (default N - 1).
 
-    Returns (g, info); info records the iteration count and the congruence
-    level at which consecutive iterates agreed.  Non-convergence within the
-    hard cap is an error, as the contraction is only empirical.
+    Returns (g, info); info records the iteration count, the agreement
+    level of the last two iterates and the history of those levels.
+
+    Iteration bound (Coleman's lemma: R. Coleman, "Division values in local
+    fields", Invent. Math. 53, 1979; de Shalit, ch. I 2).  The group is
+    defined over O_K, whose Frobenius fixes the coefficients, so
+    N_f g = g mod pi for a unit g, and g = 1 mod pi^i with i >= 1 gives
+    N_f g = 1 mod pi^(i+1).  N_f is multiplicative, so the k-th iterate
+    g_k = N_f^k g has g_k / g_(k-1) = N_f^(k-1)(N_f g / g) = 1 mod pi^k:
+    after k iterations the last two agree mod pi^k, which is floor(k/e)
+    p-digits in every coordinate (e the ramification index, p = pi^e times
+    a unit).  So e * target iterations reach the target, and the loop runs
+    no more.  If the levels stop short of it (the stored precision n_eff
+    caps them), PrecisionExhausted names the bound and the history.
     """
     if not seed.constant_term().is_unit():
         raise DomainError("seed must be a unit series")
     target = target or (G.spec.N - 1)
+    bound = G.spec.ramification_index * target
     g = seed
     history = []
-    for it in range(1, 4 * G.spec.N + 9):
+    for it in range(1, bound + 1):
         g2 = G.coleman_norm(g)
         # agreement level of g2 vs g
         lvl = _agreement_level(g2, g)
@@ -153,7 +166,8 @@ def norm_fixed_point(G, seed, target=None):
         if lvl >= target:
             return g, {"iterations": it, "agreement": lvl, "history": history}
     raise PrecisionExhausted(
-        "norm-operator iteration did not stabilize (history %s)" % history)
+        "norm-operator iteration did not stabilize within e * target = %d "
+        "iterations (history %s)" % (bound, history))
 
 
 def _agreement_level(a, b):

@@ -14,8 +14,10 @@ sigma(delta^-1 w) a = 1 mod p^n; that is one m_a or none, and _coset_index
 finds its a in closed form from the coordinates of delta.  One reduction per
 level serves every coset, and a Measure keeps it, so each (measure, level)
 pair is reduced once; no cyclotomic ring and no division by p^n is involved.
-Masses, Riemann sums and the partition law run on coordinate tuples of
-plain integers, and ring elements are made only for the values returned.
+Masses, Riemann sums, the partition law and moments run on coordinate
+tuples of plain integers, and ring elements are made only for the values
+returned; a Riemann sum or a twisted evaluation reads one mass per
+pushforward index, shared by every coset with that index.
 
 Guarantee.  Only the coefficients below cap are stored.  The integral tail
 t = sum_{j >= cap} c_j T^j contributes p^-n sum_s t(zeta^s - 1) zeta^(-s a)
@@ -34,7 +36,7 @@ h~ = h - (1/p) sum_j h(zeta_p^j (1+T) - 1).  Measures are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, factorial
+from math import factorial
 
 from .rings import (
     DomainError,
@@ -47,7 +49,7 @@ from .rings import (
     json_fields,
     ord_int,
 )
-from .series import TruncSeries
+from .series import TruncSeries, _series
 
 __all__ = [
     "Measure",
@@ -148,8 +150,12 @@ def dirac(a, group, value_spec, cap, okp=None):
         if group == "zp_units" and e % value_spec.p == 0:
             raise DomainError("group element is not a unit")
     e %= value_spec.modulus
-    return Measure(TruncSeries(value_spec, cap, [comb(e, j) for j in range(cap)]),
-                   group, okp)
+    # binom(e, j + 1) = binom(e, j) (e - j) / (j + 1), exactly
+    binoms, b = [], 1
+    for j in range(cap):
+        binoms.append(b)
+        b = b * (e - j) // (j + 1)
+    return Measure(TruncSeries(value_spec, cap, binoms), group, okp)
 
 
 def _level_zeta(ext, n):
@@ -387,31 +393,55 @@ def partition_check(mu, n):
 # -- moments ----------------------------------------------------------------------
 
 
-def qddq(h):
-    """The operator (1+T) d/dT."""
-    return h.derive() * TruncSeries(h.spec, h.cap, [1, 1])
-
-
 def _check_order(k):
     if k < 0:
         raise DomainError(f"moment order k must be >= 0, got {k}")
 
 
 def _qddq_power(h, k):
-    """(Qd/dQ)^k h for a moment order k >= 0."""
+    """(Qd/dQ)^k h for a moment order k >= 0, Q = 1+T.
+
+    (1+T) d/dT sends sum c_i T^i to sum ((i+1) c_{i+1} + i c_i) T^i; it
+    keeps the degree, so on the stored coefficients it is exact with
+    c_cap = 0, and each application is one comprehension mod p^N.
+    """
     _check_order(k)
+    if k == 0:
+        return h
+    spec = h.spec
+    mod, zero = spec.modulus, (0,) * spec.rank
+    cs = h.coeffs
     for _ in range(k):
-        h = qddq(h)
-    return h
+        cs = tuple(tuple(((i + 1) * x + i * y) % mod for x, y in zip(nxt, cur))
+                   for i, (cur, nxt) in enumerate(zip(cs, cs[1:] + (zero,))))
+    return _series(spec, h.cap, cs, min(h.n_eff, spec.N), h.shift)
+
+
+def _stirling_row(k, width, mod):
+    """j! S(k, j) mod `mod` for j < width (S: Stirling numbers of the second
+    kind), by T(k, j) = j (T(k-1, j-1) + T(k-1, j)) from T(0, j) = [j = 0]."""
+    row = [1] + [0] * (width - 1)
+    for _ in range(k):
+        row = [0] + [j * (row[j - 1] + row[j]) % mod for j in range(1, width)]
+    return row
 
 
 def moment(mu, k):
-    """k-th moment: (Qd/dQ)^k amice at T = 0."""
-    h = _qddq_power(mu.amice, k)
-    v = h.coeff(0)
-    if h.shift:
-        return v.divide_exact_p(h.shift)
-    return v
+    """k-th moment: (Qd/dQ)^k amice at T = 0, in closed form.
+
+    (Qd/dQ)^k T^j at T = 0 is sum_m binom(j, m) (-1)^(j-m) m^k = j! S(k, j),
+    so the moment is sum_j j! S(k, j) c_j over j <= min(k, cap - 1), summed
+    on coordinates and reduced once mod p^N; the shift is then divided out.
+    moment_guarantee reads the same sum.
+    """
+    _check_order(k)
+    h = mu.amice
+    spec = h.spec
+    mod = spec.modulus
+    row = _stirling_row(k, min(k, h.cap - 1) + 1, mod)
+    v = RingElem(spec, tuple(sum(t * c[i] for t, c in zip(row, h.coeffs)) % mod
+                             for i in range(spec.rank)))
+    return v.divide_exact_p(h.shift)
 
 
 def moment_guarantee(mu, k):
@@ -443,9 +473,13 @@ def riemann_moment(mu, k, n):
     _require_okp_level(mu, n, f"riemann_moment at level {n}")
     h = mu.amice
     m, guar = mu.pushforward(n)
-    terms = [(_mass(h, m, guar, a, n)[0], x ** k) for _, a, x in _cosets(mu, n)]
+    # sum of x^k over the cosets of each pushforward index; one mass per index
+    weights = {}
+    for _, a, x in _cosets(mu, n):
+        weights[a] = weights.get(a, 0) + x ** k
+    terms = [(_mass(h, m, guar, a, n)[0], w) for a, w in weights.items()]
     spec = h.spec
-    acc = tuple(sum(v[i] * xk for v, xk in terms) % spec.modulus
+    acc = tuple(sum(v[i] * w for v, w in terms) % spec.modulus
                 for i in range(spec.rank))
     return RingElem(spec, acc), guar - h.shift
 
@@ -674,11 +708,13 @@ def twist_eval(mu, chi, k):
         return moment(mu, k)
     h = _qddq_power(mu.amice, k)
     m, guar = _pushforward(h, n)
-    terms = []
+    terms, masses = [], {}    # one mass per pushforward index
     for delta, a, _ in _cosets(mu, n):
         cv = chi.value(delta)
         if not cv.is_zero():
-            terms.append((cv.coords, _mass(h, m, guar, a, n)[0]))
+            if a not in masses:
+                masses[a] = _mass(h, m, guar, a, n)[0]
+            terms.append((cv.coords, masses[a]))
     if not terms:
         return None
     vspec = chi.value_spec

@@ -100,7 +100,10 @@ class TruncSeries:
     def __init__(self, spec, cap, coeffs, n_eff=None, shift=0):
         if cap < 1:
             raise DomainError("cap must be >= 1")
-        cs = [_as_coords(spec, c) for c in coeffs[:cap]]
+        mod, tail = spec.modulus, (0,) * (spec.rank - 1)
+        # _as_coords, with its integer case inline
+        cs = [(c % mod,) + tail if type(c) is int else _as_coords(spec, c)
+              for c in coeffs[:cap]]
         zero = (0,) * spec.rank
         cs.extend([zero] * (cap - len(cs)))
         object.__setattr__(self, "spec", spec)
@@ -175,23 +178,31 @@ class TruncSeries:
 
     # -- arithmetic -----------------------------------------------------------
 
+    # Sums, differences and integer multiples run as one comprehension over
+    # the coordinates of all coefficients in a row (_flat) mod p^N,
+    # regrouped into coordinate tuples by _regroup.
+
     def __add__(self, other):
         a, b = _align(self, other)
-        add = self.spec.add_coords
-        cs = [add(x, y) for x, y in zip(a.coeffs, b.coeffs)]
-        return _series(self.spec, a.cap, cs, min(a.n_eff, b.n_eff), a.shift)
+        m = self.spec.modulus
+        flat = [(x + y) % m for x, y in zip(_flat(a.coeffs), _flat(b.coeffs))]
+        return _series(self.spec, a.cap, _regroup(flat, self.spec.rank),
+                       min(a.n_eff, b.n_eff), a.shift)
 
     def __sub__(self, other):
         a, b = _align(self, other)
-        sub = self.spec.sub_coords
-        cs = [sub(x, y) for x, y in zip(a.coeffs, b.coeffs)]
-        return _series(self.spec, a.cap, cs, min(a.n_eff, b.n_eff), a.shift)
+        m = self.spec.modulus
+        flat = [(x - y) % m for x, y in zip(_flat(a.coeffs), _flat(b.coeffs))]
+        return _series(self.spec, a.cap, _regroup(flat, self.spec.rank),
+                       min(a.n_eff, b.n_eff), a.shift)
 
     def scale(self, c):
         """Multiply by a ring element or integer scalar."""
         spec = self.spec
         if isinstance(c, int):
-            cs = [spec.smul_coords(c, a) for a in self.coeffs]
+            m = spec.modulus
+            c %= m
+            cs = _regroup([c * x % m for x in _flat(self.coeffs)], spec.rank)
         else:
             cc = _as_coords(spec, c)
             mul = spec.mul_coords
@@ -408,6 +419,14 @@ def _shift_up(self, d):
 
 
 TruncSeries._shift_up = _shift_up
+
+
+_flat = chain.from_iterable
+
+
+def _regroup(flat, rank):
+    """Consecutive runs of rank integers from flat, as coordinate tuples."""
+    return zip(*[iter(flat)] * rank)
 
 
 def _series(spec, cap, coeffs, n_eff, shift=0):

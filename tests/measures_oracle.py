@@ -1,14 +1,17 @@
 """Second routes for the measures module, kept as test oracles.
 
 tilde_mahler is the Mahler-side tilde, independent of the series-side
-tilde_series.  The rest is the ring-element coset route: the coset index
-through RingElem.inverse and sigma of delta^-1 and delta^-1 w, and coset
-masses, Riemann sums, the partition law and twisted evaluations summed as
-ring elements.  It shares only the level-n pushforward with
-ltk.measures, whose integer-coordinate route it checks.
+tilde_series.  qddq_power applies (1+T) d/dT as a derivative followed by
+a series product with 1 + T, and moment reads the constant term of that
+series; they check the coefficient recurrence of ltk.measures._qddq_power
+and the closed-form moment.  The rest is the ring-element coset route: the
+coset index through RingElem.inverse and sigma of delta^-1 and delta^-1 w,
+and coset masses, Riemann sums, the partition law and twisted evaluations
+summed as ring elements, one mass per coset.  It shares only the level-n
+pushforward with ltk.measures, whose integer-coordinate route it checks.
 """
 
-from ltk.measures import _pushforward, _qddq_power, sigma_map, unit_residues
+from ltk.measures import _pushforward, sigma_map, unit_residues
 from ltk.rings import DomainError, PrecisionExhausted, embed
 from ltk.series import TruncSeries
 
@@ -43,6 +46,24 @@ def tilde_mahler(h):
             binom = binom * (r - m + 1) // m
             out[m] = out[m] + br * binom
     return TruncSeries(spec, cap, out, h.n_eff, h.shift)
+
+
+def qddq_power(h, k):
+    """(Qd/dQ)^k h as k derivatives, each times 1 + T."""
+    if k < 0:
+        raise DomainError(f"moment order k must be >= 0, got {k}")
+    for _ in range(k):
+        h = h.derive() * TruncSeries(h.spec, h.cap, [1, 1])
+    return h
+
+
+def moment(mu, k):
+    """The constant term of (Qd/dQ)^k amice, with the shift divided out."""
+    h = qddq_power(mu.amice, k)
+    v = h.coeff(0)
+    if h.shift:
+        return v.divide_exact_p(h.shift)
+    return v
 
 
 def coset_index(mu, delta, n):
@@ -132,7 +153,7 @@ def riemann_moment(mu, k, n):
 def twist_eval(mu, chi, k):
     """At level >= 1; level 0 is the moment in both routes."""
     n = chi.level
-    h = _qddq_power(mu.amice, k)
+    h = qddq_power(mu.amice, k)
     m, guar = _pushforward(h, n)
     vspec = chi.value_spec
     acc = None

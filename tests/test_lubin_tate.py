@@ -6,7 +6,8 @@ import pytest
 
 from ltk import coleman as CO
 from ltk import lubin_tate as LT
-from ltk.rings import DomainError, is_unit_coords, make_ring, mult_matrix, valuation
+from ltk.rings import (DomainError, PrecisionExhausted, is_unit_coords, make_ring, mult_matrix,
+                       valuation)
 from ltk.series import TruncSeries, mu_lambda_by_roots
 from ltk.lubin_tate import QuotientRing, build_group, build_tower
 
@@ -345,6 +346,27 @@ def test_norm_fixed_point_on_the_q9_group(gu3, rng):
     assert info["agreement"] >= n
     assert gu3.coleman_norm(gfix).eq_mod(gfix, n)
     assert gfix.compose(gu3.f.truncate(gu3.cap)).eq_mod(gu3.translates_product(gfix), n)
+
+
+@pytest.mark.parametrize("name", SOLVER_GROUPS + ["gu3"])
+def test_norm_fixed_point_meets_coleman_iteration_bound(name, request, rng):
+    # Coleman's lemma: after k iterations the last two iterates agree mod
+    # pi^k, so to floor(k/e) digits, and e * target iterations suffice
+    G = request.getfixturevalue(name)
+    e = G.spec.ramification_index
+    for target in (G.spec.N - 1, G.spec.N - 2):
+        seed = random_series(G.spec, G.cap, rng, terms=8)
+        _, info = CO.norm_fixed_point(G, seed, target=target)
+        history = info["history"]
+        assert info["iterations"] == len(history) <= e * target
+        assert all(lvl >= min(k // e, target) for k, lvl in enumerate(history, 1))
+        assert history[-1] >= target
+    # past the stored precision the target is out of reach: the loop stops
+    # after the bound and names it
+    bound = e * (G.spec.N + 1)
+    with pytest.raises(PrecisionExhausted, match=rf"e \* target = {bound} iterations"
+                       rf" \(history \[(\d+, ){{{bound - 1}}}\d+\]\)"):
+        CO.norm_fixed_point(G, seed, target=G.spec.N + 1)
 
 
 # the highest level each group's cap can build (pibar_m has degree q^(m-1) (q-1))

@@ -44,14 +44,19 @@ def test_dirac_examples():
 
 
 def test_dirac_binomials_match_series_powers():
-    # (1+T)^e from exact binomials against repeated series products
+    # (1+T)^e from the binomial recurrence against repeated series products
+    # and against math.comb, for e below, at and above the cap and e = p^N - 1
+    from math import comb as binom
     cyc = make_ring(3, 6, "cyclotomic", level=1)
     for spec in (make_ring(3, 10, "zp"), cyc, Q3_12):
-        for e in (0, 1, 5, 80, -7, spec.modulus + 4):
+        q = spec.modulus
+        for e in (0, 1, 5, 23, 24, 80, -7, q - 1, q + 4):
             got = dirac(e, "zp", spec, 24).amice
-            want = TruncSeries(spec, 24, [1, 1]).pow_int(e % spec.modulus)
+            want = TruncSeries(spec, 24, [1, 1]).pow_int(e % q)
             assert (got.coeffs, got.n_eff, got.shift) == \
                 (want.coeffs, want.n_eff, want.shift)
+            assert got.coeffs == TruncSeries(spec, 24, [binom(e % q, j)
+                                                        for j in range(24)]).coeffs
 
 
 @pytest.mark.parametrize("level", [1, 2])
@@ -501,3 +506,104 @@ def test_levels_above_the_group_precision_are_refused(group):
         partition_check(mu, 2)
     assert coset_mass(mu, a, 2)[1] > 0 and riemann_moment(mu, 1, 2)[1] > 0
     assert partition_check(mu, 1)[0]
+
+
+# -- moments on coordinates against the series route ------------------------------
+
+# a Z_p, a quadratic and a cyclotomic value ring
+VALUE_RINGS = [make_ring(3, 8, "zp"), make_ring(2, 9, "ramified_quad", quad=(0, 2)),
+               make_ring(3, 6, "cyclotomic", level=1)]
+
+
+def _shifted_series(spec, cap, rng):
+    """A random series, the same with shift 1 (p times it, over p: divisible),
+    and its stored coefficients with shift 1 (not divisible)."""
+    g = random_series(spec, cap, rng, unit=True)
+    p = spec.p
+    return [g, TruncSeries(spec, cap, list(g.scale(p).coeffs), spec.N, 1),
+            TruncSeries(spec, cap, list(g.coeffs), spec.N, 1)]
+
+@pytest.mark.parametrize("spec", VALUE_RINGS, ids=lambda s: s.kind)
+def test_qddq_power_matches_the_derive_and_multiply_route(spec):
+    rng = random.Random(spec.kind)
+    for cap in (1, 2, 5, 9):
+        hs = _shifted_series(spec, cap, rng)
+        # an n_eff above N, which the product with 1 + T caps at N
+        hs.append(TruncSeries(spec, cap, list(hs[0].coeffs), spec.N + 2))
+        for h in hs:
+            for k in range(cap + 3):
+                got, want = MS._qddq_power(h, k), MO.qddq_power(h, k)
+                assert (got.cap, got.coeffs, got.n_eff, got.shift) == \
+                    (want.cap, want.coeffs, want.n_eff, want.shift)
+
+
+@pytest.mark.parametrize("spec", VALUE_RINGS, ids=lambda s: s.kind)
+def test_moment_closed_form_matches_the_series_route(spec):
+    # k from 0 past the cap; the shift-1 series divisible by p and not
+    rng = random.Random(f"moment {spec.kind}")
+    outcomes = set()
+    for cap in (1, 3, 6, 10):
+        for h in _shifted_series(spec, cap, rng):
+            mu = Measure(h, "zp")
+            for k in range(cap + 3):
+                want = _outcome(MO.moment, mu, k)
+                assert _outcome(moment, mu, k) == want
+                outcomes.add(want[0])
+    assert outcomes == {"ok", "PrecisionExhausted"}
+
+
+def _okp_characters(okp, c3, n):
+    """Characters of (O_K/p^n)^x into c3: chi(delta) = psi(Nm delta) for the
+    characters psi of (Z/p^n)^x of order 2 and 3^(n-1) * 2, and the empty
+    table (zero on every unit, so twist_eval returns None)."""
+    pn = 3 ** n
+    b, c = okp.quad
+    zeta = c3.zeta() if n == 2 else c3.one()
+    psis = [FiniteCharacter.from_generator("zp", n, c3, 2, -c3.one()),
+            FiniteCharacter.from_generator("zp", n, c3, 2, -zeta)]
+    chars = [FiniteCharacter(n, okp, c3, {})]
+    for psi in psis:
+        table = {d: psi.value((d[0] * d[0] - b * d[0] * d[1] + c * d[1] * d[1]) % pn)
+                 for d in unit_residues(okp, n)}
+        chars.append(FiniteCharacter(n, okp, c3, table))
+    return chars
+
+
+@pytest.mark.parametrize("tag", ["okp", "okp_units"])
+def test_twist_eval_one_mass_per_index_matches_the_oracle(tag, monkeypatch):
+    rng = random.Random(f"twist {tag}")
+    z = make_ring(3, 12, "zp")
+    c3 = make_ring(3, 12, "cyclotomic", level=1)
+    okp = make_ring(3, 12, "ramified_quad", quad=(3, 3))
+    calls = []
+    real = MS._mass
+    monkeypatch.setattr(MS, "_mass", lambda h, m, g, a, n: calls.append(a) or real(h, m, g, a, n))
+    seen = set()
+    for n in (1, 2):
+        for chi in _okp_characters(okp, c3, n):
+            for mu in _measures(tag, z, okp, rng):
+                for k in (0, 1, 2):
+                    calls.clear()
+                    want = _outcome(MO.twist_eval, mu, chi, k)
+                    assert _outcome(twist_eval, mu, chi, k) == want
+                    assert len(calls) == len(set(calls))
+                    seen.add(want[0] if want[0] != "ok" or want[1] is not None else None)
+    assert seen == {"ok", None, "PrecisionExhausted"}
+
+
+def test_riemann_moment_reads_one_mass_per_index(monkeypatch):
+    # at p = 3, n = 2 the 54 unit cosets of O_Kp share 7 pushforward indices:
+    # the 6 units of Z/9, one coset each, and None (empty) for the other 48
+    calls = []
+    real = MS._mass
+    monkeypatch.setattr(MS, "_mass", lambda h, m, g, a, n: calls.append(a) or real(h, m, g, a, n))
+    mu = dirac(Q3_12.elem((4, 3)), "okp", Z12, 64, okp=Q3_12)
+    cosets = list(MS._cosets(mu, 2))
+    assert len(cosets) == 54
+    indices = {a for _, a, _ in cosets}
+    for k in range(4):
+        calls.clear()
+        got = riemann_moment(mu, k, 2)
+        assert sorted(calls, key=str) == sorted(indices, key=str)
+        assert got == MO.riemann_moment(mu, k, 2)
+    assert indices == {1, 2, 4, 5, 7, 8, None}

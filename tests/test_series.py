@@ -567,3 +567,33 @@ def test_weierstrass_prep_matches_the_hensel_oracle(spec, rng, monkeypatch):
             assert prep_fields(got) == prep_fields(want)
             assert got.unit.cap == want.unit.cap
     assert any(routes) and not all(routes)
+
+
+# -- sums, differences and integer multiples against the per-coefficient route -----
+
+
+@pytest.mark.parametrize("kind", ["zp", "ramified", "unramified", "cyclotomic2", "composite"])
+def test_add_sub_scale_match_the_coordinate_ops(kind, rng):
+    # one add_coords / sub_coords / smul_coords call per coefficient, on the
+    # common cap and shift _align gives, with mixed caps, n_eff and shifts
+    spec = INVERT_SPECS[kind]
+    q = spec.modulus
+
+    def fields(s):
+        return s.cap, s.coeffs, s.n_eff, s.shift
+
+    for _ in range(8):
+        caps = rng.choice(((12, 12), (12, 7), (5, 9)))
+        a, b = (TruncSeries(spec, cap, list(random_series(spec, cap, rng, unit=False).coeffs),
+                            rng.randrange(3, spec.N + 1), rng.randrange(0, 3))
+                for cap in caps)
+        for other in (b, rng.randrange(-q, 2 * q), spec.elem([rng.randrange(q)
+                                                              for _ in range(spec.rank)])):
+            A, B = series_module._align(a, other)
+            joint = (A.cap, min(A.n_eff, B.n_eff), A.shift)
+            for got, op in ((a + other, spec.add_coords), (a - other, spec.sub_coords)):
+                want = tuple(op(x, y) for x, y in zip(A.coeffs, B.coeffs))
+                assert fields(got) == (joint[0], want) + joint[1:]
+        for c in (0, 1, -1, -q - 5, q, 3 * q + 7, rng.randrange(q)):
+            want = tuple(spec.smul_coords(c, x) for x in a.coeffs)
+            assert fields(a.scale(c)) == (a.cap, want, a.n_eff, a.shift)
