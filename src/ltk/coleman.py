@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from .rings import (DomainError, PrecisionExhausted, RingElem, is_unit_coords, log_one_unit,
                     ord_int, valuation)
-from .series import TruncSeries, _series, poly_divmod_monic
+from .series import TruncSeries, poly_divmod_monic
 from .measures import Measure
 
 __all__ = [
@@ -199,14 +199,13 @@ def tilde_log(G, g):
     qord = 1 if q == spec.p else 2
     P = G.coleman_norm(g).compose(G.f.truncate(g.cap))
     u = (g.pow_int(q)) * P.invert()
-    # log u, read at the digits u is known to: the log of any lift of u is
-    # the same mod p^u.n_eff
-    h = (u - TruncSeries.one(spec, u.cap)).reduce_precision(u.n_eff)
+    # log u of the stored lift of u: the log of every lift agrees with it to
+    # the u.n_eff digits log_one_unit claims
+    h = u - TruncSeries.one(spec, u.cap)
     t = min(valuation(h.coeff(i)) for i in range(h.cap))
     if t <= 0:
         raise DomainError("log argument is not congruent to 1 mod m")
-    S, n_eff = log_one_unit(h, t)
-    S = _series(spec, S.cap, S.coeffs, n_eff)
+    S = log_one_unit(h, t)[0]
     report = {}
     # d(tilde-log) = S'/(q log_F') must be integral before dividing S by q
     logp = G.log_derivative_series(g.cap)

@@ -21,8 +21,8 @@ straight-line Python: reduce_blocks for the packed series kernel and
 mul_coords for single products.  No ring has reduction code of its own.
 
 All arithmetic is exact, with no floating point; valuations are exact
-Fractions with v(p) = 1, and log and exp return the precision left after
-their divisions by p.  One fraction-free elimination over Z, fraction_free,
+Fractions with v(p) = 1; one loop, _power_sum, sums log and exp exactly
+mod p^(N + S).  One fraction-free elimination over Z, fraction_free,
 serves every multiplication matrix: its determinant gives norm_to_base and
 valuation on cyclotomic and composite rings, its adjugate the tower's
 divisions (lubin_tate.QuotientRing.make_divider).  A ring sits in a larger
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
 from fractions import Fraction
-from math import floor, inf
+from math import ceil, factorial, inf
 
 __all__ = [
     "RingSpec",
@@ -635,90 +635,133 @@ def frobenius(x):
 # -- log / exp ---------------------------------------------------------------
 
 
-def log_one_unit(h, t):
-    """(log(1 + h), n_eff): sum_{k>=1} (-1)^(k+1) h^k / k for h a RingElem
-    (padic_log) or a TruncSeries (coleman.tilde_log) mod p^N, every
-    coordinate of h of valuation >= t > 0.  The sum stops at the first power
-    h^K that is 0 mod p^N; term k is divided by p^ord_p(k), certified.
+def _log(h, t, name):
+    """(log(1 + h), n_eff) = sum_{k>=1} (-1)^(k+1) h^k / k for h a RingElem
+    or an integral TruncSeries, its coefficients of valuation >= t (t = 0:
+    no bound); name, the caller, goes into the errors.  Term k has the
+    denominator p^o_k, o_k = ord_p(k), so S_X = max o_k over k < cap; for
+    t > 0, term k has valuation >= p^a t - a at a = o_k, and S_p is the least
+    s with p^a t - a >= N for all a > s (each a >= max(4, N + 1/t) has it, as
+    p^a t >= a^2 t >= a (N t + 1) >= N + a, so no larger a is read).
 
-    Derivation of n_eff (t is lowered to N when larger, which only weakens
-    it).  Every coefficient of h^k has valuation >= k t.  A summed term
-    k < K is h^k mod p^N over p^a, a = ord_p(k), so it is known mod
-    p^(N - a), and k t < N as h^k is not 0 mod p^N.  A dropped term k >= K
-    has h^k = 0 mod p^N and valuation >= k t, so it is only known to be 0
-    mod p^(max(N, floor(k t)) - a).  Both read max(N, floor(k t)) - a, and
-    the least k of p-order a is p^a, so
-
-        n_eff = min_{a>=0} (max(N, floor(p^a t)) - a).
-
-    Once p^a t (p - 1) >= 1, floor(p^(a+1) t) - floor(p^a t) >= 1, so
-    floor(p^a t) - a no longer falls: the loop stops at the first such a
-    where it is at least the minimum so far.
+    n_eff.  For lifts h1 = h2 mod p^n (n >= 1), log(1 + h1) - log(1 + h2) =
+    log(1 + z), z = (h1 - h2) / (1 + h2) = 0 mod p^n, and z^k / k = 0 mod
+    p^(k n - ord_p(k)), k n - ord_p(k) >= n: log is 1-Lipschitz, and the
+    value holds min(n, N - shift) digits for the input's true precision n.
     """
-    spec = h.spec
-    p, N, m = spec.p, spec.N, spec.modulus
-    acc, power, k = h * 0, h, 1
-    while not power.is_zero():
+    p, N = h.spec.p, h.spec.N
+    if getattr(h, "shift", 0):
+        raise DomainError(f"{name}: log(1 + h) needs an integral h; h has shift {h.shift}")
+    S_p = max((a for a in range(N + 4 + ceil(1 / t)) if p ** a * t - a < N),
+              default=0) if t > 0 else inf
+    S_x = max((ord_int(k, p) for k in range(1, getattr(h, "cap", 1))), default=0)
+
+    def term(k, S, m):
         a = ord_int(k, p)
-        term = (power * pow(k // p ** a, -1, m)).divide_exact_p(a)
-        acc = acc + term if k % 2 else acc - term
+        return (-1) ** (k + 1) * p ** (S - a) * pow(k // p ** a, -1, m) if a <= S else 0
+
+    return _power_sum(h, t, 0, name, S_p, S_x, term)
+
+
+def _exp(x, t, name):
+    """(exp x, n_eff) = sum_{k>=0} x^k / k! for x a RingElem or a TruncSeries,
+    its coefficients of valuation >= t.  Term k has the denominator p^o_k,
+    o_k = ord_p(k!) + s k for a series stored with shift s (t = 0 then),
+    which does not fall, so S_X = o_(cap - 1); for t > 1/(p - 1), term k has
+    valuation >= k t - ord_p(k!) >= k (t - 1/(p - 1)) + 1/(p - 1), >= N for
+    all k > K = ceil((N - 1/(p - 1)) / (t - 1/(p - 1))) - 1, so S_p = o_K.
+
+    n_eff.  For lifts x1 = x2 mod p^n (n >= 1), z = x1 - x2 has v(z^k / k!)
+    >= v(z) + (k - 1)(v(z) - 1/(p - 1)) >= n on the p-adic domain and >=
+    k n - ord_p(k!) >= n on the X-adic one (z(0) = 0): exp x1 = exp x2 exp z
+    with exp z = 1 mod p^n.  An element's exp is a unit, so n_eff = N; a
+    series' min(n, N - shift) counts the digits of that factor, which a lift
+    can move below a denominator of exp x (a shift).
+    """
+    p, N = x.spec.p, x.spec.N
+    s, cap, lam = getattr(x, "shift", 0), getattr(x, "cap", 1), Fraction(1, p - 1)
+    ord_fact = lambda K: sum(ord_int(k, p) for k in range(1, K + 1))
+    S_p = ord_fact(ceil((N - lam) / (t - lam)) - 1) if t > lam else inf
+
+    def term(k, S, m):
+        o = ord_fact(k)
+        return p ** (S - s * k - o) * pow(factorial(k) // p ** o, -1, m) if s * k + o <= S else 0
+
+    return _power_sum(x, t, lam, name, S_p, s * (cap - 1) + ord_fact(cap - 1), term)
+
+
+def _power_sum(y, t, lam, name, S_p, S_x, term):
+    """(f(y), n_eff) for f = sum_{k>=0} c_k y^k, term(k, S, m) = p^S c_k
+    mod m (0 for a term left out): the one loop of _log and _exp.
+
+    On the stored lift y~ of y it sums term(k, S, m) y~^k, exact mod m =
+    p^(N + S), up to the first y~^k = 0 mod m (every later one is too).  S
+    is the lesser bound that applies: S_x for a series with y(0) = 0, S_p
+    for t > lam.  Either leaves out only terms that are 0 mod p^N,
+    X-adically or by valuation, so the sum is p^S f(y~) mod m.  Its
+    p-content up to S is divided out, the rest goes into a series' shift
+    (an element takes none), and n_eff = min(n, N - shift) for y's true
+    precision n: N for an element and for a cap-1 series summed X-adically
+    (its one coefficient is the constant term the domain fixes), else
+    n_eff - shift.
+    """
+    spec, element = y.spec, isinstance(y, RingElem)
+    p, N = spec.p, spec.N
+    S = min(S_p, inf if element or any(y.coeffs[0]) else S_x)
+    if S == inf:
+        raise DomainError(f"{name}: the sum converges neither X-adically (the constant term "
+                          f"is not 0) nor p-adically (it needs t > {lam}; t = {t})")
+    big = spec.with_precision(N + S)
+    x = RingElem(big, y.coords) if element else type(y)(big, y.cap, y.coeffs, N + S)
+    acc, power, k = x * 0, x * 0 + 1, 0
+    while not power.is_zero():
+        acc = acc + power * term(k, S, big.modulus)
         k += 1
-        power = power * h
-    t = min(t, N)
-    n_eff, a = N, 0
-    while p ** a * t * (p - 1) < 1 or floor(p ** a * t) - a < n_eff:
-        a += 1
-        n_eff = min(n_eff, max(N, floor(p ** a * t)) - a)
-    if n_eff < 1:
-        raise PrecisionExhausted("no digit of the logarithm is known at p^%d" % N)
-    return acc, n_eff
+        power = power * x
+    rows = [acc.coords] if element else acc.coeffs
+    shift = S - min([S] + [ord_int(c, p) for c in chain.from_iterable(rows) if c])
+    if element and shift:
+        raise DomainError(f"{name}: the value has p^-{shift} in its denominator, which an "
+                          f"element cannot carry (v = {t} <= 1/(p - 1) allows one)")
+    n = N if element or (y.cap == 1 and not t) else y.n_eff - y.shift
+    keep = min(n + shift, N)
+    if keep <= shift:
+        raise PrecisionExhausted(f"{name}: the value has p^-{shift} in its denominators, so it "
+                                 f"needs more than {shift} digits; the ring has N = {N}")
+    q = p ** (S - shift)
+    mod = p ** keep
+    cs = [tuple(c // q % mod for c in row) for row in rows]
+    return ((RingElem(spec, cs[0]), N) if element
+            else (type(y)(spec, y.cap, cs, keep, shift), keep - shift))
+
+
+def log_one_unit(h, t):
+    """(log(1 + h), n_eff) for a RingElem or an integral TruncSeries h, each
+    coefficient of valuation >= t > 0 (t = 0 for a series with h(0) = 0)."""
+    return _log(h, t, "log_one_unit")
 
 
 def padic_log(u):
-    """p-adic logarithm of u with v(u-1) > 1/(p-1).
-
-    Returns (value, n_eff): the value is correct mod p^n_eff, derived in
-    log_one_unit.
-    """
-    spec = u.spec
-    h = u - spec.one()
-    if h.is_zero():
-        return spec.zero(), spec.N
-    t = valuation(h)
-    if t <= Fraction(1, spec.p - 1):
-        raise DomainError("padic_log requires v(u-1) > 1/(p-1)")
-    return log_one_unit(h, t)
+    """(log u, n_eff) for v(u - 1) > 1/(p - 1): _log, n_eff = N."""
+    h = u - u.spec.one()
+    return _log(h, _valuation_above(h, "padic_log", "u - 1"), "padic_log")
 
 
 def padic_exp(x):
-    """p-adic exponential of x with v(x) > 1/(p-1); returns (value, n_eff)."""
+    """(exp x, n_eff) for v(x) > 1/(p - 1): _exp, n_eff = N."""
+    return _exp(x, _valuation_above(x, "padic_exp", "x"), "padic_exp")
+
+
+def _valuation_above(x, name, what):
+    """v(x), needed above 1/(p - 1).  A ramified composite ring can split (as
+    Q_3(sqrt -3) holds zeta_3), and then `valuation` averages: refused."""
     spec = x.spec
-    p, N = spec.p, spec.N
-    if x.is_zero():
-        return spec.one(), N
-    t = valuation(x)
-    if t <= Fraction(1, p - 1):
-        raise DomainError("padic_exp requires v(x) > 1/(p-1)")
-    acc = spec.one()
-    power = spec.one()
-    fact_ord = 0
-    fact_unit = 1
-    loss = 0
-    for k in range(1, 64 * N * (p - 1) + 1):
-        power = power * x
-        a = ord_int(k, p)
-        fact_ord += a
-        fact_unit = (fact_unit * (k // p ** a)) % spec.modulus
-        term = power * pow(fact_unit, -1, spec.modulus)
-        term = term.divide_exact_p(fact_ord)
-        acc = acc + term
-        loss = max(loss, fact_ord)
-        # ord_p((k+1)!) <= k/(p-1); stop once the next term is certainly >= N
-        if (k + 1) * t - Fraction(k, p - 1) >= N:
-            break
-    else:
-        raise PrecisionExhausted("padic_exp did not converge within term budget")
-    return acc, N - loss
+    if spec.kind == "composite" and spec.quad_kind == "ramified":
+        raise DomainError(f"{name}: the ring {spec.kind_json()} may be no field, so v is no bound")
+    t, lam = valuation(x), Fraction(1, spec.p - 1)
+    if t <= lam:
+        raise DomainError(f"{name} needs v({what}) > 1/(p - 1) = {lam}; v({what}) = {t}")
+    return t
 
 
 # -- embeddings --------------------------------------------------------------

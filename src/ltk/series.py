@@ -54,6 +54,8 @@ from .rings import (
     PrecisionExhausted,
     RingElem,
     RingSpec,
+    _exp,
+    _log,
     _require_ints,
     descend_coords,
     embed_coords,
@@ -863,100 +865,15 @@ def _det_packed(K, ints, nbytes, cap):
 
 
 def formal_log(g):
-    """log of a series with constant term 1; denominators go into the shift.
-
-    The stored coefficients are p^S times the true ones with S = max ord_p(k)
-    over the term indices used; true precision is n_eff - shift after the
-    content strip.
-    """
-    if g.shift:
-        raise DomainError("formal_log input must be integral")
-    if g.constant_term() != g.spec.one():
-        raise DomainError("formal_log requires constant term 1")
-    spec = g.spec
-    p, N = spec.p, spec.N
-    h = g - TruncSeries.one(spec, g.cap)
-    kmax = g.cap - 1
-    if kmax < 1 or h.is_zero():
-        return TruncSeries.zero(spec, g.cap)
-    S = max(ord_int(k, p) for k in range(1, kmax + 1))
-    N_int = N + S
-    big_spec = spec.with_precision(N_int)
-    hb = TruncSeries(big_spec, g.cap, list(h.coeffs), N_int, 0)
-    acc = TruncSeries.zero(big_spec, g.cap)
-    power = TruncSeries.one(big_spec, g.cap)
-    for k in range(1, kmax + 1):
-        power = power * hb
-        if power.is_zero():
-            break
-        a = ord_int(k, p)
-        c = (p ** (S - a)) * pow(k // p ** a, -1, big_spec.modulus)
-        if k % 2 == 0:
-            c = -c
-        acc = acc + power.scale(c)
-    return _pack_shifted(acc, spec, g.n_eff, S)
+    """log g for a series with constant term 1: rings._log, summed
+    X-adically, with the denominators p^ord_p(k), k < cap, in the shift."""
+    return _log(g - TruncSeries.one(g.spec, g.cap), 0, "formal_log")[0]
 
 
 def formal_exp(f):
-    """exp of a series with zero constant term, via inflated-precision sums.
-
-    Accepts a shifted input.  The sum is exact at an inflated modulus, so the
-    true precision carried through is the input's n_eff - shift (comfortably
-    within the worst-case sum-of-ord_p(k) loss bound).
-    """
-    spec = f.spec
-    p, N = spec.p, spec.N
-    if not f.constant_term().is_zero():
-        raise DomainError("formal_exp requires zero constant term")
-    kmax = f.cap - 1
-    if kmax < 1:
-        return TruncSeries.one(spec, f.cap)
-    fact_ord = 0
-    for k in range(1, kmax + 1):
-        fact_ord += ord_int(k, p)
-    S = f.shift * kmax + fact_ord
-    t_out = f.n_eff - f.shift
-    N_int = N + S
-    big_spec = spec.with_precision(N_int)
-    fb = TruncSeries(big_spec, f.cap, list(f.coeffs), N_int, 0)
-    acc = TruncSeries.one(big_spec, f.cap).scale(p ** S)
-    power = TruncSeries.one(big_spec, f.cap)
-    fo = 0
-    fact_unit = 1
-    for k in range(1, kmax + 1):
-        power = power * fb
-        if power.is_zero():
-            break
-        a = ord_int(k, p)
-        fo += a
-        fact_unit = (fact_unit * (k // p ** a)) % big_spec.modulus
-        sc = (p ** (S - f.shift * k - fo)) * pow(fact_unit, -1, big_spec.modulus)
-        acc = acc + power.scale(sc)
-    return _pack_shifted(acc, spec, t_out, S)
-
-
-def _pack_shifted(acc_big, spec, true_prec, S):
-    """Strip content from a p^S-scaled big-modulus accumulator and repack.
-
-    true_prec bounds the represented series' true precision; the result has
-    n_eff - shift = min(true_prec, what the representation can carry).
-    """
-    p, N = spec.p, spec.N
-    content = S
-    for c in acc_big.coeffs:
-        for x in c:
-            if x:
-                content = min(content, ord_int(x, p))
-        if content == 0:
-            break
-    shift = S - content
-    q = p ** content
-    keep = min(true_prec + shift, N)
-    if keep <= shift:
-        raise PrecisionExhausted("no significant digits survive the shift")
-    mod = p ** keep
-    cs = [tuple((x // q) % mod for x in c) for c in acc_big.coeffs]
-    return _series(spec, acc_big.cap, cs, keep, shift)
+    """exp f for a series with zero constant term, shifted or not:
+    rings._exp, summed X-adically, with the denominators in the shift."""
+    return _exp(f, 0, "formal_exp")[0]
 
 
 # -- structural series ---------------------------------------------------------

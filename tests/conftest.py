@@ -1,12 +1,13 @@
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import pytest
 
-from ltk.rings import RingElem, make_ring, ord_int
+from ltk.rings import RingElem, make_ring, ord_int, valuation
 from ltk.series import TruncSeries
 
 
@@ -53,12 +54,58 @@ def log_reference(h, extra=25):
     return acc
 
 
+def exp_reference(x, extra=25):
+    """exp(x) for a RingElem x with v(x) > 1/(p - 1), or a TruncSeries x
+    with x(0) = 0 (stored with a shift or not), summed term by term at
+    N + extra digits until the stored power vanishes.
+
+    Term k is x^k / k!, and ord_p(k!) <= (k - 1)/(p - 1).  An element's
+    terms from the first K with K (v(x) - 1/(p - 1)) >= N + extra on are so
+    0 mod p^(N + extra), and a series' from K = cap on.  Each earlier term
+    is a power taken at M = N + extra + D digits, D = s (K - 1) +
+    ord_p((K - 1)!) for a shift s, whose p-part of k! (and p^(s k)) is
+    divided out exactly for an element and put into the shift for a series;
+    so every term, and the sum, is known mod p^(N + extra).  A series
+    result carries its denominators in its shift, as formal_exp's does.
+    """
+    spec = x.spec
+    p = spec.p
+    if isinstance(x, RingElem):
+        lam, t, s, K = Fraction(1, p - 1), valuation(x), 0, 1
+        while K * (t - lam) < spec.N + extra:
+            K += 1
+    else:
+        s, K = x.shift, x.cap
+    D = s * (K - 1) + sum(ord_int(k, p) for k in range(1, K))
+    big = spec.with_precision(spec.N + extra + D)
+    if isinstance(x, RingElem):
+        xb, acc = RingElem(big, x.coords), big.one()
+    else:
+        xb, acc = TruncSeries(big, x.cap, x.coeffs, big.N, s), TruncSeries.one(big, x.cap)
+    power, fact = xb, 1
+    for k in range(1, K):
+        if power.is_zero():
+            break
+        fact *= k
+        a = ord_int(fact, p)
+        term = power * pow(fact // p ** a, -1, big.modulus)
+        if isinstance(x, RingElem):
+            acc = acc + term.divide_exact_p(a)
+        else:
+            acc = acc + TruncSeries(big, x.cap, term.coeffs, big.N, term.shift + a)
+        power = power * xb
+    return acc
+
+
 def congruent(a, b, n):
-    """Whether two elements or two series agree coordinatewise mod p^n."""
-    q = a.spec.p ** n
+    """Whether two elements or two series agree coordinatewise mod p^n; a
+    series stored with a shift is read as the series it represents, so two
+    series agree when p^(sb) a and p^(sa) b agree mod p^(n + sa + sb)."""
+    sa, sb = (getattr(x, "shift", 0) for x in (a, b))
+    q = a.spec.p ** (n + sa + sb)
     rows = lambda x: [x.coords] if isinstance(x, RingElem) else x.coeffs
-    return all((x - y) % q == 0 for ca, cb in zip(rows(a), rows(b))
-               for x, y in zip(ca, cb))
+    return all((x * a.spec.p ** sb - y * a.spec.p ** sa) % q == 0
+               for ca, cb in zip(rows(a), rows(b)) for x, y in zip(ca, cb))
 
 
 @pytest.fixture

@@ -223,28 +223,38 @@ def test_system_json(g3t, rng):
 @pytest.mark.parametrize("p, N", [(2, 2), (2, 4), (3, 3), (5, 5)])
 def test_log_of_one_plus_pX_claims_only_known_digits(p, N):
     # log(1 + pX) = sum_k (-1)^(k+1) p^k X^k / k exactly.  Over Z/p^N the
-    # stored (pX)^N vanishes, but the first dropped term (pX)^N / N does not:
-    # p^(p-1) X^p over Z/p^p, 4 X^4 at p = 2, N = 4.  n_eff = min_a max(N,
-    # p^a) - a
+    # stored (pX)^N vanishes, but the term (pX)^N / N need not: p^(p-1) X^p
+    # over Z/p^p, 4 X^4 at p = 2, N = 4.  The sum runs at p^(N + S), where
+    # those terms are counted, and holds all N digits
     z = make_ring(p, N, "zp")
     S, n = log_one_unit(TruncSeries(z, p + 3, [0, p]), 1)
-    assert n == min(max(N, p ** a) - a for a in range(4))
+    assert n == N
     for k in range(1, p + 3):
         exact = Fraction((-1) ** (k + 1) * p ** k, k)
         assert (S.coeffs[k][0] - exact.numerator * pow(exact.denominator, -1, p ** n)
                 ) % p ** n == 0
 
 
+def test_log_one_unit_reads_the_x_adic_filtration():
+    # h = 3X over Z/3^3 at cap 3: h^k = 0 mod X^3 for k >= 3, so no term has
+    # a denominator and all 3 digits hold (log(1 + 3X) = 3X - 9X^2 / 2)
+    h = TruncSeries(make_ring(3, 3, "zp"), 3, [0, 3])
+    S, n = log_one_unit(h, 1)
+    assert n == 3
+    assert congruent(S, log_reference(h), 3)
+
+
 def test_log_one_unit_on_the_lt_coleman_ring():
-    # series u = 1 mod pi over Z_3[pi], pi^2 = -3, N = 7: t = 1/2, and the
-    # stored h^9 is 0 mod 3^7 while h^9 / 9 is only 0 mod 3^5
+    # series u = 1 mod pi over Z_3[pi], pi^2 = -3, N = 7: t = 1/2, so h^9 / 9
+    # divided at 3^7 would be known mod 3^5 only.  The sum runs at 3^(7 + 2),
+    # 2 the largest a with 3^a t - a < 7, and holds all 7 digits
     spec = make_ring(3, 7, "ramified_quad", quad=(0, 3))
     w, rng = spec.gen_quad(), random.Random(1)
     draw = lambda: w * spec.elem([rng.randrange(spec.modulus) for _ in range(2)])
     for _ in range(40):
         h = TruncSeries(spec, 8, [draw() for _ in range(8)])
         S, n = log_one_unit(h, min(valuation(h.coeff(i)) for i in range(8)))
-        assert n == 5
+        assert n == 7
         assert congruent(S, log_reference(h), n)
 
 

@@ -31,7 +31,7 @@ from ltk.rings import (
 
 from ltk.series import TruncSeries
 
-from conftest import congruent, log_reference
+from conftest import congruent, exp_reference, log_reference
 from det_oracle import det_bareiss, generic_inverse
 from eval_oracle import ref_embed
 
@@ -140,9 +140,11 @@ def test_padic_log_exp_examples():
 
 def test_log_exp_domain():
     z3 = make_ring(3, 6, "zp")
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"padic_log needs v\(u - 1\) > 1/\(p - 1\) = 1/2; "
+                                          r"v\(u - 1\) = 0"):
         padic_log(z3.from_int(2))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"padic_exp needs v\(x\) > 1/\(p - 1\) = 1/2; "
+                                          r"v\(x\) = 0"):
         padic_exp(z3.from_int(1))
 
 
@@ -274,14 +276,14 @@ def test_embed_and_descend_accept_the_same_pairs(p, supported):
 
 
 def test_padic_log_counts_the_dropped_terms():
-    # over Z_5[w], w^2 = -5, at N = 2: h = 7w has v(h^4) = 2, so the loop stops
-    # at K = 4, but h^5 / 5 has valuation 3/2 and is only 0 mod 5
+    # over Z_5[w], w^2 = -5, at N = 2: h = 7w has v(h^4) = 2, so the stored h^4
+    # is 0 mod 5^2, but h^5 / 5 has valuation 3/2 and is only 0 mod 5.  The sum
+    # runs at 5^(N + 1), where that term is counted, and holds all N digits
     spec = make_ring(5, 2, "ramified_quad", quad=(0, 5))
     h = spec.elem((0, 7))
     val, n = padic_log(spec.one() + h)
-    assert n == 1
-    assert congruent(val, log_reference(h), 1)
-    assert not congruent(val, log_reference(h), 2)
+    assert n == 2
+    assert congruent(val, log_reference(h), 2)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -303,13 +305,65 @@ def test_padic_log_digits_match_the_reference(p):
 
 
 def test_log_one_unit_precision_closed_form():
-    # n_eff = min over a of max(N, floor(p^a t)) - a
+    # the log of every lift agrees mod p^N, so n_eff = N for an element h,
+    # also at t <= 1/(p - 1), once the sum runs at p^(N + S), S the largest
+    # a with p^a t - a < N: S = 1, 2 and 3 below
     z = make_ring(2, 4, "zp")
-    assert log_one_unit(z.from_int(4), 2)[1] == 3        # a = 1: 4 - 1
-    assert log_one_unit(z.from_int(2), 1)[1] == 2        # a = 2: 4 - 2
-    with pytest.raises(PrecisionExhausted):
-        log_one_unit(make_ring(2, 2, "ramified_quad", quad=(0, 2)).gen_quad(),
-                     Fraction(1, 2))                      # a = 2: 2 - 2
+    w = make_ring(2, 2, "ramified_quad", quad=(0, 2)).gen_quad()
+    for h, t in ((z.from_int(4), 2), (z.from_int(2), 1), (w, Fraction(1, 2))):
+        val, n = log_one_unit(h, t)
+        assert n == h.spec.N
+        assert congruent(val, log_reference(h), n)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_padic_exp_digits_match_the_reference(p):
+    # every digit padic_exp claims is a digit of exp(x), and it claims all N
+    rng = random.Random(p)
+    for N in range(2, 9):
+        for spec in (make_ring(p, N, "zp"),
+                     make_ring(p, N, "ramified_quad", quad=(0, p))):
+            count = 0
+            for _ in range(200):
+                x = spec.elem([rng.randrange(spec.modulus) for _ in range(spec.rank)])
+                if x.is_zero() or valuation(x) <= Fraction(1, p - 1):
+                    continue
+                val, n = padic_exp(x)
+                assert n == N
+                assert congruent(val, exp_reference(x), n), (spec, x)
+                count += 1
+                if count == 12:
+                    break
+
+
+def test_log_and_exp_refuse_a_composite_that_splits():
+    # Q_3(sqrt -3) holds zeta_3, so this composite is Q_3(zeta_3) x Q_3(zeta_3)
+    # and its `valuation` averages over the two factors: h below reads 3/4
+    bad = make_composite(make_ring(3, 4, "ramified_quad", quad=(0, 3)), 1)
+    h = bad.elem((73, 44, 68, 74))
+    assert valuation(h) == Fraction(3, 4)
+    with pytest.raises(DomainError, match=r"padic_log: the ring .*composite.* may be no field"):
+        padic_log(bad.one() + h)
+    with pytest.raises(DomainError, match=r"padic_exp: the ring .*composite.* may be no field"):
+        padic_exp(h)
+    # the composite with an unramified quadratic ring is a field, and is kept
+    good = make_composite(make_ring(3, 8, "unramified_quad", quad=(0, 1)), 1)
+    h = (good.zeta() - good.one()) ** 2
+    val, n = padic_log(good.one() + h)
+    assert n == 8 and congruent(val, log_reference(h), n)
+
+
+def test_log_one_unit_errors_name_what_was_needed():
+    z3 = make_ring(3, 6, "zp")
+    with pytest.raises(DomainError, match=r"log_one_unit: the sum converges neither X-adically "
+                                          r".* nor p-adically \(it needs t > 0; t = 0\)"):
+        log_one_unit(z3.from_int(3), 0)
+    # 1 + zeta (zeta - 1) over Z_2[zeta_16], v = 1/8: its log is not integral
+    cyc = make_ring(2, 4, "cyclotomic", level=4)
+    h = cyc.zeta() * (cyc.zeta() - cyc.one())
+    with pytest.raises(DomainError, match=r"log_one_unit: the value has p\^-1 in its "
+                                          r"denominator, which an element cannot carry"):
+        log_one_unit(h, valuation(h))
 
 
 # -- rings the other tests reach only through probes ------------------------------

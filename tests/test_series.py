@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from ltk.series import (
     weierstrass_prep,
 )
 
-from conftest import random_series
+from conftest import congruent, exp_reference, random_series
 from eval_oracle import ref_eval, ref_root_product
 from series_oracle import (iwasawa_invariants_by_roots, ref_divmod_monic, ref_invert,
                            ref_weierstrass_prep)
@@ -69,6 +70,49 @@ def test_exp_log_round_trip(z3):
     bound = sum(ord_int(k, 3) for k in range(1, 12))
     assert E.n_eff >= z3.N - bound
     assert E.eq_mod(u, E.n_eff)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_formal_exp_digits_match_the_reference(p):
+    # every digit formal_exp claims is a digit of exp(f), shifted inputs and
+    # inputs below full precision included, and the claim is min(f's true
+    # precision, N - shift of the result)
+    rng = random.Random(p)
+    for N in range(2, 9):
+        for spec in (make_ring(p, N, "zp"),
+                     make_ring(p, N, "ramified_quad", quad=(0, p))):
+            for cap in range(2, 13):
+                shift = cap % 3 if cap % 3 < N else 0
+                n_eff = N if cap % 2 else rng.randrange(shift + 1, N + 1)
+                f = TruncSeries(spec, cap, [0] + [
+                    [rng.randrange(spec.modulus) for _ in range(spec.rank)]
+                    for _ in range(cap - 1)], n_eff, shift)
+                try:
+                    E = formal_exp(f)
+                except PrecisionExhausted:
+                    continue
+                n = E.n_eff - E.shift
+                assert n == min(n_eff - shift, N - E.shift)
+                assert congruent(E, exp_reference(f), n), (spec, f.coeffs, shift)
+
+
+def test_formal_log_and_exp_errors_name_what_was_needed(z3):
+    with pytest.raises(DomainError, match=r"formal_log: log\(1 \+ h\) needs an integral h; "
+                                          r"h has shift 1"):
+        formal_log(TruncSeries(z3, 4, [3, 1], shift=1))
+    with pytest.raises(DomainError, match=r"formal_log: the sum converges neither X-adically "
+                                          r"\(the constant term is not 0\) nor p-adically "
+                                          r"\(it needs t > 0; t = 0\)"):
+        formal_log(TruncSeries(z3, 4, [2, 1]))
+    with pytest.raises(DomainError, match=r"formal_exp: the sum converges neither X-adically "
+                                          r"\(the constant term is not 0\) nor p-adically "
+                                          r"\(it needs t > 1/2; t = 0\)"):
+        formal_exp(TruncSeries(z3, 4, [3, 1]))
+    # log(1 + X) at cap 9 has X^8 / 8: its denominator 2^3 needs 4 digits
+    with pytest.raises(PrecisionExhausted, match=r"formal_log: the value has p\^-3 in its "
+                                                 r"denominators, so it needs more than 3 "
+                                                 r"digits; the ring has N = 2"):
+        formal_log(TruncSeries(make_ring(2, 2, "zp"), 9, [1, 1]))
 
 
 def test_weierstrass_examples(z3, q3):
