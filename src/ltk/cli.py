@@ -109,7 +109,7 @@ def cmd_group(args):
         "q": G.q,
         "log_series": log.to_json(),
         "log_derivative_unit": G.log_derivative_is_unit(min(16, G.cap)),
-    }, None
+    }, log.n_eff - log.shift
 
 
 def cmd_omega(args):
@@ -375,7 +375,7 @@ def run(argv):
                   f"deg={args.deg} ring={args.ring}", file=sys.stderr)
         _validate(args)
         payload, achieved = handler(args)
-        # group, tower and elliptic derive no precision yet: they report --prec
+        # tower and elliptic derive no precision yet: they report --prec
         payload["provenance"] = {
             "inputs_hash": _inputs_hash(inputs, args.deg),
             "caps": {"degree": args.deg, "precision": args.prec},

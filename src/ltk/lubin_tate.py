@@ -7,47 +7,47 @@ variant is f = pi'*X + X^q; the multiplicative variant (1+X)^p - 1 over Z_p
 recovers the classical picture.
 
 Every algorithm here runs over a small ring protocol: zero, one, from_base,
-add, sub, mul, is_zero.  Two kinds of ring speak it: series._Coords (a
-packed ring on its flat coordinate tuples, with its compiled mul_coords: a
-RingSpec as _Coords(spec), and every QuotientRing base[X]/P, which is a
-_Coords of itself) and the exact rationals _Rationals here.  The protocol
-and the structural solver, series._solve_structural, live in series next to
-the kernel they call; the companion-matrix norm exists once too, and takes
-one determinant, packed_det's expansion, over the series ring, the base ring
-or a quotient ring alike.  A QuotientRing is one more monic extension in the
-tower of rings.extend, with the same compiled reduce_blocks and mul_coords as
-a RingSpec, and its elements are flat coordinate tuples only; base RingElems
-appear at the API boundary, not inside the algorithms.
+add, sub, mul, is_zero.  series._Coords speaks it: a packed ring on its flat
+coordinate tuples, with its compiled mul_coords (a RingSpec as
+_Coords(spec), and every QuotientRing base[X]/P, which is a _Coords of
+itself).  The protocol and the structural solver, series._solve_structural,
+live in series next to the kernel they call; the companion-matrix norm exists
+once too, and takes one determinant, packed_det's expansion, over the series
+ring, the base ring or a quotient ring alike.  A QuotientRing is one more
+monic extension in the tower of rings.extend, with the same compiled
+reduce_blocks and mul_coords as a RingSpec, and its elements are flat
+coordinate tuples only; base RingElems appear at the API boundary, not inside
+the algorithms.
 
-Structural series.  The logarithm, the exponential, the endomorphisms [a]_f,
-the torsion translates X [+] pt and the compositional inverses are each
-pinned down, coefficient by coefficient, by one triangular identity, the
+Structural series.  The derivative of the logarithm, the endomorphisms
+[a]_f, the torsion translates X [+] pt and the compositional inverses are
+each pinned down, coefficient by coefficient, by one triangular identity, the
 shape of the Lubin-Tate uniqueness lemma:
 
-    D_k c_k = b_k + sum_{j>=2} u_j [C^j]_k - sum_{1<=j<k} c_j [v^j]_k
+    D_k c_k = b_k + sum_{j>=2} u_j [C^j]_k - sum_{1<=j<k} c_j [V_j]_k
 
-  log        l(f(X)) = pi l(X)      v = f, D_k = pi^k - pi
-  exp        f(e(Y)) = e(pi Y)      u = f, D_k = pi^k - pi
-  [a]_f      [a] o f = f o [a]      u = v = f, D_k = pi^k - pi
+  log'       g(f(X)) h(X) = g(X)    V_j = f^j h, b = -h, D_k = pi^k - 1
+  [a]_f      [a] o f = f o [a]      u = f, V_j = f^j, D_k = pi^k - pi
   translate  f(pt + S) = f(X)       u = -d, b = f, D_k = d_1
   reversion  g(h(X)) = X            u = -g, D_k = g_1 (series.reversion)
-  theta^-1   theta(h(X)) = X        u = -theta, D_k = theta_1 (q_coordinate)
 
-where f(pt + S) = sum_i d_i S^i.  _solve_structural solves all six (the last
-two are series._reversion).  As c_0 = 0, [C^j]_k involves only c_1..c_{k-1},
-so the powers of C come from the running convolution P_j[k] =
-sum_{i=1}^{k-1} c_i P_{j-1}[k-i], filled in as the coefficients appear.
+where h = f'/pi and f(pt + S) = sum_i d_i S^i.  _solve_structural solves all
+four (the last is series._reversion).  Where u enters, c_0 = 0, so [C^j]_k
+involves only c_1..c_{k-1}, and the powers of C come from the running
+convolution P_j[k] = sum_{i=1}^{k-1} c_i P_{j-1}[k-i], filled in as the
+coefficients appear.  The log is the integral of log' (l_k = g_(k-1) / k);
+the exponential enters only through lambda(U) = log_F(pU) / p, integral with
+lambda_1 = 1: F(X, Y) = p lambda^-1(lambda(X/p) + lambda(Y/p)), and
+q_coordinate reverses theta(pU) / p the same way.
 
-Which solves are residue and which rational.  [a]_f is solved in residue
-arithmetic, Z/p^(N+s) on coordinate tuples, each division by pi^k - pi an
-exact, checked division by p; the budget s = 1 + ceil(floor(log_q(cap-1)) / e)
-is derived in FormalGroup.endomorphism (an error reaches c_k with a unit
-coefficient only from c_{k/q}, so the loss grows with the q-adic depth of
-the cap).  The translates are solved in the quotient ring base[w]/pibar_1(w)
-on flat coordinates, with certified divisions by d_1 = f'(pt) through an
-integer inverse (QuotientRing.make_divider, by rings.fraction_free).  log and
-exp stay over exact rationals: their denominators are genuine, and
-log_series, q_coordinate and group_law_bivariate report them exactly.
+Every solve runs in residue arithmetic on coordinate tuples, at a working
+precision derived in its docstring.  [a]_f is solved in Z/p^(N+s), each
+division by pi^k - pi an exact, checked division by p, with the budget s of
+FormalGroup.endomorphism; log' has unit divisors pi^k - 1, so it is exact
+mod p^N with no budget; the denominators of log_series, group_law_bivariate
+and q_coordinate are read exactly off residues.  The translates are solved in
+the quotient ring base[w]/pibar_1(w), with certified divisions by
+d_1 = f'(pt) through an integer inverse (QuotientRing.make_divider).
 
 The Coleman norm operator is a resultant: N_f g (Y) = det g(C) where C is
 the companion matrix of f(Z) - Y, exact mod (p^N, Y^D).  g(C) = sum_k g_k C^k
@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import partial
 from itertools import chain
 
 from .rings import (
@@ -97,6 +96,7 @@ from .series import (
     _slot_bytes,
     _solve_structural,
     _trim,
+    formal_exp,
     horner,
     packed_compose,
     packed_mul,
@@ -113,11 +113,12 @@ __all__ = [
 ]
 
 
-# -- exact rationals on the base ring's basis ------------------------------------
+# -- coordinate helpers and the companion-matrix norm ------------------------------
 
 
 def _fr_mul(bc, a, b):
-    """Product in Q (rank 1) or Q[w]/(w^2 + b w + c) with bc = (b, c)."""
+    """Product in Q (rank 1) or Q[w]/(w^2 + b w + c) with bc = (b, c), for the
+    rational oracle in tests/lt_oracle.py; perfbench counts its calls."""
     if len(a) == 1:
         return (a[0] * b[0],)
     qb, qc = bc
@@ -127,109 +128,12 @@ def _fr_mul(bc, a, b):
     return (t0 - qc * t2, t1 - qb * t2)
 
 
-class _Rationals:
-    """The base ring's fraction field, as tuples of Fractions on its basis.
-
-    from_base takes the balanced lift, which keeps small negative constants
-    (like pi^2 = -2) exact, so identities such as [pi]^2 = [pi^2] hold on the
-    nose rather than only mod a reduced precision.
-    """
-
-    def __init__(self, spec):
-        self.spec = spec
-        self.rank = spec.rank
-        self.bc = None if spec.quad is None else tuple(map(Fraction, spec.quad))
-        self.mul = partial(_fr_mul, self.bc)
-
-    def zero(self):
-        return (Fraction(0),) * self.rank
-
-    def one(self):
-        return (Fraction(1),) + (Fraction(0),) * (self.rank - 1)
-
-    def from_base(self, elem):
-        m = elem.spec.modulus
-        return tuple(Fraction(c if c <= m // 2 else c - m) for c in elem.coords)
-
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def is_zero(self, a):
-        return not any(a)
-
-    def scale(self, s, a):
-        return tuple(s * x for x in a)
-
-    def inv(self, a):
-        if self.rank == 1:
-            return (1 / a[0],)
-        qb, qc = self.bc
-        nm = a[0] * a[0] - qb * a[0] * a[1] + qc * a[1] * a[1]
-        return ((a[0] - qb * a[1]) / nm, -a[1] / nm)
-
-    def den_ord(self, coeffs):
-        """The largest p-order of a denominator among the coefficients."""
-        p = self.spec.p
-        return max((ord_int(x.denominator, p) for c in coeffs for x in c),
-                   default=0)
-
-    def to_base(self, a):
-        """Residue coordinates of a; the denominators must be p-units."""
-        m = self.spec.modulus
-        out = []
-        for x in a:
-            if x.denominator % self.spec.p == 0:
-                raise PrecisionExhausted("coefficient is not p-integral")
-            out.append(x.numerator * pow(x.denominator, -1, m))
-        return self.spec.elem(out)
-
-    def series(self, coeffs):
-        """The TruncSeries with these coefficients if p-integral, else None."""
-        try:
-            elems = [self.to_base(c) for c in coeffs]
-        except PrecisionExhausted:
-            return None
-        return TruncSeries(self.spec, len(coeffs), elems)
-
-
-# -- polynomial algorithms over the ring protocol ------------------------------------
-
-
-def _poly_mul(R, a, b, cap):
-    """Truncated product of coefficient lists over the exact rationals."""
-    out = [R.zero()] * cap
-    for i, ai in enumerate(a[:cap]):
-        if R.is_zero(ai):
-            continue
-        for j, bj in enumerate(b[:cap - i]):
-            if not R.is_zero(bj):
-                out[i + j] = R.add(out[i + j], R.mul(ai, bj))
-    return out
-
-
-def _compose(R, f, g, cap):
-    """f(g) mod X^cap by Horner's rule over the exact rationals.
-
-    Every coefficient of f is used: g(0) need not vanish, so high terms of f
-    reach the low degrees.
-    """
-    res = [R.zero()] * cap
-    for c in reversed(f):
-        res = _poly_mul(R, res, g, cap)
-        if not R.is_zero(c):
-            res[0] = R.add(res[0], c)
-    return res
-
-
 def _balanced_lift(x, big_m):
     """The coordinates of x mod big_m = p^M (M >= N) through the balanced lift.
 
-    [a]_f mod p^N depends on the lift of a and of f, not only on their
-    residues (c_q is a multiple of (a - a^q) / (pi^q - pi)), so every solve
-    lifts the way the exact rationals do: residues above p^N / 2 go negative.
+    [a]_f and log_F' mod p^N depend on the lifts, not only on the residues
+    (c_q is a multiple of (a - a^q) / (pi^q - pi), and h = f'/pi), so every
+    solve lifts as the rational oracle does: residues above p^N / 2 go negative.
     """
     m = x.spec.modulus
     return tuple((c if c <= m // 2 else c - m) % big_m for c in x.coords)
@@ -349,13 +253,9 @@ class FormalGroup:
         self.f = TruncSeries(spec, cap, f_coeffs)
         self.f_poly = [self.f.coeff(i) for i in range(q + 1)]
         self._check_frobenius_shape()
-        self._Q = _Rationals(spec)
-        self._f_rat = [self._Q.from_base(c) for c in self.f_poly]
-        self._f_pows = []
         self._residue_solvers = {}
+        self._log_derivatives = {}
         self._torsion_ring = None
-        self._log_cache = {}
-        self._exp_cache = {}
         self._endo_cache = {}
         self._pibar_cache = {}
         self._translate_cache = {}
@@ -377,130 +277,124 @@ class FormalGroup:
         if not top.is_zero() and valuation(top) <= 0:
             raise DomainError("leading coefficient must be a unit lifting 1")
 
-    # -- structural series over the rationals ------------------------------------
+    # -- log_F', log_F and the group law, in residue arithmetic -----------------
 
-    def _f_powers(self, cap):
-        """[None, f, f^2, ...] over the rationals, each known mod X^cap.
+    def _uniformizer(self, big):
+        """pi and p / pi = pi^(e-1) u^-1 mod p^M in big = Z/p^M, pi by its balanced
+        lift, and pi^e = p u formed one digit up so that the unit u is known mod p^M."""
+        e, up = self.spec.ramification_index, big.with_precision(big.N + 1)
+        u = (RingElem(up, _balanced_lift(self.pi, up.modulus)) ** e).divide_exact_p(1)
+        pi = RingElem(big, _balanced_lift(self.pi, big.modulus))
+        return pi, pi ** (e - 1) * RingElem(big, u.coords).inverse()
 
-        Cached for the largest cap asked for: the solver reads only the
-        entries [f^j]_k with j < k < cap, which a longer table holds too.
-        """
-        if len(self._f_pows) < cap:
-            R = self._Q
-            f = (self._f_rat + [R.zero()] * cap)[:cap]
-            pows = [None, f]
+    def _log_derivative(self, M, cap):
+        """log_F' mod (p^M, X^cap) as coordinate tuples (log_derivative_series),
+        kept per M for the largest cap asked for (a shorter one is a prefix)."""
+        g = self._log_derivatives.get(M, ())
+        if len(g) < cap:
+            big = self.spec.with_precision(M)
+            up, K, m = big.with_precision(M + 1), _Coords(big), big.modulus
+            # h = f'/pi reads f up to degree q, whatever the cap
+            rho = self._uniformizer(up)[1]
+            h = [K.one()] + [(RingElem(up, _balanced_lift(c, up.modulus)) * (j * rho))
+                             .divide_exact_p(1).coords for j, c in enumerate(self.f_poly[2:], 2)]
+            f = [_balanced_lift(c, m) for c in self.f_poly[:cap]]
+            f_pows_h = [h]
             for _ in range(2, cap):
-                pows.append(_poly_mul(R, f, pows[-1], cap))
-            self._f_pows = pows
-        return self._f_pows
+                f_pows_h.append(packed_mul(big, f, f_pows_h[-1], cap))
+            pi = RingElem(big, _balanced_lift(self.pi, m))
+            inv = [None] + [(pi ** k - 1).inverse().coords for k in range(1, cap)]
+            g = _solve_structural(K, cap, [K.one()], lambda k, x: big.mul_coords(x, inv[k]),
+                                  b=[K.sub(K.zero(), x) for x in h], v_pows=f_pows_h)
+            self._log_derivatives[M] = g
+        return g[:cap]
 
-    def _pi_divider(self, cap):
-        """k, x -> x / (pi^k - pi) for 2 <= k < cap."""
-        R = self._Q
-        pif = pik = R.from_base(self.pi)
-        inv = [None, None]
-        for _ in range(2, cap):
-            pik = R.mul(pik, pif)
-            inv.append(R.inv(R.sub(pik, pif)))
-        return lambda k, x: R.mul(x, inv[k])
-
-    def log_coeffs(self, cap=None):
-        """Exact rational coefficients of log_F, solved from log(f) = pi*log."""
-        cap = cap or self.cap
-        if cap not in self._log_cache:
-            R = self._Q
-            self._log_cache[cap] = _solve_structural(
-                R, cap, [R.zero(), R.one()], self._pi_divider(cap),
-                v_pows=self._f_powers(cap))
-        return self._log_cache[cap]
-
-    def exp_coeffs(self, cap=None):
-        """Exact rational coefficients of exp_F, from f(exp(Y)) = exp(pi*Y)."""
-        cap = cap or self.cap
-        if cap not in self._exp_cache:
-            R = self._Q
-            self._exp_cache[cap] = _solve_structural(
-                R, cap, [R.zero(), R.one()], self._pi_divider(cap),
-                u=self._f_rat)
-        return self._exp_cache[cap]
-
-    def log_series(self, cap=None):
-        """log_F as a shifted-integral TruncSeries (log'(0) = 1).
-
-        The stored coefficients are p^S times the true ones, S the largest
-        p-order of a denominator, at precision N + S.
-        """
-        cap = cap or self.cap
-        fr = self.log_coeffs(cap)
-        spec, p = self.spec, self.spec.p
-        S = self._Q.den_ord(fr)
-        big = spec.with_precision(spec.N + S)
-        mod = big.modulus
-
-        def pack(x):
-            v = ord_int(x.denominator, p)
-            unit = x.denominator // p ** v
-            return x.numerator * p ** (S - v) * pow(unit, -1, mod) % mod
-
-        coeffs = [tuple(pack(x) for x in c) for c in fr]
-        return TruncSeries(big, cap, coeffs, spec.N + S, S)
-
-    def group_law_bivariate(self, cap=8):
-        """F(X,Y) = exp_F(log X + log Y) as {(i,j): RingElem}, total deg < cap.
-
-        Solved over exact rationals and certified integral; small caps only
-        (the translates machinery never needs the bivariate law).
-        """
-        R = self._Q
-        l = self.log_coeffs(cap)
-        e = self.exp_coeffs(cap)
-
-        def bmul(A, B):
-            out = {}
-            for (i1, j1), a in A.items():
-                if R.is_zero(a):
-                    continue
-                for (i2, j2), b in B.items():
-                    i, j = i1 + i2, j1 + j2
-                    if i + j >= cap or R.is_zero(b):
-                        continue
-                    out[(i, j)] = R.add(out.get((i, j), R.zero()), R.mul(a, b))
-            return out
-
-        S = {}
-        for k in range(1, cap):
-            if not R.is_zero(l[k]):
-                S[(k, 0)] = l[k]
-                S[(0, k)] = l[k]
-        F = {}
-        P = {(0, 0): R.one()}
-        for k in range(1, cap):
-            P = bmul(P, S)
-            if not P:
-                break
-            if not R.is_zero(e[k]):
-                for key, v in P.items():
-                    F[key] = R.add(F.get(key, R.zero()), R.mul(e[k], v))
-        return {key: R.to_base(v) for key, v in F.items() if not R.is_zero(v)}
+    def _scaled_log(self, M, cap, e):
+        """p^e(k) l_k mod p^M for k < cap, l_k = g_(k-1) / k the coefficients
+        of log_F from g = log_F' mod p^M: with e(k) >= ord_p(k), each is
+        g_(k-1) p^(e(k) - ord_p(k)) / k', exact mod p^M."""
+        p, m = self.spec.p, self.spec.p ** M
+        out = [(0,) * self.spec.rank]
+        for k, c in enumerate(self._log_derivative(M, cap - 1), 1):
+            a = ord_int(k, p)
+            s = p ** (e(k) - a) * pow(k // p ** a, -1, m)
+            out.append(tuple(x * s % m for x in c))
+        return out
 
     def log_derivative_series(self, cap=None):
-        """log_F'(X) as an integral unit TruncSeries (certified)."""
+        """log_F' as an integral unit TruncSeries, exact mod p^N.
+
+        Differentiating l(f(X)) = pi l(X) gives g(X) = g(f(X)) h(X) for
+        g = l' and h = f'/pi.  h is integral: h_(j-1) = j f_j / pi, pi
+        divides f_j for 1 < j < q, and p divides q.  As [f^j h]_k = 0 for
+        j > k and [f^k h]_k = pi^k, the coefficient of X^k reads
+
+            (pi^k - 1) g_k = -h_k - sum_{1<=j<k} g_j [f^j h]_k,
+
+        the structural shape with head (1), b = -h, V_j = f^j h and unit
+        divisors.  So g mod p^M is exact given f and h mod p^M: f by its
+        balanced lift, h_(j-1) = (j f_j p/pi) / p by an exact division of
+        the lift mod p^(M+1) (_uniformizer).  No digit is lost, and g_0 = 1.
+        """
         cap = self.cap if cap is None else cap
-        R = self._Q
-        l = self.log_coeffs(cap + 1)
-        ser = R.series([R.scale(Fraction(k + 1), l[k + 1]) for k in range(cap)])
-        if ser is None:
-            raise PrecisionExhausted("log_F' is not integral (unexpected)")
-        return ser
+        return _series(self.spec, cap, self._log_derivative(self.spec.N, cap), self.spec.N)
 
     def log_derivative_is_unit(self, cap=None):
         """Whether log_F'(X) mod X^(cap-1), from log_F mod X^cap, is an
         integral unit series (constant term 1)."""
-        try:
-            ser = self.log_derivative_series((self.cap if cap is None else cap) - 1)
-        except PrecisionExhausted:
-            return False
+        ser = self.log_derivative_series((self.cap if cap is None else cap) - 1)
         return ser.constant_term() == self.spec.one()
+
+    def log_series(self, cap=None):
+        """log_F as a shifted-integral TruncSeries (log'(0) = 1): p^S l_k mod
+        p^(N+S) at precision N + S, S the largest p-order of a denominator.
+
+        At M = N + S_b, S_b = max_{k<cap} ord_p(k), p^(S_b) l_k is integral
+        and exact mod p^M (_scaled_log), and normalize_shift strips its
+        p-content, which leaves S exact: a nonzero residue has its exact
+        p-order, and a zero one an order >= M, which is no denominator.
+        """
+        cap = cap or self.cap
+        N, p = self.spec.N, self.spec.p
+        sb = max((ord_int(k, p) for k in range(1, cap)), default=0)
+        big = self.spec.with_precision(N + sb)
+        log = _series(big, cap, self._scaled_log(big.N, cap, lambda k: sb), big.N, sb)
+        log = log.normalize_shift()
+        return log.reduce_precision(log.n_eff)
+
+    def group_law_bivariate(self, cap=8):
+        """F(X,Y) = exp_F(log X + log Y) as {(i,j): RingElem}, total deg < cap:
+        the coefficients nonzero mod p^N.
+
+        lambda(U) = log_F(pU) / p has lambda_k = p^(k-1) l_k, integral as
+        ord_p(k) <= k - 1, and lambda_1 = 1.  So Phi(U, V) = lambda^-1(lambda(U)
+        + lambda(V)), with lambda^-1 by series._reversion, is integral and
+        exact mod p^M, and F(X, Y) = p Phi(X/p, Y/p): F_ij = p^(1-i-j) Phi_ij
+        needs M = N + cap - 2.  Phi is one packed_compose over E =
+        base[Z]/(Z^cap) at U = T, V = T Z: the T^n coefficient is
+        sum_{i+j=n} Phi_ij Z^j, so mod T^cap is the total-degree truncation,
+        and the Z-degree stays below cap.  Each division by p^(i+j-1) is
+        checked (PrecisionExhausted), which F's integrality (Lubin and Tate,
+        1965) never trips.
+        """
+        if cap < 2:
+            return {}
+        spec, r = self.spec, self.spec.rank
+        big = spec.with_precision(spec.N + cap - 2)
+        lam, z = self._scaled_log(big.N, cap, lambda k: k - 1), (0,) * r
+        E = QuotientRing(big, [0] * cap + [1])
+        # lambda(T) + lambda(T Z) = sum_k lambda_k (1 + Z^k) T^k
+        arg = [E.zero()] + [c + z * (k - 1) + c + z * (cap - 1 - k)
+                            for k, c in enumerate(lam[1:], 1)]
+        phi = packed_compose(E, [c + E.zero()[r:] for c in _reversion(_Coords(big), lam, cap)],
+                             arg, cap)
+        out = {}
+        for n in range(1, cap):
+            for j in range(n + 1):
+                c = spec.elem(RingElem(big, phi[n][j * r:j * r + r]).divide_exact_p(n - 1).coords)
+                if not c.is_zero():
+                    out[(n - j, j)] = c
+        return out
 
     # -- endomorphisms, in residue arithmetic ------------------------------------
 
@@ -532,12 +426,7 @@ class FormalGroup:
         pows = [None, fc]
         for _ in range(2, cap):
             pows.append(packed_mul(big, fc, pows[-1], cap))
-        # pi^e = p u with u a unit, so p / pi = pi^(e-1) u^-1; pi^e is formed
-        # one digit up so that u is known mod p^M
-        e, up = self.spec.ramification_index, big.with_precision(big.N + 1)
-        u = (RingElem(up, _balanced_lift(self.pi, up.modulus)) ** e).divide_exact_p(1)
-        pi = RingElem(big, _balanced_lift(self.pi, big.modulus))
-        p_over_pi = pi ** (e - 1) * RingElem(big, u.coords).inverse()
+        pi, p_over_pi = self._uniformizer(big)
         rho, pik = [None, None], pi
         for _ in range(2, cap):
             rho.append((p_over_pi * (pik - 1).inverse()).coords)
@@ -627,7 +516,9 @@ class FormalGroup:
                        min(spec.N, g.n_eff))
         deg = (self.q - 1) * self.q ** (m - 1)
         if deg >= self.cap:
-            raise PrecisionExhausted("cap too small for pibar_%d" % m)
+            raise PrecisionExhausted(
+                f"cap too small for pibar_{m}: it has degree (q - 1) q^(m - 1) = {deg}, "
+                f"so it needs a cap of at least {deg + 1}; the group's cap is {self.cap}")
         wd = weierstrass_prep(quot)
         if wd.mu != 0 or wd.lam != deg:
             raise PrecisionExhausted("pibar_%d has unexpected invariants" % m)
@@ -835,60 +726,68 @@ class FormalGroup:
     def q_coordinate(self, omega_p, cap=None):
         """theta(X) = exp(Omega_p^{-1} log_F(X)) - 1 and the conjugated Frobenius.
 
-        Returns a dict with theta, theta_inv (compositional inverse), f_q
-        (theta o f o theta_inv), integrality verdicts, and the mod-p
-        congruence report f_q(T) = T^q.
+        Returns a dict with the denominator orders of theta and of f_q =
+        theta o f o theta^-1, integrality verdicts, theta and f_q where
+        integral, and the mod-p congruence report f_q(T) = T^q (on the
+        prefix before the first denominator when f_q has one).
+
+        theta_c(U) = theta(pU) / p = (exp(pY) - 1) / p, Y = Omega_p^-1 lambda
+        (group_law_bivariate), is integral: the term p^k Y^k / k! over p has
+        v(p^(k-1) / k!) >= 0.  So are f_c(U) = f(pU) / p and psi = theta_c o
+        f_c o theta_c^-1, and theta = p theta_c(X/p), f_q = p psi(X/p):
+        theta_k = p^(1-k) (theta_c)_k, (f_q)_k = p^(1-k) psi_k.  Both are
+        stored with shift cap - 2 at M = N + cap - 2, exact there, and
+        normalize_shift leaves the exact denominator order: a nonzero
+        residue has its exact p-order, a zero one an order >= M > k - 1.
+        theta_c mod p^M is (exp(pY) - 1) / p with series.formal_exp at M + 1:
+        pY is known mod p^(M+1), exp keeps its argument's digits (rings._exp),
+        and the one digit goes to the division by p.  theta_c^-1
+        (series._reversion) and psi (two packed_compose) have unit divisors.
         """
         cap = cap or min(self.cap, 32)
-        R = self._Q
+        spec, p, N = self.spec, self.spec.p, self.spec.N
         if isinstance(omega_p, int):
-            omega_p = self.spec.from_int(omega_p)
+            omega_p = spec.from_int(omega_p)
         if not omega_p.is_unit():
             raise DomainError("Omega_p must be a unit")
-        oinv = R.inv(R.from_base(omega_p))
-        h = [R.mul(oinv, c) for c in self.log_coeffs(cap)]
-        # ordinary exp via E' = E h', E(0)=1
-        E = [R.one()] + [R.zero()] * (cap - 1)
-        hp = [R.scale(Fraction(k + 1), h[k + 1]) for k in range(cap - 1)]
-        for k in range(1, cap):
-            acc = R.zero()
-            for j in range(k):
-                if not R.is_zero(E[j]):
-                    acc = R.add(acc, R.mul(E[j], hp[k - 1 - j]))
-            E[k] = R.scale(Fraction(1, k), acc)
-        theta = E[:]
-        theta[0] = R.zero()  # exp(...) - 1
-        theta_inv = _reversion(R, theta, cap)
-        f_fr = (self._f_rat + [R.zero()] * cap)[:cap]
-        f_q = _compose(R, theta, _compose(R, f_fr, theta_inv, cap), cap)
-        s_th = R.den_ord(theta)
-        s_fq = R.den_ord(f_q)
+        big, S = spec.with_precision(N + cap - 2), cap - 2
+        m = big.modulus
+        oinv = RingElem(big, _balanced_lift(omega_p, m)).inverse().coords
+        pY = [tuple(p * x for x in big.mul_coords(oinv, c))
+              for c in self._scaled_log(big.N, cap, lambda k: k - 1)]
+        exp = formal_exp(TruncSeries(big.with_precision(big.N + 1), cap, pY))
+        theta_c = (exp - 1).divide_exact_p(1).coeffs
+        f_c = [(0,) * spec.rank] + [tuple(x * p ** (k - 1) % m for x in _balanced_lift(c, m))
+                                    for k, c in enumerate(self.f_poly[1:cap], 1)]
+        psi = packed_compose(big, theta_c, packed_compose(
+            big, f_c, _reversion(_Coords(big), theta_c, cap), cap), cap)
+        # p^(1-k) c_k, stored with shift S
+        theta, f_q = (_series(big, cap, [tuple(x * p ** (S + 1 - k) % m for x in c)
+                                         for k, c in enumerate(cs)], big.N, S)
+                      for cs in (theta_c, psi))
+        th, fq = theta.normalize_shift(), f_q.normalize_shift()
         report = {
             "omega_p": omega_p,
-            "theta_integral": s_th == 0,
-            "theta_max_denominator_ord": s_th,
-            "f_q_integral": s_fq == 0,
-            "f_q_max_denominator_ord": s_fq,
-            "achieved_n_eff": max(self.spec.N - s_fq, 0),
-            "theta_slope_matches": theta[1] == oinv,
+            "theta_integral": th.shift == 0,
+            "theta_max_denominator_ord": th.shift,
+            "f_q_integral": fq.shift == 0,
+            "f_q_max_denominator_ord": fq.shift,
+            "achieved_n_eff": max(N - fq.shift, 0),
+            "theta_slope_matches": theta_c[1] == oinv,
         }
-        if s_th == 0:
-            report["theta"] = R.series(theta)
-        if s_fq == 0:
-            ser = R.series(f_q)
-            report["f_q"] = ser
-            tgt = TruncSeries.monomial(self.spec, cap, self.q)
-            report["congruence_mod_p"] = ser.eq_mod(tgt, 1)
+        if not th.shift:
+            report["theta"] = th.reduce_precision(N)
+        if not fq.shift:
+            fq = report["f_q"] = fq.reduce_precision(N)
+            report["congruence_mod_p"] = fq.eq_mod(TruncSeries.monomial(spec, cap, self.q), 1)
         else:
             # congruence checked on the prefix before the first denominator
             report["congruence_mod_p"] = None
-            d = next(i for i in range(cap) if R.den_ord(f_q[i:i + 1]))
-            report["integral_prefix_degree"] = d
-            pref = R.series(f_q[:d]) if d else None
-            if pref is not None:
-                tgt = TruncSeries.monomial(self.spec, d, self.q) if self.q < d \
-                    else TruncSeries.zero(self.spec, max(d, 1))
-                report["congruence_mod_p_prefix"] = pref.eq_mod(tgt, 1)
+            d = report["integral_prefix_degree"] = next(
+                k for k, c in enumerate(f_q.coeffs) if any(x % p ** S for x in c))
+            pref = f_q.truncate(d).require_integral().reduce_precision(N)
+            tgt = TruncSeries.monomial(spec, d, self.q)
+            report["congruence_mod_p_prefix"] = pref.eq_mod(tgt, 1)
         return report
 
 

@@ -37,9 +37,9 @@ _inverse and one monic division, _divmod_monic, which takes the schoolbook
 or Newton's route by its size.
 
 The structural-series solver, _solve_structural, and its ring protocol
-(_Coords, or lubin_tate's exact rationals) live here too: they give the
-Lubin-Tate log, exp, [a]_f and translates (tabled in lubin_tate) and every
-compositional inverse (_reversion).
+(_Coords) live here too: they give the derivative of the Lubin-Tate log,
+[a]_f and the translates (tabled in lubin_tate) and every compositional
+inverse (_reversion).
 """
 
 from __future__ import annotations
@@ -934,9 +934,9 @@ class _Coords:
 def _solve_structural(R, cap, head, divide, b=(), u=(), v_pows=()):
     """Coefficients c_0..c_{cap-1} of a structural series over R.
 
-    head holds the given c_0 = 0, c_1, ...; every later coefficient solves
-    D_k c_k = b_k + sum_{2<=j<len(u)} u_j [C^j]_k - sum_{1<=j<k} c_j [v^j]_k,
-    where divide(k, x) = x / D_k and v_pows[j] lists the coefficients of v^j.
+    head holds c_0 (0 where u is given), c_1, ...; every later coefficient solves
+    D_k c_k = b_k + sum_{2<=j<len(u)} u_j [C^j]_k - sum_{1<=j<k} c_j [V_j]_k,
+    where divide(k, x) = x / D_k and v_pows[j] lists the coefficients of V_j.
     """
     zero = R.zero()
     c = list(head) + [zero] * (cap - len(head))

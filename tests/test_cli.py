@@ -12,6 +12,7 @@ from ltk.cli import run
 from ltk.rings import DomainError, make_ring
 from ltk.series import TruncSeries
 from ltk.lambda_modules import LambdaPresentation
+from ltk.lubin_tate import FormalGroup
 
 from cli_oracle import build_parser
 
@@ -30,6 +31,30 @@ def test_group_subcommand(capsys):
     assert d["log_derivative_unit"] is True
     assert "provenance" in d
     assert d["provenance"]["caps"] == {"degree": 16, "precision": 6}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--p", "3", "--ring", "ram", "--pi-sq", "-3", "--prec", "7", "--deg", "24", "group"],
+    ["--p", "2", "--ring", "unram", "--prec", "6", "--deg", "20", "group"],
+    ["--p", "3", "--prec", "8", "--deg", "24", "group"],
+])
+def test_group_derives_its_achieved_precision(capsys, monkeypatch, argv):
+    # log_F' is exact mod p^N, so the log holds N_eff - shift = N digits
+    prec = int(argv[argv.index("--prec") + 1])
+    rc, d = run_json(capsys, argv)
+    log = d["log_series"]
+    assert rc == 0 and log["shift"] >= 1
+    assert d["provenance"]["achieved_precision"] == log["N_eff"] - log["shift"] == prec
+    # the figure is read off the log series, not the --prec fallback
+    solve = FormalGroup.log_series
+
+    def two_digits_short(G, cap):
+        s = solve(G, cap)
+        return TruncSeries(s.spec, s.cap, s.coeffs, s.n_eff - 2, s.shift)
+
+    monkeypatch.setattr(FormalGroup, "log_series", two_digits_short)
+    rc, d = run_json(capsys, argv)
+    assert rc == 0 and d["provenance"]["achieved_precision"] == prec - 2
 
 
 def test_omega_subcommand(capsys):
@@ -142,6 +167,24 @@ def test_tower_norms_of_alpha_in_closed_form(capsys, ring, p, norm1, val1, norm2
     assert d["level_1"] == {"degree": q - 1,
                             "norm_of_alpha": {"coords": norm1, "valuation": val1}}
     assert d["level_2"] == {"degree": (q - 1) * q, "norm_of_alpha": norm2}
+
+
+@pytest.mark.parametrize("argv, m, deg", [
+    # q = 9: pibar_2 has degree 8 * 9
+    (["--p", "3", "--ring", "unram", "--prec", "5", "--deg", "24", "tower"], 2, 72),
+    # q = 2: omega --n 3 builds pibar_1 .. pibar_6, and pibar_6 has degree 2^5
+    (["--p", "2", "--prec", "8", "--deg", "24", "omega", "--n", "3"], 6, 32),
+])
+def test_pibar_beyond_the_cap_names_degree_and_caps(capsys, argv, m, deg):
+    rc, err = run_err(capsys, argv)
+    assert rc == 2 and err["error"] == "precision-exhausted"
+    assert err["detail"] == (f"cap too small for pibar_{m}: it has degree (q - 1) q^(m - 1) = "
+                             f"{deg}, so it needs a cap of at least {deg + 1}; the group's cap "
+                             f"is 24")
+    # the cap it names is enough
+    cap = argv.index("--deg") + 1
+    assert run(argv[:cap] + [str(deg + 1)] + argv[cap + 1:]) == 0
+    capsys.readouterr()
 
 
 def test_coleman_interpolate_cli(capsys):

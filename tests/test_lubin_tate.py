@@ -13,6 +13,7 @@ from ltk.lubin_tate import QuotientRing, build_group, build_tower
 
 from conftest import random_series
 from det_oracle import SeriesRing, det_bareiss, laplace_det
+from lt_oracle import rational_endomorphism, rational_group
 
 
 @pytest.fixture
@@ -457,15 +458,6 @@ def test_norm_law_routes_are_independent(g3, rng, monkeypatch):
 # -- the residue solves against the exact rational oracle ------------------------
 
 
-def _rational_endomorphism(G, a, cap):
-    """[a]_f solved over exact rationals and reduced mod p^N (the route the
-    residue solve replaced; kept as its oracle)."""
-    R = G._Q
-    c = LT._solve_structural(R, cap, [R.zero(), R.from_base(a)], G._pi_divider(cap),
-                             u=G._f_rat, v_pows=G._f_powers(cap))
-    return tuple(R.to_base(t).coords for t in c)
-
-
 @pytest.mark.parametrize("name", SOLVER_GROUPS)
 def test_residue_endomorphism_matches_rational_solve(name, request, monkeypatch):
     G = request.getfixturevalue(name)
@@ -475,12 +467,11 @@ def test_residue_endomorphism_matches_rational_solve(name, request, monkeypatch)
     if spec.quad is not None:
         avals.append(spec.one() + spec.gen_quad() * 3)
     for cap in (8, G.cap, 40):
-        want = [_rational_endomorphism(G, a, cap) for a in avals]
+        want = [rational_endomorphism(G, a, cap) for a in avals]
         fresh = LT.FormalGroup(spec, G.pi, G.q, G.cap, G.f.coeffs, G.variant)
         with monkeypatch.context() as m:
             # the residue solve builds no fraction
             m.setattr(Fraction, "__new__", None)
-            m.setattr(LT, "_Rationals", None)
             got = [fresh.endomorphism(a, cap) for a in avals]
         assert [e.coeffs for e in got] == want
         assert {(e.cap, e.n_eff, e.shift) for e in got} == {(cap, spec.N, 0)}
@@ -492,13 +483,50 @@ def test_solve_budget_is_tight_on_the_p2_group(g2, monkeypatch):
     budget = LT.FormalGroup._solve_budget
     for cap, s in ((8, 2), (24, 3)):
         assert g2._solve_budget(cap) == s
-        want = _rational_endomorphism(g2, g2.spec.from_int(-1), cap)
+        want = rational_endomorphism(g2, g2.spec.from_int(-1), cap)
         assert g2.endomorphism(-1, cap).coeffs == want
         with monkeypatch.context() as m:
             m.setattr(LT.FormalGroup, "_solve_budget",
                       lambda self, cap: budget(self, cap) - 1)
             short = build_group(g2.spec, g2.pi, 2, 24)
             assert short.endomorphism(-1, cap).coeffs != want
+
+
+@pytest.mark.parametrize("name", SOLVER_GROUPS + ["gu3"])
+def test_log_and_group_law_match_the_rational_oracle(name, request, monkeypatch):
+    # log_F', log_F and F(X, Y), solved in residues, bit for bit against the
+    # exact rational route; on gu3 (q = 9) log_series at cap 10 solves log_F'
+    # mod X^9, whose h = f'/pi still reads f_9
+    G = request.getfixturevalue(name)
+    Q = rational_group(G)
+    logs = {cap: Q.log_series(cap) for cap in (8, 10, 16, G.cap)}
+    derivs = {cap: Q.log_derivative_series(cap) for cap in (8, 16, G.cap)}
+    laws = {cap: Q.group_law_bivariate(cap) for cap in (6, 7, 8, 10)}
+    with monkeypatch.context() as m:
+        # the residue solves build no fraction
+        m.setattr(Fraction, "__new__", None)
+        for cap, want in logs.items():
+            got = G.log_series(cap)
+            assert (got.coeffs, got.n_eff, got.shift, got.spec) == \
+                (want.coeffs, want.n_eff, want.shift, want.spec)
+        for cap, want in derivs.items():
+            got = G.log_derivative_series(cap)
+            assert (got.coeffs, got.n_eff, got.shift, got.cap) == \
+                (want.coeffs, want.n_eff, want.shift, want.cap)
+        for cap, want in laws.items():
+            assert G.group_law_bivariate(cap) == want
+
+
+@pytest.mark.parametrize("name", SOLVER_GROUPS + ["gu3"])
+def test_q_coordinate_matches_the_rational_oracle(name, request):
+    # every key of the report, the series as (coeffs, cap, n_eff, shift)
+    G = request.getfixturevalue(name)
+    Q, p = rational_group(G), G.spec.p
+    read = lambda rep: {k: (v.coeffs, v.cap, v.n_eff, v.shift)
+                        if isinstance(v, TruncSeries) else v for k, v in rep.items()}
+    for cap in range(8, 15):
+        for omega in (1, 1 + p, -1):
+            assert read(G.q_coordinate(omega, cap)) == read(Q.q_coordinate(omega, cap))
 
 
 @pytest.mark.parametrize("name", ["g3", "gu2"])
