@@ -37,16 +37,16 @@ involves only c_1..c_{k-1}, and the powers of C come from the running
 convolution P_j[k] = sum_{i=1}^{k-1} c_i P_{j-1}[k-i], filled in as the
 coefficients appear.  The log is the integral of log' (l_k = g_(k-1) / k);
 the exponential enters only through lambda(U) = log_F(pU) / p, integral with
-lambda_1 = 1: F(X, Y) = p lambda^-1(lambda(X/p) + lambda(Y/p)), and
-q_coordinate reverses theta(pU) / p the same way.
+lambda_1 = 1: F(X, Y) = p lambda^-1(lambda(X/p) + lambda(Y/p)).  The
+q-coordinate's Frobenius needs no reversion: it is (1 + T)^pi - 1.
 
 Every solve runs in residue arithmetic on coordinate tuples, at a working
 precision derived in its docstring.  [a]_f is solved in Z/p^(N+s), each
 division by pi^k - pi an exact, checked division by p, with the budget s of
 FormalGroup.endomorphism; log' has unit divisors pi^k - 1, so it is exact
 mod p^N with no budget; the denominators of log_series, group_law_bivariate
-and q_coordinate are read exactly off residues.  The translates are solved in
-the quotient ring base[w]/pibar_1(w), with certified divisions by
+and q_coordinate's theta are read exactly off residues.  The translates are
+solved in the quotient ring base[w]/pibar_1(w), with certified divisions by
 d_1 = f'(pt) through an integer inverse (QuotientRing.make_divider).
 
 The Coleman norm operator is a resultant: N_f g (Y) = det g(C) where C is
@@ -254,7 +254,7 @@ class FormalGroup:
         self.f_poly = [self.f.coeff(i) for i in range(q + 1)]
         self._check_frobenius_shape()
         self._residue_solvers = {}
-        self._log_derivatives = {}
+        self._log_derivative_kept = 0, []
         self._torsion_ring = None
         self._endo_cache = {}
         self._pibar_cache = {}
@@ -288,26 +288,28 @@ class FormalGroup:
         return pi, pi ** (e - 1) * RingElem(big, u.coords).inverse()
 
     def _log_derivative(self, M, cap):
-        """log_F' mod (p^M, X^cap) as coordinate tuples (log_derivative_series),
-        kept per M for the largest cap asked for (a shorter one is a prefix)."""
-        g = self._log_derivatives.get(M, ())
-        if len(g) < cap:
-            big = self.spec.with_precision(M)
-            up, K, m = big.with_precision(M + 1), _Coords(big), big.modulus
+        """log_F' mod (p^M, X^cap) as coordinate tuples (log_derivative_series):
+        the solve is exact mod every p^M, so one is kept, at the largest M and
+        cap asked for, and reduced."""
+        kept, g = self._log_derivative_kept
+        if kept < M or len(g) < cap:
+            n, big = max(cap, len(g)), self.spec.with_precision(max(M, kept))
+            up, K, m = big.with_precision(big.N + 1), _Coords(big), big.modulus
             # h = f'/pi reads f up to degree q, whatever the cap
             rho = self._uniformizer(up)[1]
             h = [K.one()] + [(RingElem(up, _balanced_lift(c, up.modulus)) * (j * rho))
                              .divide_exact_p(1).coords for j, c in enumerate(self.f_poly[2:], 2)]
-            f = [_balanced_lift(c, m) for c in self.f_poly[:cap]]
+            f = [_balanced_lift(c, m) for c in self.f_poly[:n]]
             f_pows_h = [h]
-            for _ in range(2, cap):
-                f_pows_h.append(packed_mul(big, f, f_pows_h[-1], cap))
+            for _ in range(2, n):
+                f_pows_h.append(packed_mul(big, f, f_pows_h[-1], n))
             pi = RingElem(big, _balanced_lift(self.pi, m))
-            inv = [None] + [(pi ** k - 1).inverse().coords for k in range(1, cap)]
-            g = _solve_structural(K, cap, [K.one()], lambda k, x: big.mul_coords(x, inv[k]),
+            inv = [None] + [(pi ** k - 1).inverse().coords for k in range(1, n)]
+            g = _solve_structural(K, n, [K.one()], lambda k, x: big.mul_coords(x, inv[k]),
                                   b=[K.sub(K.zero(), x) for x in h], v_pows=f_pows_h)
-            self._log_derivatives[M] = g
-        return g[:cap]
+            self._log_derivative_kept = big.N, g
+        m = self.spec.p ** M
+        return [tuple(x % m for x in c) for c in g[:cap]]
 
     def _scaled_log(self, M, cap, e):
         """p^e(k) l_k mod p^M for k < cap, l_k = g_(k-1) / k the coefficients
@@ -726,23 +728,30 @@ class FormalGroup:
     def q_coordinate(self, omega_p, cap=None):
         """theta(X) = exp(Omega_p^{-1} log_F(X)) - 1 and the conjugated Frobenius.
 
-        Returns a dict with the denominator orders of theta and of f_q =
-        theta o f o theta^-1, integrality verdicts, theta and f_q where
-        integral, and the mod-p congruence report f_q(T) = T^q (on the
-        prefix before the first denominator when f_q has one).
+        Returns a dict with the denominator orders of theta and of
+        f_q = theta o f o theta^-1, integrality verdicts, theta and f_q where
+        integral, and the mod-p congruence report f_q(T) = T^q (on the prefix
+        before the first denominator when f_q has one).  Both are stored with
+        shift S = cap - 2 at M = N + cap - 2, exact there, so normalize_shift
+        leaves the exact denominator order (a zero residue has order >= M > S).
 
         theta_c(U) = theta(pU) / p = (exp(pY) - 1) / p, Y = Omega_p^-1 lambda
-        (group_law_bivariate), is integral: the term p^k Y^k / k! over p has
-        v(p^(k-1) / k!) >= 0.  So are f_c(U) = f(pU) / p and psi = theta_c o
-        f_c o theta_c^-1, and theta = p theta_c(X/p), f_q = p psi(X/p):
-        theta_k = p^(1-k) (theta_c)_k, (f_q)_k = p^(1-k) psi_k.  Both are
-        stored with shift cap - 2 at M = N + cap - 2, exact there, and
-        normalize_shift leaves the exact denominator order: a nonzero
-        residue has its exact p-order, a zero one an order >= M > k - 1.
-        theta_c mod p^M is (exp(pY) - 1) / p with series.formal_exp at M + 1:
-        pY is known mod p^(M+1), exp keeps its argument's digits (rings._exp),
-        and the one digit goes to the division by p.  theta_c^-1
-        (series._reversion) and psi (two packed_compose) have unit divisors.
+        (group_law_bivariate), is integral (v(p^(k-1) / k!) >= 0), and
+        theta_k = p^(1-k) (theta_c)_k; series.formal_exp at M + 1 gives it
+        mod p^M (exp keeps its argument's digits, rings._exp, and one goes to
+        the division by p).  log_F o f = pi log_F (Lubin and Tate, 1965)
+        makes f_q(T) = (1 + T)^pi - 1 whatever Omega_p and f beyond pi X (pi
+        by its balanced lift): (f_q)_k = b_k = binom(pi, k) = b_(k-1)
+        (pi - k + 1) / k.  B_k = p^t b_k, t = ord_p(k!) <= k - 1 <= S, the
+        product of the pi - j (j < k) and the inverses of the unit parts of
+        1..k, is integral, so p^S b_k = p^(S-t) B_k mod p^M is exact, and
+
+            v(b_k) = sum_{j<k} v(pi - j) - ord_p(k!)   (v(0) = inf)
+
+        gives f_q_max_denominator_ord = max(0, max_{k<cap} ceil(-v(b_k))),
+        integral_prefix_degree (the least k with v(b_k) < 0) and
+        achieved_n_eff.  For pi in Z_p f_q is integral; for a rational
+        integer pi, b_k = 0 for k > pi.
         """
         cap = cap or min(self.cap, 32)
         spec, p, N = self.spec, self.spec.p, self.spec.N
@@ -750,21 +759,20 @@ class FormalGroup:
             omega_p = spec.from_int(omega_p)
         if not omega_p.is_unit():
             raise DomainError("Omega_p must be a unit")
-        big, S = spec.with_precision(N + cap - 2), cap - 2
-        m = big.modulus
+        big, S, m = spec.with_precision(N + cap - 2), cap - 2, p ** (N + cap - 2)
         oinv = RingElem(big, _balanced_lift(omega_p, m)).inverse().coords
         pY = [tuple(p * x for x in big.mul_coords(oinv, c))
               for c in self._scaled_log(big.N, cap, lambda k: k - 1)]
         exp = formal_exp(TruncSeries(big.with_precision(big.N + 1), cap, pY))
         theta_c = (exp - 1).divide_exact_p(1).coeffs
-        f_c = [(0,) * spec.rank] + [tuple(x * p ** (k - 1) % m for x in _balanced_lift(c, m))
-                                    for k, c in enumerate(self.f_poly[1:cap], 1)]
-        psi = packed_compose(big, theta_c, packed_compose(
-            big, f_c, _reversion(_Coords(big), theta_c, cap), cap), cap)
-        # p^(1-k) c_k, stored with shift S
-        theta, f_q = (_series(big, cap, [tuple(x * p ** (S + 1 - k) % m for x in c)
-                                         for k, c in enumerate(cs)], big.N, S)
-                      for cs in (theta_c, psi))
+        pi, B, t, bs = _balanced_lift(self.pi, m), big.one().coords, 0, [big.zero().coords]
+        for k in range(1, cap):
+            a = ord_int(k, p)
+            t, u = t + a, pow(k // p ** a, -1, m)
+            B = big.mul_coords(B, tuple(u * x for x in (pi[0] - k + 1,) + pi[1:]))
+            bs.append(tuple(x * p ** (S - t) % m for x in B))
+        theta, f_q = (_series(big, cap, cs, big.N, S) for cs in (
+            [tuple(x * p ** (S + 1 - k) % m for x in c) for k, c in enumerate(theta_c)], bs))
         th, fq = theta.normalize_shift(), f_q.normalize_shift()
         report = {
             "omega_p": omega_p,
@@ -930,27 +938,18 @@ class TorsionTower:
     def __init__(self, group, M):
         if M < 1:
             raise DomainError("the torsion tower needs at least one level")
-        self.group = group
-        self.M = M
-        self.rings = {}
-        self.alphas = {}
-        self._digits = {}
-        self._moduli = {}
-        self._dividers = {}
-        for m in range(1, M + 1):
-            pib = group.pibar(m)
-            E = QuotientRing(group.spec, list(pib))
-            self.rings[m] = E
-            self.alphas[m] = E.x_class()
+        self.group, self.M = group, M
+        self.rings = {m: QuotientRing(group.spec, list(group.pibar(m))) for m in range(1, M + 1)}
+        self.alphas = {m: E.x_class() for m, E in self.rings.items()}
+        self._digits, self._moduli, self._dividers = {}, {}, {}
         self._verify_compatibility()
 
     def _verify_compatibility(self):
         spec = self.group.spec
         for m in range(2, self.M + 1):
             E = self.rings[m]
-            fa = E.residue(self.group.f)
             pib_prev = TruncSeries(spec, self.group.cap, list(self.group.pibar(m - 1)))
-            val = E.eval_series(pib_prev, fa)
+            val = E.eval_series(pib_prev, E.residue(self.group.f))
             if any(x % spec.p ** (spec.N - 1) for x in val):
                 raise PrecisionExhausted(
                     "tower inclusion fails: pibar_%d(f(alpha_%d)) != 0" % (m - 1, m))

@@ -6,11 +6,13 @@ over the fraction field of its base ring, from log(f) = pi log and
 f(exp) = exp(pi Y) with divisions by pi^k - pi, on the balanced lifts of f's
 coefficients (residues above p^N / 2 go negative, so small negative
 constants such as pi^2 = -2 stay exact).  Its log_series,
-log_derivative_series, group_law_bivariate (exp_F(log_F X + log_F Y)) and
-q_coordinate (exp(Omega_p^-1 log_F) - 1, its compositional inverse and the
-conjugated Frobenius, by Horner composition over the rationals) are the
-route the residue solves replaced, with the same outputs: the tests require
-them bit-identical.  rational_endomorphism is [a]_f by the same rational
+log_derivative_series and group_law_bivariate (exp_F(log_F X + log_F Y))
+are the route the residue solves replaced, with the same outputs: the tests
+require them bit-identical.  Its q_coordinate (exp(Omega_p^-1 log_F) - 1, its
+compositional inverse and the conjugated Frobenius theta o f o theta^-1, by
+Horner composition over the rationals) is the second route to the closed
+form f_q = (1 + T)^pi - 1 that FormalGroup.q_coordinate sums, and must give
+the same report.  rational_endomorphism is [a]_f by the same rational
 solve, reduced mod p^N.  Products in the quadratic fields go through
 lubin_tate._fr_mul.
 """

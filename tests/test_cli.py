@@ -7,7 +7,7 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ltk import cli, measures as MS
+from ltk import cli, lubin_tate as LT, measures as MS
 from ltk.cli import run
 from ltk.rings import DomainError, make_ring
 from ltk.series import TruncSeries
@@ -33,11 +33,14 @@ def test_group_subcommand(capsys):
     assert d["provenance"]["caps"] == {"degree": 16, "precision": 6}
 
 
-@pytest.mark.parametrize("argv", [
+GROUP_RUNS = [
     ["--p", "3", "--ring", "ram", "--pi-sq", "-3", "--prec", "7", "--deg", "24", "group"],
     ["--p", "2", "--ring", "unram", "--prec", "6", "--deg", "20", "group"],
     ["--p", "3", "--prec", "8", "--deg", "24", "group"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", GROUP_RUNS)
 def test_group_derives_its_achieved_precision(capsys, monkeypatch, argv):
     # log_F' is exact mod p^N, so the log holds N_eff - shift = N digits
     prec = int(argv[argv.index("--prec") + 1])
@@ -55,6 +58,18 @@ def test_group_derives_its_achieved_precision(capsys, monkeypatch, argv):
     monkeypatch.setattr(FormalGroup, "log_series", two_digits_short)
     rc, d = run_json(capsys, argv)
     assert rc == 0 and d["provenance"]["achieved_precision"] == prec - 2
+
+
+@pytest.mark.parametrize("argv", GROUP_RUNS)
+def test_group_solves_the_log_derivative_once(capsys, monkeypatch, argv):
+    # log_series solves log_F' at N + S_b; the unit check reduces that solve
+    # mod p^N instead of solving again
+    solve, calls = LT._solve_structural, []
+    monkeypatch.setattr(LT, "_solve_structural",
+                        lambda *a, **kw: calls.append(a[1]) or solve(*a, **kw))
+    rc, d = run_json(capsys, argv)
+    assert rc == 0 and d["log_derivative_unit"] is True
+    assert len(calls) == 1
 
 
 def test_omega_subcommand(capsys):

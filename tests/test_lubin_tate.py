@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from ltk import coleman as CO
 from ltk import lubin_tate as LT
 from ltk.rings import (DomainError, PrecisionExhausted, is_unit_coords, make_ring, mult_matrix,
-                       valuation)
+                       ord_int, valuation)
 from ltk.series import TruncSeries, mu_lambda_by_roots
 from ltk.lubin_tate import QuotientRing, build_group, build_tower
 
@@ -220,8 +221,9 @@ def test_q_coordinate_multiplicative(gm3):
 
 
 def test_q_coordinate_ramified_reports(g2):
-    # integrality of theta/f_Q is empirical; the naive Omega_p = 1 coordinate
-    # is non-integral and the report must say so honestly
+    # theta's integrality is read off the residues; f_q = (1 + T)^pi - 1 has
+    # the denominators of binom(pi, k), which on a ramified base are not
+    # integral, and the report must say so
     rep = g2.q_coordinate(1, cap=14)
     assert rep["theta_slope_matches"]
     assert not rep["theta_integral"]
@@ -518,15 +520,43 @@ def test_log_and_group_law_match_the_rational_oracle(name, request, monkeypatch)
 
 
 @pytest.mark.parametrize("name", SOLVER_GROUPS + ["gu3"])
-def test_q_coordinate_matches_the_rational_oracle(name, request):
-    # every key of the report, the series as (coeffs, cap, n_eff, shift)
+def test_q_coordinate_matches_the_rational_oracle(name, request, monkeypatch):
+    # every key of the report, the series as (coeffs, cap, n_eff, shift),
+    # against the oracle's conjugation theta o f o theta^-1; caps 2 and 3
+    # are the shifts S = 0 and 1
     G = request.getfixturevalue(name)
     Q, p = rational_group(G), G.spec.p
     read = lambda rep: {k: (v.coeffs, v.cap, v.n_eff, v.shift)
                         if isinstance(v, TruncSeries) else v for k, v in rep.items()}
-    for cap in range(8, 15):
-        for omega in (1, 1 + p, -1):
-            assert read(G.q_coordinate(omega, cap)) == read(Q.q_coordinate(omega, cap))
+    with monkeypatch.context() as m:
+        # f_q comes from its closed form, not from a reversion and compositions
+        m.setattr(LT, "_reversion", None)
+        m.setattr(LT, "packed_compose", None)
+        for cap in range(2, 15):
+            for omega in (1, 1 + p, -1):
+                assert read(G.q_coordinate(omega, cap)) == read(Q.q_coordinate(omega, cap))
+
+
+@pytest.mark.parametrize("name", SOLVER_GROUPS + ["gu3"])
+def test_q_coordinate_denominators_follow_the_binomial_valuation(name, request):
+    # f_q = (1 + T)^pi - 1 has b_k = binom(pi, k), so
+    # v(b_k) = sum_{j<k} v(pi - j) - ord_p(k!) (v(0) = inf), and the report's
+    # denominator order and integral prefix follow from it at every cap
+    G = request.getfixturevalue(name)
+    spec, p = G.spec, G.spec.p
+    v = [0]
+    for k in range(1, 20):
+        v.append(v[-1] + valuation(G.pi - spec.from_int(k - 1)) - ord_int(k, p))
+    for cap in range(2, 21):
+        den = max([0] + [math.ceil(-x) for x in v[1:cap] if x != math.inf])
+        prefix = next((k for k in range(1, cap) if v[k] < 0), None)
+        rep = G.q_coordinate(1, cap)
+        assert (rep["f_q_max_denominator_ord"], rep.get("integral_prefix_degree"),
+                rep["achieved_n_eff"]) == (den, prefix, max(spec.N - den, 0))
+        if "f_q" in rep:
+            # each coefficient has valuation v(b_k), or is 0 mod p^N
+            assert [valuation(rep["f_q"].coeff(k)) for k in range(1, cap)] == \
+                [x if x < spec.N else math.inf for x in v[1:cap]]
 
 
 @pytest.mark.parametrize("name", ["g3", "gu2"])
