@@ -219,23 +219,11 @@ def tilde_log(G, g):
     try:
         out = S.divide_exact_p(qord)
     except PrecisionExhausted as exc:
-        bad = _first_nondivisible(S, qord)
         raise PrecisionExhausted(
-            "tilde_log not integral at precision: coefficient %d (%s)"
-            % (bad, exc)) from exc
+            "tilde_log not integral at precision: " + str(exc)) from exc
     report["n_eff"] = out.n_eff
     report["q"] = q
     return out, report
-
-
-def _first_nondivisible(S, k):
-    p = S.spec.p
-    qq = p ** k
-    s = S.canonical()
-    for i in range(s.cap):
-        if any(x % qq for x in s.coeffs[i]):
-            return i
-    return -1
 
 
 def partial_dlog(G, lt, k):

@@ -754,6 +754,8 @@ class FormalGroup:
         integer pi, b_k = 0 for k > pi.
         """
         cap = cap or min(self.cap, 32)
+        if cap < 2:   # theta's linear coefficient is read below
+            raise DomainError(f"q_coordinate needs cap >= 2, got cap {cap}")
         spec, p, N = self.spec, self.spec.p, self.spec.N
         if isinstance(omega_p, int):
             omega_p = spec.from_int(omega_p)

@@ -36,6 +36,7 @@ h~ = h - (1/p) sum_j h(zeta_p^j (1+T) - 1).  Measures are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from math import factorial
 
 from .rings import (
@@ -488,35 +489,42 @@ def riemann_moment(mu, k, n):
 
 
 class FiniteCharacter:
-    """A character of (O_K/p^n)^x or (Z/p^n)^x tabulated on the whole group."""
+    """A character of (O_K/p^n)^x or (Z/p^n)^x tabulated on the whole group.
+
+    Both groups are the units of one ring, `ring`: the quadratic domain
+    itself, or for the domain "zp" the rank-1 ring Z/p^max(n, 1).  An
+    element is read as a coordinate tuple: an int a as the ring's a, a ring
+    element or a tuple by its first `ring.rank` coordinates, each reduced
+    mod p^n.  Table keys are normalized the same way, so an int key k of a
+    "zp" table becomes (k,) and reads the same values.
+    """
 
     def __init__(self, level, domain, value_spec, table):
         self.level = level
         self.domain = domain          # quadratic RingSpec or "zp"
         self.value_spec = value_spec
-        self.table = table            # key -> RingElem
+        self.ring = _unit_ring(domain, value_spec.p, level)
+        self.table = {self._key(k): v for k, v in table.items()}  # key -> RingElem
         self._validate()
+
+    def _key(self, x):
+        if isinstance(x, int):
+            x = self.ring.from_int(x)
+        pn = self.value_spec.p ** self.level
+        return tuple(c % pn for c in (x.coords if isinstance(x, RingElem) else x)
+                     [:self.ring.rank])
 
     def _validate(self):
         if self.level == 0:
             return
         # spot-check multiplicativity on a few products
         keys = list(self.table)
-        p = self.value_spec.p
-        pn = p ** self.level
-        for i in range(0, len(keys), max(1, len(keys) // 8)):
-            for j in range(0, len(keys), max(1, len(keys) // 8)):
-                a, b = keys[i], keys[j]
-                ab = self._mul_key(a, b, pn)
-                if ab in self.table:
-                    if self.table[ab] != self.table[a] * self.table[b]:
-                        raise DomainError("character table is not multiplicative")
-
-    def _mul_key(self, a, b, pn):
-        if self.domain == "zp":
-            return (a * b) % pn
-        x = self.domain.elem(a) * self.domain.elem(b)
-        return tuple(c % pn for c in x.coords)
+        sample = keys[::max(1, len(keys) // 8)]
+        for a in sample:
+            for b in sample:
+                ab = self._key(self.ring.elem(a) * self.ring.elem(b))
+                if ab in self.table and self.table[ab] != self.table[a] * self.table[b]:
+                    raise DomainError("character table is not multiplicative")
 
     @staticmethod
     def trivial(value_spec):
@@ -526,98 +534,58 @@ class FiniteCharacter:
     def from_generator(domain, n, value_spec, gen, image):
         """Build a character of a cyclic unit group from one generator."""
         p = value_spec.p
-        pn = p ** n
-        if domain == "zp":
-            order = _mult_order_int(gen, pn)
-            target = _unit_count_zp(p, n)
-            key = lambda x: x % pn
-            mul = lambda x, y: (x * y) % pn
-            e = gen
-        else:
-            order = _mult_order_elem(gen, pn)
-            target = len(unit_residues(domain, n))
-            key = lambda x: tuple(c % pn for c in x.coords)
-            mul = lambda x, y: x * y
-            e = gen
-        if order != target:
+        if isinstance(gen, int):
+            gen = _unit_ring(domain, p, n).from_int(gen)
+        order = _mult_order_elem(gen, p ** n)
+        if order != (p ** n - p ** (n - 1) if domain == "zp"
+                     else len(unit_residues(domain, n))):
             raise DomainError("element does not generate the unit group")
         if not (image ** order == value_spec.one()):
             raise DomainError("image order does not divide the group order")
-        table = {}
-        x, v = e, image
+        table, x, v = {}, gen, image
         for _ in range(order):
-            table[key(x)] = v
-            x = mul(x, e)
-            v = v * image
+            table[x.coords] = v
+            x, v = x * gen, v * image
         return FiniteCharacter(n, domain, value_spec, table)
 
     def value(self, x):
-        """chi(x) for an int, a ring element or (on O_K) a coordinate pair;
-        zero for arguments outside the tabulated units."""
+        """chi(x) for an int, a ring element or a coordinate tuple; zero for
+        arguments outside the tabulated units."""
         if self.level == 0:
             return self.value_spec.one()
-        pn = self.value_spec.p ** self.level
-        if self.domain == "zp":
-            k = (x if isinstance(x, int) else x.coords[0]) % pn
-        else:
-            if isinstance(x, int):
-                x = self.domain.from_int(x)
-            k = tuple(c % pn for c in (x.coords if isinstance(x, RingElem) else x))
-        got = self.table.get(k)
+        got = self.table.get(self._key(x))
         return got if got is not None else self.value_spec.zero()
 
     def is_primitive(self):
-        """Does chi fail to factor through level n-1?"""
+        """Does chi fail to factor through level n-1?  That is, is chi(x) != 1
+        for some x = 1 + p^(n-1) c of the kernel, c a nonzero digit vector
+        (c_0 + c_1 w on O_K)?"""
         if self.level == 0:
             return False
-        p = self.value_spec.p
-        pn1 = p ** (self.level - 1)
-        one = self.value_spec.one()
-        if self.domain == "zp":
-            for t in range(1, p):
-                if self.value(1 + t * pn1) != one:
-                    return True
-            return False
-        for c0 in range(p):
-            for c1 in range(p):
-                if (c0, c1) == (0, 0):
-                    continue
-                x = self.domain.from_int(1 + c0 * pn1) + \
-                    self.domain.gen_quad() * (c1 * pn1)
-                if self.value(x) != one:
-                    return True
-        return False
+        ring, p = self.ring, self.value_spec.p
+        pn1, one = p ** (self.level - 1), self.value_spec.one()
+        return any(self.value(ring.one() + ring.elem(c) * pn1) != one
+                   for c in product(range(p), repeat=ring.rank) if any(c))
 
 
-def _mult_order_int(g, pn):
-    from math import gcd
-    x = g % pn
-    if gcd(x, pn) != 1:
-        raise DomainError("not a unit")
-    o = 1
-    y = x
-    while y != 1:
-        y = (y * x) % pn
-        o += 1
-        if o > pn:
-            raise DomainError("order overflow")
-    return o
-
-
-def _unit_count_zp(p, n):
-    return p ** n - p ** (n - 1)
+def _unit_ring(domain, p, n):
+    """The ring whose units a level-n character of `domain` is defined on:
+    Z/p^max(n, 1) for "zp", so that its arithmetic is exact mod p^n, and
+    the quadratic RingSpec itself otherwise."""
+    return RingSpec(p, max(n, 1), "zp") if domain == "zp" else domain
 
 
 def _mult_order_elem(g, pn):
-    spec = g.spec
-    one_k = tuple(c % pn for c in spec.one().coords)
-    o = 1
-    y = g
+    """The least o >= 1 with g^o = 1 mod pn, coordinate by coordinate.  The
+    units of a finite ring form a finite group, so the loop ends for every
+    unit; a non-unit is refused."""
+    if not g.is_unit():
+        raise DomainError("not a unit")
+    one_k = tuple(c % pn for c in g.spec.one().coords)
+    o, y = 1, g
     while tuple(c % pn for c in y.coords) != one_k:
         y = y * g
         o += 1
-        if o > pn * pn:
-            raise DomainError("order overflow")
     return o
 
 

@@ -538,6 +538,18 @@ def test_q_coordinate_matches_the_rational_oracle(name, request, monkeypatch):
 
 
 @pytest.mark.parametrize("name", SOLVER_GROUPS + ["gu3"])
+def test_q_coordinate_refuses_a_cap_below_two(name, request, monkeypatch):
+    # theta's linear coefficient needs cap >= 2: a smaller cap is refused by
+    # name before Omega_p is read or any series is summed
+    G = request.getfixturevalue(name)
+    monkeypatch.setattr(LT, "formal_exp", None)
+    for cap in (1, -1):
+        for omega in (1, G.spec.p):
+            with pytest.raises(DomainError, match=rf"needs cap >= 2, got cap {cap}$"):
+                G.q_coordinate(omega, cap)
+
+
+@pytest.mark.parametrize("name", SOLVER_GROUPS + ["gu3"])
 def test_q_coordinate_denominators_follow_the_binomial_valuation(name, request):
     # f_q = (1 + T)^pi - 1 has b_k = binom(pi, k), so
     # v(b_k) = sum_{j<k} v(pi - j) - ord_p(k!) (v(0) = inf), and the report's

@@ -265,6 +265,38 @@ def test_twist_level1_orthogonality_oracle():
     assert tv1 == chi.value(Q3_12.from_int(7)) * 7
 
 
+def test_zp_characters_on_the_rank_one_ring():
+    # (Z/9)^x is cyclic of order 6, generated by 2; chi(2) = -zeta_3 is
+    # nontrivial on the kernel {1, 4, 7} of reduction to (Z/3)^x, so it is
+    # primitive, and chi(2) = -1 factors through (Z/3)^x
+    c3 = make_ring(3, 12, "cyclotomic", level=1)
+    zeta = c3.zeta()
+    prim = FiniteCharacter.from_generator("zp", 2, c3, 2, -zeta)
+    quad = FiniteCharacter.from_generator("zp", 2, c3, 2, -c3.one())
+    assert prim.is_primitive() and not quad.is_primitive()
+    assert (prim.value(2), prim.value(4), prim.value(7)) == (-zeta, zeta * zeta, zeta)
+    assert prim.value(3) == prim.value(0) == c3.zero()
+    for chi in (prim, quad):
+        # an int, a zp ring element and a 1-tuple name the same residue mod 9
+        for k in range(-9, 18):
+            want = chi.value(k)
+            assert want == chi.value(k % 9)
+            assert chi.value(Z12.from_int(k)) == want == chi.value((k,))
+        # an int-keyed table reads as the table from_generator builds
+        table = {k: chi.value(k) for k in range(9) if k % 3}
+        same = FiniteCharacter(2, "zp", c3, table)
+        assert same.table == chi.table
+        assert all(same.value(k) == chi.value(k) for k in range(-9, 18))
+        assert same.is_primitive() == chi.is_primitive()
+    for gen, msg in ((4, "does not generate"), (3, "not a unit")):
+        with pytest.raises(DomainError, match=msg):
+            FiniteCharacter.from_generator("zp", 2, c3, gen, -c3.one())
+    broken = {k: quad.value(k) for k in (1, 2, 4, 5, 7, 8)}
+    broken[4] = zeta              # chi(2)^2 = 1 in quad
+    with pytest.raises(DomainError, match="not multiplicative"):
+        FiniteCharacter(2, "zp", c3, broken)
+
+
 def test_twist_factorization_report():
     chi, c3 = _order6_character()
     a = Q3_12.elem((4, 3))
