@@ -61,32 +61,47 @@ def det_series(matrix, spec, cap):
     """Determinant of a square matrix of series over spec, mod X^cap.
 
     The entries are made integral first (TruncSeries.require_integral, a
-    no-op at shift 0).  The coefficients are series.packed_det's.  The cap
-    and n_eff are the least, with cap and spec.N, over the entries the
-    Laplace expansion multiplies (_multiplied): det is an integral
-    polynomial in exactly those, so it is known to their digits and their
-    caps.
+    no-op at shift 0).  The coefficients are series.packed_det's, on the
+    entries cut or padded to c coefficients, c the largest degree + 1 of an
+    entry, at most cap.  The cap and n_eff are the least, with cap and
+    spec.N, over the entries the Laplace expansion multiplies (_multiplied):
+    det is an integral polynomial in exactly those, so it is known to their
+    digits and their caps.
     """
     rows = [[e.require_integral() for e in row] for row in matrix]
     if any(e.spec != spec for row in rows for e in row):
         raise DomainError("mixed ring specs")
-    used = list(_multiplied(rows))
+    used = list(_multiplied(rows, spec.N, cap))
     cap = min([cap] + [e.cap for e in used])
-    coeffs = packed_det(spec, [[e.coeffs[:cap] for e in row] for row in rows], cap)
-    return _series(spec, cap, coeffs, min([spec.N] + [e.n_eff for e in used]))
+    entries = [e for row in rows for e in row]
+    c = max([min(e.degree() + 1, cap) for e in entries], default=0)
+    pad = ((0,) * spec.rank,) * c
+    flat = [x for e in entries for x in (e.coeffs + pad)[:c]]
+    return _series(spec, cap, packed_det(spec, flat, len(rows), c, cap),
+                   min([spec.N] + [e.n_eff for e in used]))
 
 
-def _multiplied(rows):
-    """The entries a Laplace expansion down the rows multiplies.
+def _multiplied(rows, N, cap):
+    """The entries a Laplace expansion down the rows multiplies, for a
+    determinant mod (p^N, X^cap).
 
-    Entry (r, c) is multiplied when it is nonzero and rows 0..r-1 have
-    nonzero entries in distinct columns other than c; a stored zero is
-    skipped with its whole subtree.
+    Entry (r, c) is multiplied when it is not an exact zero and rows 0..r-1
+    have entries that are not exact zeros in distinct columns other than c.
+    An exact zero is a stored zero with n_eff = N and a cap of at least
+    cap: it is zero mod (p^N, X^cap), the precision the determinant is
+    asked at.  Soundness: det is the sum of the Leibniz terms, one product
+    per permutation, and a term with an exact-zero factor is zero mod (p^N,
+    X^cap) whatever its other factors are.  So an entry that every term
+    reaches only through an exact zero above it cannot move the
+    determinant, and an exact zero is skipped with its whole subtree.  A stored zero known
+    to fewer digits or to a smaller cap is zero only there, and a lift of
+    it may be nonzero, so it is multiplied like any other entry.
     """
     reach = {(1 << len(rows)) - 1}  # column sets left after the rows so far
     for row in rows:
-        used = [(cols, c) for cols in reach for c, e in enumerate(row)
-                if cols >> c & 1 and not e.is_zero()]
+        live = [c for c, e in enumerate(row)
+                if not (e.is_zero() and e.n_eff == N and e.cap >= cap)]
+        used = [(cols, c) for cols in reach for c in live if cols >> c & 1]
         yield from (row[c] for _, c in used)
         reach = {cols ^ (1 << c) for cols, c in used}
 

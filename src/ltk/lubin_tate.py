@@ -12,8 +12,8 @@ coordinate tuples, with its compiled mul_coords (a RingSpec as
 _Coords(spec), and every QuotientRing base[X]/P, which is a _Coords of
 itself).  The protocol and the structural solver, series._solve_structural,
 live in series next to the kernel they call; the companion-matrix norm exists
-once too, and takes one determinant, packed_det's expansion, over the series
-ring, the base ring or a quotient ring alike.  A QuotientRing is one more
+once too, and takes its determinant from series.packed_det, the one entry
+point, over the series ring, the base ring or a quotient ring alike.  A QuotientRing is one more
 monic extension in the tower of rings.extend, with the same compiled
 reduce_blocks and mul_coords as a RingSpec, and its elements are flat
 coordinate tuples only; base RingElems appear at the API boundary, not inside
@@ -55,8 +55,8 @@ is linear in g, and the matrix of C^k is a window of the f-adic digits D_n =
 Z^n mod (f(Z) - Y), which depend only on the group: they are made and packed
 once per group, each window read as an int once (_fiber_digits,
 series.PackedRows), so a call sums one packed product per coefficient of g,
-reduces the sum once, packs the d^2 entries in one go and takes one
-determinant on them (series._det_packed, packed_det's expansion).  The same
+reduces the sum once and hands the d^2 entries, each of a known length, to
+series.packed_det, which packs them in one go.  The same
 norm gives the tower norms O'_m -> O'_{m-1}, with digits kept per level on
 the TorsionTower, which also keeps the CRT moduli and dividers that
 coleman.interpolate divides by.
@@ -88,17 +88,15 @@ from .series import (
     PackedRows,
     TruncSeries,
     _Coords,
-    _det_packed,
     _divmod_monic,
-    _pack_bytes,
     _reversion,
     _series,
-    _slot_bytes,
     _solve_structural,
     _trim,
     formal_exp,
     horner,
     packed_compose,
+    packed_det,
     packed_mul,
     packed_times,
     weierstrass_prep,
@@ -208,34 +206,20 @@ def _companion_norm(digits, y, cap=1):
     PackedRows').  Truncating the entries to cap coefficients is the ring map
     mod T^cap.
 
-    The determinant is packed_det's expansion, series._det_packed, on
-    entries packed here once: combine's d^2 reduced entries, each cut to
-    its first c = min(e, cap) coefficients (e = the digits' T-length, which
-    no entry exceeds), go into one _pack_bytes call, and entry o is the
-    slice of c blocks at o c.  The slot width is packed_det's for entries
-    of at most c coefficients: the entries and the reduced minors have
-    coordinates in [0, p^N), so a slot of a minor's signed sum is at most
-
-        d c r (p^N - 1)^2
-
-    in absolute value, and _slot_bytes of that holds it with its sign.
-    Each sum is masked to its low cap blocks, which is exact mod T^cap: the
-    mask is the ring map Z -> Z/2^(cap block W), and through the Kronecker
-    substitution it sends T^cap to 0 (packed_det).
+    The determinant is series.packed_det on combine's d^2 reduced entries,
+    each cut to its first c = min(e, cap) coefficients (e = the digits'
+    T-length, which no entry exceeds).  combine lists entry (i, j) at
+    j d + i, so packed_det reads the transpose, which has the same
+    determinant.
     """
     K, d = digits.K, digits.width
-    rank, block, slots, m = K.packing
+    rank = K.packing[0]
     e = digits.stride // d
     c = min(e, cap)
     flat = digits.combine([x + (0,) * (rank - len(x)) for x in y])
     if c < e:
         flat = list(chain.from_iterable(flat[o * e:o * e + c] for o in range(d * d)))
-    nbytes = _slot_bytes(d * c * rank * (m - 1) ** 2)
-    packed = _pack_bytes(flat, block, slots, nbytes)
-    w = c * block * nbytes
-    entry = lambda o: int.from_bytes(packed[o * w:(o + 1) * w], "little")
-    return _det_packed(K, [[entry(j * d + i) for j in range(d)] for i in range(d)],
-                       nbytes, cap)
+    return packed_det(K, flat, d, c, cap)
 
 
 # -- the formal group ----------------------------------------------------------

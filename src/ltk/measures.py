@@ -669,11 +669,16 @@ def twist_eval(mu, chi, k):
 
     Computed as the finite sum over unit cosets of chi(delta) times the
     local k-th sigma-moment of mu on delta U_n; for level 0 this is
-    tau(trivial)-free, i.e. just the k-th moment.
+    tau(trivial)-free, i.e. just the k-th moment.  A character of (Z/p^n)^x
+    of level n >= 1 has no value on the O_K cosets of an O_Kp measure, so
+    that pair is refused.
     """
     n = chi.level
     if n == 0:
         return moment(mu, k)
+    if chi.domain == "zp" and mu.group.startswith("okp"):
+        raise DomainError(f"twist_eval of a {mu.group!r} measure against a character of "
+                          "the domain 'zp': its O_K cosets need a character of the O_K units")
     h = _qddq_power(mu.amice, k)
     m, guar = _pushforward(h, n)
     terms, masses = [], {}    # one mass per pushforward index

@@ -21,8 +21,8 @@ like exponents, and reduce_blocks is the ring's reduction map, compiled
 once per ring to one comprehension.  RingSpec (the coefficient rings) and
 lubin_tate.QuotientRing (base[X]/P) are the two kinds of packed ring.
 Determinants over K[Y] (the norm operator's, lambda_modules.det_series)
-go through one expansion, _det_packed, on packed entries: packed_det packs
-each entry once, the norm operator packs its entries all at once, and each
+go through one entry point, packed_det: its callers pass the d^2 entries
+flat, each of a length they know, it packs them all in one go, and each
 minor is a signed sum of int products, unpacked and reduced once.  Linear
 maps y -> sum_k y_k M_k whose matrices M_k are windows of one table (the
 norm's fiber digits, the powers of a torsion translate) go through
@@ -765,39 +765,39 @@ class PackedRows:
 MAX_DET_DIM = 13
 
 
-def packed_det(K, rows, cap):
-    """Determinant mod Y^cap of a square matrix over K[Y], K a packed ring.
+def packed_det(K, entries, d, c, cap):
+    """Determinant mod Y^cap of a d x d matrix over K[Y], K a packed ring.
 
-    K is a RingSpec or a lubin_tate.QuotientRing; rows[i][j] lists canonical
-    coordinate tuples, the Y^k coefficients of entry (i, j) (an entry over K
-    itself is a one-coefficient list at cap 1).  Returns cap coordinate
-    tuples.  The determinant is a column-subset Laplace expansion with
-    memoized minors: it never divides, so it holds over quotient rings with
-    zero divisors, such as the torsion tower's.
+    K is a RingSpec or a lubin_tate.QuotientRing.  entries lists the d^2
+    entries row by row, each as exactly c canonical coordinate tuples, its
+    Y^0 .. Y^(c-1) coefficients (an entry over K itself is one coefficient,
+    c = cap = 1), so entry (i, j) is entries[(i d + j) c:(i d + j + 1) c].
+    The callers cut or pad them to c; packed_det trims nothing.  Returns
+    cap coordinate tuples.  The determinant is a column-subset Laplace
+    expansion with memoized minors: it never divides, so it holds over
+    quotient rings with zero divisors, such as the torsion tower's.
 
-    Packing.  Each entry is packed once into a Kronecker int as in
-    packed_mul, and the expansion (_det_packed) takes those ints: a caller
-    that holds its entries packed already, as the Coleman norm does
-    (lubin_tate._companion_norm), calls _det_packed directly and packs
-    nothing twice.  Each memoized minor is kept as one int too: a minor is the
-    signed sum of at most d products entry * smaller minor, formed on plain
-    Python ints, then unpacked and reduced once and packed again.  The last
-    row's minors are its entries, so a minor of j >= 2 rows costs one
-    reduction for its j products.  The sum may be negative and longer than
-    cap blocks; with S = 2^(cap block W), W the slot width, the slots below
-    S hold the sum's coefficients mod Y^cap with a borrow from each negative
-    one into the next.  One biased unpack reads them: adding 2^(W-1) to
-    every slot puts each one in [0, 2^W), so the slots of (sum + bias) mod
-    S, one & mask, are read unsigned and carry-free, and the bias comes off.
-    That mask is exact mod Y^cap: x -> x mod S is a ring map, and composed
-    with the Kronecker substitution it sends Y^cap to 0.
+    Packing.  The entries go into one _pack_bytes call, and entry o is read
+    as the int of the c blocks at o c.  Each memoized minor is kept as one
+    int too: a minor is the signed sum of at most d products entry *
+    smaller minor, formed on plain Python ints, then unpacked and reduced
+    once and packed again.  The last row's minors are its entries, so a
+    minor of j >= 2 rows costs one reduction for its j products.  The sum
+    may be negative and longer than cap blocks; with S = 2^(cap block W), W
+    the slot width, the slots below S hold the sum's coefficients mod Y^cap
+    with a borrow from each negative one into the next.  One biased unpack
+    reads them: adding 2^(W-1) to every slot puts each one in [0, 2^W), so
+    the slots of (sum + bias) mod S, one & mask, are read unsigned and
+    carry-free, and the bias comes off.  That mask is exact mod Y^cap: x ->
+    x mod S is a ring map, and composed with the Kronecker substitution it
+    sends Y^cap to 0.
 
     Slot width.  A minor's coordinates lie in [0, m - 1], m = p^N, and so
     do an entry's.  As in packed_mul, a slot of one product sums at most
-    L * r products of two coordinates (L <= cap the longest entry, r =
-    rank), so a slot of the sum has absolute value at most
+    c r products of two coordinates (r = rank), so a slot of the sum has
+    absolute value at most
 
-        B = d * L * r * (m - 1)^2,
+        B = d c r (m - 1)^2,
 
     and W = bit_length(B) + 1 bits hold it with its sign (rounded up as in
     packed_mul, _slot_bytes).
@@ -806,44 +806,35 @@ def packed_det(K, rows, cap):
     minors, each reduced once.  d <= MAX_DET_DIM = 13 bounds them by 53248
     products and 8192 minors (q <= 9 needs at most 2304 and 512); q = 25
     would need 4.2e8 products and 3.4e7 minors, so a larger d raises
-    DomainError before any product.
+    DomainError before anything is packed.
     """
-    rows = [[e[:_trim(e, cap)] for e in row] for row in rows]
-    L = max((len(e) for row in rows for e in row), default=0)
-    rank, block, slots, m = K.packing
-    nbytes = _slot_bytes(len(rows) * L * rank * (m - 1) ** 2)
-    return _det_packed(K, [[_pack(e, block, slots, nbytes) for e in row] for row in rows],
-                       nbytes, cap)
-
-
-def _det_packed(K, ints, nbytes, cap):
-    """packed_det's expansion on entries already packed: ints[i][j] is
-    entry (i, j) as one Kronecker int at nbytes-wide slots (_pack), and
-    nbytes holds d * L * r * (m - 1)^2 with its sign (_slot_bytes), L at
-    least the longest entry.  Returns cap coordinate tuples."""
-    d = len(ints)
-    rank, block, slots, m = K.packing
-    zero = (0,) * rank
     if d > MAX_DET_DIM:
         raise DomainError(f"a {d} x {d} determinant exceeds MAX_DET_DIM = {MAX_DET_DIM}: "
                           f"{d * 2 ** (d - 1)} products over {2 ** d} minors")
+    rank, block, slots, m = K.packing
+    zero = (0,) * rank
     if not d:
         return [(1,) + zero[1:]] + [zero] * (cap - 1)
+    nbytes = _slot_bytes(d * c * rank * (m - 1) ** 2)
+    packed = _pack_bytes(entries, block, slots, nbytes)
+    w = c * block * nbytes
+    ints = [int.from_bytes(packed[o * w:(o + 1) * w], "little") for o in range(d * d)]
     size = cap * block
     mask = (1 << (8 * nbytes * size)) - 1
     half = 1 << (8 * nbytes - 1)
     bias = int.from_bytes(half.to_bytes(nbytes, "little") * size, "little")
     # minors by their column bitmask; the last row's are its entries
-    memo = {1 << c: x for c, x in enumerate(ints[-1])}
+    memo = {1 << j: x for j, x in enumerate(ints[-d:])}
     memo[0] = _pack([(1,) + zero[1:]], block, slots, nbytes)
 
     def expand(r, cols):
         """The signed sum of the products of rows r, r + 1, ... on cols."""
         acc, sign = 0, 1
-        for c in range(d):
-            if cols >> c & 1:
-                if ints[r][c]:
-                    t = ints[r][c] * minor(r + 1, cols ^ (1 << c))
+        for j in range(d):
+            if cols >> j & 1:
+                x = ints[r * d + j]
+                if x:
+                    t = x * minor(r + 1, cols ^ (1 << j))
                     acc = acc + t if sign > 0 else acc - t
                 sign = -sign
         return acc

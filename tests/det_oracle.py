@@ -44,7 +44,9 @@ class SeriesRing:
         return a * b
 
     def is_zero(self, a):
-        return a.is_zero()
+        """An exact zero: stored zero, known to every digit and past cap.  A
+        zero known to less may lift to a nonzero entry, so it is multiplied."""
+        return a.is_zero() and a.n_eff == self.spec.N and a.cap >= self.cap
 
 
 def laplace_det(R, rows):

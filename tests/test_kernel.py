@@ -187,7 +187,7 @@ def test_reduction_map_column_by_column(name):
 
 @pytest.mark.parametrize("name", sorted(ALL_RINGS))
 def test_reduce_blocks_matches_the_map_block_by_block(name):
-    """Raw slot lists of 0 to 7 blocks, signed as _det_packed passes them
+    """Raw slot lists of 0 to 7 blocks, signed as packed_det passes them
     once its bias is off: each block reduced through the rows of red_map."""
     K = ALL_RINGS[name]
     rank, block, _, m = K.packing
@@ -347,7 +347,7 @@ def test_packing_without_array_widths(monkeypatch):
     a = [(m - 1,) * rank] * count
     assert packed_mul(K, a, a, count) == ref_series_mul(mul, m, rank, a, a, count)
     rows = [[a[:3], a[:2]], [a[:1], a[:3]]]
-    assert packed_det(K, rows, 8) == oracle_det(K, rows, 8)
+    assert ragged_det(K, rows, 8) == oracle_det(K, rows, 8)
 
 
 # -- the Newton inverse ----------------------------------------------------------------
@@ -447,6 +447,20 @@ def oracle_det(K, rows, cap):
     return laplace_det(R, [[pad(e) for e in row] for row in rows])
 
 
+def ragged_det(K, rows, cap):
+    """packed_det on rows of entries of any length, each cut to cap, trimmed
+    of its trailing zeros and padded to the longest, the rows flattened, as
+    lambda_modules.det_series passes them."""
+    zero = (0,) * K.packing[0]
+    entries = [list(e[:cap]) for row in rows for e in row]
+    for e in entries:
+        while e and not any(e[-1]):
+            e.pop()
+    c = max(map(len, entries), default=0)
+    return packed_det(K, [x for e in entries for x in e + [zero] * (c - len(e))],
+                      len(rows), c, cap)
+
+
 DET_RINGS = ["zp", "ramified", "unramified", "cyclotomic2", "composite",
              "quot_ram_deg2", "quot_ram_pibar1"]
 
@@ -474,7 +488,7 @@ def test_packed_det_matches_laplace(name, cap, d):
     cases.append([[[]] * d] + [[entry() for _ in range(d)] for _ in range(d - 1)])
     cases.append([[one] * d for _ in range(d)])
     for rows in cases:
-        assert packed_det(K, rows, cap) == oracle_det(K, rows, cap)
+        assert ragged_det(K, rows, cap) == oracle_det(K, rows, cap)
 
 
 @pytest.mark.parametrize("name", ["zp", "ramified", "cyclotomic2", "composite",
@@ -496,10 +510,10 @@ def test_packed_det_worst_case(name, d):
     tri = [[full if j >= i else [] for j in range(d)] for i in range(d)]
     tri[0], tri[1] = tri[1], tri[0]
     for rows in ([[full] * d for _ in range(d)], tri):
-        assert packed_det(K, rows, cap) == oracle_det(K, rows, cap)
+        assert ragged_det(K, rows, cap) == oracle_det(K, rows, cap)
     if name == "zp":
         top = -comb(cap + d - 2, d - 1) * (m - 1) ** d
-        assert packed_det(K, tri, cap)[cap - 1] == (top % m,)
+        assert ragged_det(K, tri, cap)[cap - 1] == (top % m,)
 
 
 def test_packed_det_sum_reaches_its_slot_bound():
@@ -516,15 +530,18 @@ def test_packed_det_sum_reaches_its_slot_bound():
     assert _slot_bytes(3 * cap * (m - 1) ** 2) == 9
     full, ones, one = [(m - 1,)] * cap, [(1,)] * cap, [(1,)]
     rows = [[full, [], full], [full, [], ones], [[], one, []]]
-    assert packed_det(K, rows, cap) == oracle_det(K, rows, cap)
+    assert ragged_det(K, rows, cap) == oracle_det(K, rows, cap)
 
 
-def test_packed_det_refuses_past_its_reach():
-    K = SPECS["zp"]
-    rows = [[[(1,)]] * (MAX_DET_DIM + 1)] * (MAX_DET_DIM + 1)
-    with pytest.raises(DomainError, match="MAX_DET_DIM"):
-        packed_det(K, rows, 4)
-    assert packed_det(K, [], 3) == [(1,), (0,), (0,)]
+def test_packed_det_refuses_past_its_reach(monkeypatch):
+    """d = MAX_DET_DIM + 1 is refused before any entry is packed."""
+    from ltk import series
+    K, d = SPECS["zp"], MAX_DET_DIM + 1
+    with monkeypatch.context() as m:
+        m.setattr(series, "_pack_bytes", lambda *a: pytest.fail("packed before refusing"))
+        with pytest.raises(DomainError, match="MAX_DET_DIM"):
+            packed_det(K, [(1,)] * (d * d), d, 1, 4)
+    assert ragged_det(K, [], 3) == [(1,), (0,), (0,)]
 
 
 # -- sums over packed rows -------------------------------------------------------------

@@ -1,5 +1,8 @@
+import json
+
 import pytest
 
+from ltk.cli import run
 from ltk.rings import PrecisionExhausted, make_ring
 from ltk.series import TruncSeries
 from ltk.lambda_modules import (
@@ -9,6 +12,7 @@ from ltk.lambda_modules import (
     det_series,
 )
 
+from conftest import congruent
 from det_oracle import SeriesRing, laplace_det
 
 
@@ -126,7 +130,8 @@ def test_det_series_matches_laplace(rng):
     """Coefficients, cap and n_eff as the Laplace expansion over the series
     ring gives them: the least over the entries it multiplies, so an entry
     no row above can reach is left out and one whose minor is a dead end is
-    not."""
+    not.  Only an exact zero is skipped: a stored zero known to fewer digits
+    or to a smaller cap is multiplied, and so is what it reaches."""
     Q = make_ring(3, 7, "ramified_quad", quad=(0, 3))
 
     def rand(spec, cap=CAP, n_eff=None, terms=None):
@@ -148,8 +153,48 @@ def test_det_series_matches_laplace(rng):
              [zero, zero, rand(Z, terms=2)]]),
         (Z, [[rand(Z, n_eff=3)]]),
         (Z, []),
+        # stored zeros that are not exact: known mod 3^3, and mod X^12
+        (Z, [[rand(Z), rand(Z)], [rand(Z), TruncSeries(Z, CAP, [], 3)]]),
+        (Z, [[rand(Z), TruncSeries.zero(Z, 12)], [rand(Z), rand(Z)]]),
+        # row 0's imprecise zero reaches (1, 0) and (2, 2), as an exact one would not
+        (Z, [[rand(Z), TruncSeries(Z, CAP, [], 5), zero], [rand(Z, n_eff=4), zero, rand(Z)],
+             [rand(Z), zero, rand(Z, 16)]]),
     ]
     for spec, M in cases:
         want = laplace_det(SeriesRing(spec, CAP), M)
         got = det_series(M, spec, CAP)
         assert (got.coeffs, got.cap, got.n_eff) == (want.coeffs, want.cap, want.n_eff)
+
+
+def test_a_lift_of_an_imprecise_stored_zero_moves_no_claimed_digit(tmp_path, capsys):
+    """A stored zero is zero only mod p^n_eff and mod X^cap, so it is
+    multiplied like any other entry.  Over Z/3^8 at cap 8, in
+    [[1 + X, 3], [3 + X, Z]]: Z = 0 known mod 3^2 against its lift 9, which
+    moves det's constant term from -9 to 0, and Z = 0 known mod X^4 against
+    its lift X^5, which moves det's X^5 and X^6 coefficients.  det_series
+    claims only digits and coefficients both lifts share; so do char_ideal
+    and `ltk char --matrix` (its achieved_precision) for the first pair."""
+    Z8 = make_ring(3, 8, "zp")
+    s = lambda cs, cap=8, n_eff=None: TruncSeries(Z8, cap, cs, n_eff)
+    matrix = lambda z: [[s([1, 1]), s([3])], [s([3, 1]), z]]
+    dets = lambda z: det_series(matrix(z), Z8, 8)
+    got, other = dets(s([], cap=4)), dets(s([0] * 5 + [1]))
+    assert (got.n_eff, got.cap) == (8, 4)
+    assert got.eq_mod(other.truncate(4)) and any(other.coeffs[5]) and any(other.coeffs[6])
+    zero, lift = s([], n_eff=2), s([9])
+    got, other = dets(zero), dets(lift)
+    assert (got.n_eff, got.cap) == (2, 8)
+    assert got.eq_mod(other, 2) and not got.eq_mod(other, 3)
+    wz, wl = (char_ideal(LambdaPresentation(Z8, matrix(z))) for z in (zero, lift))
+    assert (wz.mu, wz.lam, wz.n_eff) == (wl.mu, wl.lam, 1)
+    assert all(congruent(a, b, wz.n_eff) for a, b in zip(wz.dist, wl.dist))
+    outs = []
+    for z in (zero, lift):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(LambdaPresentation(Z8, matrix(z)).to_json()))
+        assert run(["char", "--matrix", str(path)]) == 0
+        outs.append(json.loads(capsys.readouterr().out))
+    prec = outs[0]["provenance"]["achieved_precision"]
+    assert prec == 1 and (outs[0]["mu"], outs[0]["lambda"]) == (outs[1]["mu"], outs[1]["lambda"])
+    assert all((a - b) % 3 ** prec == 0 for ca, cb in zip(*(o["distinguished"] for o in outs))
+               for a, b in zip(ca, cb))

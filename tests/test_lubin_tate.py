@@ -449,7 +449,7 @@ def test_norm_law_routes_are_independent(g3, rng, monkeypatch):
         m.setattr(LT, "_solve_structural", crossed)
         lhs = g3.coleman_norm(g).compose(g3.f.truncate(24))
     with monkeypatch.context() as m:
-        m.setattr(LT, "_det_packed", crossed)
+        m.setattr(LT, "packed_det", crossed)
         m.setattr(LT, "_companion_norm", crossed)
         rhs = g3.translates_product(g)
         # warm: the second call reads the cached translates

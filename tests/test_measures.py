@@ -307,6 +307,26 @@ def test_twist_factorization_report():
     assert match1
 
 
+@pytest.mark.parametrize("tag", ["okp", "okp_units"])
+def test_zp_characters_are_refused_on_okp_measures(tag):
+    """A character of (Z/p^n)^x of level n >= 1 has no value on the O_K
+    cosets of an O_Kp measure: both twists refuse it, naming the measure's
+    tag and the character's domain.  The trivial character still gives the
+    moment, and gauss_sum of a "zp" character is what it was."""
+    c3 = make_ring(3, 12, "cyclotomic", level=1)
+    mu = dirac(Q3_12.elem((4, 3)), tag, Z12, 64, okp=Q3_12)
+    chars = [FiniteCharacter.from_generator("zp", 1, c3, 2, -c3.one()),
+             FiniteCharacter.from_generator("zp", 2, c3, 2, -(c3.zeta()))]
+    for chi in chars:
+        for twist in (twist_eval, twist_factorization_report):
+            with pytest.raises(DomainError, match=f"'{tag}' measure.*domain 'zp'"):
+                twist(mu, chi, 1)
+    triv = FiniteCharacter.trivial(c3)
+    assert twist_eval(mu, triv, 1) == moment(mu, 1)
+    tau = gauss_sum(chars[0], okp=Q3_12)
+    assert (tau.num, tau.den_exp, tau.const) == (c3.zero(), 0, 3)
+
+
 def test_units_invariant_check():
     z = make_ring(3, 10, "zp")
     mu = Measure(dirac(5, "zp", z, 36).amice + dirac(7, "zp", z, 36).amice,
