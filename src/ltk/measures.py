@@ -14,6 +14,18 @@ sigma(delta^-1 w) a = 1 mod p^n; that is one m_a or none, and _coset_index
 finds its a in closed form from the coordinates of delta.  One reduction per
 level serves every coset, and a Measure keeps it, so each (measure, level)
 pair is reduced once; no cyclotomic ring and no division by p^n is involved.
+
+The reduction is linear in the stored coefficients c_j, j < cap: with
+Q = 1+T, m_a = sum_j c_j [Q^a] ((Q - 1)^j mod Q^(p^n) - 1).  The numbers
+[Q^a] (Q - 1)^j mod p^N depend only on (p, n, cap, p^N), so they are made
+once per key as a table of rows, row a for m_a (_pushforward_rows), and
+each mass coordinate is one integer dot product of a row with the c_j,
+reduced once.  (Q - 1)^j has degree j, so with cap <= p^n nothing wraps
+and the rows a >= cap are zero: a key costs cap x min(p^n, cap) integers,
+and the cache keeps at most 32 keys.  Likewise the list of level-n unit
+cosets with their pushforward indices and sigma values depends only on
+(O_Kp spec, p, n) and is made once per key (_coset_table).
+
 Masses, Riemann sums, the partition law and moments run on coordinate
 tuples of plain integers, and ring elements are made only for the values
 returned; a Riemann sum or a twisted evaluation reads one mass per
@@ -36,8 +48,10 @@ h~ = h - (1/p) sum_j h(zeta_p^j (1+T) - 1).  Measures are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from math import factorial
+from operator import mul
 
 from .rings import (
     DomainError,
@@ -179,7 +193,7 @@ def tilde_series(h):
     spec = h.spec
     ext = _level_ring(spec, 1)
     zeta = _level_zeta(ext, 1)
-    hext = TruncSeries(ext, h.cap, embed_coords(h.coeffs, spec, ext), h.n_eff, h.shift)
+    hext = _series(ext, h.cap, embed_coords(h.coeffs, spec, ext), h.n_eff, h.shift)
     acc = TruncSeries.zero(ext, h.cap)
     zj = ext.one()
     for j in range(spec.p):
@@ -187,8 +201,8 @@ def tilde_series(h):
         acc = acc + hext.compose_affine(a, zj)
         zj = zj * zeta
     acc = acc.divide_exact_p(1)
-    rest = TruncSeries(spec, h.cap, descend_coords(acc.coeffs, ext, spec, acc.n_eff),
-                       acc.n_eff, h.shift)
+    rest = _series(spec, h.cap, descend_coords(acc.coeffs, ext, spec, acc.n_eff),
+                   acc.n_eff, h.shift)
     return h - rest
 
 
@@ -207,7 +221,7 @@ def _eval_table(h, ext, n):
     The table is built from the stored integral coefficients; a nonzero shift
     is the caller's responsibility (the admissibility check charges for it).
     """
-    hs = TruncSeries(h.spec, h.cap, list(h.coeffs), h.n_eff, 0)
+    hs = _series(h.spec, h.cap, h.coeffs, h.n_eff, 0)
     zeta = _level_zeta(ext, n) if n >= 1 else ext.one()
     table, guar, z = [], hs.n_eff, ext.one()
     for _ in range(h.spec.p ** n):
@@ -218,35 +232,55 @@ def _eval_table(h, ext, n):
     return table, guar
 
 
+@lru_cache(maxsize=32)
+def _pushforward_rows(p, n, cap, mod):
+    """The reduction mod (Q^(p^n) - 1, mod) of the basis (Q - 1)^j, j < cap,
+    read by rows: row a holds the Q^a coefficients of the (Q - 1)^j.
+
+    Column j is (Q - 1)^(j-1) times Q - 1: coefficient a becomes c[a-1] -
+    c[a], with c[-1] the wrap-around Q^(p^n) = 1.  (Q - 1)^j has degree j,
+    so when cap <= p^n nothing wraps and the rows a >= cap are zero; only
+    the min(p^n, cap) rows a < cap are kept, and the column list is cut to
+    that length (its last entry, read as c[-1], is zero in every column but
+    the last, from which no column is formed).
+    """
+    width = min(p ** n, cap)
+    cols = [[1] + [0] * (width - 1)]
+    for _ in range(cap - 1):
+        col = cols[-1]
+        cols.append([(col[a - 1] - col[a]) % mod for a in range(width)])
+    return tuple(zip(*cols))
+
+
 def _pushforward(h, n):
     """The stored coefficients of h reduced mod (1+T)^{p^n} - 1.
 
-    Horner's rule in Z/p^N[Q]/(Q^{p^n} - 1), Q = 1+T, coordinate by
-    coordinate of the value ring.  Returns (m, guarantee): m[a] is the
-    coordinate tuple of the Q^a coefficient, correct mod p^guarantee with
-    guarantee = min(n_eff, ceil(cap / phi(p^n)) - n) (the module docstring
-    derives the bound; at n = 0 the reduction is h(0), exact mod p^n_eff).
-    The shift is not applied.
+    With Q = 1+T, h = sum_j c_j (Q - 1)^j, so the Q^a coefficient of the
+    reduction is the dot product of row a of _pushforward_rows with the
+    c_j, coordinate by coordinate of the value ring, reduced once mod p^N;
+    the rows a >= cap are zero.  The rows depend only on (p, n, cap, p^N):
+    each key costs cap x min(p^n, cap) integers below p^N, and the cache
+    keeps at most 32 keys.  Returns (m, guarantee): m[a] is the coordinate
+    tuple of the Q^a coefficient, correct mod p^guarantee with guarantee =
+    min(n_eff, ceil(cap / phi(p^n)) - n) (the module docstring derives the
+    bound; at n = 0 the reduction is h(0), exact mod p^n_eff).  The shift
+    is not applied.
     """
     spec = h.spec
     p, mod = spec.p, spec.modulus
     pn = p ** n
-    cols = []
-    for i in range(spec.rank):
-        acc = [0] * pn
-        for c in reversed(h.coeffs):
-            # acc <- acc * (Q - 1) + c; acc[-1] is the wrap-around Q^{p^n} = 1
-            acc = [acc[a - 1] - acc[a] for a in range(pn)]
-            acc[0] += c[i]
-        cols.append([x % mod for x in acc])
-    m = list(zip(*cols))
+    rows = _pushforward_rows(p, n, h.cap, mod)
+    cols = tuple(zip(*h.coeffs))     # coordinate i of every coefficient
+    m = [tuple(sum(map(mul, row, col)) % mod for col in cols) for row in rows]
+    m.extend([(0,) * spec.rank] * (pn - len(m)))
     if n == 0:
         return m, h.n_eff
     return m, min(h.n_eff, -(-h.cap // (pn - pn // p)) - n)
 
 
-def _coset_index(mu, delta, n):
-    """The a in Z/p^n with mu(delta U_n) = mu(a + p^n Z_p), or None if empty.
+def _coset_index(okp, pn, delta):
+    """The a in Z/p^n with mu(delta U_n) = mu(a + p^n Z_p), or None if empty,
+    for a measure on the O_Kp spec okp (None on the Z_p tags), pn = p^n.
 
     delta is an int or, on O_Kp, a coordinate pair (d0, d1) = d0 + d1 w (an
     int d is (d, 0)); the pair is read as its canonical residue mod p^N.
@@ -265,10 +299,8 @@ def _coset_index(mu, delta, n):
     namely a = Nm s^-1, and t a = Nm holds as well iff t = s mod p^n.  At
     n = 0 every residue is 0, and a = 0 indexes the one coset.
     """
-    pn = mu.spec.p ** n
-    if not mu.group.startswith("okp"):
+    if okp is None:
         return (delta if isinstance(delta, int) else delta[0]) % pn
-    okp = mu.okp
     (b, c), mod = okp.quad, okp.modulus
     d0, d1 = (delta, 0) if isinstance(delta, int) else delta
     d0, d1 = d0 % mod, d1 % mod
@@ -323,25 +355,45 @@ def coset_mass(mu, delta, n):
     m, guar = mu.pushforward(n)
     if isinstance(delta, RingElem):
         delta = delta.coords
-    v, g = _mass(mu.amice, m, guar, _coset_index(mu, delta, n), n)
+    v, g = _mass(mu.amice, m, guar, _coset_index(_okp(mu), mu.spec.p ** n, delta), n)
     return RingElem(mu.spec, v), g
 
 
+def _okp(mu):
+    """The O_Kp spec that mu's cosets are read on; None on the Z_p tags."""
+    return mu.okp if mu.group.startswith("okp") else None
+
+
+@lru_cache(maxsize=64)
+def _coset_table(okp, p, n, units):
+    """The level-n cosets a Riemann sum or a twist runs over, once per key:
+    the units of O_K/p^n on O_Kp (okp a quadratic RingSpec), else Z/p^n,
+    only its units when `units`.  Returns (cosets, groups), both tuples:
+    cosets holds (delta, pushforward index, sigma(delta)) per coset, delta
+    on O_Kp the coordinate pair reduced mod p^N; groups holds (index,
+    sigmas) per distinct index, in first-seen order, with the sigma(delta)
+    of that index's cosets.  The empty cosets (index None) have mass zero,
+    so their group keeps no sigmas; it stays in groups, so a Riemann sum
+    runs _mass's admissibility check on every index it reads, the empty
+    one included.  The cache keeps at most 64 keys, each of (p^n)^2 cosets
+    at most."""
+    pn = p ** n
+    if okp is None:
+        cosets = tuple((a, a, a) for a in range(pn) if not (units and a % p == 0))
+    else:
+        mod = okp.modulus
+        cosets = tuple(((d0 % mod, d1 % mod), _coset_index(okp, pn, (d0, d1)),
+                        (d0 + d1) % mod) for d0, d1 in unit_residues(okp, n))
+    groups = {}
+    for _, a, x in cosets:
+        groups.setdefault(a, []).append(x)
+    return cosets, tuple((a, () if a is None else tuple(xs))
+                         for a, xs in groups.items())
+
+
 def _cosets(mu, n):
-    """(delta, pushforward index, sigma(delta)) over the level-n cosets a
-    Riemann sum runs over: the units on O_Kp and zp_units, all of Z/p^n on
-    zp.  On O_Kp delta is the coordinate pair reduced mod p^N."""
-    if mu.group.startswith("okp"):
-        mod = mu.okp.modulus
-        for d0, d1 in unit_residues(mu.okp, n):
-            d = (d0 % mod, d1 % mod)
-            yield d, _coset_index(mu, d, n), (d[0] + d[1]) % mod
-        return
-    p = mu.spec.p
-    for a in range(p ** n):
-        if mu.group == "zp_units" and a % p == 0:
-            continue
-        yield a, a, a
+    """_coset_table for mu's group at level n."""
+    return _coset_table(_okp(mu), mu.spec.p, n, mu.group != "zp")
 
 
 def unit_residues(okp, n):
@@ -377,14 +429,15 @@ def partition_check(mu, n):
         raise DomainError(f"partition_check at level {n}: the unit cosets "
                           "U_n start at level 1")
     _require_okp_level(mu, n + 1, f"partition_check at level {n}")
-    p = mu.okp.p
+    okp = mu.okp
+    p = okp.p
     pn = p ** n
     h = mu.amice
     fine, g_fine = mu.pushforward(n + 1)
-    lhs = [_mass(h, fine, g_fine, _coset_index(mu, (1 + c0 * pn, c1 * pn), n + 1),
+    lhs = [_mass(h, fine, g_fine, _coset_index(okp, pn * p, (1 + c0 * pn, c1 * pn)),
                  n + 1)[0] for c0 in range(p) for c1 in range(p)]
     coarse, g_coarse = mu.pushforward(n)
-    rhs, _ = _mass(h, coarse, g_coarse, _coset_index(mu, 1, n), n)
+    rhs, _ = _mass(h, coarse, g_coarse, _coset_index(okp, pn, 1), n)
     guar = min(g_fine, g_coarse) - h.shift
     q = p ** guar
     ok = all((sum(xs) - y) % q == 0 for xs, y in zip(zip(*lhs), rhs))
@@ -474,11 +527,9 @@ def riemann_moment(mu, k, n):
     _require_okp_level(mu, n, f"riemann_moment at level {n}")
     h = mu.amice
     m, guar = mu.pushforward(n)
-    # sum of x^k over the cosets of each pushforward index; one mass per index
-    weights = {}
-    for _, a, x in _cosets(mu, n):
-        weights[a] = weights.get(a, 0) + x ** k
-    terms = [(_mass(h, m, guar, a, n)[0], w) for a, w in weights.items()]
+    # one mass per pushforward index, times the sum of x^k over its cosets
+    terms = [(_mass(h, m, guar, a, n)[0], sum(x ** k for x in xs))
+             for a, xs in _cosets(mu, n)[1]]
     spec = h.spec
     acc = tuple(sum(v[i] * w for v, w in terms) % spec.modulus
                 for i in range(spec.rank))
@@ -682,7 +733,7 @@ def twist_eval(mu, chi, k):
     h = _qddq_power(mu.amice, k)
     m, guar = _pushforward(h, n)
     terms, masses = [], {}    # one mass per pushforward index
-    for delta, a, _ in _cosets(mu, n):
+    for delta, a, _ in _cosets(mu, n)[0]:
         cv = chi.value(delta)
         if not cv.is_zero():
             if a not in masses:

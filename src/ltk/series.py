@@ -244,8 +244,9 @@ class TruncSeries:
         """Zero-pad to a larger cap (the tail is NOT claimed correct)."""
         if cap2 <= self.cap:
             return self.truncate(cap2)
-        return TruncSeries(self.spec, cap2, list(self.coeffs),
-                           self.n_eff, self.shift)
+        zero = (0,) * self.spec.rank
+        return _series(self.spec, cap2, self.coeffs + (zero,) * (cap2 - self.cap),
+                       self.n_eff, self.shift)
 
     def reduce_precision(self, N2):
         spec2 = self.spec.with_precision(N2)

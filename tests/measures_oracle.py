@@ -7,11 +7,13 @@ series; they check the coefficient recurrence of ltk.measures._qddq_power
 and the closed-form moment.  The rest is the ring-element coset route: the
 coset index through RingElem.inverse and sigma of delta^-1 and delta^-1 w,
 and coset masses, Riemann sums, the partition law and twisted evaluations
-summed as ring elements, one mass per coset.  It shares only the level-n
-pushforward with ltk.measures, whose integer-coordinate route it checks.
+summed as ring elements, one mass per coset, over the level-n pushforward
+by Horner's rule (pushforward), which checks the row table of
+ltk.measures._pushforward.  It shares nothing with ltk.measures's
+integer-coordinate route but sigma_map and unit_residues.
 """
 
-from ltk.measures import _pushforward, sigma_map, unit_residues
+from ltk.measures import sigma_map, unit_residues
 from ltk.rings import DomainError, PrecisionExhausted, embed
 from ltk.series import TruncSeries
 
@@ -66,6 +68,27 @@ def moment(mu, k):
     return v
 
 
+def pushforward(h, n):
+    """The stored coefficients of h reduced mod (1+T)^{p^n} - 1, with the
+    guarantee of ltk.measures._pushforward: Horner's rule in
+    Z/p^N[Q]/(Q^{p^n} - 1), Q = 1+T, coordinate by coordinate."""
+    spec = h.spec
+    p, mod = spec.p, spec.modulus
+    pn = p ** n
+    cols = []
+    for i in range(spec.rank):
+        acc = [0] * pn
+        for c in reversed(h.coeffs):
+            # acc <- acc * (Q - 1) + c; acc[-1] is the wrap-around Q^{p^n} = 1
+            acc = [acc[a - 1] - acc[a] for a in range(pn)]
+            acc[0] += c[i]
+        cols.append([x % mod for x in acc])
+    m = list(zip(*cols))
+    if n == 0:
+        return m, h.n_eff
+    return m, min(h.n_eff, -(-h.cap // (pn - pn // p)) - n)
+
+
 def coset_index(mu, delta, n):
     """The a in Z/p^n with mu(delta U_n) = mu(a + p^n Z_p), or None if empty:
     a = sigma(delta^-1)^-1 when sigma(delta^-1) and sigma(delta^-1 w) agree."""
@@ -104,7 +127,7 @@ def _mass(h, m, guar, a, n):
 
 
 def coset_mass(mu, delta, n):
-    m, guar = _pushforward(mu.amice, n)
+    m, guar = pushforward(mu.amice, n)
     return _mass(mu.amice, m, guar, coset_index(mu, delta, n), n)
 
 
@@ -125,14 +148,14 @@ def partition_check(mu, n):
     okp = mu.okp
     p = okp.p
     h = mu.amice
-    fine, g_fine = _pushforward(h, n + 1)
+    fine, g_fine = pushforward(h, n + 1)
     lhs = h.spec.zero()
     for c0 in range(p):
         for c1 in range(p):
             d = okp.elem((1 + c0 * p ** n, c1 * p ** n))
             v, _ = _mass(h, fine, g_fine, coset_index(mu, d, n + 1), n + 1)
             lhs = lhs + v
-    coarse, g_coarse = _pushforward(h, n)
+    coarse, g_coarse = pushforward(h, n)
     rhs, _ = _mass(h, coarse, g_coarse, coset_index(mu, okp.one(), n), n)
     guar = min(g_fine, g_coarse) - h.shift
     q = p ** guar
@@ -142,7 +165,7 @@ def partition_check(mu, n):
 
 def riemann_moment(mu, k, n):
     h = mu.amice
-    m, guar = _pushforward(h, n)
+    m, guar = pushforward(h, n)
     acc = h.spec.zero()
     for _, a, x in _cosets(mu, n):
         v, _ = _mass(h, m, guar, a, n)
@@ -154,7 +177,7 @@ def twist_eval(mu, chi, k):
     """At level >= 1; level 0 is the moment in both routes."""
     n = chi.level
     h = qddq_power(mu.amice, k)
-    m, guar = _pushforward(h, n)
+    m, guar = pushforward(h, n)
     vspec = chi.value_spec
     acc = None
     for delta, a, _ in _cosets(mu, n):

@@ -18,6 +18,7 @@ from ltk.measures import (
     partition_check,
     restrict_to_units,
     riemann_moment,
+    sigma_map,
     tilde_series,
     twist_eval,
     twist_factorization_report,
@@ -412,8 +413,8 @@ def test_coset_index_matches_the_ring_element_route(p, kind, quad, top):
                 lift = (d0 + step * rng.randrange(-3, 4),
                         d1 + step * rng.randrange(-3, 4))
                 want = _outcome(MO.coset_index, mu, okp.elem((d0, d1)), n)
-                assert _outcome(MS._coset_index, mu, (d0, d1), n) == want
-                assert _outcome(MS._coset_index, mu, lift, n) == want
+                assert _outcome(MS._coset_index, okp, pn, (d0, d1)) == want
+                assert _outcome(MS._coset_index, okp, pn, lift) == want
                 units += want[0] == "ok"
     assert units == sum(len(unit_residues(okp, n)) for n in range(1, top + 1))
 
@@ -535,7 +536,7 @@ def test_coset_index_above_the_group_precision_reads_the_lift():
     # land elsewhere)
     okp = make_ring(2, 3, "ramified_quad", quad=(0, 2))
     mu = dirac(okp.elem((3, 0)), "okp", make_ring(2, 3, "zp"), 80, okp=okp)
-    assert MS._coset_index(mu, (3, 0), 4) == 3
+    assert MS._coset_index(okp, 2 ** 4, (3, 0)) == 3
     with pytest.raises(DomainError, match=r"coset_mass at level 4: .*okp.N = 3"):
         coset_mass(mu, okp.elem((3, 0)), 4)
     v, g = coset_mass(mu, okp.elem((3, 0)), 3)
@@ -650,7 +651,7 @@ def test_riemann_moment_reads_one_mass_per_index(monkeypatch):
     real = MS._mass
     monkeypatch.setattr(MS, "_mass", lambda h, m, g, a, n: calls.append(a) or real(h, m, g, a, n))
     mu = dirac(Q3_12.elem((4, 3)), "okp", Z12, 64, okp=Q3_12)
-    cosets = list(MS._cosets(mu, 2))
+    cosets, _ = MS._cosets(mu, 2)
     assert len(cosets) == 54
     indices = {a for _, a, _ in cosets}
     for k in range(4):
@@ -659,3 +660,83 @@ def test_riemann_moment_reads_one_mass_per_index(monkeypatch):
         assert sorted(calls, key=str) == sorted(indices, key=str)
         assert got == MO.riemann_moment(mu, k, 2)
     assert indices == {1, 2, 4, 5, 7, 8, None}
+
+
+# -- the coset table, once per (O_Kp spec, level) ------------------------------------
+
+# ramified and unramified O_Kp for p in {2, 3, 5}
+TABLE_RINGS = [(2, "ramified_quad", (0, 2)), (2, "unramified_quad", (1, 1)),
+               (3, "ramified_quad", (3, 3)), (3, "unramified_quad", (1, 2)),
+               (5, "ramified_quad", (0, 5)), (5, "unramified_quad", (0, 2))]
+
+
+def _nested_tuples(x):
+    return isinstance(x, tuple) and all(
+        _nested_tuples(y) for y in x if not isinstance(y, (int, type(None))))
+
+
+@pytest.mark.parametrize("p, kind, quad", TABLE_RINGS)
+def test_coset_table_matches_the_oracle_index_per_delta(p, kind, quad):
+    okp = make_ring(p, 6, kind, quad=quad)
+    z = make_ring(p, 6, "zp")
+    mu = Measure(TruncSeries.zero(z, 4), "okp", okp)
+    for n in range(4):
+        table = MS._cosets(mu, n)
+        assert _nested_tuples(table)
+        cosets, groups = table
+        assert [d for d, _, _ in cosets] == unit_residues(okp, n)
+        for d, a, x in cosets:
+            delta = okp.elem(d)
+            assert a == MO.coset_index(mu, delta, n)
+            assert x == sigma_map(delta)
+        # each index's own sigmas, in order; the empty cosets keep none
+        assert [a for a, _ in groups] == list(dict.fromkeys(a for _, a, _ in cosets))
+        for a, xs in groups:
+            assert xs == (() if a is None else
+                          tuple(x for _, b, x in cosets if b == a))
+        assert MS._cosets(Measure(mu.amice, "okp_units", okp), n) is table
+    # the Z_p tags: every residue, or its units, each its own index
+    for tag in ("zp", "zp_units"):
+        cosets, groups = MS._cosets(Measure(mu.amice, tag), 2)
+        want = [a for a in range(p * p) if tag == "zp" or a % p]
+        assert cosets == tuple((a, a, a) for a in want)
+        assert groups == tuple((a, (a,)) for a in want)
+
+
+def test_coset_table_is_cached_and_repeats():
+    MS._coset_table.cache_clear()
+    c3 = make_ring(3, 12, "cyclotomic", level=1)
+    mu = dirac(Q3_12.elem((4, 3)), "okp", Z12, 64, okp=Q3_12)
+    chi = _okp_characters(Q3_12, c3, 2)[2]
+    for n in (1, 2):
+        first = riemann_moment(mu, 3, n)
+        assert riemann_moment(mu, 3, n) == first == MO.riemann_moment(mu, 3, n)
+    twist = twist_eval(mu, chi, 1)
+    assert twist_eval(mu, chi, 1) == twist == MO.twist_eval(mu, chi, 1)
+    info = MS._coset_table.cache_info()
+    assert (info.misses, info.currsize, info.maxsize) == (2, 2, 64)
+    assert info.hits == 4         # the second sum at each level, both twists
+    # a measure of another value ring on the same O_Kp reads the same table
+    other = Measure(TruncSeries.zero(make_ring(3, 7, "zp"), 8), "okp_units", Q3_12)
+    assert MS._cosets(other, 2) is MS._cosets(mu, 2)
+    with pytest.raises(TypeError):
+        MS._cosets(mu, 2)[0][0] = None
+
+
+def test_riemann_moment_refuses_the_negative_control():
+    # the first Dirac scaled by 1/p: shift 1, and its mass 1 on the coset of
+    # sigma(a) is not divisible by p at either level
+    rng = random.Random("negative control")
+    for _ in range(5):
+        while True:
+            a = Q3_12.elem((rng.randrange(81), rng.randrange(81)))
+            if a.is_unit() and sigma_map(a) % 3:
+                break
+        d = dirac(a, "okp", Z12, 64, okp=Q3_12).amice
+        bad = Measure(TruncSeries(Z12, 64, list(d.coeffs), 12, 1), "okp", Q3_12)
+        for n in (1, 2):
+            for k in range(3):
+                with pytest.raises(PrecisionExhausted, match="not admissible"):
+                    riemann_moment(bad, k, n)
+                with pytest.raises(PrecisionExhausted, match="not admissible"):
+                    MO.riemann_moment(bad, k, n)

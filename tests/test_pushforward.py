@@ -3,7 +3,9 @@
 The oracle is the character-sum construction: mu(delta U_n) is p^{-2n} times
 a double sum of h(zeta^s - 1) zeta^t over O_K/p^n (p^{-n} times a single sum
 on Z_p), evaluated in a cyclotomic extension ring and descended.  It shares
-nothing with the pushforward except the stored coefficients.
+nothing with the pushforward except the stored coefficients.  The row-table
+pushforward is also checked bit for bit against Horner's rule
+(measures_oracle.pushforward).
 """
 
 import random
@@ -16,6 +18,7 @@ from ltk.rings import PrecisionExhausted, descend, embed, make_ring
 from ltk.series import TruncSeries
 
 from conftest import random_series
+import measures_oracle as MO
 
 
 def _oracle_masses(mu, n, deltas):
@@ -204,3 +207,52 @@ def test_level_one_element_descends_from_level_two(p):
         assert descend(embed(x, c2), c1) == x
     with pytest.raises(PrecisionExhausted):
         descend(c2.zeta(), c1)
+
+
+# -- the row table against Horner's rule ---------------------------------------
+
+
+def _value_rings(p):
+    """Value rings of rank 1 and 2 (rank p - 1 for the cyclotomic one)."""
+    return [make_ring(p, 7, "zp"), make_ring(p, 7, "ramified_quad", quad=(0, p)),
+            make_ring(p, 7, "cyclotomic", level=1)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_row_table_matches_horner(p, n):
+    """Masses and guarantee bit for bit, for caps below, at and above p^n
+    (cap 1 included), full and reduced n_eff, shift 0 and 1."""
+    rng = random.Random(f"rows {p} {n}")
+    pn = p ** n
+    caps = sorted({1, 2, max(pn - 1, 1), pn, pn + 1, 2 * pn + 3})
+    cases = 0
+    for spec in _value_rings(p):
+        for cap in caps:
+            h = random_series(spec, cap, rng, unit=False)
+            for n_eff, shift in ((spec.N, 0), (4, 0), (spec.N, 1), (3, 2)):
+                g = TruncSeries(spec, cap, list(h.coeffs), n_eff, shift)
+                got, want = MS._pushforward(g, n), MO.pushforward(g, n)
+                assert got == want, (spec.kind, cap, n_eff, shift)
+                assert len(got[0]) == pn
+                cases += 1
+    assert cases == 3 * len(caps) * 4
+
+
+def test_row_table_is_cached_per_key_and_cut_at_the_cap():
+    MS._pushforward_rows.cache_clear()
+    z = make_ring(3, 13, "zp")
+    h = random_series(z, 64, random.Random(7), unit=False)
+    first = MS._pushforward(h, 2)
+    assert MS._pushforward(h.scale(2), 2)[1] == first[1]
+    info = MS._pushforward_rows.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert info.maxsize == 32
+    rows = MS._pushforward_rows(3, 2, 64, z.modulus)
+    assert isinstance(rows, tuple) and all(isinstance(r, tuple) for r in rows)
+    assert len(rows) == 9 and all(len(r) == 64 for r in rows)
+    # with cap <= p^n nothing wraps: cap rows are kept, the other masses are 0
+    short = MS._pushforward_rows(3, 3, 5, z.modulus)
+    assert len(short) == 5 and all(len(r) == 5 for r in short)
+    m, _ = MS._pushforward(h.truncate(5), 3)
+    assert len(m) == 27 and m[5:] == [(0,)] * 22

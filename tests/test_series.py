@@ -363,6 +363,26 @@ def test_constructor_rejects_coefficients_of_the_wrong_length():
     assert TruncSeries(q3, 4, [[1, 2], 5]).coeffs[:2] == ((1, 2), (5, 0))
 
 
+def test_public_constructor_keeps_its_checks_where_internal_copies_skip_them():
+    """Internal copies of canonical coordinates (extend_cap, the evaluation
+    table, tilde) go through _series; the public constructor still refuses a
+    tuple of the wrong length or a coefficient of another ring, and still
+    reduces out-of-range coordinates."""
+    q3 = make_ring(3, 6, "ramified_quad", quad=(0, 3))
+    with pytest.raises(DomainError, match="needs 2 coordinates"):
+        TruncSeries(q3, 4, [(1, 2, 3)])
+    with pytest.raises(DomainError, match="different ring"):
+        TruncSeries(q3, 4, [make_ring(3, 7, "ramified_quad", quad=(0, 3)).one()])
+    m = q3.modulus
+    assert TruncSeries(q3, 3, [(m + 1, -1), -2]).coeffs == ((1, m - 1), (m - 2, 0), (0, 0))
+    s = TruncSeries(q3, 3, [(4, 5), (6, 7)], 5, 1)
+    t = s.extend_cap(6)
+    assert (t.cap, t.coeffs, t.n_eff, t.shift) == (
+        6, ((4, 5), (6, 7)) + ((0, 0),) * 4, 5, 1)
+    assert t.coeffs == TruncSeries(q3, 6, list(s.coeffs), 5, 1).coeffs
+    assert s.extend_cap(2).coeffs == ((4, 5), (6, 7))
+
+
 # -- the Newton inverse against the schoolbook oracle --------------------------------
 
 
