@@ -234,15 +234,12 @@ def _eval_table(h, ext, n):
 
 @lru_cache(maxsize=32)
 def _pushforward_rows(p, n, cap, mod):
-    """The reduction mod (Q^(p^n) - 1, mod) of the basis (Q - 1)^j, j < cap,
-    read by rows: row a holds the Q^a coefficients of the (Q - 1)^j.
+    """Row a: the Q^a coefficients of (Q - 1)^j mod (Q^(p^n) - 1, mod), j < cap.
 
-    Column j is (Q - 1)^(j-1) times Q - 1: coefficient a becomes c[a-1] -
-    c[a], with c[-1] the wrap-around Q^(p^n) = 1.  (Q - 1)^j has degree j,
-    so when cap <= p^n nothing wraps and the rows a >= cap are zero; only
-    the min(p^n, cap) rows a < cap are kept, and the column list is cut to
-    that length (its last entry, read as c[-1], is zero in every column but
-    the last, from which no column is formed).
+    Column j is column j - 1 times Q - 1: c[a] becomes c[a-1] - c[a], c[-1]
+    being the wrap-around Q^(p^n) = 1.  Only the min(p^n, cap) rows a < cap
+    are kept: with cap < p^n nothing wraps, and the cut column's last entry,
+    read as c[-1], is zero in every column that a next one is made from.
     """
     width = min(p ** n, cap)
     cols = [[1] + [0] * (width - 1)]
