@@ -201,10 +201,9 @@ def _companion_norm(digits, y, cap=1):
 
     The d x d matrix of C^k is the window of d rows of the digits starting
     at row k, so y(C) is one PackedRows.combine: one int product per nonzero
-    y_k and one reduction per entry coefficient, its slots at most
-    L r (p^N - 1)^2 for L terms of y (r = K's rank; the derivation is
-    PackedRows').  Truncating the entries to cap coefficients is the ring map
-    mod T^cap.
+    y_k and one reduction per entry coefficient, at the slot width for L
+    pairs for L terms of y (series._width).  Truncating the entries to cap
+    coefficients is the ring map mod T^cap.
 
     The determinant is series.packed_det on combine's d^2 reduced entries,
     each cut to its first c = min(e, cap) coefficients (e = the digits'
@@ -681,10 +680,10 @@ class FormalGroup:
         translate's powers as one series.PackedRows (row k is tau^k mod
         X^cap, made from row k - 1 by one product with tau, packed once,
         when a call first needs it).  g o tau is then one combine: a packed
-        product g_k tau^k per nonzero g_k, summed with slots of at most
-        L r (p^N - 1)^2 (L the trimmed length of g, r the rank of E; derived
-        in PackedRows) and reduced once.  The product over the translates is
-        descended to the base mod p^(N-1), the precision of f(pt) = 0.
+        product g_k tau^k per nonzero g_k, summed at the slot width for L
+        pairs (series._width, L the trimmed length of g) and reduced once.
+        The product over the translates is descended to the base mod
+        p^(N-1), the precision of f(pt) = 0.
         """
         g = self._own(g)
         cap = min(cap or self.cap, g.cap)

@@ -21,20 +21,21 @@ like exponents, and reduce_blocks is the ring's reduction map, compiled
 once per ring to one comprehension.  RingSpec (the coefficient rings) and
 lubin_tate.QuotientRing (base[X]/P) are the two kinds of packed ring.
 Determinants over K[Y] (the norm operator's, lambda_modules.det_series)
-go through one entry point, packed_det: its callers pass the d^2 entries
-flat, each of a length they know, it packs them all in one go, and each
-minor is a signed sum of int products, unpacked and reduced once.  Linear
-maps y -> sum_k y_k M_k whose matrices M_k are windows of one table (the
-norm's fiber digits, the powers of a torsion translate) go through
-PackedRows: the table is packed once and each window read as an int once,
-and a call sums one int product per term, unpacked and reduced once.  Every
+go through one entry point, packed_det, which packs the d^2 flat entries in
+one go; each minor is a signed sum of int products.  Linear maps y -> sum_k
+y_k M_k whose matrices M_k are windows of one table (the norm's fiber
+digits, the powers of a torsion translate) go through PackedRows: the
+table is packed once, each window read as an int once, and a call sums one
+int product per term.  The series inverse (_inverse, behind
+TruncSeries.invert) is Newton iteration on packed ints, the series packed
+once.  Each packed sum takes its slot width from one rule, _width, by the
+coefficient pairs that reach one block, and is reduced once after one
+read, _unpack (signed for the minors and the Newton correction).  Every
 evaluation at a point is horner: Horner's rule on coordinate tuples in the
-point's ring, whose compiled mul_coords it calls.
-The series inverse (_inverse, behind TruncSeries.invert) is Newton
-iteration on packed ints, with the series packed once; Weierstrass
-preparation runs its Hensel loop on coordinate lists over packed_mul,
-_inverse and one monic division, _divmod_monic, which takes the schoolbook
-or Newton's route by its size.
+point's ring, whose compiled mul_coords it calls.  Weierstrass preparation
+runs its Hensel loop on coordinate lists over packed_mul, _inverse and one
+monic division, _divmod_monic, which takes the schoolbook or Newton's
+route by its size.
 
 The structural-series solver, _solve_structural, and its ring protocol
 (_Coords) live here too: they give the derivative of the Lubin-Tate log,
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from functools import lru_cache
 from itertools import chain
 from math import floor, inf
 
@@ -460,12 +462,29 @@ _ARRAY_CODES = ({array(c).itemsize: c for c in "QIHB"}
 _WIDTHS = [min((w for w in _ARRAY_CODES if w >= n), default=n) for n in range(9)]
 
 
-def _slot_bytes(bound):
-    """Bytes per slot for slot values of absolute value at most bound, with
-    a bit to spare: bit_length(bound) + 1 bits in whole bytes, rounded up to
-    the next width array moves (1, 2, 4 or 8) when there is one: _WIDTHS[n]
-    for n <= 8 whole bytes."""
-    n = (bound.bit_length() + 8) // 8
+def _width(K, pairs):
+    """Bytes per slot of a sum packed over K in which at most pairs
+    coefficient pairs reach one block: the kernel's one slot-width rule.
+
+    Coordinates lie in [0, m - 1], m = p^N.  Slot offsets add like monomial
+    exponents (each variable's degree in a product stays below its stride),
+    so coordinate i of one factor meets coordinate j of the other in slot
+    slots[i] + slots[j]; given the slot and i, at most one j fits.  So at
+    most r = rank coordinate pairs share a slot per coefficient pair, and a
+    slot of the sum has absolute value at most
+
+        B = pairs * r * (m - 1)^2.
+
+    B takes bit_length(B) + 1 bits, the extra bit for the sign of a signed
+    sum (_unpack): no slot carries into the next, so the slots are the raw
+    coefficients.  The bits are rounded up to whole bytes, then to the next
+    width array moves (1, 2, 4 or 8 bytes: _WIDTHS), so packing and
+    unpacking are one array conversion each.  A wider slot stays carry-free
+    since B depends on the inputs only: the packed sum is the same
+    polynomial evaluated at a larger power of 2.
+    """
+    rank, _, _, m = K.packing
+    n = ((pairs * rank * (m - 1) ** 2).bit_length() + 8) // 8
     return _WIDTHS[n] if n < len(_WIDTHS) else n
 
 
@@ -488,22 +507,36 @@ def _pack_bytes(coeffs, block, slots, nbytes):
             else b"".join([x.to_bytes(nbytes, "little") for x in flat]))
 
 
-def _slots(x, count, nbytes, size):
-    """The lowest count of the size unsigned nbytes-wide slots of x >= 0."""
-    buf = x.to_bytes(size * nbytes, "little")
-    code = _ARRAY_CODES.get(nbytes)
-    if code is None:
-        return [int.from_bytes(buf[i:i + nbytes], "little")
-                for i in range(0, count * nbytes, nbytes)]
-    out = array(code)
-    out.frombytes(memoryview(buf)[:count * nbytes])
-    return out.tolist()
+@lru_cache(maxsize=64)
+def _bias(nbytes, count):
+    """(bias, mask, half = 2^(8 nbytes - 1)) of a signed read of count slots."""
+    half = 1 << (8 * nbytes - 1)
+    return (int.from_bytes(half.to_bytes(nbytes, "little") * count, "little"),
+            (1 << (8 * nbytes * count)) - 1, half)
 
 
-def _unpack(K, prod, n, nbytes, size):
-    """The first n reduced coefficients of a product packed in size blocks."""
+def _unpack(K, acc, n, nbytes, size, signed=False):
+    """The first n reduced coefficients of a sum acc packed in size blocks.
+
+    Unsigned, every slot of acc is nonnegative and read as it is.  Signed,
+    acc may be negative and longer than size blocks: with S = 2^(size block
+    W), W the slot width, the slots below S hold its coefficients mod
+    Y^size, each negative one borrowing from the next.  Adding 2^(W-1) to
+    every slot (bias) puts each in [0, 2^W) (_width's sign bit), so the
+    slots of (acc + bias) mod S, one & mask, read carry-free, and the bias
+    comes off.  The mask is exact mod Y^size: x -> x mod S is a ring map,
+    and composed with the Kronecker substitution it sends Y^size to 0.
+    """
     block = K.packing[1]
-    return K.reduce_blocks(_slots(prod, n * block, nbytes, size * block))
+    count, end = size * block, n * block * nbytes
+    if signed:
+        bias, mask, half = _bias(nbytes, count)
+        acc = (acc + bias) & mask
+    buf = acc.to_bytes(count * nbytes, "little")
+    code = _ARRAY_CODES.get(nbytes)
+    raw = (array(code, buf[:end]).tolist() if code else
+           [int.from_bytes(buf[i:i + nbytes], "little") for i in range(0, end, nbytes)])
+    return K.reduce_blocks([x - half for x in raw] if signed else raw)
 
 
 def _trim(coeffs, cap):
@@ -526,33 +559,16 @@ def packed_mul(K, a, b, cap):
     K.reduce_blocks maps onto the basis, every block in one call
     (rings.compile_map).
 
-    Slot width.  Every input coordinate lies in [0, m - 1], m = p^N.  Slot
-    offsets add like monomial exponents (each variable's degree in a product
-    stays below its stride), so coordinate i of one factor meets coordinate
-    j of the other in slot slots[i] + slots[j] of the block.  Given the slot
-    and i, at most one j fits: at most rank coordinate pairs share a slot
-    per pair of coefficients, and at most min(len a, len b) coefficient
-    pairs reach one power of X.  A product slot is therefore a nonnegative
-    integer of at most min(len a, len b) * rank * (m - 1)^2, and with
-
-        bits >= bit_length(min(len a, len b) * rank * (m - 1)^2) + 1
-
-    no slot carries into the next: the product's slots are exactly the raw
-    coefficients.  nbytes is that bit count rounded up to whole bytes, then
-    to the next width array moves (1, 2, 4 or 8 bytes; _slot_bytes), so
-    packing and unpacking are one array conversion each.  Rounding up keeps
-    the slots carry-free: the bound on a slot's value depends on the inputs
-    only, not on the width, so a wider slot holds it with bits to spare, and
-    the packed product is the same polynomial evaluated at a larger power
-    of 2.  Trailing zero coefficients are dropped first, which only shrinks
-    the bound.
+    Slot width.  At most min(len a, len b) coefficient pairs reach one power
+    of X (_width); trailing zero coefficients are dropped first, which only
+    shrinks the bound.
     """
-    rank, block, slots, m = K.packing
+    rank, block, slots, _ = K.packing
     la, lb = _trim(a, cap), _trim(b, cap)
     if not la or not lb:
         return [(0,) * rank] * cap
     n = min(cap, la + lb - 1)
-    nbytes = _slot_bytes(min(la, lb) * rank * (m - 1) ** 2)
+    nbytes = _width(K, min(la, lb))
     A = _pack(a[:la], block, slots, nbytes)
     B = A if a is b else _pack(b[:lb], block, slots, nbytes)
     out = _unpack(K, A * B, n, nbytes, la + lb - 1)
@@ -564,14 +580,13 @@ def packed_times(K, b, cap):
     """a -> a * b mod X^cap over a packed ring K, as cap coefficients, with
     b packed once.
 
-    The slots are packed_mul's, at the width for len(b) * rank * (m - 1)^2:
-    a bound on min(len a, len b) * rank * (m - 1)^2 for every a (lengths
-    trimmed).
+    The slots are packed_mul's, at the width for len(b) pairs (_width): a
+    bound on min(len a, len b) for every a (lengths trimmed).
     """
-    rank, block, slots, m = K.packing
+    rank, block, slots, _ = K.packing
     zero = (0,) * rank
     lb = _trim(b, cap)
-    nbytes = _slot_bytes(lb * rank * (m - 1) ** 2)
+    nbytes = _width(K, lb)
     B = _pack(b[:lb], block, slots, nbytes)
 
     def times(a):
@@ -594,13 +609,13 @@ def _inverse(K, s, cap, v0):
     Computer Algebra, 9.1).  If v inverts s mod X^k, then s v = 1 + X^k e
     mod X^n for n = min(2k, cap), and v - X^k v e inverts s mod X^n, since
     s (v - X^k v e) = 1 - X^2k e^2.  Each doubling costs two int products:
-    e = (s v mod X^n)[k:], then v e mod X^(n-k).
+    e = (s v mod X^n)[k:], then -v e mod X^(n-k), read signed (_unpack).
 
-    Packing.  s is packed once, at packed_mul's slots for cap * rank *
-    (m - 1)^2, which no slot of (s mod X^n) v (at most k < cap coefficient
-    pairs) or of v e (n - k <= k pairs) reaches; s mod X^n is that int
-    masked to n blocks.  v is kept packed, each new block set above the
-    others, and the low k blocks of s v (1 mod X^k) are shifted off.
+    Packing.  s is packed once, at the width for cap pairs (_width), which
+    no slot of (s mod X^n) v (at most k < cap coefficient pairs) or of v e
+    (n - k <= k pairs) reaches; s mod X^n is that int masked to n blocks.
+    v is kept packed, each new block set above the others, and the low k
+    blocks of s v (1 mod X^k) are shifted off.
 
     Exact exit.  Let ls and lv be the lengths of s and v without their
     trailing zero coefficients.  If e = 0 then s v = 1 mod X^n, and if also
@@ -611,9 +626,9 @@ def _inverse(K, s, cap, v0):
     product; 1 + pX over Z/p^N exits at the first step with k >= N and
     n > N, since its inverse sum (-p)^i X^i ends at X^(N-1).
     """
-    rank, block, slots, m = K.packing
+    rank, block, slots, _ = K.packing
     ls = _trim(s, cap)
-    nbytes = _slot_bytes(cap * rank * (m - 1) ** 2)
+    nbytes = _width(K, cap)
     W = 8 * nbytes * block   # bits per block
     S = _pack(s[:ls], block, slots, nbytes)
     v, V, k = [v0], _pack([v0], block, slots, nbytes), 1
@@ -622,8 +637,7 @@ def _inverse(K, s, cap, v0):
         e = _unpack(K, (S & ((1 << n * W) - 1)) * V >> k * W, n - k, nbytes, n - 1)
         if not any(map(any, e)) and ls + _trim(v, k) - 1 <= n:
             break
-        dv = [tuple([(-x) % m for x in c])
-              for c in _unpack(K, V * _pack(e, block, slots, nbytes), n - k, nbytes, n - 1)]
+        dv = _unpack(K, -V * _pack(e, block, slots, nbytes), n - k, nbytes, n - k, signed=True)
         V |= _pack(dv, block, slots, nbytes) << k * W
         v += dv
         k = n
@@ -694,21 +708,13 @@ class PackedRows:
     once (_unpack): a call makes one int product per nonzero ys[k] and
     width * stride reductions, however many terms it sums.
 
-    Slot width.  The coordinates of the rows and of ys lie in [0, m - 1], m
-    = p^N.  A slot of one product sums at most r products of two
-    coordinates (r = K's rank: given the slot and a coordinate of ys[k], at
-    most one coordinate of the block fits, as in packed_mul), so a slot of
-    a sum of L products is a nonnegative integer of at most
-
-        L * r * (m - 1)^2,
-
-    and with bit_length of that plus one bit per slot (_slot_bytes) no slot
-    carries into the next: the sum's slots are its raw coefficients.  The
-    table is packed at the width for the longest trimmed ys asked for so
-    far and packed again only when a longer one needs wider slots (a wider
-    slot holds the smaller bound too).  Rows are made only up to the last
-    one a call reads, L + width - 1 of them for L trimmed terms, so a cold
-    call makes no row it does not use.
+    Slot width.  ys[k] is one coefficient, so at most L coefficient pairs
+    reach one block of a sum of L products (_width).  The table is packed
+    at the width for the longest trimmed ys asked for so far and packed
+    again only when a longer one needs wider slots (a wider slot holds the
+    smaller bound too).  Rows are made only up to the last one a call
+    reads, L + width - 1 of them for L trimmed terms, so a cold call makes
+    no row it does not use.
 
     Window ints.  Window k is read as an int once, when a call first needs
     it, and kept beside the table bytes at the same slot width; they are
@@ -728,7 +734,7 @@ class PackedRows:
         self.table = 0, b"", []   # (slot bytes, the packed rows, window ints)
 
     def combine(self, ys):
-        rank, block, slots, m = self.K.packing
+        rank, block, slots, _ = self.K.packing
         n = self.width * self.stride
         L = _trim(ys, len(ys))
         if not L:
@@ -740,7 +746,7 @@ class PackedRows:
                 rows.append(self.step(rows[-1]))
             self.rows = rows
         nbytes, table, windows = self.table
-        wide = _slot_bytes(L * rank * (m - 1) ** 2)
+        wide = _width(self.K, L)
         if wide > nbytes:   # wider slots: pack every row again
             nbytes, table, windows = wide, b"", []
         size = block * nbytes
@@ -781,27 +787,11 @@ def packed_det(K, entries, d, c, cap):
     Packing.  The entries go into one _pack_bytes call, and entry o is read
     as the int of the c blocks at o c.  Each memoized minor is kept as one
     int too: a minor is the signed sum of at most d products entry *
-    smaller minor, formed on plain Python ints, then unpacked and reduced
-    once and packed again.  The last row's minors are its entries, so a
-    minor of j >= 2 rows costs one reduction for its j products.  The sum
-    may be negative and longer than cap blocks; with S = 2^(cap block W), W
-    the slot width, the slots below S hold the sum's coefficients mod Y^cap
-    with a borrow from each negative one into the next.  One biased unpack
-    reads them: adding 2^(W-1) to every slot puts each one in [0, 2^W), so
-    the slots of (sum + bias) mod S, one & mask, are read unsigned and
-    carry-free, and the bias comes off.  That mask is exact mod Y^cap: x ->
-    x mod S is a ring map, and composed with the Kronecker substitution it
-    sends Y^cap to 0.
-
-    Slot width.  A minor's coordinates lie in [0, m - 1], m = p^N, and so
-    do an entry's.  As in packed_mul, a slot of one product sums at most
-    c r products of two coordinates (r = rank), so a slot of the sum has
-    absolute value at most
-
-        B = d c r (m - 1)^2,
-
-    and W = bit_length(B) + 1 bits hold it with its sign (rounded up as in
-    packed_mul, _slot_bytes).
+    smaller minor, formed on plain Python ints, then read mod Y^cap by one
+    signed _unpack, reduced once and packed again.  The last row's minors
+    are its entries, so a minor of j >= 2 rows costs one reduction for its
+    j products.  Entries and minors have at most c coefficients, so at most
+    d c coefficient pairs reach one block of the sum (_width).
 
     Reach.  The expansion makes d 2^(d-1) products and keeps up to 2^d
     minors, each reduced once.  d <= MAX_DET_DIM = 13 bounds them by 53248
@@ -812,18 +802,14 @@ def packed_det(K, entries, d, c, cap):
     if d > MAX_DET_DIM:
         raise DomainError(f"a {d} x {d} determinant exceeds MAX_DET_DIM = {MAX_DET_DIM}: "
                           f"{d * 2 ** (d - 1)} products over {2 ** d} minors")
-    rank, block, slots, m = K.packing
+    rank, block, slots, _ = K.packing
     zero = (0,) * rank
     if not d:
         return [(1,) + zero[1:]] + [zero] * (cap - 1)
-    nbytes = _slot_bytes(d * c * rank * (m - 1) ** 2)
+    nbytes = _width(K, d * c)
     packed = _pack_bytes(entries, block, slots, nbytes)
     w = c * block * nbytes
     ints = [int.from_bytes(packed[o * w:(o + 1) * w], "little") for o in range(d * d)]
-    size = cap * block
-    mask = (1 << (8 * nbytes * size)) - 1
-    half = 1 << (8 * nbytes - 1)
-    bias = int.from_bytes(half.to_bytes(nbytes, "little") * size, "little")
     # minors by their column bitmask; the last row's are its entries
     memo = {1 << j: x for j, x in enumerate(ints[-d:])}
     memo[0] = _pack([(1,) + zero[1:]], block, slots, nbytes)
@@ -840,17 +826,13 @@ def packed_det(K, entries, d, c, cap):
                 sign = -sign
         return acc
 
-    def reduced(acc):
-        """The cap canonical coefficients of a packed signed sum."""
-        raw = _slots((acc + bias) & mask, size, nbytes, size)
-        return K.reduce_blocks([x - half for x in raw])
-
     def minor(r, cols):
         if cols not in memo:
-            memo[cols] = _pack(reduced(expand(r, cols)), block, slots, nbytes)
+            memo[cols] = _pack(_unpack(K, expand(r, cols), cap, nbytes, cap, signed=True),
+                               block, slots, nbytes)
         return memo[cols]
 
-    return reduced(expand(0, (1 << d) - 1))
+    return _unpack(K, expand(0, (1 << d) - 1), cap, nbytes, cap, signed=True)
 
 
 # -- formal log / exp ---------------------------------------------------------

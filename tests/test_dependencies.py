@@ -22,7 +22,7 @@ def test_core_imports_only_the_standard_library():
     assert not outside
 
 
-PACKING_HELPERS = {"_pack", "_pack_bytes", "_slots", "_slot_bytes", "_unpack"}
+PACKING_HELPERS = {"_pack", "_pack_bytes", "_width", "_bias", "_unpack"}
 
 
 def test_the_kronecker_packing_stays_inside_series():

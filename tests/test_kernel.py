@@ -16,8 +16,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ltk.lubin_tate import QuotientRing, build_group
 from ltk.rings import DomainError, extend, is_unit_coords, make_composite, make_ring
-from ltk.series import (MAX_DET_DIM, PackedRows, TruncSeries, _ARRAY_CODES, _inverse,
-                        _slot_bytes, horner, packed_compose, packed_det, packed_mul)
+from ltk.series import (MAX_DET_DIM, PackedRows, TruncSeries, _ARRAY_CODES, _inverse, _width,
+                        horner, packed_compose, packed_det, packed_mul, packed_times)
 
 from det_oracle import laplace_det
 from eval_oracle import ref_horner
@@ -329,7 +329,7 @@ def test_slot_widths_take_their_packing_path(width, K, count):
     (p^N - 1)^2, which takes slots of width bytes, moved by array up to 8
     bytes and joined byte by byte above."""
     rank, m, mul = ring_of(K)
-    assert _slot_bytes(count * rank * (m - 1) ** 2) == width
+    assert _width(K, count) == width
     assert (width in _ARRAY_CODES) == (width <= 8)
     a = [(m - 1,) * rank] * count
     assert packed_mul(K, a, a, count) == ref_series_mul(mul, m, rank, a, a, count)
@@ -343,11 +343,62 @@ def test_packing_without_array_widths(monkeypatch):
     monkeypatch.setattr(series, "_WIDTHS", list(range(9)))
     K, count = make_ring(3, 5, "zp"), 32
     rank, m, mul = ring_of(K)
-    assert series._slot_bytes(count * rank * (m - 1) ** 2) == 3
+    assert series._width(K, count) == 3
     a = [(m - 1,) * rank] * count
     assert packed_mul(K, a, a, count) == ref_series_mul(mul, m, rank, a, a, count)
     rows = [[a[:3], a[:2]], [a[:1], a[:3]]]
     assert ragged_det(K, rows, 8) == oracle_det(K, rows, 8)
+
+
+@pytest.mark.parametrize("caller", ["packed_mul", "packed_times", "_inverse", "combine",
+                                    "packed_det"])
+def test_whole_byte_slots_hold_each_callers_worst_case(monkeypatch, caller):
+    """Slots in whole bytes, as on a big-endian host, over Z/3^5 (r = 1),
+    each caller at a sum that fills the width _width gives it for B =
+    pairs r (p^N - 1)^2.  The unsigned sums have bit_length(B) = 23, so
+    their 3-byte slots hold B with only the sign bit to spare: packed_mul,
+    packed_times and combine reach B itself in a middle slot, and
+    _inverse's (s mod X^129) v on a random s sums 128 products of
+    coordinates below 3^5 in its top slot, far past 2^16.  packed_det's
+    3 x 3 sum of entries of L = 80 coefficients has bit_length(B) = 24 and
+    needs its sign bit: row 0 is (full, 0, full) and both 2 x 2 minors it
+    multiplies reduce to full, so the top sum's Y^(L-1) slot is
+    2 L (p^N - 1)^2 >= 2^23, which a 3-byte biased read takes for a
+    negative value.  (_inverse's signed read, the Newton
+    correction -v e, reaches at most cap / 2 pairs, under half of B, so
+    its sign bit is never the one that holds it.)"""
+    from ltk import series
+    monkeypatch.setattr(series, "_ARRAY_CODES", {})
+    monkeypatch.setattr(series, "_WIDTHS", list(range(9)))
+    K = make_ring(3, 5, "zp")
+    rank, m, mul = ring_of(K)
+    full, one = (m - 1,), (1,)
+    pairs = {"packed_det": 80, "_inverse": 129}.get(caller, 128)
+    a = [full] * pairs
+    if caller == "packed_det":
+        assert (3 * pairs * (m - 1) ** 2).bit_length() == 24
+        assert 2 * pairs * (m - 1) ** 2 >= 2 ** 23
+        rows = [[a, [], a], [a, [], [one] * pairs], [[], [one], []]]
+        assert ragged_det(K, rows, pairs) == oracle_det(K, rows, pairs)
+    elif caller == "_inverse":
+        assert (pairs * (m - 1) ** 2).bit_length() == 23
+        rng = random.Random("whole bytes")
+        s = [one] + [(rng.randrange(m),) for _ in range(pairs - 1)]
+        want = ref_inverse(K, s, pairs)
+        assert _inverse(K, s, pairs, want[0]) == want
+    elif caller == "combine":
+        assert (pairs * (m - 1) ** 2).bit_length() == 23
+        # the zero last block takes the carries of a narrower width
+        got = PackedRows(K, 8, 1, [[full] * 7 + [(0,)]], lambda row: row).combine(a)
+        want = (0,)
+        for _ in range(pairs):
+            want = ref_add(m, want, mul(full, full))
+        assert got == [want] * 7 + [(0,)]
+    else:
+        assert (pairs * (m - 1) ** 2).bit_length() == 23
+        cap = 2 * pairs - 1
+        got = packed_mul(K, a, a, cap) if caller == "packed_mul" else packed_times(K, a, cap)(a)
+        assert got == ref_series_mul(mul, m, rank, a, a, cap)
 
 
 # -- the Newton inverse ----------------------------------------------------------------
@@ -525,9 +576,9 @@ def test_packed_det_sum_reaches_its_slot_bound():
     whose bias reads it wrong."""
     K, cap = make_ring(3, 18, "zp"), 40
     m = K.modulus
-    assert _slot_bytes(cap * (m - 1) ** 2) == 8
+    assert _width(K, cap) == 8
     assert 2 * cap * (m - 1) ** 2 >= 2 ** 63
-    assert _slot_bytes(3 * cap * (m - 1) ** 2) == 9
+    assert _width(K, 3 * cap) == 9
     full, ones, one = [(m - 1,)] * cap, [(1,)] * cap, [(1,)]
     rows = [[full, [], full], [full, [], ones], [[], one, []]]
     assert ragged_det(K, rows, cap) == oracle_det(K, rows, cap)
@@ -561,7 +612,7 @@ def test_packed_rows_worst_case(name, width, stride, L):
     K = make_ring(3, 18, "zp") if name == "zp_3^18" else ALL_RINGS[name]
     rank, m, mul = ring_of(K)
     if name == "zp_3^18":
-        assert _slot_bytes(rank * (m - 1) ** 2) == 8
+        assert _width(K, 1) == 8
         assert L * rank * (m - 1) ** 2 >= 2 ** 64
     full = (m - 1,) * rank
     rows = PackedRows(K, stride, width, [[full] * stride], lambda row: row)
