@@ -453,7 +453,7 @@ def test_invert_of_a_constant_takes_one_newton_step(monkeypatch, q2):
     from ltk import series
     calls = []
     unpack = series._unpack
-    monkeypatch.setattr(series, "_unpack", lambda *a: calls.append(a) or unpack(*a))
+    monkeypatch.setattr(series, "_unpack", lambda *a, **kw: calls.append(a) or unpack(*a, **kw))
     s = TruncSeries(q2, 24, [[1, 1]])
     got = s.invert()
     assert len(calls) == 1
